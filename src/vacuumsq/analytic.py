@@ -28,7 +28,7 @@ axis (+x) that maps the squeezed quadrature onto Sy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -39,8 +39,8 @@ __all__ = [
     "SpinMoments", "NoiseModel", "UnitarySqueezing", "cos_pow",
     "oat_moments", "xi_unitary", "xi_total", "xi_approx", "xi_bound",
     "noise_var_free_space", "noise_var_cavity_leak",
-    "tat_variance_bosonic", "tat_xi_floor", "xi_wineland", "to_db",
-    "squeezing_trace",
+    "NoiseBudget", "noise_budget", "add_noise_to_xi", "noise_probabilities",
+    "tat_variance_bosonic", "tat_xi_floor", "to_db", "squeezing_trace",
 ]
 
 
@@ -177,6 +177,20 @@ def oat_moments(d: DerivedParams, t) -> SpinMoments:
                        min_transverse_var=(S / 2.0) * xi, optimal_angle=angle)
 
 
+class NoiseBudget(NamedTuple):
+    """Added transverse spin variance and binomial exposures at time t."""
+
+    added_var: float | np.ndarray
+    p_leak: float | np.ndarray
+    p_decay: float | np.ndarray
+
+
+def _leak_exposure(d: DerivedParams, kappa, t_arr, q):
+    """p = tanh((1-q) S Omega kappa t / Delta), the cavity-leak exposure."""
+    rate = d.spin_S * (d.omega_twist / d.params.delta) * kappa  # = S g^2 kappa / Delta^2
+    return np.tanh((1.0 - float(q)) * rate * t_arr)
+
+
 def noise_var_free_space(d: DerivedParams, gamma, t):
     """Spin variance added by free-space decay: S p(1-p), p = exp(-Gamma t).
 
@@ -203,10 +217,33 @@ def noise_var_cavity_leak(d: DerivedParams, kappa, t, detector_efficiency_q=0.0)
     t_arr = _check_time(t)
     if kappa < 0:
         raise PhysicsError("kappa must be >= 0")
-    q = float(detector_efficiency_q)
-    rate = d.spin_S * (d.omega_twist / d.params.delta) * kappa  # = S g^2 kappa / Delta^2
-    p = np.tanh((1.0 - q) * rate * t_arr)
+    p = _leak_exposure(d, kappa, t_arr, detector_efficiency_q)
     return _scalar_like(d.spin_S * p * (1.0 - p), t)
+
+
+def noise_budget(d: DerivedParams, t, noise: NoiseModel) -> NoiseBudget:
+    """The active noise channels at time t, evaluated once.
+
+    Returns the summed added variance [dS2_leak + dS2_decay] and the
+    exposures (p_leak, p_decay); inactive channels contribute 0.  The
+    additive variance model is trustworthy while both exposures stay
+    <= 1/2 (monotone regime).  This is the one place that decides which
+    channels are on.
+    """
+    t_arr = _check_time(t)
+    S, p = d.spin_S, d.params
+    added = np.zeros_like(t_arr, dtype=float)
+    p_leak = np.zeros_like(t_arr, dtype=float)
+    p_decay = np.zeros_like(t_arr, dtype=float)
+    if noise.include_cavity_leak and p.kappa > 0:
+        p_leak = _leak_exposure(d, p.kappa, t_arr, noise.detector_efficiency_q)
+        added = added + S * p_leak * (1.0 - p_leak)
+    if noise.include_free_space and p.gamma > 0:
+        survival = np.exp(-p.gamma * t_arr)
+        added = added + S * survival * (1.0 - survival)
+        p_decay = 1.0 - survival
+    return NoiseBudget(_scalar_like(added, t), _scalar_like(p_leak, t),
+                       _scalar_like(p_decay, t))
 
 
 def xi_total(d: DerivedParams, t, noise: NoiseModel):
@@ -215,16 +252,7 @@ def xi_total(d: DerivedParams, t, noise: NoiseModel):
     xi_total = xi_unitary + [dS2_leak + dS2_decay] / (S/2); disabled
     channels contribute zero, so with both off this equals xi_unitary.
     """
-    t_arr = _check_time(t)
-    xi = xi_unitary(d, t_arr).xi
-    added = np.zeros_like(np.asarray(xi, dtype=float))
-    p = d.params
-    if noise.include_cavity_leak and p.kappa > 0:
-        added = added + noise_var_cavity_leak(d, p.kappa, t_arr,
-                                              noise.detector_efficiency_q)
-    if noise.include_free_space and p.gamma > 0:
-        added = added + noise_var_free_space(d, p.gamma, t_arr)
-    return _scalar_like(xi + added / (d.spin_S / 2.0), t)
+    return add_noise_to_xi(d, xi_unitary(d, t).xi, t, noise)
 
 
 def xi_approx(d: DerivedParams, t, detector_efficiency_q=0.0):
@@ -295,21 +323,6 @@ def tat_xi_floor(n_atoms, eta, detector_efficiency_q=0.0) -> float:
     return 4.0 * math.sqrt(2.0) * (n_atoms * eta / (1.0 - q)) ** (-0.5)
 
 
-def xi_wineland(d: DerivedParams, t):
-    """Phase-resolution squeezing parameter (contrast-penalized), auxiliary.
-
-    xi_W = xi * (S / <Sx>)^2 with the twisting contrast
-    <Sx> = S cos^(2S-1)(Omega t).  Reported for reference only; everything
-    else in this package uses the variance-ratio convention.
-    """
-    t_arr = _check_time(t)
-    xi = xi_unitary(d, t_arr).xi
-    contrast = cos_pow(d.omega_twist * t_arr, int(2 * d.spin_S - 1))
-    with np.errstate(divide="ignore"):
-        out = xi / np.square(contrast)
-    return _scalar_like(out, t)
-
-
 def to_db(xi):
     """10 log10(xi); "X dB of squeezing" means a value of -X."""
     return 10.0 * np.log10(xi)
@@ -330,37 +343,11 @@ def squeezing_trace(d: DerivedParams, times, noise: NoiseModel) -> SqueezingTrac
 
 def add_noise_to_xi(d: DerivedParams, xi_coherent, t, noise: NoiseModel):
     """Attach the additive noise terms to an externally computed xi(t)."""
-    t_arr = _check_time(t)
-    added = np.zeros_like(t_arr, dtype=float)
-    p = d.params
-    if noise.include_cavity_leak and p.kappa > 0:
-        added = added + noise_var_cavity_leak(d, p.kappa, t_arr,
-                                              noise.detector_efficiency_q)
-    if noise.include_free_space and p.gamma > 0:
-        added = added + noise_var_free_space(d, p.gamma, t_arr)
+    added = noise_budget(d, t, noise).added_var
     return _scalar_like(np.asarray(xi_coherent, dtype=float) + added / (d.spin_S / 2.0), t)
 
 
 def noise_probabilities(d: DerivedParams, t, noise: NoiseModel):
-    """The binomial exposures p of the active channels at time t.
-
-    Returns (p_leak, p_decay); inactive channels report 0.  The additive
-    variance model is trustworthy while both stay <= 1/2 (monotone regime).
-    """
-    t_arr = _check_time(t)
-    p = d.params
-    p_leak = np.zeros_like(t_arr, dtype=float)
-    p_decay = np.zeros_like(t_arr, dtype=float)
-    if noise.include_cavity_leak and p.kappa > 0:
-        rate = d.spin_S * (d.omega_twist / p.delta) * p.kappa
-        p_leak = np.tanh((1.0 - noise.detector_efficiency_q) * rate * t_arr)
-    if noise.include_free_space and p.gamma > 0:
-        p_decay = 1.0 - np.exp(-p.gamma * t_arr)
-    return _scalar_like(p_leak, t), _scalar_like(p_decay, t)
-
-
-def replace_moment_noise(m: SpinMoments, added_var: float) -> SpinMoments:
-    """Isotropically widen the transverse covariance of ``m`` (helper)."""
-    new_min = None if m.min_transverse_var is None else m.min_transverse_var + added_var
-    return replace(m, var_z=m.var_z + added_var, var_y=m.var_y + added_var,
-                   min_transverse_var=new_min)
+    """The binomial exposures (p_leak, p_decay) of the active channels at t."""
+    budget = noise_budget(d, t, noise)
+    return budget.p_leak, budget.p_decay

@@ -26,8 +26,8 @@ import tempfile
 
 import numpy as np
 
-from .core import (FeasibilityParams, NumericsError, PhysicsError, SystemParams,
-                   TWO_PI, angular_to_hz, derive_params)
+from .core import (ConfigError, FeasibilityParams, NumericsError, PhysicsError,
+                   SystemParams, TWO_PI, angular_to_hz, derive_params, resolve_tier)
 from .analytic import NoiseModel
 from . import __version__, analytic, dicke, optimize, oracle
 
@@ -44,10 +44,6 @@ CSV_COLUMNS = ["t_seconds", "xi_unitary", "xi_total", "xi_db", "mean_x",
                "var_min", "angle_rad", "model_tier", "xi_db_3dp"]
 
 
-class ConfigError(ValueError):
-    """Malformed or inconsistent run configuration."""
-
-
 # --------------------------------------------------------------------------
 # config parsing
 
@@ -60,6 +56,7 @@ _KNOWN_OPTIMIZE = {"scan_detuning", "t_max_s", "delta_bracket_hz"}
 _KNOWN_SCALING = {"points", "q", "protocol", "noiseless"}
 _KNOWN_ORACLE = {"photon_cutoff", "delta_over_collective", "n_times"}
 _KNOWN_FEAS = {"fsr_hz", "fsr_jitter_hz", "noise_bandwidth_hz", "squeeze_time_s"}
+_KNOWN_OUTPUT = {"csv", "summary"}
 
 
 def _require_keys(section, mapping, known, required=()):
@@ -71,6 +68,20 @@ def _require_keys(section, mapping, known, required=()):
     missing = [k for k in required if k not in mapping]
     if missing:
         raise ConfigError(f"missing keys in {section}: {missing}")
+
+
+def _number(section, key, value):
+    """``value`` if it is a JSON number (booleans excluded), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    return value
+
+
+def _pair(section, key, value) -> tuple:
+    """A two-element list of numbers, as a tuple."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{section}.{key} must be a list of two numbers, got {value!r}")
+    return tuple(_number(section, key, v) for v in value)
 
 
 def load_config(path) -> dict:
@@ -92,20 +103,23 @@ def load_config(path) -> dict:
 
 def _build_system(cfg) -> SystemParams:
     sec = cfg["system"]
-    _require_keys("system", sec, _KNOWN_SYSTEM,
+    _require_keys("system", sec, _KNOWN_SYSTEM)
+    num = {k: _number("system", k, v) for k, v in sec.items() if v is not None}
+    _require_keys("system", num, _KNOWN_SYSTEM,
                   required=("n_atoms", "kappa_hz", "gamma_hz", "delta_hz"))
     return SystemParams.from_frequencies(
-        sec["n_atoms"], kappa_hz=sec["kappa_hz"], gamma_hz=sec["gamma_hz"],
-        delta_hz=sec["delta_hz"], g_hz=sec.get("g_hz"), eta=sec.get("eta"),
-        omega0_hz=sec.get("omega0_hz"))
+        num["n_atoms"], kappa_hz=num["kappa_hz"], gamma_hz=num["gamma_hz"],
+        delta_hz=num["delta_hz"], g_hz=num.get("g_hz"), eta=num.get("eta"),
+        omega0_hz=num.get("omega0_hz"))
 
 
 def _build_noise(cfg) -> NoiseModel:
     sec = cfg.get("noise", {})
     _require_keys("noise", sec, _KNOWN_NOISE)
+    q = _number("noise", "detector_efficiency_q", sec.get("detector_efficiency_q", 0.0))
     return NoiseModel(include_free_space=bool(sec.get("free_space", True)),
                       include_cavity_leak=bool(sec.get("cavity_leak", True)),
-                      detector_efficiency_q=float(sec.get("detector_efficiency_q", 0.0)))
+                      detector_efficiency_q=float(q))
 
 
 def _build_time_grid(cfg) -> np.ndarray:
@@ -113,7 +127,8 @@ def _build_time_grid(cfg) -> np.ndarray:
     if sec is None:
         raise ConfigError("this command needs a time_grid section")
     _require_keys("time_grid", sec, _KNOWN_GRID, required=("start", "stop", "points"))
-    start, stop, points = float(sec["start"]), float(sec["stop"]), int(sec["points"])
+    start, stop, points = (_number("time_grid", k, sec[k]) for k in ("start", "stop", "points"))
+    start, stop, points = float(start), float(stop), int(points)
     spacing = sec.get("spacing", "linear")
     if points < 2:
         raise ConfigError("time_grid.points must be >= 2")
@@ -189,8 +204,40 @@ def write_json(path, payload):
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _out_path(name, outdir):
-    return os.path.join(outdir, name)
+# Default (csv, summary) file names per command; cfg["output"] overrides.
+_OUTPUT_NAMES = {
+    "evolve": ("evolve.csv", "evolve_summary.json"),
+    "optimize": (None, "optimize_summary.json"),
+    "scaling": ("scaling.csv", "scaling_summary.json"),
+    "oracle": ("oracle_shifts.csv", "oracle_summary.json"),
+    "feasibility": (None, "feasibility.json"),
+}
+
+
+def _write_artifacts(cfg, command, params, outdir, body, table=None, derived=True):
+    """Write a command's CSV (``table`` = (columns, rows)) and summary JSON.
+
+    The summary is ``body`` inside the shared envelope: schema and package
+    version, command, resolved config, the derived parameters (unless
+    ``derived`` is False) and, next to a CSV, its file name under
+    ``artifacts``.  Returns the written paths, CSV first.
+    """
+    output = cfg.get("output", {})
+    _require_keys("output", output, _KNOWN_OUTPUT)
+    csv_name, summary_name = _OUTPUT_NAMES[command]
+    summary = {"schema_version": SCHEMA_VERSION, "command": command,
+               "package_version": __version__,
+               "resolved_config": _resolved_config(cfg, command, params)}
+    if derived:
+        summary["derived"] = _derived_block(params)
+    paths = []
+    if table is not None:
+        paths.append(os.path.join(outdir, output.get("csv", csv_name)))
+        write_csv(paths[0], *table)
+        summary["artifacts"] = {"csv": os.path.basename(paths[0])}
+    paths.append(os.path.join(outdir, output.get("summary", summary_name)))
+    write_json(paths[-1], {**summary, **body})
+    return paths
 
 
 # --------------------------------------------------------------------------
@@ -218,34 +265,14 @@ def cmd_evolve(cfg, outdir):
     params = _build_system(cfg)
     noise = _build_noise(cfg)
     times = _build_time_grid(cfg)
-    protocol = cfg.get("protocol", "oat")
-    tier = cfg.get("tier", "auto")
-    if protocol not in ("oat", "tat"):
-        raise ConfigError(f"unknown protocol {protocol!r}")
-    if tier == "auto":
-        tier = "dicke" if protocol == "tat" else "analytic"
-    if tier not in ("analytic", "dicke"):
-        raise ConfigError(f"unknown tier {tier!r}")
-    if tier == "analytic" and protocol == "tat":
-        raise ConfigError("the rotation-assisted protocol needs tier=dicke")
+    tier, protocol = resolve_tier(cfg.get("tier", "auto"), cfg.get("protocol", "oat"))
     d = derive_params(params)
     if tier == "analytic":
         trace = analytic.squeezing_trace(d, times, noise)
     else:
         trace = dicke.squeezing_trace(d, times, noise, protocol=protocol)
-    rows = _trace_rows(trace)
     i_min = int(np.argmin(trace.xi_total))
-    output = cfg.get("output", {})
-    csv_path = _out_path(output.get("csv", "evolve.csv"), outdir)
-    summary_path = _out_path(output.get("summary", "evolve_summary.json"), outdir)
-    write_csv(csv_path, CSV_COLUMNS, rows)
-    d_block = _derived_block(params)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "evolve",
-        "package_version": __version__,
-        "resolved_config": _resolved_config(cfg, "evolve", params),
-        "derived": d_block,
+    return _write_artifacts(cfg, "evolve", params, outdir, {
         "model_tier": trace.model_tier,
         "protocol": trace.protocol,
         "grid_minimum": {
@@ -253,14 +280,11 @@ def cmd_evolve(cfg, outdir):
             "xi_total": float(trace.xi_total[i_min]),
             "xi_db": float(analytic.to_db(trace.xi_total[i_min])),
         },
-        "bounds": _bounds_block(params, noise, protocol),
-        "artifacts": {"csv": os.path.basename(csv_path)},
-    }
-    write_json(summary_path, summary)
-    return [csv_path, summary_path]
+        "bounds": _bounds_block(params, noise),
+    }, table=(CSV_COLUMNS, _trace_rows(trace)))
 
 
-def _bounds_block(params, noise, protocol):
+def _bounds_block(params, noise):
     d = derive_params(params)
     if not math.isfinite(d.eta):
         return None
@@ -278,30 +302,23 @@ def _bounds_block(params, noise, protocol):
 def cmd_optimize(cfg, outdir):
     params = _build_system(cfg)
     noise = _build_noise(cfg)
-    protocol = cfg.get("protocol", "oat")
-    tier = cfg.get("tier", "auto")
-    if tier == "auto":
-        tier = "dicke" if protocol == "tat" else "analytic"
+    tier, protocol = resolve_tier(cfg.get("tier", "auto"), cfg.get("protocol", "oat"))
     sec = cfg.get("optimize", {})
     _require_keys("optimize", sec, _KNOWN_OPTIMIZE)
     t_max = sec.get("t_max_s")
+    if t_max is not None:
+        _number("optimize", "t_max_s", t_max)
     if sec.get("scan_detuning", False):
         bracket_hz = sec.get("delta_bracket_hz")
-        bracket = None if bracket_hz is None else (TWO_PI * bracket_hz[0], TWO_PI * bracket_hz[1])
+        bracket = None if bracket_hz is None else tuple(
+            TWO_PI * f for f in _pair("optimize", "delta_bracket_hz", bracket_hz))
         result = optimize.optimal_detuning(params.coupling_g, params.kappa, params.gamma,
                                            params.n_atoms, noise, tier=tier,
                                            protocol=protocol, bracket=bracket, t_max=t_max)
     else:
         result = optimize.optimal_time(derive_params(params), noise, tier=tier,
                                        protocol=protocol, t_max=t_max)
-    output = cfg.get("output", {})
-    path = _out_path(output.get("summary", "optimize_summary.json"), outdir)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "optimize",
-        "package_version": __version__,
-        "resolved_config": _resolved_config(cfg, "optimize", params),
-        "derived": _derived_block(params),
+    return _write_artifacts(cfg, "optimize", params, outdir, {
         "result": {
             "t_opt_seconds": result.t_opt,
             "xi_min": result.xi_min,
@@ -316,10 +333,8 @@ def cmd_optimize(cfg, outdir):
                                 else [angular_to_hz(result.bracket_delta[0]),
                                       angular_to_hz(result.bracket_delta[1])],
         },
-        "bounds": _bounds_block(params, noise, protocol),
-    }
-    write_json(path, payload)
-    return [path]
+        "bounds": _bounds_block(params, noise),
+    })
 
 
 def cmd_scaling(cfg, outdir):
@@ -328,12 +343,13 @@ def cmd_scaling(cfg, outdir):
     if sec is None:
         raise ConfigError("scaling command needs a scaling section")
     _require_keys("scaling", sec, _KNOWN_SCALING, required=("points",))
-    points = [(int(n), float(eta)) for n, eta in sec["points"]]
-    q = float(sec.get("q", 0.0))
-    protocol = sec.get("protocol", "oat")
+    if not isinstance(sec["points"], list):
+        raise ConfigError("scaling.points must be a list of [n_atoms, eta] pairs")
+    points = [_pair("scaling", "points", point) for point in sec["points"]]
+    q = float(_number("scaling", "q", sec.get("q", 0.0)))
     noise = NoiseModel.none() if sec.get("noiseless", False) \
         else NoiseModel(detector_efficiency_q=q)
-    scan = optimize.scaling_scan(points, q=q, protocol=protocol,
+    scan = optimize.scaling_scan(points, q=q, protocol=sec.get("protocol", "oat"),
                                  kappa=params.kappa, gamma=params.gamma, noise=noise)
     columns = ["n_atoms", "eta", "n_eta", "xi_min", "xi_min_db", "floor",
                "t_opt", "delta_opt_hz"]
@@ -343,51 +359,30 @@ def cmd_scaling(cfg, outdir):
                      "xi_min": p.xi_min, "xi_min_db": p.xi_min_db, "floor": p.floor,
                      "t_opt": p.t_opt,
                      "delta_opt_hz": "" if p.delta_opt is None else repr(angular_to_hz(p.delta_opt))})
-    output = cfg.get("output", {})
-    csv_path = _out_path(output.get("csv", "scaling.csv"), outdir)
-    summary_path = _out_path(output.get("summary", "scaling_summary.json"), outdir)
-    write_csv(csv_path, columns, rows)
-    write_json(summary_path, {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scaling",
-        "package_version": __version__,
-        "resolved_config": _resolved_config(cfg, "scaling", params),
+    return _write_artifacts(cfg, "scaling", params, outdir, {
         "fitted_loglog_slope": scan.slope,
         "protocol": scan.protocol,
         "points": scan.rows(),
-        "artifacts": {"csv": os.path.basename(csv_path)},
-    })
-    return [csv_path, summary_path]
+    }, table=(columns, rows), derived=False)
 
 
 def cmd_oracle(cfg, outdir):
     params = _build_system(cfg)
     sec = cfg.get("oracle", {})
     _require_keys("oracle", sec, _KNOWN_ORACLE)
-    cutoff = int(sec.get("photon_cutoff", 2))
+    cutoff = int(_number("oracle", "photon_cutoff", sec.get("photon_cutoff", 2)))
     factor = sec.get("delta_over_collective")
     if factor is not None:
         # Convenience: place the detuning at a multiple of g*sqrt(N).
-        delta = float(factor) * params.collective_coupling
+        delta = float(_number("oracle", "delta_over_collective", factor)) \
+            * params.collective_coupling
         params = SystemParams(n_atoms=params.n_atoms, coupling_g=params.coupling_g,
                               kappa=params.kappa, gamma=params.gamma, delta=delta,
                               omega0=params.omega0)
     report = oracle.verification_report(oracle.TCConfig(params=params, photon_cutoff=cutoff))
     shift_columns = ["m", "exact_shift", "perturbative_shift", "rel_error"]
-    output = cfg.get("output", {})
-    csv_path = _out_path(output.get("csv", "oracle_shifts.csv"), outdir)
-    summary_path = _out_path(output.get("summary", "oracle_summary.json"), outdir)
-    write_csv(csv_path, shift_columns, report["light_shifts"])
-    write_json(summary_path, {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
-        "package_version": __version__,
-        "resolved_config": _resolved_config(cfg, "oracle", params),
-        "derived": _derived_block(params),
-        "report": report,
-        "artifacts": {"csv": os.path.basename(csv_path)},
-    })
-    return [csv_path, summary_path]
+    return _write_artifacts(cfg, "oracle", params, outdir, {"report": report},
+                            table=(shift_columns, report["light_shifts"]))
 
 
 def cmd_feasibility(cfg, outdir):
@@ -397,18 +392,9 @@ def cmd_feasibility(cfg, outdir):
         raise ConfigError("feasibility command needs a feasibility section")
     _require_keys("feasibility", sec, _KNOWN_FEAS, required=tuple(_KNOWN_FEAS))
     feas = FeasibilityParams.from_frequencies(
-        fsr_hz=sec["fsr_hz"], fsr_jitter_hz=sec["fsr_jitter_hz"],
-        noise_bandwidth_hz=sec["noise_bandwidth_hz"],
-        squeeze_time_s=sec["squeeze_time_s"])
+        **{k: _number("feasibility", k, v) for k, v in sec.items()})
     report = optimize.feasibility_report(params, feas)
-    output = cfg.get("output", {})
-    path = _out_path(output.get("summary", "feasibility.json"), outdir)
-    write_json(path, {
-        "schema_version": SCHEMA_VERSION,
-        "command": "feasibility",
-        "package_version": __version__,
-        "resolved_config": _resolved_config(cfg, "feasibility", params),
-        "derived": _derived_block(params),
+    return _write_artifacts(cfg, "feasibility", params, outdir, {
         "report": {
             "omega_twist_hz": report.omega_twist_hz,
             "squeeze_phase_rel_error": report.squeeze_phase_rel_error,
@@ -417,12 +403,12 @@ def cmd_feasibility(cfg, outdir):
             "fractional_accuracy": report.fractional_accuracy,
         },
     })
-    return [path]
 
 
 def cmd_validate(cfg, outdir):
     params = _build_system(cfg)
     _build_noise(cfg)
+    resolve_tier(cfg.get("tier", "auto"), cfg.get("protocol", "oat"))
     if "time_grid" in cfg:
         _build_time_grid(cfg)
     diagnostics = {
@@ -463,10 +449,6 @@ def build_parser():
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default=None,
                          help=f"output directory (default: ${OUTDIR_ENV} or cwd)")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker threads for scan-style commands")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="reserved; all current computations are deterministic")
     return parser
 
 

@@ -53,6 +53,30 @@ class DegenerateMeanSpinError(PhysicsError):
     """Mean spin is (numerically) zero: the transverse plane is undefined."""
 
 
+class ConfigError(ValueError):
+    """Malformed or inconsistent run configuration."""
+
+
+def resolve_tier(tier: str, protocol: str) -> tuple[str, str]:
+    """Validate a (tier, protocol) choice and resolve tier "auto".
+
+    Protocols are "oat" (one-axis twisting) and "tat" (rotation-assisted
+    twisting); tiers are "analytic" (closed form, twisting only) and
+    "dicke" (exact ladder).  "auto" picks analytic for twisting and dicke
+    for the rotation-assisted protocol.  Every other combination raises
+    :class:`ConfigError`.
+    """
+    if protocol not in ("oat", "tat"):
+        raise ConfigError(f"unknown protocol {protocol!r}")
+    if tier == "auto":
+        tier = "dicke" if protocol == "tat" else "analytic"
+    if tier not in ("analytic", "dicke"):
+        raise ConfigError(f"unknown tier {tier!r}")
+    if tier == "analytic" and protocol == "tat":
+        raise ConfigError("the rotation-assisted protocol needs tier=dicke")
+    return tier, protocol
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical inputs of the cavity-spin system, all angular (rad/s).

@@ -5,14 +5,16 @@ dense complex amplitude vector c_m, m = -S..S ascending.  Twisting
 (Omega Sz^2) is diagonal and applied exactly; rotation-assisted twisting
 (Omega (S Sx + Sz^2)) is real symmetric tridiagonal and propagated either
 through one spectral decomposition reused across a time grid or, for
-large ladders, through Krylov stepping.  Both paths must pass a norm
-gate of 1e-9 before the state is renormalized.
+large ladders, through Krylov stepping (``expm_multiply`` picks its own
+sub-steps).  Both paths must pass a norm gate of 1e-9 before the state is
+renormalized.  One moments kernel, :func:`amplitude_moments`, serves
+ladder vectors and the oracle's joint (m, n) amplitude arrays alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -21,8 +23,8 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from .core import (DerivedParams, DegenerateMeanSpinError, NormDriftError,
-                   NumericsError, PhysicsError)
-from .analytic import NoiseModel, SpinMoments, SqueezingTrace, replace_moment_noise
+                   NumericsError, PhysicsError, resolve_tier)
+from .analytic import NoiseModel, SpinMoments, SqueezingTrace
 from . import analytic
 
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
@@ -31,8 +33,8 @@ SPECTRAL_MAX_DIM = 4096  # larger ladders use Krylov stepping (memory)
 
 __all__ = [
     "DickeState", "css", "evolve_oat", "evolve_tat", "TatPropagator",
-    "moments", "min_transverse_variance", "xi_numeric", "apply_noise",
-    "total_spin_sq", "dump_state", "load_state", "squeezing_trace",
+    "amplitude_moments", "moments", "min_transverse_variance", "xi_numeric",
+    "apply_noise", "total_spin_sq", "squeezing_trace",
 ]
 
 
@@ -78,7 +80,7 @@ def _gated_state(spin_S, amps) -> DickeState:
         raise NumericsError("non-finite amplitudes (overflow during propagation?)")
     if abs(norm - 1.0) > NORM_DRIFT_GATE:
         raise NormDriftError(
-            f"norm drifted to {norm!r} (gate {NORM_DRIFT_GATE}); increase n_steps")
+            f"norm drifted to {norm!r} (gate {NORM_DRIFT_GATE}); propagation lost unitarity")
     return DickeState(spin_S, amps / math.sqrt(norm))
 
 
@@ -116,8 +118,9 @@ class TatPropagator:
     """Propagator for H = Omega (S Sx + Sz^2), reusable across a time grid.
 
     ``method``: "spectral" (one tridiagonal eigendecomposition, exact for
-    any t), "krylov" (sparse expm stepping, memory-light for big ladders),
-    or "auto" (spectral up to dim 4096).
+    any t), "krylov" (sparse ``expm_multiply``, which chooses its own
+    sub-steps; memory-light for big ladders), or "auto" (spectral up to
+    dim 4096).  :meth:`evolve_grid` returns one gated state per time.
     """
 
     def __init__(self, spin_S: float, omega_twist: float, method: str = "auto"):
@@ -140,10 +143,7 @@ class TatPropagator:
     def evolve(self, state: DickeState, t: float) -> DickeState:
         if t < 0:
             raise PhysicsError("time must be >= 0")
-        return self._advance_gated(state, t)
-
-    def _advance_gated(self, state, dt):
-        return _gated_state(state.spin_S, self._advance(state.amplitudes, dt))
+        return _gated_state(state.spin_S, self._advance(state.amplitudes, t))
 
     def _advance(self, amps, dt):
         if dt == 0.0:
@@ -178,60 +178,55 @@ class TatPropagator:
         return out
 
 
-def evolve_tat(state: DickeState, omega_twist: float, t: float,
-               n_steps: int = 1) -> DickeState:
+def evolve_tat(state: DickeState, omega_twist: float, t: float) -> DickeState:
     """Rotation-assisted twisting under H = Omega (S Sx + Sz^2).
 
-    ``n_steps`` subdivides the interval on the Krylov path (the spectral
-    path is exact in one application and ignores it).  Norm drift beyond
-    1e-9 raises; smaller drift is renormalized away.
+    Norm drift beyond 1e-9 raises; smaller drift is renormalized away.
     """
-    if n_steps < 1:
-        raise PhysicsError("n_steps must be >= 1")
-    prop = TatPropagator(state.spin_S, omega_twist)
-    if prop.method == "spectral" or n_steps == 1:
-        return prop.evolve(state, t)
-    out = state
-    for _ in range(n_steps):
-        out = prop.evolve(out, t / n_steps)
-    return out
+    return TatPropagator(state.spin_S, omega_twist).evolve(state, t)
 
 
-def _ladder_applications(state: DickeState):
-    """Sz c, Sy c, Sx c as dense vectors; O(dim) each."""
-    S, c, m = state.spin_S, state.amplitudes, state.m_values
-    up = np.sqrt((S - m[:-1]) * (S + m[:-1] + 1.0))  # <m+1| S+ |m>
-    sp_c = np.zeros_like(c)
-    sp_c[1:] = up * c[:-1]
-    sm_c = np.zeros_like(c)
-    sm_c[:-1] = up * c[1:]
-    return m * c, (sp_c - sm_c) / 2j, (sp_c + sm_c) / 2.0
+def _ladder_applications(amps: np.ndarray, spin_S: float):
+    """Sz c, Sy c, Sx c along the first (m) axis of ``amps``; O(size) each."""
+    m = (np.arange(amps.shape[0], dtype=float) - spin_S).reshape((-1,) + (1,) * (amps.ndim - 1))
+    up = np.sqrt((spin_S - m[:-1]) * (spin_S + m[:-1] + 1.0))  # <m+1| S+ |m>
+    sp_c = np.zeros_like(amps)
+    sp_c[1:] = up * amps[:-1]
+    sm_c = np.zeros_like(amps)
+    sm_c[:-1] = up * amps[1:]
+    return m * amps, (sp_c - sm_c) / 2j, (sp_c + sm_c) / 2.0
 
 
-def moments(state: DickeState) -> SpinMoments:
-    """All first moments and the transverse (z, y) second moments.
+def amplitude_moments(amps: np.ndarray, spin_S: float) -> SpinMoments:
+    """Spin moments of amplitudes shaped (dim,) or (dim, n_photon).
 
-    ``min_transverse_var``/``optimal_angle`` are filled via
+    The first axis is the ladder m = -S..S; any trailing (photon) axis is
+    traced out, because ``np.vdot`` flattens both operands.  Returns all
+    first moments and the transverse (z, y) second moments, with
+    ``min_transverse_var``/``optimal_angle`` filled via
     :func:`min_transverse_variance` when the mean spin defines a usable
     transverse plane, else left as None.
     """
-    sz_c, sy_c, sx_c = _ladder_applications(state)
-    c = state.amplitudes
-    mx = float(np.real(np.vdot(c, sx_c)))
-    my = float(np.real(np.vdot(c, sy_c)))
-    mz = float(np.real(np.vdot(c, sz_c)))
-    var_z = float(np.real(np.vdot(sz_c, sz_c))) - mz * mz
-    var_y = float(np.real(np.vdot(sy_c, sy_c))) - my * my
-    cross = 2.0 * float(np.real(np.vdot(sz_c, sy_c))) - 2.0 * mz * my
-    mom = SpinMoments(spin_S=state.spin_S, mean_x=mx, mean_y=my, mean_z=mz,
-                      var_z=var_z, var_y=var_y, cross_zy=cross)
+    sz_c, sy_c, sx_c = _ladder_applications(amps, spin_S)
+
+    def inner(a, b):
+        return float(np.real(np.vdot(a, b)))
+
+    mx, my, mz = inner(amps, sx_c), inner(amps, sy_c), inner(amps, sz_c)
+    mom = SpinMoments(spin_S=spin_S, mean_x=mx, mean_y=my, mean_z=mz,
+                      var_z=inner(sz_c, sz_c) - mz * mz,
+                      var_y=inner(sy_c, sy_c) - my * my,
+                      cross_zy=2.0 * inner(sz_c, sy_c) - 2.0 * mz * my)
     try:
         variance, angle = min_transverse_variance(mom)
     except PhysicsError:
         return mom
-    return SpinMoments(spin_S=state.spin_S, mean_x=mx, mean_y=my, mean_z=mz,
-                       var_z=var_z, var_y=var_y, cross_zy=cross,
-                       min_transverse_var=variance, optimal_angle=angle)
+    return replace(mom, min_transverse_var=variance, optimal_angle=angle)
+
+
+def moments(state: DickeState) -> SpinMoments:
+    """Spin moments of a ladder state (see :func:`amplitude_moments`)."""
+    return amplitude_moments(state.amplitudes, state.spin_S)
 
 
 # Relative tilt of the mean spin away from x beyond which the stored
@@ -282,34 +277,33 @@ def apply_noise(m: SpinMoments, d: DerivedParams, t, noise: NoiseModel) -> SpinM
     amount and therefore adds exactly [dS2_leak + dS2_decay]/(S/2) to xi.
     The same rule is applied to twisting and rotation-assisted states.
     """
-    added = 0.0
-    p = d.params
-    if noise.include_cavity_leak and p.kappa > 0:
-        added += float(analytic.noise_var_cavity_leak(
-            d, p.kappa, t, noise.detector_efficiency_q))
-    if noise.include_free_space and p.gamma > 0:
-        added += float(analytic.noise_var_free_space(d, p.gamma, t))
-    return replace_moment_noise(m, added)
+    added = float(analytic.noise_budget(d, t, noise).added_var)
+    new_min = None if m.min_transverse_var is None else m.min_transverse_var + added
+    return replace(m, var_z=m.var_z + added, var_y=m.var_y + added,
+                   min_transverse_var=new_min)
 
 
 def total_spin_sq(state: DickeState) -> float:
     """<S^2> computed from the ladder operators (conserved: S(S+1))."""
-    sz_c, sy_c, sx_c = _ladder_applications(state)
+    sz_c, sy_c, sx_c = _ladder_applications(state.amplitudes, state.spin_S)
     return float(np.real(np.vdot(sx_c, sx_c) + np.vdot(sy_c, sy_c)
                          + np.vdot(sz_c, sz_c)))
 
 
 def squeezing_trace(d: DerivedParams, times, noise: NoiseModel,
                     protocol: str = "oat") -> SqueezingTrace:
-    """Numerically exact squeezing trace over a time grid (dicke tier)."""
+    """Numerically exact squeezing trace over a time grid (dicke tier).
+
+    Twisting states are produced one at a time and reduced to moments at
+    once, so at most one ladder vector is alive.
+    """
+    _, protocol = resolve_tier("dicke", protocol)
     times = np.asarray(times, dtype=float)
     state0 = css(d.params.n_atoms)
     if protocol == "oat":
-        states = [evolve_oat(state0, d.omega_twist, t) for t in times]
-    elif protocol == "tat":
-        states = TatPropagator(state0.spin_S, d.omega_twist).evolve_grid(state0, times)
+        states = (evolve_oat(state0, d.omega_twist, t) for t in times)
     else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+        states = TatPropagator(state0.spin_S, d.omega_twist).evolve_grid(state0, times)
     xi_u = np.empty_like(times)
     xi_tot = np.empty_like(times)
     mean_x = np.empty_like(times)
@@ -326,28 +320,3 @@ def squeezing_trace(d: DerivedParams, times, noise: NoiseModel,
     return SqueezingTrace(times=times, xi_unitary=xi_u, xi_total=xi_tot,
                           mean_x=mean_x, var_min=xi_tot * (d.spin_S / 2.0),
                           angle=angle, model_tier="dicke", protocol=protocol)
-
-
-def dump_state(state: DickeState, path) -> None:
-    """Write "m re(c_m) im(c_m)" per line, full round-trip precision."""
-    with open(path, "w", encoding="ascii") as fh:
-        for m, amp in zip(state.m_values, state.amplitudes):
-            fh.write(f"{float(m)!r} {float(amp.real)!r} {float(amp.imag)!r}\n")
-
-
-def load_state(path) -> DickeState:
-    """Read a state written by :func:`dump_state`."""
-    ms, amps = [], []
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            m_str, re_str, im_str = line.split()
-            ms.append(float(m_str))
-            amps.append(complex(float(re_str), float(im_str)))
-    if not ms:
-        raise ValueError(f"no amplitudes found in {path}")
-    spin_S = (len(ms) - 1) / 2.0
-    if abs(ms[0] + spin_S) > 1e-9 or abs(ms[-1] - spin_S) > 1e-9:
-        raise ValueError(f"m column of {path} is not a -S..S ladder")
-    return DickeState(spin_S, np.asarray(amps, dtype=complex))

@@ -15,13 +15,12 @@ closed-form floor.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DerivedParams, FeasibilityParams, NumericsError, PhysicsError,
-                   SystemParams, TWO_PI, derive_params)
+                   SystemParams, TWO_PI, derive_params, resolve_tier)
 from .analytic import NoiseModel
 from . import analytic, dicke
 
@@ -129,14 +128,16 @@ def minimize_on_log_axis(f, lo: float, hi: float, n_grid: int, rel_tol: float):
     return x, val, None
 
 
-def _exposures_ok(d: DerivedParams, t: float, noise: NoiseModel) -> bool:
-    p_leak, p_decay = analytic.noise_probabilities(d, t, noise)
-    return p_leak <= MAX_EXPOSURE and p_decay <= MAX_EXPOSURE
-
-
 def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str):
-    """xi_total(t) callable for the chosen tier/protocol, +inf when invalid."""
-    if protocol == "tat" or tier == "dicke":
+    """xi_total(t) callable for a resolved tier/protocol, +inf when invalid.
+
+    The noise budget is evaluated once per point: its exposures guard the
+    validity regime and its variance is added to the coherent xi.
+    """
+    if tier == "analytic":
+        def coherent_xi(t):
+            return analytic.xi_unitary(d, t).xi
+    else:
         state0 = dicke.css(d.params.n_atoms)
         if protocol == "tat":
             propagator = dicke.TatPropagator(state0.spin_S, d.omega_twist)
@@ -147,51 +148,43 @@ def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str)
             def coherent_xi(t):
                 return dicke.xi_numeric(dicke.evolve_oat(state0, d.omega_twist, t))
 
-        def objective(t):
-            if not _exposures_ok(d, t, noise):
-                return math.inf
-            return float(analytic.add_noise_to_xi(d, coherent_xi(t), t, noise))
-    else:
-        def objective(t):
-            if not _exposures_ok(d, t, noise):
-                return math.inf
-            return float(analytic.xi_total(d, t, noise))
+    def objective(t):
+        budget = analytic.noise_budget(d, t, noise)
+        if not (budget.p_leak <= MAX_EXPOSURE and budget.p_decay <= MAX_EXPOSURE):
+            return math.inf
+        return float(coherent_xi(t) + budget.added_var / (d.spin_S / 2.0))
     return objective
+
+
+def _closed_form_floor(n_atoms, eta, q, protocol: str) -> float:
+    floor = analytic.tat_xi_floor if protocol == "tat" else analytic.xi_bound
+    return floor(n_atoms, eta, q)
 
 
 def _floor_value(d: DerivedParams, noise: NoiseModel, protocol: str):
     """Closed-form optimum floor, when defined for the active noise set."""
-    if not (noise.include_free_space and noise.include_cavity_leak):
+    if not (noise.include_free_space and noise.include_cavity_leak and math.isfinite(d.eta)):
         return None
-    if not math.isfinite(d.eta):
-        return None
-    q = noise.detector_efficiency_q
-    if protocol == "tat":
-        return analytic.tat_xi_floor(d.params.n_atoms, d.eta, q)
-    return analytic.xi_bound(d.params.n_atoms, d.eta, q)
+    return _closed_form_floor(d.params.n_atoms, d.eta, noise.detector_efficiency_q, protocol)
 
 
 def _edge_flags(edge, label):
     return () if edge is None else (f"{label}_{edge}_edge",)
 
 
-def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "analytic",
+def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
                  protocol: str = "oat", t_max: float | None = None,
                  n_grid: int = 240, rel_tol: float = 1e-3) -> OptimizationResult:
     """Minimize xi_total over t in (0, t_max].
 
     Default bracket top is 10/Gamma (or a quarter twisting period when
     Gamma = 0); the bottom is t_max * 1e-8.  Deterministic: identical
-    inputs give bit-identical results.  The rotation-assisted protocol
-    forces the dicke tier.  A result more than 2x below the closed-form
-    floor signals the optimizer escaped the model's validity regime.
+    inputs give bit-identical results.  ``tier``/``protocol`` are checked
+    by :func:`core.resolve_tier`.  A result more than 2x below the
+    closed-form floor signals the optimizer escaped the model's validity
+    regime.
     """
-    if protocol not in ("oat", "tat"):
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if protocol == "tat":
-        tier = "dicke"
-    if tier not in ("analytic", "dicke"):
-        raise ValueError(f"unknown tier {tier!r}")
+    tier, protocol = resolve_tier(tier, protocol)
     if t_max is None:
         gamma = d.params.gamma
         t_max = 10.0 / gamma if gamma > 0 else math.pi / (2.0 * abs(d.omega_twist))
@@ -211,7 +204,7 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "analytic",
 
 
 def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int,
-                     noise: NoiseModel, tier: str = "analytic", protocol: str = "oat",
+                     noise: NoiseModel, tier: str = "auto", protocol: str = "oat",
                      bracket: tuple[float, float] | None = None,
                      n_grid: int = 96, rel_tol: float = 1e-3,
                      t_max: float | None = None) -> OptimizationResult:
@@ -221,6 +214,7 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     sign of Delta).  Each candidate detuning is solved for its optimal
     time; the outer golden section then refines the detuning.
     """
+    tier, protocol = resolve_tier(tier, protocol)
     if bracket is None:
         if kappa <= 0:
             raise PhysicsError("default detuning bracket needs kappa > 0; pass bracket=")
@@ -271,8 +265,7 @@ class ScalingScan:
 
 def scaling_scan(points, q: float = 0.0, protocol: str = "oat",
                  kappa: float = TWO_PI * 1e5, gamma: float = TWO_PI * 7e-3,
-                 noise: NoiseModel | None = None,
-                 max_workers: int = 1) -> ScalingScan:
+                 noise: NoiseModel | None = None) -> ScalingScan:
     """Optimum xi versus N*eta, with the matching closed-form floor.
 
     ``points`` is a list of (n_atoms, eta) pairs; it must hold at least 3
@@ -281,6 +274,7 @@ def scaling_scan(points, q: float = 0.0, protocol: str = "oat",
     for noiseless rotation-assisted rows, where xi does not depend on it),
     and a log-log slope of xi_min against N*eta is fitted.
     """
+    resolve_tier("auto", protocol)
     pts = [(int(n), float(eta)) for n, eta in points]
     if len(pts) < 3:
         raise PhysicsError("need at least 3 scan points")
@@ -299,19 +293,12 @@ def scaling_scan(points, q: float = 0.0, protocol: str = "oat",
             result = optimal_time(derive_params(params), noise, protocol="tat")
         else:
             result = optimal_detuning(g, kappa, gamma, n, noise, protocol=protocol)
-        if protocol == "tat":
-            floor = analytic.tat_xi_floor(n, eta, noise.detector_efficiency_q)
-        else:
-            floor = analytic.xi_bound(n, eta, noise.detector_efficiency_q)
+        floor = _closed_form_floor(n, eta, noise.detector_efficiency_q, protocol)
         return ScalingPoint(n_atoms=n, eta=eta, n_eta=n * eta, xi_min=result.xi_min,
                             xi_min_db=result.xi_min_db, floor=floor,
                             t_opt=result.t_opt, delta_opt=result.delta_opt)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(solve, pts))
-    else:
-        rows = [solve(p) for p in pts]
+    rows = [solve(p) for p in pts]
     slope, intercept = np.polyfit(np.log([r.n_eta for r in rows]),
                                   np.log([r.xi_min for r in rows]), 1)
     return ScalingScan(points=tuple(rows), slope=float(slope),

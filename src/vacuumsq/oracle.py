@@ -31,7 +31,7 @@ depends on the phase Delta t.  The same branch pick (maximal overlap with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,29 +106,6 @@ class TCHamiltonian:
             if block.k == k:
                 return block
         raise KeyError(f"no excitation block k={k}")
-
-    def basis_labels(self) -> list[tuple[float, int]]:
-        """(m, n) labels of the product basis, m-major ordering."""
-        S = self.config.spin_S
-        n_max = self.config.photon_cutoff
-        return [(m, n) for m in (np.arange(self.config.n_atoms + 1) - S)
-                for n in range(n_max + 1)]
-
-    def full_matrix(self) -> np.ndarray:
-        """Assemble the dense Hamiltonian over the (m, n) product basis."""
-        labels = self.basis_labels()
-        index = {label: i for i, label in enumerate(labels)}
-        H = np.zeros((len(labels), len(labels)))
-        for block in self.blocks:
-            for i, m in enumerate(block.m_values):
-                n = int(round(block.k - m))
-                a = index[(m, n)]
-                H[a, a] = block.matrix[i, i]
-                if i > 0:
-                    b = index[(block.m_values[i - 1], int(round(block.k - block.m_values[i - 1])))]
-                    H[a, b] = block.matrix[i, i - 1]
-                    H[b, a] = block.matrix[i - 1, i]
-        return H
 
 
 def _block(cfg: TCConfig, k: float) -> ExcitationBlock:
@@ -235,36 +212,6 @@ class FullEvolution:
     frame_corrected: bool
 
 
-def _moments_from_joint(psi: np.ndarray, S: float) -> SpinMoments:
-    """Atomic moments of a joint (m, n) amplitude matrix, photons traced."""
-    m = np.arange(psi.shape[0], dtype=float) - S
-    up = np.sqrt((S - m[:-1]) * (S + m[:-1] + 1.0))
-    sp_psi = np.zeros_like(psi)
-    sp_psi[1:, :] = up[:, None] * psi[:-1, :]
-    sm_psi = np.zeros_like(psi)
-    sm_psi[:-1, :] = up[:, None] * psi[1:, :]
-    sx_psi = (sp_psi + sm_psi) / 2.0
-    sy_psi = (sp_psi - sm_psi) / 2j
-    sz_psi = m[:, None] * psi
-
-    def inner(a, b):
-        return float(np.real(np.sum(np.conj(a) * b)))
-
-    mx, my, mz = inner(psi, sx_psi), inner(psi, sy_psi), inner(psi, sz_psi)
-    var_z = inner(sz_psi, sz_psi) - mz * mz
-    var_y = inner(sy_psi, sy_psi) - my * my
-    cross = 2.0 * inner(sz_psi, sy_psi) - 2.0 * mz * my
-    mom = SpinMoments(spin_S=S, mean_x=mx, mean_y=my, mean_z=mz,
-                      var_z=var_z, var_y=var_y, cross_zy=cross)
-    try:
-        variance, angle = dicke.min_transverse_variance(mom)
-    except PhysicsError:
-        return mom
-    return SpinMoments(spin_S=S, mean_x=mx, mean_y=my, mean_z=mz,
-                       var_z=var_z, var_y=var_y, cross_zy=cross,
-                       min_transverse_var=variance, optimal_angle=angle)
-
-
 def _evolve_once(cfg: TCConfig, times: np.ndarray, frame_corrected: bool) -> FullEvolution:
     S = cfg.spin_S
     n_max = cfg.photon_cutoff
@@ -294,7 +241,7 @@ def _evolve_once(cfg: TCConfig, times: np.ndarray, frame_corrected: bool) -> Ful
         top_fock[j] = float(col_pops[-1])
         if frame_corrected:
             psi = psi * np.exp(-1j * omega * t * m_all)[:, None]
-        moments_out.append(_moments_from_joint(psi, S))
+        moments_out.append(dicke.amplitude_moments(psi, S))
     return FullEvolution(times=times, moments=moments_out, photon_population=photon,
                          top_fock_population=top_fock, photon_cutoff=n_max,
                          frame_corrected=frame_corrected)

@@ -244,14 +244,6 @@ class TestTatAnalytics:
         assert analytic.to_db(floor) == pytest.approx(-17.474, abs=1e-3)
 
 
-class TestWineland:
-    def test_contrast_penalty(self, fig3a_derived):
-        t = 0.46
-        xi_ku = analytic.xi_unitary(fig3a_derived, t).xi
-        xi_w = analytic.xi_wineland(fig3a_derived, t)
-        assert xi_w >= xi_ku  # contrast <= 1 always penalizes
-
-
 class TestTrace:
     def test_trace_consistency(self, fig3a_derived, full_noise):
         t = np.geomspace(1e-2, 2.0, 25)

@@ -162,10 +162,6 @@ class TestEvolveTat:
         for st in states:
             assert st.norm_sq() == pytest.approx(1.0, abs=1e-12)
 
-    def test_rejects_bad_steps(self):
-        with pytest.raises(PhysicsError):
-            dicke.evolve_tat(dicke.css(4), 1.0, 0.1, n_steps=0)
-
     def test_variance_tracks_bosonic_decay(self):
         # minimal variance ~ (S/2) exp(-2 S Omega t) while depletion is small
         n = 100
@@ -279,24 +275,6 @@ class TestConservation:
 
 
 class TestTraceAndDump:
-    def test_dump_load_round_trip(self, tmp_path):
-        st = dicke.evolve_oat(dicke.css(7), 1.3, 0.41)
-        path = tmp_path / "state.txt"
-        dicke.dump_state(st, path)
-        back = dicke.load_state(path)
-        assert back.spin_S == st.spin_S
-        assert back.amplitudes == pytest.approx(st.amplitudes, abs=1e-16)
-
-    def test_dump_format(self, tmp_path):
-        path = tmp_path / "state.txt"
-        dicke.dump_state(dicke.css(2), path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3
-        m, re, im = lines[0].split()
-        assert float(m) == -1.0
-        assert float(re) == pytest.approx(0.5)
-        assert float(im) == 0.0
-
     def test_trace_matches_analytic_tier(self, full_noise):
         n = 200
         d = derive_params(small_params(n, omega_twist=0.002))

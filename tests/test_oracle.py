@@ -55,23 +55,21 @@ class TestHamiltonian:
     def test_full_matrix_is_symmetric_and_block_diagonal(self):
         cfg = tc_config(4, cutoff=3)
         h = oracle.build_tc_hamiltonian(cfg)
-        full = h.full_matrix()
-        assert np.array_equal(full, full.T)  # exact symmetry, no rounding
-        labels = h.basis_labels()
-        for a, (ma, na) in enumerate(labels):
-            for b, (mb, nb) in enumerate(labels):
-                if ma + na != mb + nb:
-                    assert full[a, b] == 0.0  # conserved excitation number
+        labels = []
+        for k in np.arange(-2.0, 6.0):
+            block = h.block_for(k)
+            assert np.array_equal(block.matrix, block.matrix.T)  # exact symmetry, no rounding
+            labels += [(m, k - m) for m in block.m_values]
+        # the blocks partition the (m, n) product basis: conserved excitation number
+        assert sorted(labels) == [(m, n) for m in np.arange(-2.0, 3.0) for n in range(4)]
 
     def test_photon_ladder_factor(self):
         # <m-1, n+1|H|m, n> carries sqrt(n+1)
         cfg = tc_config(2, g=1.0, cutoff=3)
-        h = oracle.build_tc_hamiltonian(cfg)
-        labels = h.basis_labels()
-        full = h.full_matrix()
-        i = labels.index((1.0, 1))
-        j = labels.index((0.0, 2))
-        assert full[i, j] == pytest.approx(math.sqrt(2.0) * math.sqrt(2.0))
+        block = oracle.build_tc_hamiltonian(cfg).block_for(2.0)  # |1, 1> and |0, 2>
+        i = int(np.flatnonzero(block.m_values == 1.0)[0])
+        j = int(np.flatnonzero(block.m_values == 0.0)[0])
+        assert block.matrix[i, j] == pytest.approx(math.sqrt(2.0) * math.sqrt(2.0))
 
 
 class TestVacuumLightShift:
