@@ -132,8 +132,8 @@ def _build_time_grid(cfg) -> np.ndarray:
     spacing = sec.get("spacing", "linear")
     if points < 2:
         raise ConfigError("time_grid.points must be >= 2")
-    if not (stop > start >= 0):
-        raise ConfigError("time_grid requires stop > start >= 0")
+    if not (math.isfinite(stop) and stop > start >= 0):
+        raise ConfigError("time_grid requires finite stop > start >= 0")
     if spacing == "linear":
         return np.linspace(start, stop, points)
     if spacing == "log":
@@ -141,6 +141,25 @@ def _build_time_grid(cfg) -> np.ndarray:
             raise ConfigError("log spacing requires start > 0")
         return np.geomspace(start, stop, points)
     raise ConfigError(f"unknown time_grid.spacing {spacing!r}")
+
+
+def _build_optimize(cfg) -> tuple[bool, float | None, tuple | None]:
+    """(scan_detuning, t_max in s, Delta bracket in rad/s) of the optimize section."""
+    sec = cfg.get("optimize", {})
+    _require_keys("optimize", sec, _KNOWN_OPTIMIZE)
+    t_max = sec.get("t_max_s")
+    if t_max is not None:
+        _number("optimize", "t_max_s", t_max)
+        if not (math.isfinite(t_max) and t_max > 0):
+            raise ConfigError(f"optimize.t_max_s must be finite and > 0, got {t_max!r}")
+    bracket = sec.get("delta_bracket_hz")
+    if bracket is not None:
+        lo, hi = _pair("optimize", "delta_bracket_hz", bracket)
+        if not (math.isfinite(hi) and 0 < lo < hi):
+            raise ConfigError("optimize.delta_bracket_hz must be finite [lo, hi] "
+                              f"with 0 < lo < hi, got {bracket!r}")
+        bracket = (TWO_PI * lo, TWO_PI * hi)
+    return bool(sec.get("scan_detuning", False)), t_max, bracket
 
 
 def _resolved_config(cfg, command, params: SystemParams) -> dict:
@@ -303,15 +322,8 @@ def cmd_optimize(cfg, outdir):
     params = _build_system(cfg)
     noise = _build_noise(cfg)
     tier, protocol = resolve_tier(cfg.get("tier", "auto"), cfg.get("protocol", "oat"))
-    sec = cfg.get("optimize", {})
-    _require_keys("optimize", sec, _KNOWN_OPTIMIZE)
-    t_max = sec.get("t_max_s")
-    if t_max is not None:
-        _number("optimize", "t_max_s", t_max)
-    if sec.get("scan_detuning", False):
-        bracket_hz = sec.get("delta_bracket_hz")
-        bracket = None if bracket_hz is None else tuple(
-            TWO_PI * f for f in _pair("optimize", "delta_bracket_hz", bracket_hz))
+    scan_detuning, t_max, bracket = _build_optimize(cfg)
+    if scan_detuning:
         result = optimize.optimal_detuning(params.coupling_g, params.kappa, params.gamma,
                                            params.n_atoms, noise, tier=tier,
                                            protocol=protocol, bracket=bracket, t_max=t_max)
@@ -411,6 +423,8 @@ def cmd_validate(cfg, outdir):
     resolve_tier(cfg.get("tier", "auto"), cfg.get("protocol", "oat"))
     if "time_grid" in cfg:
         _build_time_grid(cfg)
+    if "optimize" in cfg:
+        _build_optimize(cfg)
     diagnostics = {
         "schema_version": SCHEMA_VERSION,
         "valid": True,

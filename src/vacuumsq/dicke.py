@@ -6,9 +6,13 @@ dense complex amplitude vector c_m, m = -S..S ascending.  Twisting
 (Omega (S Sx + Sz^2)) is real symmetric tridiagonal and propagated either
 through one spectral decomposition reused across a time grid or, for
 large ladders, through Krylov stepping (``expm_multiply`` picks its own
-sub-steps).  Both paths must pass a norm gate of 1e-9 before the state is
-renormalized.  One moments kernel, :func:`amplitude_moments`, serves
-ladder vectors and the oracle's joint (m, n) amplitude arrays alike.
+sub-steps).  The spectral path multiplies its real eigenvectors only by
+real operands (real and imaginary parts apart) and takes a time grid in
+blocks of 64 columns, one matrix product per block, so its temporaries
+stay below 4 MiB up to ``SPECTRAL_MAX_DIM``.  Both paths must pass a
+norm gate of 1e-9 before the state is renormalized.  One moments kernel,
+:func:`amplitude_moments`, serves ladder vectors and the oracle's joint
+(m, n) amplitude arrays alike.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from . import analytic
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
 NORM_DRIFT_GATE = 1e-9  # propagation drift beyond this is an error
 SPECTRAL_MAX_DIM = 4096  # larger ladders use Krylov stepping (memory)
+_GRID_BLOCK = 64         # time columns per spectral product (temporaries <= 4 MiB)
 
 __all__ = [
     "DickeState", "css", "evolve_oat", "evolve_tat", "TatPropagator",
@@ -120,7 +125,11 @@ class TatPropagator:
     ``method``: "spectral" (one tridiagonal eigendecomposition, exact for
     any t), "krylov" (sparse ``expm_multiply``, which chooses its own
     sub-steps; memory-light for big ladders), or "auto" (spectral up to
-    dim 4096).  :meth:`evolve_grid` returns one gated state per time.
+    dim 4096).  The spectral path multiplies the real eigenvector matrix
+    only by real operands, so it never holds a complex copy of it, and it
+    takes a time grid in blocks of 64 columns, one matrix product each:
+    its complex temporaries stay at dim x 64 x 16 B <= 4 MiB.
+    :meth:`evolve_grid` returns one gated state per time.
     """
 
     def __init__(self, spin_S: float, omega_twist: float, method: str = "auto"):
@@ -143,38 +152,53 @@ class TatPropagator:
     def evolve(self, state: DickeState, t: float) -> DickeState:
         if t < 0:
             raise PhysicsError("time must be >= 0")
-        return _gated_state(state.spin_S, self._advance(state.amplitudes, t))
+        if self.method == "spectral":
+            amps = self._spectral(state.amplitudes, np.array([t], dtype=float))[:, 0]
+        else:
+            amps = self._krylov_step(state.amplitudes, t)
+        return _gated_state(state.spin_S, amps)
 
-    def _advance(self, amps, dt):
+    def _spectral(self, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """exp(-iHt) amps for every t, as the columns of a (dim, T) array.
+
+        Each product of the real eigenvectors V with a complex operand z is
+        taken as V z.real + i V z.imag, so numpy never upcasts V.
+        """
+        vecs = self._eigvecs
+        coeffs = vecs.T @ amps.real + 1j * (vecs.T @ amps.imag)
+        out = np.empty((amps.size, times.size), dtype=complex)
+        for lo in range(0, times.size, _GRID_BLOCK):
+            cols = slice(lo, lo + _GRID_BLOCK)
+            rotated = np.exp(-1j * np.outer(self._eigvals, times[cols])) * coeffs[:, None]
+            out[:, cols] = vecs @ rotated.real + 1j * (vecs @ rotated.imag)
+        return out
+
+    def _krylov_step(self, amps, dt):
         if dt == 0.0:
             return amps.copy()
-        if self.method == "spectral":
-            coeffs = self._eigvecs.T @ amps
-            return self._eigvecs @ (np.exp(-1j * self._eigvals * dt) * coeffs)
         return expm_multiply(-1j * dt * self._h, amps)
 
     def evolve_grid(self, state: DickeState, times) -> list[DickeState]:
         """States at the given (ascending, >= 0) times from one initial state.
 
-        The Krylov path steps sequentially between grid points, so a full
-        curve costs about the same as one evolution to the final time.
+        The spectral path evaluates the grid in blocks of matrix products
+        (see :meth:`_spectral`).  The Krylov path steps sequentially
+        between grid points, so a full curve costs about the same as one
+        evolution to the final time.
         """
         times = np.asarray(times, dtype=float)
         if times.size and (np.any(times < 0) or np.any(np.diff(times) < 0)):
             raise PhysicsError("times must be ascending and >= 0")
-        out = []
         if self.method == "spectral":
-            coeffs = self._eigvecs.T @ state.amplitudes
-            for t in times:
-                amps = self._eigvecs @ (np.exp(-1j * self._eigvals * t) * coeffs)
-                out.append(_gated_state(state.spin_S, amps))
-        else:
-            amps = state.amplitudes
-            prev = 0.0
-            for t in times:
-                amps = self._advance(amps, t - prev)
-                prev = t
-                out.append(_gated_state(state.spin_S, amps))
+            block = self._spectral(state.amplitudes, times)
+            return [_gated_state(state.spin_S, block[:, j]) for j in range(times.size)]
+        out = []
+        amps = state.amplitudes
+        prev = 0.0
+        for t in times:
+            amps = self._krylov_step(amps, t - prev)
+            prev = t
+            out.append(_gated_state(state.spin_S, amps))
         return out
 
 

@@ -48,6 +48,18 @@ MALFORMED = [
     pytest.param("scaling", {"scaling__points": [1, 2, 3]}, id="scaling-points"),
     pytest.param("optimize", {"optimize": {"scan_detuning": True, "delta_bracket_hz": [5]}},
                  id="optimize-bracket"),
+    pytest.param("optimize", {"optimize": {"t_max_s": 0}}, id="optimize-t_max-zero"),
+    pytest.param("optimize", {"optimize": {"t_max_s": -1}}, id="optimize-t_max-negative"),
+    pytest.param("optimize", {"optimize": {"t_max_s": float("nan")}}, id="optimize-t_max-nan"),
+    pytest.param("optimize", {"optimize": {"scan_detuning": True,
+                                           "delta_bracket_hz": [1e6, 1e5]}},
+                 id="optimize-bracket-reversed"),
+    pytest.param("optimize", {"optimize": {"scan_detuning": True,
+                                           "delta_bracket_hz": [0, 1e6]}},
+                 id="optimize-bracket-zero"),
+    pytest.param("validate", {"optimize": {"t_max_s": 0}}, id="validate-t_max-zero"),
+    pytest.param("evolve", {"protocol": "tat", "time_grid__stop": float("inf")},
+                 id="evolve-grid-infinite"),
 ]
 
 

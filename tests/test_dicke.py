@@ -133,6 +133,34 @@ class TestEvolveTat:
         got = dicke.evolve_tat(st, omega, t).amplitudes
         assert got == pytest.approx(want, abs=1e-10)
 
+    def test_complex_start_state_matches_dense_expm(self):
+        # the CSS is real; an OAT-evolved start has an imaginary part of norm 0.61
+        n, omega, phase = 20, 0.37, 0.3
+        S = n / 2
+        sx, _, sz = dense_operators(S)
+        h = omega * (S * sx + sz @ sz)
+        st = dicke.evolve_oat(dicke.css(n), 1.0, phase)
+        assert np.linalg.norm(st.amplitudes.imag) > 0.5
+        times = [0.05, 0.214, 0.6]
+        prop = dicke.TatPropagator(S, omega)
+        grid = prop.evolve_grid(st, times)
+        for t, out in zip(times, grid):
+            want = expm(-1j * h * t) @ st.amplitudes
+            assert prop.evolve(st, t).amplitudes == pytest.approx(want, abs=1e-12)
+            assert out.amplitudes == pytest.approx(want, abs=1e-12)
+
+    def test_grid_across_column_blocks_matches_single_evolves(self):
+        prop = dicke.TatPropagator(15.0, 0.4)
+        st = dicke.evolve_oat(dicke.css(30), 1.0, 0.2)
+        times = np.linspace(0.0, 2.0, 150)
+        grid = prop.evolve_grid(st, times)
+        assert len(grid) == times.size
+        for t, out in zip(times, grid):
+            assert out.amplitudes == pytest.approx(prop.evolve(st, t).amplitudes, abs=1e-13)
+
+    def test_empty_grid(self):
+        assert dicke.TatPropagator(4.0, 0.5).evolve_grid(dicke.css(8), []) == []
+
     def test_krylov_agrees_with_spectral(self):
         n, omega, t = 60, 0.21, 0.8
         st = dicke.css(n)
