@@ -38,7 +38,6 @@ from .core import DerivedParams, PhysicsError, SqueezingTrace
 __all__ = [
     "SpinMoments", "NoiseModel", "UnitarySqueezing", "cos_pow",
     "oat_moments", "xi_unitary", "xi_total", "xi_approx", "xi_bound",
-    "noise_var_free_space", "noise_var_cavity_leak",
     "NoiseBudget", "noise_budget", "add_noise_to_xi", "noise_probabilities",
     "tat_variance_bosonic", "tat_xi_floor", "to_db", "squeezing_trace",
 ]
@@ -185,48 +184,23 @@ class NoiseBudget(NamedTuple):
     p_decay: float | np.ndarray
 
 
-def _leak_exposure(d: DerivedParams, kappa, t_arr, q):
-    """p = tanh((1-q) S Omega kappa t / Delta), the cavity-leak exposure."""
-    rate = d.spin_S * (d.omega_twist / d.params.delta) * kappa  # = S g^2 kappa / Delta^2
-    return np.tanh((1.0 - float(q)) * rate * t_arr)
-
-
-def noise_var_free_space(d: DerivedParams, gamma, t):
-    """Spin variance added by free-space decay: S p(1-p), p = exp(-Gamma t).
-
-    Each decayed atom is revealed (and removed from the coherent ladder)
-    but still counted in the final spin measurement, so the transferred
-    population is binomial.
-    """
-    t_arr = _check_time(t)
-    if gamma < 0:
-        raise PhysicsError("gamma must be >= 0")
-    p = np.exp(-gamma * t_arr)
-    return _scalar_like(d.spin_S * p * (1.0 - p), t)
-
-
-def noise_var_cavity_leak(d: DerivedParams, kappa, t, detector_efficiency_q=0.0):
-    """Spin variance added by cavity photon loss.
-
-    S p(1-p) with p = tanh((1-q) S Omega kappa t / Delta); the argument is
-    dimensionless since Omega/Delta = g^2/Delta^2.  Detecting leaked
-    photons with efficiency q rescales the exposure by (1-q), which
-    reproduces the (1-q) suppression of the small-noise expansion while
-    keeping the saturated form well defined.
-    """
-    t_arr = _check_time(t)
-    if kappa < 0:
-        raise PhysicsError("kappa must be >= 0")
-    p = _leak_exposure(d, kappa, t_arr, detector_efficiency_q)
-    return _scalar_like(d.spin_S * p * (1.0 - p), t)
-
-
 def noise_budget(d: DerivedParams, t, noise: NoiseModel) -> NoiseBudget:
     """The active noise channels at time t, evaluated once.
 
     Returns the summed added variance [dS2_leak + dS2_decay] and the
-    exposures (p_leak, p_decay); inactive channels contribute 0.  The
-    additive variance model is trustworthy while both exposures stay
+    exposures (p_leak, p_decay); inactive channels contribute 0.  Each
+    channel adds the binomial variance S p(1-p):
+
+    * free-space decay, with survival exp(-Gamma t): each decayed atom is
+      revealed (and removed from the coherent ladder) but still counted in
+      the final spin measurement, so the transferred population is binomial;
+    * cavity photon loss, with p = tanh((1-q) S Omega kappa t / Delta),
+      dimensionless since Omega/Delta = g^2/Delta^2.  Detecting leaked
+      photons with efficiency q rescales the exposure by (1-q), which
+      reproduces the (1-q) suppression of the small-noise expansion while
+      keeping the saturated form well defined.
+
+    The additive variance model is trustworthy while both exposures stay
     <= 1/2 (monotone regime).  This is the one place that decides which
     channels are on.
     """
@@ -236,7 +210,8 @@ def noise_budget(d: DerivedParams, t, noise: NoiseModel) -> NoiseBudget:
     p_leak = np.zeros_like(t_arr, dtype=float)
     p_decay = np.zeros_like(t_arr, dtype=float)
     if noise.include_cavity_leak and p.kappa > 0:
-        p_leak = _leak_exposure(d, p.kappa, t_arr, noise.detector_efficiency_q)
+        rate = S * (d.omega_twist / p.delta) * p.kappa  # = S g^2 kappa / Delta^2
+        p_leak = np.tanh((1.0 - noise.detector_efficiency_q) * rate * t_arr)
         added = added + S * p_leak * (1.0 - p_leak)
     if noise.include_free_space and p.gamma > 0:
         survival = np.exp(-p.gamma * t_arr)

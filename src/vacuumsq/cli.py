@@ -71,9 +71,13 @@ def _require_keys(section, mapping, known, required=()):
 
 
 def _number(section, key, value):
-    """``value`` if it is a JSON number (booleans excluded), else ConfigError."""
+    """``value`` if it is a JSON number a float can hold (booleans excluded), else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{section}.{key} is too large for a float") from None
     return value
 
 
@@ -361,7 +365,7 @@ def cmd_scaling(cfg, outdir):
     q = float(_number("scaling", "q", sec.get("q", 0.0)))
     noise = NoiseModel.none() if sec.get("noiseless", False) \
         else NoiseModel(detector_efficiency_q=q)
-    scan = optimize.scaling_scan(points, q=q, protocol=sec.get("protocol", "oat"),
+    scan = optimize.scaling_scan(points, protocol=sec.get("protocol", "oat"),
                                  kappa=params.kappa, gamma=params.gamma, noise=noise)
     columns = ["n_atoms", "eta", "n_eta", "xi_min", "xi_min_db", "floor",
                "t_opt", "delta_opt_hz"]

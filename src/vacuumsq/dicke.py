@@ -37,7 +37,7 @@ SPECTRAL_MAX_DIM = 4096  # larger ladders use Krylov stepping (memory)
 _GRID_BLOCK = 64         # time columns per spectral product (temporaries <= 4 MiB)
 
 __all__ = [
-    "DickeState", "css", "evolve_oat", "evolve_tat", "TatPropagator",
+    "DickeState", "css", "evolve_oat", "TatPropagator",
     "amplitude_moments", "moments", "min_transverse_variance", "xi_numeric",
     "apply_noise", "total_spin_sq", "squeezing_trace",
 ]
@@ -122,29 +122,27 @@ def _sx_offdiag(S: float, m: np.ndarray) -> np.ndarray:
 class TatPropagator:
     """Propagator for H = Omega (S Sx + Sz^2), reusable across a time grid.
 
-    ``method``: "spectral" (one tridiagonal eigendecomposition, exact for
-    any t), "krylov" (sparse ``expm_multiply``, which chooses its own
-    sub-steps; memory-light for big ladders), or "auto" (spectral up to
-    dim 4096).  The spectral path multiplies the real eigenvector matrix
-    only by real operands, so it never holds a complex copy of it, and it
-    takes a time grid in blocks of 64 columns, one matrix product each:
-    its complex temporaries stay at dim x 64 x 16 B <= 4 MiB.
-    :meth:`evolve_grid` returns one gated state per time.
+    Up to dim ``SPECTRAL_MAX_DIM`` it propagates through one tridiagonal
+    eigendecomposition, exact for any t; above, through sparse
+    ``expm_multiply`` (Krylov, which chooses its own sub-steps and stays
+    memory-light for big ladders).  The spectral path multiplies the real
+    eigenvector matrix only by real operands, so it never holds a complex
+    copy of it, and it takes a time grid in blocks of 64 columns, one
+    matrix product each: its complex temporaries stay at
+    dim x 64 x 16 B <= 4 MiB.  :meth:`evolve_grid` returns one gated state
+    per time; norm drift beyond 1e-9 raises, smaller drift is
+    renormalized away.
     """
 
-    def __init__(self, spin_S: float, omega_twist: float, method: str = "auto"):
+    def __init__(self, spin_S: float, omega_twist: float):
         dim = int(round(2 * spin_S + 1))
         self.spin_S = float(spin_S)
         self.omega_twist = float(omega_twist)
         m = np.arange(dim, dtype=float) - spin_S
         diag = omega_twist * m ** 2
         off = omega_twist * spin_S * _sx_offdiag(spin_S, m)
-        if method == "auto":
-            method = "spectral" if dim <= SPECTRAL_MAX_DIM else "krylov"
-        if method not in ("spectral", "krylov"):
-            raise ValueError(f"unknown method {method!r}")
-        self.method = method
-        if method == "spectral":
+        self.spectral = dim <= SPECTRAL_MAX_DIM
+        if self.spectral:
             self._eigvals, self._eigvecs = eigh_tridiagonal(diag, off)
         else:
             self._h = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
@@ -152,7 +150,7 @@ class TatPropagator:
     def evolve(self, state: DickeState, t: float) -> DickeState:
         if t < 0:
             raise PhysicsError("time must be >= 0")
-        if self.method == "spectral":
+        if self.spectral:
             amps = self._spectral(state.amplitudes, np.array([t], dtype=float))[:, 0]
         else:
             amps = self._krylov_step(state.amplitudes, t)
@@ -189,7 +187,7 @@ class TatPropagator:
         times = np.asarray(times, dtype=float)
         if times.size and (np.any(times < 0) or np.any(np.diff(times) < 0)):
             raise PhysicsError("times must be ascending and >= 0")
-        if self.method == "spectral":
+        if self.spectral:
             block = self._spectral(state.amplitudes, times)
             return [_gated_state(state.spin_S, block[:, j]) for j in range(times.size)]
         out = []
@@ -200,14 +198,6 @@ class TatPropagator:
             prev = t
             out.append(_gated_state(state.spin_S, amps))
         return out
-
-
-def evolve_tat(state: DickeState, omega_twist: float, t: float) -> DickeState:
-    """Rotation-assisted twisting under H = Omega (S Sx + Sz^2).
-
-    Norm drift beyond 1e-9 raises; smaller drift is renormalized away.
-    """
-    return TatPropagator(state.spin_S, omega_twist).evolve(state, t)
 
 
 def _ladder_applications(amps: np.ndarray, spin_S: float):
@@ -334,9 +324,8 @@ def squeezing_trace(d: DerivedParams, times, noise: NoiseModel,
     angle = np.empty_like(times)
     for i, (t, st) in enumerate(zip(times, states)):
         mom = moments(st)
-        if mom.min_transverse_var is None:
-            raise NumericsError(f"transverse plane undefined at t={t}")
-        xi_u[i] = mom.min_transverse_var / (d.spin_S / 2.0)
+        variance, _ = min_transverse_variance(mom)  # raises when no transverse plane is defined
+        xi_u[i] = variance / (d.spin_S / 2.0)
         noisy = apply_noise(mom, d, t, noise)
         xi_tot[i] = noisy.min_transverse_var / (d.spin_S / 2.0)
         mean_x[i] = mom.mean_x

@@ -32,6 +32,9 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EXPOSURE = 0.5  # binomial noise exposures beyond this are unphysical
+TIME_GRID_POINTS = 240      # coarse log grid of optimal_time
+DETUNING_GRID_POINTS = 96   # coarse log grid of optimal_detuning
+REL_TOL = 1e-3              # golden-section tolerance of both, relative
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class OptimizationResult:
     delta_opt: float | None = None
     bracket_t: tuple[float, float] = (0.0, 0.0)
     bracket_delta: tuple[float, float] | None = None
-    rel_tol: float = 1e-3
+    rel_tol: float = REL_TOL
     flags: tuple[str, ...] = ()
 
     @property
@@ -76,7 +79,7 @@ class FeasibilityReport:
     fractional_accuracy: float | None = None
 
 
-def golden_section(f, lo: float, hi: float, rel_tol: float = 1e-3):
+def golden_section(f, lo: float, hi: float, rel_tol: float = REL_TOL):
     """Deterministic golden-section minimum of f on [lo, hi] (linear axis)."""
     if not (hi > lo):
         raise ValueError("need hi > lo")
@@ -173,8 +176,7 @@ def _edge_flags(edge, label):
 
 
 def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
-                 protocol: str = "oat", t_max: float | None = None,
-                 n_grid: int = 240, rel_tol: float = 1e-3) -> OptimizationResult:
+                 protocol: str = "oat", t_max: float | None = None) -> OptimizationResult:
     """Minimize xi_total over t in (0, t_max].
 
     Default bracket top is 10/Gamma (or a quarter twisting period when
@@ -190,7 +192,7 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
         t_max = 10.0 / gamma if gamma > 0 else math.pi / (2.0 * abs(d.omega_twist))
     objective = _xi_objective(d, noise, tier, protocol)
     t_opt, xi_min, edge = minimize_on_log_axis(objective, t_max * 1e-8, t_max,
-                                               n_grid, rel_tol)
+                                               TIME_GRID_POINTS, REL_TOL)
     floor = _floor_value(d, noise, protocol)
     if floor is not None and xi_min < 0.5 * floor:
         raise NumericsError(
@@ -199,14 +201,13 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
     return OptimizationResult(t_opt=t_opt, xi_min=xi_min,
                               xi_min_db=float(analytic.to_db(xi_min)),
                               model_tier=tier, protocol=protocol,
-                              bracket_t=(t_max * 1e-8, t_max), rel_tol=rel_tol,
+                              bracket_t=(t_max * 1e-8, t_max),
                               flags=_edge_flags(edge, "time"))
 
 
 def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int,
                      noise: NoiseModel, tier: str = "auto", protocol: str = "oat",
                      bracket: tuple[float, float] | None = None,
-                     n_grid: int = 96, rel_tol: float = 1e-3,
                      t_max: float | None = None) -> OptimizationResult:
     """Nested minimization of xi over (Delta, t) at fixed g, kappa, Gamma, N.
 
@@ -224,19 +225,18 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         params = SystemParams(n_atoms=n_atoms, coupling_g=coupling_g, kappa=kappa,
                               gamma=gamma, delta=delta)
         return optimal_time(derive_params(params), noise, tier=tier, protocol=protocol,
-                            t_max=t_max, rel_tol=rel_tol)
+                            t_max=t_max)
 
     def outer(delta):
         return solve_at(delta).xi_min
 
     delta_opt, _, edge = minimize_on_log_axis(outer, bracket[0], bracket[1],
-                                              n_grid, rel_tol)
+                                              DETUNING_GRID_POINTS, REL_TOL)
     inner = solve_at(delta_opt)
     return OptimizationResult(t_opt=inner.t_opt, xi_min=inner.xi_min,
                               xi_min_db=inner.xi_min_db, model_tier=inner.model_tier,
                               protocol=protocol, delta_opt=delta_opt,
                               bracket_t=inner.bracket_t, bracket_delta=bracket,
-                              rel_tol=rel_tol,
                               flags=inner.flags + _edge_flags(edge, "delta"))
 
 
@@ -263,7 +263,7 @@ class ScalingScan:
         return [vars(p).copy() for p in self.points]
 
 
-def scaling_scan(points, q: float = 0.0, protocol: str = "oat",
+def scaling_scan(points, protocol: str = "oat",
                  kappa: float = TWO_PI * 1e5, gamma: float = TWO_PI * 7e-3,
                  noise: NoiseModel | None = None) -> ScalingScan:
     """Optimum xi versus N*eta, with the matching closed-form floor.
@@ -282,7 +282,7 @@ def scaling_scan(points, q: float = 0.0, protocol: str = "oat",
     if max(n_etas) / min(n_etas) < 100.0:
         raise PhysicsError("scan points must span at least two decades of N*eta")
     if noise is None:
-        noise = NoiseModel(detector_efficiency_q=q)
+        noise = NoiseModel()
 
     def solve(point):
         n, eta = point

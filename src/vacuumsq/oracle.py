@@ -24,8 +24,14 @@ to the dressed eigenstate of its block, which then only picks up the phase
 of its light shift.  The bare start would be a sudden quench: an added
 photon oscillation of about 4 eps_m^2 sin^2(Delta t / 2), with
 eps_m = g sqrt((S+m)(S-m+1)) / Delta, and an O(eps^2) error in xi that
-depends on the phase Delta t.  The same branch pick (maximal overlap with
-|m, 0>) serves the light-shift table and the dynamics.
+depends on the phase Delta t.
+
+The oracle runs in one pass: each block k = m is diagonalized once per
+photon cutoff tried, and its adiabatic branch (maximal overlap with
+|m, 0>) serves the cutoff decision, the light-shift table and the
+dynamics alike.  Every branch is an eigenstate, so the photon-number
+populations do not depend on time and the top-Fock gate is read before
+any dynamics; the table is stated at the cutoff the run used.
 """
 
 from __future__ import annotations
@@ -45,8 +51,7 @@ TOP_FOCK_TOL = 1e-8
 MIN_BRANCH_OVERLAP = 0.9
 
 __all__ = [
-    "TCConfig", "ExcitationBlock", "TCHamiltonian", "build_tc_hamiltonian",
-    "vacuum_light_shift", "perturbative_light_shift", "light_shift_table",
+    "TCConfig", "ExcitationBlock", "perturbative_light_shift", "light_shift_table",
     "evolve_full", "FullEvolution", "verification_report",
 ]
 
@@ -78,6 +83,11 @@ class TCConfig:
     def dim(self) -> int:
         return (self.params.n_atoms + 1) * (self.photon_cutoff + 1)
 
+    @property
+    def m_values(self) -> np.ndarray:
+        """Collective ladder m = -S..S, ascending."""
+        return np.arange(self.n_atoms + 1, dtype=float) - self.spin_S
+
     def derived(self) -> DerivedParams:
         return derive_params(self.params)
 
@@ -96,27 +106,13 @@ class ExcitationBlock:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class TCHamiltonian:
-    config: TCConfig
-    blocks: list[ExcitationBlock]
-
-    def block_for(self, k) -> ExcitationBlock:
-        for block in self.blocks:
-            if block.k == k:
-                return block
-        raise KeyError(f"no excitation block k={k}")
-
-
 def _block(cfg: TCConfig, k: float) -> ExcitationBlock:
+    """The excitation sector k of H at the photon cutoff of ``cfg``."""
     S = cfg.spin_S
     n_max = cfg.photon_cutoff
     g = cfg.params.coupling_g
     delta = cfg.params.delta
-    all_m = np.arange(cfg.n_atoms + 1, dtype=float) - S
-    ms = np.array([m for m in all_m if 0 <= k - m <= n_max])
-    if ms.size == 0:
-        raise KeyError(f"excitation sector k={k} is empty at cutoff {n_max}")
+    ms = np.array([m for m in cfg.m_values if 0 <= k - m <= n_max])
     H = np.zeros((ms.size, ms.size))
     for i, m in enumerate(ms):
         n = k - m
@@ -125,13 +121,6 @@ def _block(cfg: TCConfig, k: float) -> ExcitationBlock:
             element = g * math.sqrt(n + 1) * math.sqrt((S + m) * (S - m + 1))
             H[i, i - 1] = H[i - 1, i] = element
     return ExcitationBlock(k=float(k), m_values=ms, matrix=H)
-
-
-def build_tc_hamiltonian(cfg: TCConfig) -> TCHamiltonian:
-    """All excitation blocks from k = -S (vacuum edge) to k = S + n_max."""
-    S = cfg.spin_S
-    ks = np.arange(-S, S + cfg.photon_cutoff + 1)
-    return TCHamiltonian(config=cfg, blocks=[_block(cfg, k) for k in ks])
 
 
 def perturbative_light_shift(cfg: TCConfig, m) -> float:
@@ -163,26 +152,109 @@ def _adiabatic_branch(cfg: TCConfig, m) -> tuple[ExcitationBlock, float, np.ndar
     return block, float(eigvals[j]), vec
 
 
-def vacuum_light_shift(cfg: TCConfig, m) -> float:
-    """Exact vacuum light shift of the dressed state connected to |m, 0>.
+@dataclass(frozen=True, eq=False)
+class FullEvolution:
+    """Exact dynamics of the dressed |CSS> (x) |0> with photon-space diagnostics.
 
-    Diagonalizes the k = m excitation block and picks the adiabatic branch
-    (see ``_adiabatic_branch``; the bare energy is 0 in this frame, so the
-    eigenvalue is the shift).  Overlap below 0.9 with |m, 0> means the
-    detuning is too small to identify the branch: :class:`LevelCrossingError`.
+    Everything here comes from one set of adiabatic branches.  ``config``
+    is the oracle problem at the photon cutoff actually used, and
+    ``light_shifts`` holds the branch energies E_m for m = -S..S ascending
+    (the bare energy is 0 in this frame, so each is the exact vacuum light
+    shift of |m>).  Moments are reported in the twisting frame: the
+    coherent light-shift precession exp(-i Omega t Sz) left over after
+    adiabatic elimination is removed, so they compare directly against the
+    pure twisting model.  Each branch is an eigenstate, so the photon-number
+    populations do not depend on time: ``photon_population`` is
+    <c^dag c> ~= (g/Delta)^2 <S+ S-> = N(N+1)/4 (g/Delta)^2 for the CSS, and
+    ``top_fock_population`` at the cutoff is the truncation diagnostic.
+    """
+
+    config: TCConfig
+    times: np.ndarray
+    moments: list[SpinMoments]
+    light_shifts: np.ndarray
+    photon_population: float
+    top_fock_population: float
+
+    @property
+    def photon_cutoff(self) -> int:
+        return self.config.photon_cutoff
+
+
+def _dressed_css(cfg: TCConfig):
+    """Adiabatic branches carrying |CSS> (x) |0>, at the first cutoff that holds.
+
+    Each block k = m is diagonalized once per cutoff tried, and its branch
+    carries the CSS amplitude of |m>.  The populations per photon number
+    do not depend on time, so the top-Fock gate is read here, before any
+    dynamics: above ``TOP_FOCK_TOL`` the cutoff is raised by one, until the
+    dimension cap of :class:`TCConfig` raises :class:`PhysicsError`.
+
+    Returns the config at the cutoff used, the branches as (rows, cols,
+    energy, amplitude-weighted eigenvector) into the (m, n) amplitude
+    array, and the population of each photon number.
     """
     S = cfg.spin_S
-    if abs(m) > S or int(round(2 * (m + S))) != 2 * (m + S):
-        raise PhysicsError(f"m must be one of -S..S, got {m}")
-    return _adiabatic_branch(cfg, m)[1]
+    css_amps = dicke.css(cfg.n_atoms).amplitudes
+    while True:
+        branches = []
+        pops = np.zeros((cfg.n_atoms + 1, cfg.photon_cutoff + 1))
+        for amp, m in zip(css_amps, cfg.m_values):
+            block, energy, vec = _adiabatic_branch(cfg, m)
+            rows = np.rint(block.m_values + S).astype(int)
+            cols = np.rint(m - block.m_values).astype(int)
+            vec = amp * vec
+            pops[rows, cols] = np.abs(vec) ** 2
+            branches.append((rows, cols, energy, vec))
+        fock_pops = np.sum(pops, axis=0)
+        if fock_pops[-1] <= TOP_FOCK_TOL:
+            return cfg, branches, fock_pops
+        cfg = TCConfig(params=cfg.params, photon_cutoff=cfg.photon_cutoff + 1)
 
 
-def light_shift_table(cfg: TCConfig) -> list[dict]:
-    """Per-m comparison of the exact shift against -Omega (S+m)(S-m+1)."""
-    S = cfg.spin_S
+def evolve_full(cfg: TCConfig, t_grid) -> FullEvolution:
+    """Exact unitary dynamics of the dressed |CSS> (x) |0> over a time grid.
+
+    The evolution starts in the dressed state adiabatically connected to
+    |CSS> (x) |0>, built in one pass by ``_dressed_css``, which also raises
+    the photon cutoff while the population at the cutoff exceeds 1e-8 (a
+    :class:`PhysicsError` once the dimension cap is reached).  Each branch
+    then only picks up the phase exp(-i E_m t).  When some block has no
+    eigenvector with overlap >= ``MIN_BRANCH_OVERLAP`` on |m, 0> the branch
+    cannot be identified and :class:`LevelCrossingError` is raised (CLI
+    exit 4).
+    """
+    times = np.asarray(t_grid, dtype=float)
+    if np.any(times < 0):
+        raise PhysicsError("times must be >= 0")
+    used, branches, fock_pops = _dressed_css(cfg)
+    S = used.spin_S
+    omega = used.derived().omega_twist
+    m_all = used.m_values
+    moments_out = []
+    for t in times:
+        psi = np.zeros((m_all.size, used.photon_cutoff + 1), dtype=complex)
+        for rows, cols, energy, vec in branches:
+            psi[rows, cols] = np.exp(-1j * energy * t) * vec
+        psi = psi * np.exp(-1j * omega * t * m_all)[:, None]
+        moments_out.append(dicke.amplitude_moments(psi, S))
+    n_vals = np.arange(fock_pops.size, dtype=float)
+    return FullEvolution(config=used, times=times, moments=moments_out,
+                         light_shifts=np.array([energy for _, _, energy, _ in branches]),
+                         photon_population=float(np.dot(n_vals, fock_pops)),
+                         top_fock_population=float(fock_pops[-1]))
+
+
+def light_shift_table(evo: FullEvolution) -> list[dict]:
+    """Per-m comparison of the exact shifts of ``evo`` against -Omega (S+m)(S-m+1).
+
+    The exact shifts are the branch energies at the cutoff ``evo`` used,
+    the same branches that carried its dynamics.
+    """
+    cfg = evo.config
     rows = []
-    for m in np.arange(cfg.n_atoms + 1, dtype=float) - S:
-        exact = vacuum_light_shift(cfg, m)
+    for m, exact in zip(cfg.m_values, evo.light_shifts):
+        exact = float(exact)
         pert = perturbative_light_shift(cfg, m)
         rel = 0.0 if pert == exact else abs(exact - pert) / max(abs(pert), 1e-300)
         rows.append({"m": float(m), "exact_shift": exact,
@@ -190,99 +262,13 @@ def light_shift_table(cfg: TCConfig) -> list[dict]:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class FullEvolution:
-    """Exact dynamics of the dressed |CSS> (x) |0> with photon-space diagnostics.
-
-    The state starts in the dressed state adiabatically connected to
-    |CSS> (x) |0>.  Moments are reported in the twisting frame: the
-    coherent light-shift precession exp(-i Omega t Sz) left over after
-    adiabatic elimination is removed (``frame_corrected``) so they compare
-    directly against the pure twisting model.  ``photon_population`` is
-    <c^dag c> ~= (g/Delta)^2 <S+ S-> = N(N+1)/4 (g/Delta)^2 for the CSS,
-    constant in time; ``top_fock_population`` at the cutoff is the
-    truncation diagnostic.
-    """
-
-    times: np.ndarray
-    moments: list[SpinMoments]
-    photon_population: np.ndarray
-    top_fock_population: np.ndarray
-    photon_cutoff: int
-    frame_corrected: bool
-
-
-def _evolve_once(cfg: TCConfig, times: np.ndarray, frame_corrected: bool) -> FullEvolution:
-    S = cfg.spin_S
-    n_max = cfg.photon_cutoff
-    omega = cfg.derived().omega_twist
-    m_all = np.arange(cfg.n_atoms + 1, dtype=float) - S
-    css_amps = dicke.css(cfg.n_atoms).amplitudes
-
-    # The CSS amplitude on |m, 0> starts the dressed eigenstate of block
-    # k = m, which then only picks up the phase exp(-i E_m t).
-    branches = []
-    for amp, m in zip(css_amps, m_all):
-        block, energy, vec = _adiabatic_branch(cfg, m)
-        rows = np.rint(block.m_values + S).astype(int)
-        cols = np.rint(m - block.m_values).astype(int)
-        branches.append((rows, cols, energy, amp * vec))
-
-    moments_out = []
-    photon = np.empty(times.size)
-    top_fock = np.empty(times.size)
-    n_vals = np.arange(n_max + 1, dtype=float)
-    for j, t in enumerate(times):
-        psi = np.zeros((m_all.size, n_max + 1), dtype=complex)
-        for rows, cols, energy, vec in branches:
-            psi[rows, cols] = np.exp(-1j * energy * t) * vec
-        col_pops = np.sum(np.abs(psi) ** 2, axis=0)
-        photon[j] = float(np.dot(n_vals, col_pops))
-        top_fock[j] = float(col_pops[-1])
-        if frame_corrected:
-            psi = psi * np.exp(-1j * omega * t * m_all)[:, None]
-        moments_out.append(dicke.amplitude_moments(psi, S))
-    return FullEvolution(times=times, moments=moments_out, photon_population=photon,
-                         top_fock_population=top_fock, photon_cutoff=n_max,
-                         frame_corrected=frame_corrected)
-
-
-def evolve_full(cfg: TCConfig, t_grid, frame_corrected: bool = True,
-                auto_escalate: bool = True) -> FullEvolution:
-    """Exact unitary dynamics of the dressed |CSS> (x) |0> over a time grid.
-
-    The evolution starts in the dressed state adiabatically connected to
-    |CSS> (x) |0>: each excitation block k = m is diagonalized once and
-    its adiabatic branch carries the CSS amplitude of |m>.  When the
-    population at the Fock cutoff exceeds 1e-8 the cutoff is raised and
-    the evolution redone (``auto_escalate``), else that is a
-    :class:`PhysicsError`.  When some block has no eigenvector with overlap
-    >= ``MIN_BRANCH_OVERLAP`` on |m, 0> the branch cannot be identified and
-    :class:`LevelCrossingError` is raised (CLI exit 4).
-    """
-    times = np.asarray(t_grid, dtype=float)
-    if np.any(times < 0):
-        raise PhysicsError("times must be >= 0")
-    cutoff = cfg.photon_cutoff
-    while True:
-        result = _evolve_once(
-            TCConfig(params=cfg.params, photon_cutoff=cutoff), times, frame_corrected)
-        worst = float(result.top_fock_population.max()) if times.size else 0.0
-        if worst <= TOP_FOCK_TOL:
-            return result
-        if not auto_escalate:
-            raise PhysicsError(
-                f"top-Fock population {worst:.2e} > {TOP_FOCK_TOL}; raise photon_cutoff")
-        cutoff += 1
-        TCConfig(params=cfg.params, photon_cutoff=cutoff)  # re-check dimension cap
-
-
 def verification_report(cfg: TCConfig, t_grid=None) -> dict:
     """JSON-ready validation summary: shift table plus dynamics discrepancy.
 
-    The discrepancy curve compares the full-model squeezing parameter
-    against the closed-form twisting value; both should agree to
-    O((g sqrt(N)/Delta)^2) relative.
+    One :func:`evolve_full` pass yields both: the shift table is read from
+    its branch energies at ``photon_cutoff_used``.  The discrepancy curve
+    compares the full-model squeezing parameter against the closed-form
+    twisting value; both should agree to O((g sqrt(N)/Delta)^2) relative.
 
     The frame correction removes exp(-i Omega t Sz), but the exact mean
     precession differs from Omega by O((g sqrt(N)/Delta)^2), so the mean
@@ -296,11 +282,10 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
         # Cover twisting phases up to S*Omega*t = 0.2, where xi is O(1).
         t_end = 0.2 / (cfg.spin_S * abs(d.omega_twist))
         t_grid = np.linspace(0.0, t_end, 9)[1:]
-    times = np.asarray(t_grid, dtype=float)
-    evo = evolve_full(cfg, times)
+    evo = evolve_full(cfg, t_grid)
     ratio = abs(cfg.params.delta) / cfg.params.collective_coupling
     discrepancy = []
-    for t, mom in zip(times, evo.moments):
+    for t, mom in zip(evo.times, evo.moments):
         if mom.min_transverse_var is None:
             tilt = math.atan2(math.hypot(mom.mean_y, mom.mean_z), mom.mean_x)
             raise PhysicsError(
@@ -319,7 +304,7 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
         "delta_over_collective_coupling": ratio,
         "expected_relative_scale": scale,
         "regime_ok": cfg.params.regime_ok,
-        "light_shifts": light_shift_table(cfg),
+        "light_shifts": light_shift_table(evo),
         "dynamics": discrepancy,
-        "max_photon_population": float(evo.photon_population.max()) if times.size else 0.0,
+        "max_photon_population": evo.photon_population,
     }

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,27 +116,33 @@ class TestXiUnitary:
         assert ap == pytest.approx(-am, rel=1e-12)
 
 
+FREE_SPACE = NoiseModel(include_cavity_leak=False)
+CAVITY_LEAK = NoiseModel(include_free_space=False)
+
+
+def added_var(d, t, noise):
+    return analytic.noise_budget(d, t, noise).added_var
+
+
 class TestNoiseVariances:
     def test_free_space_limits(self):
-        d = derive_params(small_params(100))
-        assert analytic.noise_var_free_space(d, 2.0, 0.0) == 0.0
-        assert analytic.noise_var_free_space(d, 2.0, 1e9) == pytest.approx(0.0, abs=1e-300)
+        d = derive_params(replace(small_params(100), gamma=2.0))
+        assert added_var(d, 0.0, FREE_SPACE) == 0.0
+        assert added_var(d, 1e9, FREE_SPACE) == pytest.approx(0.0, abs=1e-300)
 
     def test_free_space_maximum_at_half_decay(self):
         # p(1-p) peaks at p = 1/2, i.e. Gamma t = ln 2, value S/4
-        d = derive_params(small_params(100))
         gamma = 0.7
+        d = derive_params(replace(small_params(100), gamma=gamma))
         t_half = math.log(2.0) / gamma
-        assert analytic.noise_var_free_space(d, gamma, t_half) == pytest.approx(50.0 / 4)
-        below = analytic.noise_var_free_space(d, gamma, 0.9 * t_half)
-        above = analytic.noise_var_free_space(d, gamma, 1.1 * t_half)
+        assert added_var(d, t_half, FREE_SPACE) == pytest.approx(50.0 / 4)
+        below = added_var(d, 0.9 * t_half, FREE_SPACE)
+        above = added_var(d, 1.1 * t_half, FREE_SPACE)
         assert below < 12.5 and above < 12.5
 
     def test_cavity_leak_limits(self, fig3a_derived):
-        kappa = fig3a_derived.params.kappa
-        assert analytic.noise_var_cavity_leak(fig3a_derived, kappa, 0.0) == 0.0
-        assert analytic.noise_var_cavity_leak(fig3a_derived, kappa, 1e9) \
-            == pytest.approx(0.0, abs=1e-10)
+        assert added_var(fig3a_derived, 0.0, CAVITY_LEAK) == 0.0
+        assert added_var(fig3a_derived, 1e9, CAVITY_LEAK) == pytest.approx(0.0, abs=1e-10)
 
     def test_cavity_leak_matches_direct_evaluation(self, fig3a_derived):
         d = fig3a_derived
@@ -143,16 +150,15 @@ class TestNoiseVariances:
         t = 0.46
         exposure = math.tanh(d.spin_S * (d.omega_twist / p.delta) * p.kappa * t)
         expected = d.spin_S * exposure * (1.0 - exposure)
-        assert analytic.noise_var_cavity_leak(d, p.kappa, t) == pytest.approx(expected, rel=1e-14)
+        assert added_var(d, t, CAVITY_LEAK) == pytest.approx(expected, rel=1e-14)
 
     def test_detector_efficiency_scales_exposure(self, fig3a_derived):
         d = fig3a_derived
-        kappa = d.params.kappa
-        full = analytic.noise_var_cavity_leak(d, kappa, 0.46)
-        seen = analytic.noise_var_cavity_leak(d, kappa, 0.46, detector_efficiency_q=0.9)
+        full = added_var(d, 0.46, CAVITY_LEAK)
+        seen = added_var(d, 0.46, replace(CAVITY_LEAK, detector_efficiency_q=0.9))
         # small-argument regime: linear in the (1-q)-scaled exposure
         assert seen == pytest.approx(0.1 * full, rel=2e-2)
-        assert analytic.noise_var_cavity_leak(d, kappa, 0.46, detector_efficiency_q=1.0) == 0.0
+        assert added_var(d, 0.46, replace(CAVITY_LEAK, detector_efficiency_q=1.0)) == 0.0
 
 
 class TestXiTotal:
@@ -171,8 +177,8 @@ class TestXiTotal:
         # contributions are 2 p (1-p) with p in [0, 1]
         d = fig3a_derived
         t = np.geomspace(1e-3, 1e3, 200)
-        leak = analytic.noise_var_cavity_leak(d, d.params.kappa, t) / (d.spin_S / 2)
-        decay = analytic.noise_var_free_space(d, d.params.gamma, t) / (d.spin_S / 2)
+        leak = added_var(d, t, CAVITY_LEAK) / (d.spin_S / 2)
+        decay = added_var(d, t, FREE_SPACE) / (d.spin_S / 2)
         assert np.all((0 <= leak) & (leak <= 0.5 + 1e-12))
         assert np.all((0 <= decay) & (decay <= 0.5 + 1e-12))
 
@@ -185,8 +191,7 @@ class TestXiTotal:
         d = fig3a_derived
         t = 0.3
         expected = (analytic.xi_unitary(d, t).xi
-                    + (analytic.noise_var_cavity_leak(d, d.params.kappa, t)
-                       + analytic.noise_var_free_space(d, d.params.gamma, t))
+                    + (added_var(d, t, CAVITY_LEAK) + added_var(d, t, FREE_SPACE))
                     / (d.spin_S / 2.0))
         assert analytic.xi_total(d, t, full_noise) == pytest.approx(expected, rel=1e-14)
 

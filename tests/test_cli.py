@@ -60,6 +60,8 @@ MALFORMED = [
     pytest.param("validate", {"optimize": {"t_max_s": 0}}, id="validate-t_max-zero"),
     pytest.param("evolve", {"protocol": "tat", "time_grid__stop": float("inf")},
                  id="evolve-grid-infinite"),
+    pytest.param("evolve", {"time_grid__stop": 10**400}, id="evolve-grid-stop-huge-int"),
+    pytest.param("validate", {"system__delta_hz": 10**400}, id="validate-delta-huge-int"),
 ]
 
 
@@ -89,6 +91,21 @@ def test_physics_error_exits_3(tmp_path, capsys):
     code = run(tmp_path, "evolve", config("evolve", system__delta_hz=0.0))
     assert code == cli.EXIT_PHYSICS == 3
     assert len(error_lines(capsys)) == 1
+
+
+@pytest.mark.parametrize("command, section", [
+    pytest.param("evolve", {"time_grid": GRID | {"stop": 400.0}}, id="evolve"),
+    pytest.param("optimize", {"optimize": {"t_max_s": 400.0}}, id="optimize"),
+])
+def test_vanishing_mean_spin_exits_3_on_every_command(tmp_path, capsys, command, section):
+    # N=1000 at the fig3a point without noise: the twisted mean spin shrinks
+    # to ~1e-7 by a few hundred seconds, which both commands report alike
+    cfg = config(command, system__n_atoms=1000, tier="dicke",
+                 noise={"free_space": False, "cavity_leak": False}, **section)
+    assert run(tmp_path, command, cfg) == cli.EXIT_PHYSICS == 3
+    lines = error_lines(capsys)
+    assert len(lines) == 1
+    assert json.loads(lines[0].split(" ", 1)[1])["error"] == "DegenerateMeanSpinError"
 
 
 def test_numerics_error_exits_4(tmp_path, capsys):

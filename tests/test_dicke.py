@@ -119,7 +119,7 @@ class TestEquivalenceClosedForm:
 class TestEvolveTat:
     def test_zero_time_is_identity(self):
         st = dicke.css(8)
-        out = dicke.evolve_tat(st, 0.9, 0.0)
+        out = dicke.TatPropagator(st.spin_S, 0.9).evolve(st, 0.0)
         assert out.amplitudes == pytest.approx(st.amplitudes)
 
     def test_matches_dense_expm(self):
@@ -130,7 +130,7 @@ class TestEvolveTat:
         h = omega * (S * sx + sz @ sz)
         st = dicke.css(n)
         want = expm(-1j * h * t) @ st.amplitudes
-        got = dicke.evolve_tat(st, omega, t).amplitudes
+        got = dicke.TatPropagator(S, omega).evolve(st, t).amplitudes
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_complex_start_state_matches_dense_expm(self):
@@ -161,11 +161,15 @@ class TestEvolveTat:
     def test_empty_grid(self):
         assert dicke.TatPropagator(4.0, 0.5).evolve_grid(dicke.css(8), []) == []
 
-    def test_krylov_agrees_with_spectral(self):
+    def test_krylov_agrees_with_spectral(self, monkeypatch):
+        # dim 61 is spectral; lowering the size limit below it forces Krylov
         n, omega, t = 60, 0.21, 0.8
         st = dicke.css(n)
-        spec = dicke.TatPropagator(st.spin_S, omega, method="spectral").evolve(st, t)
-        kry = dicke.TatPropagator(st.spin_S, omega, method="krylov").evolve(st, t)
+        spec = dicke.TatPropagator(st.spin_S, omega)
+        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", n)
+        kry = dicke.TatPropagator(st.spin_S, omega)
+        assert spec.spectral and not kry.spectral
+        spec, kry = spec.evolve(st, t), kry.evolve(st, t)
         assert kry.amplitudes == pytest.approx(spec.amplitudes, abs=1e-9)
 
     def test_short_time_splits_into_twist_plus_rotation(self):
@@ -176,7 +180,7 @@ class TestEvolveTat:
         st = dicke.css(n)
 
         def split_error(t):
-            exact = dicke.evolve_tat(st, omega, t).amplitudes
+            exact = dicke.TatPropagator(S, omega).evolve(st, t).amplitudes
             twisted = dicke.evolve_oat(st, omega, t).amplitudes
             split = expm(-1j * omega * S * sx * t) @ twisted
             return np.linalg.norm(exact - split)
@@ -297,8 +301,8 @@ class TestConservation:
                 st = dicke.evolve_oat(st, float(rng.uniform(0.1, 2.0)),
                                       float(rng.uniform(0.0, 1.0)))
             else:
-                st = dicke.evolve_tat(st, float(rng.uniform(0.1, 1.0)),
-                                      float(rng.uniform(0.0, 0.5)))
+                prop = dicke.TatPropagator(S, float(rng.uniform(0.1, 1.0)))
+                st = prop.evolve(st, float(rng.uniform(0.0, 0.5)))
             assert dicke.total_spin_sq(st) == pytest.approx(S * (S + 1), rel=1e-8)
 
 

@@ -14,6 +14,11 @@ def tc_config(n_atoms, delta_over_gn=200.0, g=1.0, cutoff=2):
     return oracle.TCConfig(params=params, photon_cutoff=cutoff)
 
 
+def shift_rows(cfg):
+    """The light-shift table of ``cfg``, from a pass with no time points."""
+    return oracle.light_shift_table(oracle.evolve_full(cfg, []))
+
+
 class TestConfig:
     def test_caps(self):
         with pytest.raises(PhysicsError):
@@ -29,8 +34,7 @@ class TestHamiltonian:
         # N=1, the k = 1/2 sector is the {|up,0>, |down,1>} doublet with
         # off-diagonal g
         cfg = tc_config(1, g=0.7)
-        h = oracle.build_tc_hamiltonian(cfg)
-        block = h.block_for(0.5)
+        block = oracle._block(cfg, 0.5)
         assert block.matrix.shape == (2, 2)
         assert block.matrix[0, 1] == pytest.approx(0.7)
         assert block.matrix[1, 1] == 0.0  # |up, 0>
@@ -39,7 +43,7 @@ class TestHamiltonian:
     def test_collective_enhancement_two_atoms(self):
         # S=1: <0,1|H|1,0> = g sqrt((S+1)(S-1+1)) = g sqrt(2)
         cfg = tc_config(2, g=1.3)
-        block = oracle.build_tc_hamiltonian(cfg).block_for(1.0)
+        block = oracle._block(cfg, 1.0)
         i1 = int(np.flatnonzero(block.m_values == 1.0)[0])
         i0 = int(np.flatnonzero(block.m_values == 0.0)[0])
         assert block.matrix[i1, i0] == pytest.approx(1.3 * math.sqrt(2.0))
@@ -47,17 +51,16 @@ class TestHamiltonian:
     def test_collective_enhancement_four_atoms(self):
         # S=2, m=0 -> m=-1 coupling is g sqrt(6)
         cfg = tc_config(4, g=0.9)
-        block = oracle.build_tc_hamiltonian(cfg).block_for(0.0)
+        block = oracle._block(cfg, 0.0)
         i0 = int(np.flatnonzero(block.m_values == 0.0)[0])
         im1 = int(np.flatnonzero(block.m_values == -1.0)[0])
         assert block.matrix[i0, im1] == pytest.approx(0.9 * math.sqrt(6.0))
 
     def test_full_matrix_is_symmetric_and_block_diagonal(self):
         cfg = tc_config(4, cutoff=3)
-        h = oracle.build_tc_hamiltonian(cfg)
         labels = []
         for k in np.arange(-2.0, 6.0):
-            block = h.block_for(k)
+            block = oracle._block(cfg, k)
             assert np.array_equal(block.matrix, block.matrix.T)  # exact symmetry, no rounding
             labels += [(m, k - m) for m in block.m_values]
         # the blocks partition the (m, n) product basis: conserved excitation number
@@ -66,7 +69,7 @@ class TestHamiltonian:
     def test_photon_ladder_factor(self):
         # <m-1, n+1|H|m, n> carries sqrt(n+1)
         cfg = tc_config(2, g=1.0, cutoff=3)
-        block = oracle.build_tc_hamiltonian(cfg).block_for(2.0)  # |1, 1> and |0, 2>
+        block = oracle._block(cfg, 2.0)  # |1, 1> and |0, 2>
         i = int(np.flatnonzero(block.m_values == 1.0)[0])
         j = int(np.flatnonzero(block.m_values == 0.0)[0])
         assert block.matrix[i, j] == pytest.approx(math.sqrt(2.0) * math.sqrt(2.0))
@@ -76,14 +79,16 @@ class TestVacuumLightShift:
     def test_edge_state_uncoupled(self):
         # |-S, 0> has (S+m) = 0: exact zero shift for every N
         for n in (1, 2, 5, 8):
-            cfg = tc_config(n)
-            assert oracle.vacuum_light_shift(cfg, -n / 2) == 0.0
+            edge = shift_rows(tc_config(n))[0]
+            assert edge["m"] == -n / 2
+            assert edge["exact_shift"] == 0.0
 
     def test_two_atom_shifts_near_perturbative(self):
         cfg = tc_config(2)
         d = cfg.derived()
+        rows = {r["m"]: r["exact_shift"] for r in shift_rows(cfg)}
         for m in (0.0, 1.0):
-            exact = oracle.vacuum_light_shift(cfg, m)
+            exact = rows[m]
             pred = -d.omega_twist * (1 + m) * (1 - m + 1)
             assert exact == pytest.approx(pred, rel=5e-5)
             assert exact == pytest.approx(-2 * d.omega_twist, rel=1e-3)
@@ -92,7 +97,7 @@ class TestVacuumLightShift:
     def test_error_scales_as_inverse_delta_squared(self, n):
         def max_err(factor):
             cfg = tc_config(n, delta_over_gn=factor)
-            rows = oracle.light_shift_table(cfg)
+            rows = shift_rows(cfg)
             return max(r["rel_error"] for r in rows if r["m"] != -n / 2)
 
         e1, e2 = max_err(200.0), max_err(400.0)
@@ -101,11 +106,17 @@ class TestVacuumLightShift:
 
     def test_small_detuning_flags_level_crossing(self):
         with pytest.raises(LevelCrossingError):
-            oracle.vacuum_light_shift(tc_config(4, delta_over_gn=0.1), 2.0)
+            shift_rows(tc_config(4, delta_over_gn=0.1))
 
-    def test_rejects_invalid_m(self):
-        with pytest.raises(PhysicsError):
-            oracle.vacuum_light_shift(tc_config(4), 2.5)
+    def test_table_is_stated_at_the_cutoff_used(self):
+        # Delta/(g sqrt N) = 60 at N=12 escalates the cutoff from 2 to 3; the
+        # table must hold the branch energies of the basis that passed the gate
+        cfg = tc_config(12, delta_over_gn=60.0)
+        report = oracle.verification_report(cfg)
+        assert report["photon_cutoff_used"] == 3
+        used = oracle.TCConfig(params=cfg.params, photon_cutoff=3)
+        for row in report["light_shifts"]:
+            assert row["exact_shift"] == oracle._adiabatic_branch(used, row["m"])[1]
 
 
 class TestEvolveFull:
@@ -163,17 +174,7 @@ class TestEvolveFull:
         cfg = oracle.TCConfig(params=params, photon_cutoff=1)
         evo = oracle.evolve_full(cfg, [2.0])
         assert evo.photon_cutoff > 1
-        with pytest.raises(PhysicsError):
-            oracle.evolve_full(cfg, [2.0], auto_escalate=False)
-
-    def test_uncorrected_frame_shows_precession(self):
-        cfg = tc_config(4, delta_over_gn=200.0)
-        d = cfg.derived()
-        t = 0.15 / abs(d.omega_twist)
-        corrected = oracle.evolve_full(cfg, [t], frame_corrected=True)
-        raw = oracle.evolve_full(cfg, [t], frame_corrected=False)
-        # the residual -Omega Sz precession rotates the mean in the equator
-        assert abs(raw.moments[0].mean_y) > 100 * abs(corrected.moments[0].mean_y)
+        assert evo.top_fock_population <= 1e-8
 
 
 class TestReport:
@@ -209,3 +210,29 @@ class TestReport:
         assert code == cli.EXIT_PHYSICS == 3
         assert '"error": "PhysicsError"' in capsys.readouterr().err
         assert not list(tmp_path.glob("oracle_*"))
+
+
+    @pytest.mark.parametrize("ratio, cutoff_used, eigh_calls",
+                             [(60.0, 3, 26), (300.0, 2, 13)])
+    def test_one_diagonalization_per_block_per_cutoff(self, monkeypatch, ratio,
+                                                      cutoff_used, eigh_calls):
+        # N=12 has 13 blocks k = m; escalating from cutoff 2 to 3 solves them
+        # twice, and the moments are built once per time of the default grid
+        from vacuumsq import dicke
+        counts = {"eigh": 0, "moments": 0}
+        eigh, moments = np.linalg.eigh, dicke.amplitude_moments
+
+        def counting_eigh(*args, **kwargs):
+            counts["eigh"] += 1
+            return eigh(*args, **kwargs)
+
+        def counting_moments(*args, **kwargs):
+            counts["moments"] += 1
+            return moments(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(dicke, "amplitude_moments", counting_moments)
+        report = oracle.verification_report(tc_config(12, delta_over_gn=ratio))
+        assert report["photon_cutoff_used"] == cutoff_used
+        assert len(report["dynamics"]) == 8
+        assert counts == {"eigh": eigh_calls, "moments": 8}
