@@ -355,6 +355,9 @@ def cmd_optimize(cfg, outdir):
 
 def cmd_scaling(cfg, outdir):
     params = _build_system(cfg)  # kappa/gamma anchor the scan
+    if "noise" in cfg:
+        raise ConfigError("scaling takes its noise from scaling.q and scaling.noiseless; "
+                          "remove the noise section")
     sec = cfg.get("scaling")
     if sec is None:
         raise ConfigError("scaling command needs a scaling section")

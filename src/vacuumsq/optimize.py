@@ -3,13 +3,18 @@
 Objectives are smooth and unimodal in the regime where the additive
 decoherence model is meaningful, so minimization is a coarse logarithmic
 grid followed by golden-section refinement, on log(t) and log(Delta).
+The squeezing objective takes a whole time array, so each coarse time
+grid is one array call; the golden-section refinement calls it with
+scalars.  The detuning grid is evaluated point by point, one optimal time
+per detuning.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
 faithful error measure once its exposure p passes 1/2 (the variance then
 shrinks although the state keeps decohering).  Candidate optima in that
 regime are treated as invalid (+inf objective) so the search stays on the
-physical branch; results additionally carry a sanity check against the
-closed-form floor.
+physical branch, and the coherent squeezing is computed only at points
+that pass the guard; results additionally carry a sanity check against
+the closed-form floor.
 """
 
 from __future__ import annotations
@@ -104,23 +109,29 @@ def golden_section(f, lo: float, hi: float, rel_tol: float = REL_TOL):
     return (x, fc) if fc <= fd else (x, fd)
 
 
-def minimize_on_log_axis(f, lo: float, hi: float, n_grid: int, rel_tol: float):
-    """Coarse geometric grid, then golden refinement between the neighbors.
+def minimize_on_log_axis(f, grid, values, rel_tol: float):
+    """Golden refinement of a coarse geometric grid around its argmin.
 
+    ``grid`` is ascending, > 0 and at least 3 points long; ``values`` holds
+    the objective on it, which the caller evaluates in one array call where
+    the objective takes arrays.  ``f`` is called with scalars only, by the
+    golden-section refinement on log(x) between the argmin's neighbors.
     Returns (x, f(x), edge) where edge is None, "lower" or "upper" --
     an edge argmin means the objective is monotone (or invalid) across the
     bracket and is reported distinctly rather than refined.
     """
-    if not (0 < lo < hi):
-        raise ValueError("need 0 < lo < hi")
-    grid = np.geomspace(lo, hi, n_grid)
-    values = np.array([f(x) for x in grid])
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < 3 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
+        raise ValueError("need an ascending grid of at least 3 points > 0")
+    if values.shape != grid.shape:
+        raise ValueError("need one value per grid point")
     if not np.any(np.isfinite(values)):
         raise NumericsError("objective is invalid across the whole bracket")
     i = int(np.argmin(values))
     if i == 0:
         return float(grid[0]), float(values[0]), "lower"
-    if i == n_grid - 1:
+    if i == grid.size - 1:
         return float(grid[-1]), float(values[-1]), "upper"
     log_x, log_val = golden_section(lambda u: f(math.exp(u)),
                                     math.log(grid[i - 1]), math.log(grid[i + 1]),
@@ -132,30 +143,38 @@ def minimize_on_log_axis(f, lo: float, hi: float, n_grid: int, rel_tol: float):
 
 
 def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str):
-    """xi_total(t) callable for a resolved tier/protocol, +inf when invalid.
+    """xi_total(t) for a scalar t or an ascending time array, +inf when invalid.
 
-    The noise budget is evaluated once per point: its exposures guard the
-    validity regime and its variance is added to the coherent xi.
+    The noise budget is evaluated on all of t at once.  Its exposures guard
+    the validity regime point by point, and its variance is added to the
+    coherent xi, which is computed only where the guard passes.  Both
+    exposures grow with t, so on an ascending array those points are an
+    ascending prefix: the Dicke TAT tier propagates them with one
+    ``evolve_grid`` call, Dicke OAT with one phase step each.  A scalar t
+    gives a float, an array t an array.
     """
     if tier == "analytic":
-        def coherent_xi(t):
-            return analytic.xi_unitary(d, t).xi
+        def coherent_xi(times):
+            return analytic.xi_unitary(d, times).xi
     else:
         state0 = dicke.css(d.params.n_atoms)
         if protocol == "tat":
             propagator = dicke.TatPropagator(state0.spin_S, d.omega_twist)
 
-            def coherent_xi(t):
-                return dicke.xi_numeric(propagator.evolve(state0, t))
+            def coherent_xi(times):
+                return [dicke.xi_numeric(s) for s in propagator.evolve_grid(state0, times)]
         else:
-            def coherent_xi(t):
-                return dicke.xi_numeric(dicke.evolve_oat(state0, d.omega_twist, t))
+            def coherent_xi(times):
+                return [dicke.xi_numeric(dicke.evolve_oat(state0, d.omega_twist, t))
+                        for t in times]
 
     def objective(t):
         budget = analytic.noise_budget(d, t, noise)
-        if not (budget.p_leak <= MAX_EXPOSURE and budget.p_decay <= MAX_EXPOSURE):
-            return math.inf
-        return float(coherent_xi(t) + budget.added_var / (d.spin_S / 2.0))
+        valid = (budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE)
+        xi = np.full(np.shape(t), math.inf)
+        xi[valid] = (coherent_xi(np.asarray(t, dtype=float)[valid])
+                     + np.asarray(budget.added_var)[valid] / (d.spin_S / 2.0))
+        return xi if xi.ndim else float(xi)
     return objective
 
 
@@ -191,8 +210,8 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
         gamma = d.params.gamma
         t_max = 10.0 / gamma if gamma > 0 else math.pi / (2.0 * abs(d.omega_twist))
     objective = _xi_objective(d, noise, tier, protocol)
-    t_opt, xi_min, edge = minimize_on_log_axis(objective, t_max * 1e-8, t_max,
-                                               TIME_GRID_POINTS, REL_TOL)
+    grid = np.geomspace(t_max * 1e-8, t_max, TIME_GRID_POINTS)
+    t_opt, xi_min, edge = minimize_on_log_axis(objective, grid, objective(grid), REL_TOL)
     floor = _floor_value(d, noise, protocol)
     if floor is not None and xi_min < 0.5 * floor:
         raise NumericsError(
@@ -230,8 +249,9 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     def outer(delta):
         return solve_at(delta).xi_min
 
-    delta_opt, _, edge = minimize_on_log_axis(outer, bracket[0], bracket[1],
-                                              DETUNING_GRID_POINTS, REL_TOL)
+    grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
+    delta_opt, _, edge = minimize_on_log_axis(outer, grid, [outer(x) for x in grid],
+                                              REL_TOL)
     inner = solve_at(delta_opt)
     return OptimizationResult(t_opt=inner.t_opt, xi_min=inner.xi_min,
                               xi_min_db=inner.xi_min_db, model_tier=inner.model_tier,

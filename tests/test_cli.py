@@ -62,6 +62,8 @@ MALFORMED = [
                  id="evolve-grid-infinite"),
     pytest.param("evolve", {"time_grid__stop": 10**400}, id="evolve-grid-stop-huge-int"),
     pytest.param("validate", {"system__delta_hz": 10**400}, id="validate-delta-huge-int"),
+    pytest.param("scaling", {"noise": {"free_space": False, "cavity_leak": False}},
+                 id="scaling-noise-section"),
 ]
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vacuumsq import NoiseModel, NumericsError, PhysicsError, SystemParams, derive_params
-from vacuumsq import analytic, dicke, optimize
-from vacuumsq.core import ConfigError
+from vacuumsq import analytic, cli, dicke, optimize
+from vacuumsq.core import ConfigError, FeasibilityParams
 
 from conftest import small_params
 
@@ -35,24 +36,43 @@ class TestGoldenSection:
             optimize.golden_section(lambda x: x, 2.0, 2.0)
 
 
+def _scalar_only(f):
+    def wrapped(x):
+        assert np.ndim(x) == 0, "minimize_on_log_axis passed an array to its objective"
+        return f(x)
+    return wrapped
+
+
+def _minimize_on_log_axis(f, lo, hi, n_grid, rel_tol):
+    grid = np.geomspace(lo, hi, n_grid)
+    return optimize.minimize_on_log_axis(_scalar_only(f), grid, [f(x) for x in grid], rel_tol)
+
+
 class TestMinimizeOnLogAxis:
     def test_interior_minimum_is_refined(self):
-        x, fx, edge = optimize.minimize_on_log_axis(
+        x, fx, edge = _minimize_on_log_axis(
             lambda x: (math.log(x) - math.log(7.0)) ** 2, 1e-2, 1e3, 40, 1e-6)
         assert edge is None
         assert x == pytest.approx(7.0, rel=1e-5)
 
     def test_increasing_objective_reports_lower_edge(self):
-        x, fx, edge = optimize.minimize_on_log_axis(lambda x: x, 1e-3, 1e3, 25, 1e-3)
+        x, fx, edge = _minimize_on_log_axis(lambda x: x, 1e-3, 1e3, 25, 1e-3)
         assert (x, fx, edge) == (pytest.approx(1e-3), pytest.approx(1e-3), "lower")
 
     def test_decreasing_objective_reports_upper_edge(self):
-        x, fx, edge = optimize.minimize_on_log_axis(lambda x: -x, 1e-3, 1e3, 25, 1e-3)
+        x, fx, edge = _minimize_on_log_axis(lambda x: -x, 1e-3, 1e3, 25, 1e-3)
         assert (x, edge) == (pytest.approx(1e3), "upper")
 
     def test_all_invalid_raises(self):
         with pytest.raises(NumericsError):
-            optimize.minimize_on_log_axis(lambda x: math.inf, 1.0, 10.0, 12, 1e-3)
+            _minimize_on_log_axis(lambda x: math.inf, 1.0, 10.0, 12, 1e-3)
+
+    @pytest.mark.parametrize("grid", [[1.0, 3.0, 2.0], [1.0, 1.0, 2.0], [0.0, 1.0, 2.0],
+                                      [-1.0, 1.0, 2.0], [1.0, 2.0]],
+                             ids=["descending", "repeated", "zero", "negative", "two-points"])
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError):
+            optimize.minimize_on_log_axis(lambda x: x, grid, grid, 1e-3)
 
 
 def _lossy(n_atoms, gamma=0.5, kappa=0.0):
@@ -78,6 +98,70 @@ class TestExposureGuard:
         values = np.array([objective(t) for t in times])
         assert np.all(np.isinf(values[p_leak > 0.5]))
         assert np.all(np.isfinite(values[p_leak <= 0.5]))
+
+
+def _guarded(d, grid):
+    """Points of ``grid`` where both exposures are <= 1/2."""
+    budget = analytic.noise_budget(d, grid, NoiseModel())
+    return (budget.p_leak <= optimize.MAX_EXPOSURE) & (budget.p_decay <= optimize.MAX_EXPOSURE)
+
+
+class TestArrayObjective:
+    # N=100 with Gamma = 20/s: the decay exposure crosses 1/2 at t = 35 ms,
+    # while the twisted mean spin is still well defined
+    GRID = np.geomspace(1e-5, 1.0, 240)
+
+    @pytest.mark.parametrize("tier, protocol, rel", [("analytic", "oat", 0.0),
+                                                     ("dicke", "oat", 1e-12),
+                                                     ("dicke", "tat", 1e-12)])
+    def test_array_call_equals_scalar_calls(self, tier, protocol, rel):
+        d = _lossy(100, gamma=20.0, kappa=0.3)
+        objective = optimize._xi_objective(d, NoiseModel(), tier, protocol)
+        values = objective(self.GRID)
+        scalars = np.array([objective(t) for t in self.GRID])
+        assert 0 < np.sum(np.isfinite(values)) < self.GRID.size
+        assert np.array_equal(np.isinf(values), np.isinf(scalars))
+        if rel == 0.0:
+            assert values.tobytes() == scalars.tobytes()
+        else:
+            np.testing.assert_allclose(values, scalars, rtol=rel, atol=0.0)
+
+    @pytest.mark.parametrize("protocol", ["oat", "tat"])
+    def test_guard_rejected_points_skip_the_coherent_kernel(self, monkeypatch, protocol):
+        calls = []
+        xi_numeric = dicke.xi_numeric
+
+        def counted(state):
+            calls.append(state)
+            return xi_numeric(state)
+
+        monkeypatch.setattr(dicke, "xi_numeric", counted)
+        d = _lossy(100, gamma=20.0, kappa=0.3)
+        objective = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)
+        values = objective(self.GRID)
+        valid = _guarded(d, self.GRID)
+        assert 0 < np.sum(valid) < self.GRID.size
+        assert len(calls) == np.sum(valid) == np.sum(np.isfinite(values))
+        calls.clear()
+        assert objective(self.GRID[-1]) == math.inf
+        assert calls == []
+
+    def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_derived, full_noise):
+        shapes = []
+        xi_objective = optimize._xi_objective
+
+        def recording(*args):
+            objective = xi_objective(*args)
+
+            def wrapped(t):
+                shapes.append(np.shape(t))
+                return objective(t)
+            return wrapped
+
+        monkeypatch.setattr(optimize, "_xi_objective", recording)
+        optimize.optimal_time(fig3a_derived, full_noise)
+        # the 240-point grid in one call, then only the scalar golden refinement
+        assert shapes == [(optimize.TIME_GRID_POINTS,)] + [()] * 13
 
 
 class TestHalfFloorCheck:
@@ -144,3 +228,39 @@ class TestProperties:
             ref = float(mpmath.cos(mpmath.mpf(x)) ** p)
         assert math.isclose(float(analytic.cos_pow(x, p)), ref,
                             rel_tol=1e-9, abs_tol=1e-300)
+
+
+class TestFeasibility:
+    # Omega/2pi = g^2/Delta = 4 Hz in plain frequencies
+    SYSTEM = {"n_atoms": 100, "g_hz": 2e3, "kappa_hz": 1e5, "gamma_hz": 7e-3,
+              "delta_hz": 1e6, "omega0_hz": 4e14}
+    FEAS = {"fsr_hz": 1e10, "fsr_jitter_hz": 1e3, "noise_bandwidth_hz": 1e4,
+            "squeeze_time_s": 1e-2}
+
+    def test_report_matches_documented_formulas(self):
+        params = SystemParams.from_frequencies(**self.SYSTEM)
+        report = optimize.feasibility_report(params,
+                                             FeasibilityParams.from_frequencies(**self.FEAS))
+        omega_hz, delta_hz = 4.0, self.SYSTEM["delta_hz"]
+        fsr_hz, jitter_hz = self.FEAS["fsr_hz"], self.FEAS["fsr_jitter_hz"]
+        samples = self.FEAS["noise_bandwidth_hz"] * self.FEAS["squeeze_time_s"]
+        assert report.omega_twist_hz == pytest.approx(omega_hz, rel=1e-12)
+        assert report.clock_shift_during_squeeze == pytest.approx(2 * math.pi * omega_hz,
+                                                                  rel=1e-12)
+        assert report.squeeze_phase_rel_error == pytest.approx(
+            jitter_hz / (delta_hz * math.sqrt(samples)), rel=1e-12)
+        assert report.suppression_factor == pytest.approx(
+            (delta_hz / (fsr_hz / 2)) * (jitter_hz / (fsr_hz / 2)), rel=1e-12)
+        assert report.fractional_accuracy == pytest.approx(
+            omega_hz / self.SYSTEM["omega0_hz"], rel=1e-12)
+
+    def test_cli_writes_feasibility_json(self, tmp_path):
+        cfg = {"schema_version": cli.SCHEMA_VERSION, "system": self.SYSTEM,
+               "feasibility": self.FEAS}
+        path = tmp_path / "feasibility.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main(["feasibility", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "feasibility.json").read_text())["report"]
+        assert report["omega_twist_hz"] == pytest.approx(4.0, rel=1e-12)
+        assert report["suppression_factor"] == pytest.approx(4e-11, rel=1e-12)
