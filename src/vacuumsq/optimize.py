@@ -239,6 +239,8 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         if kappa <= 0:
             raise PhysicsError("default detuning bracket needs kappa > 0; pass bracket=")
         bracket = (kappa, 1e4 * kappa)
+    if not (0 < bracket[0] < bracket[1]):
+        raise ValueError(f"need a detuning bracket with 0 < lo < hi, got {bracket!r}")
 
     def solve_at(delta):
         params = SystemParams(n_atoms=n_atoms, coupling_g=coupling_g, kappa=kappa,

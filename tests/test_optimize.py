@@ -100,12 +100,6 @@ class TestExposureGuard:
         assert np.all(np.isfinite(values[p_leak <= 0.5]))
 
 
-def _guarded(d, grid):
-    """Points of ``grid`` where both exposures are <= 1/2."""
-    budget = analytic.noise_budget(d, grid, NoiseModel())
-    return (budget.p_leak <= optimize.MAX_EXPOSURE) & (budget.p_decay <= optimize.MAX_EXPOSURE)
-
-
 class TestArrayObjective:
     # N=100 with Gamma = 20/s: the decay exposure crosses 1/2 at t = 35 ms,
     # while the twisted mean spin is still well defined
@@ -139,7 +133,8 @@ class TestArrayObjective:
         d = _lossy(100, gamma=20.0, kappa=0.3)
         objective = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)
         values = objective(self.GRID)
-        valid = _guarded(d, self.GRID)
+        budget = analytic.noise_budget(d, self.GRID, NoiseModel())
+        valid = (budget.p_leak <= 0.5) & (budget.p_decay <= 0.5)
         assert 0 < np.sum(valid) < self.GRID.size
         assert len(calls) == np.sum(valid) == np.sum(np.isfinite(values))
         calls.clear()
@@ -162,6 +157,17 @@ class TestArrayObjective:
         optimize.optimal_time(fig3a_derived, full_noise)
         # the 240-point grid in one call, then only the scalar golden refinement
         assert shapes == [(optimize.TIME_GRID_POINTS,)] + [()] * 13
+
+
+class TestDetuningBracket:
+    @pytest.mark.parametrize("bracket", [(1e9, 1e6), (0.0, 1e6), (-1e6, 1e6)],
+                             ids=["reversed", "zero", "negative"])
+    def test_bad_bracket_is_rejected_before_any_inner_solve(self, monkeypatch, bracket):
+        calls = []
+        monkeypatch.setattr(optimize, "optimal_time", lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError):
+            optimize.optimal_detuning(1e3, 1e5, 1e-2, 100, NoiseModel(), bracket=bracket)
+        assert calls == []
 
 
 class TestHalfFloorCheck:
