@@ -37,7 +37,7 @@ from .core import DerivedParams, PhysicsError, SqueezingTrace
 
 __all__ = [
     "SpinMoments", "NoiseModel", "UnitarySqueezing", "cos_pow",
-    "oat_moments", "xi_unitary", "xi_total", "xi_approx", "xi_bound",
+    "xi_unitary", "xi_total", "xi_approx", "xi_bound",
     "NoiseBudget", "noise_budget", "add_noise_to_xi", "noise_probabilities",
     "tat_variance_bosonic", "tat_xi_floor", "to_db", "squeezing_trace",
 ]
@@ -156,24 +156,6 @@ def xi_unitary(d: DerivedParams, t) -> UnitarySqueezing:
     xi = 1.0 - 0.5 * (S - 0.5) * excess
     angle = np.where(R == 0.0, 0.0, 0.5 * np.arctan2(B, np.negative(A)))
     return UnitarySqueezing(_scalar_like(xi, t), _scalar_like(angle, t))
-
-
-def oat_moments(d: DerivedParams, t) -> SpinMoments:
-    """Exact twisting moments at time t (scalar t)."""
-    t = float(_check_time(t))
-    S = d.spin_S
-    x = d.omega_twist * t
-    mean_x = S * cos_pow(x, int(2 * S - 1))
-    if S == 0.5:
-        var_y, cross = S / 2.0, 0.0
-    else:
-        A, B = _ab(d, t)
-        var_y = S / 2.0 + 0.5 * S * (S - 0.5) * A
-        cross = (S / 2.0) * (S - 0.5) * B
-    xi, angle = xi_unitary(d, t)
-    return SpinMoments(spin_S=S, mean_x=float(mean_x), mean_y=0.0, mean_z=0.0,
-                       var_z=S / 2.0, var_y=float(var_y), cross_zy=float(cross),
-                       min_transverse_var=(S / 2.0) * xi, optimal_angle=angle)
 
 
 class NoiseBudget(NamedTuple):

@@ -150,8 +150,10 @@ def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str)
     coherent xi, which is computed only where the guard passes.  Both
     exposures grow with t, so on an ascending array those points are an
     ascending prefix: the Dicke TAT tier propagates them with one
-    ``evolve_grid`` call, Dicke OAT with one phase step each.  A scalar t
-    gives a float, an array t an array.
+    ``evolve_grid`` call, Dicke OAT phase-steps the coherent state's
+    nonzero band once per point, on the same path as
+    ``dicke.squeezing_trace``.  A scalar t gives a float, an array t an
+    array.
     """
     if tier == "analytic":
         def coherent_xi(times):
@@ -165,8 +167,8 @@ def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str)
                 return [dicke.xi_numeric(s) for s in propagator.evolve_grid(state0, times)]
         else:
             def coherent_xi(times):
-                return [dicke.xi_numeric(dicke.evolve_oat(state0, d.omega_twist, t))
-                        for t in times]
+                return [dicke.min_transverse_variance(mom)[0] / (d.spin_S / 2.0)
+                        for mom in dicke._oat_band_moments(state0, d.omega_twist, times)]
 
     def objective(t):
         budget = analytic.noise_budget(d, t, noise)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from vacuumsq import NoiseModel, SystemParams, derive_params
+from vacuumsq import analytic
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +35,28 @@ def small_params(n_atoms, omega_twist=1.0):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260809)
+
+
+def oat_moments(d, t):
+    """Closed-form twisting moments at a scalar time t, the reference formula.
+
+    Kitagawa & Ueda, PRA 47, 5138 (1993), with A and B as in the
+    ``analytic`` module docstring: <Sx> = S cos^(2S-1)(Omega t), var_z =
+    S/2, var_y = S/2 + (S/2)(S - 1/2) A, cross_zy = (S/2)(S - 1/2) B.  The
+    minimal variance and its angle come from ``analytic.xi_unitary``,
+    which also rejects t < 0.
+    """
+    xi, angle = analytic.xi_unitary(d, t)
+    S = d.spin_S
+    x = d.omega_twist * t
+    mean_x = S * analytic.cos_pow(x, int(2 * S - 1))
+    if S == 0.5:
+        var_y, cross = S / 2.0, 0.0
+    else:
+        a = 1.0 - analytic.cos_pow(2.0 * x, int(2 * S - 2))
+        b = 4.0 * math.sin(x) * analytic.cos_pow(x, int(2 * S - 2))
+        var_y = S / 2.0 + 0.5 * S * (S - 0.5) * a
+        cross = (S / 2.0) * (S - 0.5) * b
+    return analytic.SpinMoments(spin_S=S, mean_x=float(mean_x), mean_y=0.0, mean_z=0.0,
+                                var_z=S / 2.0, var_y=float(var_y), cross_zy=float(cross),
+                                min_transverse_var=(S / 2.0) * xi, optimal_angle=angle)

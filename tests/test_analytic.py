@@ -7,7 +7,7 @@ import pytest
 from vacuumsq import NoiseModel, PhysicsError, SystemParams, derive_params
 from vacuumsq import analytic
 
-from conftest import small_params
+from conftest import oat_moments, small_params
 
 
 def quadrature_variance(mom, phi):
@@ -43,7 +43,7 @@ class TestCosPow:
 class TestOatMoments:
     def test_initial_moments(self):
         d = derive_params(small_params(8))
-        m = analytic.oat_moments(d, 0.0)
+        m = oat_moments(d, 0.0)
         assert m.var_z == m.var_y == 2.0  # S/2
         assert m.cross_zy == 0.0
         assert m.mean_x == 4.0
@@ -52,14 +52,14 @@ class TestOatMoments:
     def test_single_spin_has_no_cross_term(self):
         d = derive_params(small_params(1))
         for t in (0.0, 0.3, 2.0):
-            m = analytic.oat_moments(d, t)
+            m = oat_moments(d, t)
             assert m.cross_zy == 0.0
             assert m.var_y == 0.25
 
     def test_rejects_negative_time(self):
         d = derive_params(small_params(4))
         with pytest.raises(PhysicsError):
-            analytic.oat_moments(d, -0.1)
+            oat_moments(d, -0.1)
 
 
 class TestXiUnitary:
@@ -100,7 +100,7 @@ class TestXiUnitary:
         d = derive_params(small_params(6))
         phis = np.linspace(-np.pi / 2, np.pi / 2, 40_001)
         for t in (0.05, 0.2, 0.45):
-            m = analytic.oat_moments(d, t)
+            m = oat_moments(d, t)
             xi, angle = analytic.xi_unitary(d, t)
             brute = float(np.min(quadrature_variance(m, phis)))
             # the closed-form angle can only do as well or better than the grid

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NumericsError,
-                      PhysicsError, derive_params)
+from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NormDriftError,
+                      NumericsError, PhysicsError, derive_params)
 from vacuumsq import analytic, dicke
 
-from conftest import small_params
+from conftest import oat_moments, small_params
 
 
 def dense_operators(S):
@@ -22,6 +22,13 @@ def dense_operators(S):
     sy = (sp - sp.T) / 2j
     sz = np.diag(m.astype(float))
     return sx, sy, sz
+
+
+def total_spin_sq(state):
+    """<S^2> = |Sx c|^2 + |Sy c|^2 + |Sz c|^2 with dense operators."""
+    amps = state.amplitudes
+    return sum(float(np.vdot(op @ amps, op @ amps).real)
+               for op in dense_operators(state.spin_S))
 
 
 class TestCss:
@@ -88,7 +95,7 @@ class TestEvolveOat:
         d = derive_params(small_params(4))
         st = dicke.evolve_oat(dicke.css(4), d.omega_twist, 0.1)
         got = dicke.moments(st)
-        want = analytic.oat_moments(d, 0.1)
+        want = oat_moments(d, 0.1)
         assert got.mean_x == pytest.approx(want.mean_x, abs=1e-12)
         assert got.var_z == pytest.approx(want.var_z, abs=1e-12)
         assert got.var_y == pytest.approx(want.var_y, abs=1e-12)
@@ -114,6 +121,75 @@ class TestEquivalenceClosedForm:
         xi_num = dicke.xi_numeric(st)
         xi_cf = analytic.xi_unitary(d, phase).xi
         assert abs(xi_num - xi_cf) <= 1e-10 * max(1.0, xi_cf)
+
+
+def full_ladder_trace(d, times):
+    """Moments of evolve_oat on the whole ladder, one state per time."""
+    state0 = dicke.css(d.params.n_atoms)
+    return [dicke.moments(dicke.evolve_oat(state0, d.omega_twist, t)) for t in times]
+
+
+class TestOatBand:
+    # Dicke OAT over a time grid works on the coherent state's nonzero band;
+    # the full-ladder evolve_oat + moments route is the reference
+
+    @pytest.mark.parametrize("n", [10_000, 100_000])
+    def test_trace_matches_full_ladder_across_squeezing_window(self, n):
+        # twisting phases from early squeezing past the optimum ~N^(-2/3)
+        # to where the mean spin has shrunk to ~exp(-1/2) of S
+        d = derive_params(small_params(n))
+        times = np.geomspace(1e-2, 1.0, 5) / math.sqrt(n)
+        trace = dicke.squeezing_trace(d, times, NoiseModel.none(), protocol="oat")
+        for i, full in enumerate(full_ladder_trace(d, times)):
+            xi_full = full.min_transverse_var / (d.spin_S / 2)
+            assert trace.xi_unitary[i] == pytest.approx(xi_full, rel=1e-9, abs=0.0)
+            assert trace.mean_x[i] == pytest.approx(full.mean_x, rel=1e-12, abs=0.0)
+            assert trace.angle[i] == pytest.approx(full.optimal_angle, rel=0.0, abs=1e-12)
+        assert np.min(trace.xi_unitary) < 0.01
+
+    @pytest.mark.parametrize("n", [12, 1000])
+    def test_band_is_the_whole_ladder_without_underflow(self, n):
+        state0 = dicke.css(n)
+        assert np.all(state0.amplitudes != 0)
+        assert dicke._nonzero_band(state0.amplitudes) == slice(0, n + 1)
+        d = derive_params(small_params(n))
+        times = [0.0, 0.3 / n, 1.0 / math.sqrt(n)]
+        band = dicke._oat_band_moments(state0, d.omega_twist, times)
+        for got, want in zip(band, full_ladder_trace(d, times), strict=True):
+            assert vars(got) == vars(want)  # same levels, same arithmetic
+
+    def test_padding_levels_hold_the_ladder_images_of_the_edge_levels(self):
+        n = 10_000
+        band = dicke._nonzero_band(dicke.css(n).amplitudes)
+        assert 0 < band.start and band.stop < n + 1  # the band ends inside the ladder
+        st = dicke.evolve_oat(dicke.css(n), 1.0, 3e-3)
+        amps, S = st.amplitudes, st.spin_S
+        assert not np.any(amps[:band.start + 1]) and not np.any(amps[band.stop - 1:])
+        assert amps[band.start + 1] != 0 and amps[band.stop - 2] != 0
+        full = dicke._ladder_applications(amps, S, -S)
+        on_band = dicke._ladder_applications(amps[band], S, band.start - S)
+        for f, b in zip(full, on_band):
+            assert np.array_equal(f[band], b)  # exactly, the padding levels included
+            assert not np.any(f[:band.start]) and not np.any(f[band.stop:])
+        _, sy_c, sx_c = full
+        for edge in (band.start, band.stop - 1):
+            assert sx_c[edge] != 0 and sy_c[edge] != 0
+
+    @pytest.mark.parametrize("drift, raises", [(2e-9, True), (2e-11, False)])
+    def test_norm_drift_gate_applies_on_the_band(self, drift, raises):
+        state0 = dicke.css(1000)
+        # bypass DickeState's own 1e-12 check to feed in a drifted norm
+        object.__setattr__(state0, "amplitudes", state0.amplitudes * math.sqrt(1.0 + drift))
+        band = dicke._oat_band_moments(state0, 1.0, [0.0, 0.01])
+        if raises:
+            with pytest.raises(NormDriftError):
+                next(band)
+        else:
+            assert next(band).mean_x == pytest.approx(500.0, rel=1e-12)
+
+    def test_negative_time_is_rejected(self):
+        with pytest.raises(PhysicsError):
+            next(dicke._oat_band_moments(dicke.css(10), 1.0, [0.1, -0.1]))
 
 
 class TestEvolveTat:
@@ -303,7 +379,7 @@ class TestConservation:
             else:
                 prop = dicke.TatPropagator(S, float(rng.uniform(0.1, 1.0)))
                 st = prop.evolve(st, float(rng.uniform(0.0, 0.5)))
-            assert dicke.total_spin_sq(st) == pytest.approx(S * (S + 1), rel=1e-8)
+            assert total_spin_sq(st) == pytest.approx(S * (S + 1), rel=1e-8)
 
 
 class TestTraceAndDump:

@@ -122,14 +122,26 @@ class TestArrayObjective:
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_guard_rejected_points_skip_the_coherent_kernel(self, monkeypatch, protocol):
+        # records every time point the coherent kernel reduces: Dicke OAT
+        # reduces them on the coherent state's band, TAT one state each
         calls = []
-        xi_numeric = dicke.xi_numeric
+        if protocol == "oat":
+            band_moments = dicke._oat_band_moments
 
-        def counted(state):
-            calls.append(state)
-            return xi_numeric(state)
+            def counted(state0, omega_twist, times):
+                for t, mom in zip(times, band_moments(state0, omega_twist, times)):
+                    calls.append(t)
+                    yield mom
 
-        monkeypatch.setattr(dicke, "xi_numeric", counted)
+            monkeypatch.setattr(dicke, "_oat_band_moments", counted)
+        else:
+            xi_numeric = dicke.xi_numeric
+
+            def counted(state):
+                calls.append(state)
+                return xi_numeric(state)
+
+            monkeypatch.setattr(dicke, "xi_numeric", counted)
         d = _lossy(100, gamma=20.0, kappa=0.3)
         objective = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)
         values = objective(self.GRID)
@@ -137,6 +149,8 @@ class TestArrayObjective:
         valid = (budget.p_leak <= 0.5) & (budget.p_decay <= 0.5)
         assert 0 < np.sum(valid) < self.GRID.size
         assert len(calls) == np.sum(valid) == np.sum(np.isfinite(values))
+        if protocol == "oat":
+            assert calls == list(self.GRID[valid])
         calls.clear()
         assert objective(self.GRID[-1]) == math.inf
         assert calls == []
