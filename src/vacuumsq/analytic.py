@@ -37,9 +37,9 @@ from .core import DerivedParams, PhysicsError, SqueezingTrace
 
 __all__ = [
     "SpinMoments", "NoiseModel", "UnitarySqueezing", "cos_pow",
-    "xi_unitary", "xi_total", "xi_approx", "xi_bound",
+    "xi_unitary", "xi_total", "xi_bound",
     "NoiseBudget", "noise_budget", "add_noise_to_xi", "noise_probabilities",
-    "tat_variance_bosonic", "tat_xi_floor", "to_db", "squeezing_trace",
+    "tat_xi_floor", "to_db", "squeezing_trace",
 ]
 
 
@@ -47,10 +47,10 @@ __all__ = [
 class SpinMoments:
     """First/second moments of the collective spin (dimensionless).
 
-    ``cross_zy`` is the symmetrized correlator <SzSy + SySz> - 2<Sz><Sy>.
-    ``min_transverse_var`` / ``optimal_angle`` are None when the mean spin
-    does not define a transverse plane this module can handle (see
-    ``dicke.min_transverse_variance``).
+    A plain record: the mean spin and the transverse (z, y) second moments,
+    with ``cross_zy`` the symmetrized correlator <SzSy + SySz> - 2<Sz><Sy>.
+    The minimal transverse variance and its angle are derived from it by
+    ``dicke.min_transverse_variance``.
     """
 
     spin_S: float
@@ -60,8 +60,6 @@ class SpinMoments:
     var_z: float
     var_y: float
     cross_zy: float
-    min_transverse_var: float | None = None
-    optimal_angle: float | None = None
 
 
 @dataclass(frozen=True)
@@ -212,31 +210,8 @@ def xi_total(d: DerivedParams, t, noise: NoiseModel):
     return add_noise_to_xi(d, xi_unitary(d, t).xi, t, noise)
 
 
-def xi_approx(d: DerivedParams, t, detector_efficiency_q=0.0):
-    """Small-decoherence expansion of xi_total.
-
-    Three-term sum 1/(2 S Omega t)^2 + 2(1-q) S g^2 kappa t / Delta^2
-    + 2 Gamma t.  Valid (and useful) only in the small-noise regime;
-    diverges at t = 0.
-    """
-    t_arr = _check_time(t)
-    S = d.spin_S
-    p = d.params
-    q = float(detector_efficiency_q)
-    with np.errstate(divide="ignore"):
-        unitary = 1.0 / (2.0 * S * d.omega_twist * t_arr) ** 2
-    leak = 2.0 * (1.0 - q) * S * (d.omega_twist / p.delta) * p.kappa * t_arr
-    decay = 2.0 * p.gamma * t_arr
-    return _scalar_like(unitary + leak + decay, t)
-
-
-def xi_bound(n_atoms, eta, detector_efficiency_q=0.0) -> float:
-    """Decoherence-limited optimum of the expansion: 6 [N eta/(1-q)]^(-1/3).
-
-    This is the joint minimum of :func:`xi_approx` over both time and
-    detuning.  q = 1 gives 0 (perfect photon recovery removes the leak
-    channel entirely).
-    """
+def _noise_floor(prefactor, exponent, n_atoms, eta, detector_efficiency_q) -> float:
+    """prefactor * [N eta/(1-q)]^exponent; 0 at q = 1, where no leak channel is left."""
     if n_atoms < 1 or eta <= 0:
         raise PhysicsError("need n_atoms >= 1 and eta > 0")
     q = float(detector_efficiency_q)
@@ -244,40 +219,32 @@ def xi_bound(n_atoms, eta, detector_efficiency_q=0.0) -> float:
         raise PhysicsError(f"detector efficiency must lie in [0, 1], got {q}")
     if q == 1.0:
         return 0.0
-    return 6.0 * (n_atoms * eta / (1.0 - q)) ** (-1.0 / 3.0)
+    return prefactor * (n_atoms * eta / (1.0 - q)) ** exponent
 
 
-def tat_variance_bosonic(d: DerivedParams, t):
-    """Transverse variance of rotation-assisted twisting, bosonic limit.
+def xi_bound(n_atoms, eta, detector_efficiency_q=0.0) -> float:
+    """Decoherence-limited optimum of twisting: 6 [N eta/(1-q)]^(-1/3).
 
-    The matched rotation turns shearing into exponential squeezing of one
-    fixed quadrature: var = (S/2) exp(-2 S |Omega| t).  The collective
-    rate S*Omega is the e-folding rate of the quadrature (the rotation
-    term S*Omega*Sx and the curvature of Sz^2 combine into a pure
-    squeezing generator).  Valid while depletion is small, i.e. while the
-    anti-squeezed variance stays well below S^(3/2).
+    This is the joint minimum over time and detuning of the
+    small-decoherence expansion of xi_total, the three-term sum
+    1/(2 S Omega t)^2 + 2(1-q) S g^2 kappa t / Delta^2 + 2 Gamma t.
+    q = 1 gives 0 (perfect photon recovery removes the leak channel
+    entirely).
     """
-    t_arr = _check_time(t)
-    S = d.spin_S
-    return _scalar_like((S / 2.0) * np.exp(-2.0 * S * abs(d.omega_twist) * t_arr), t)
+    return _noise_floor(6.0, -1.0 / 3.0, n_atoms, eta, detector_efficiency_q)
 
 
 def tat_xi_floor(n_atoms, eta, detector_efficiency_q=0.0) -> float:
     """Noise floor of rotation-assisted twisting: 4 sqrt(2) [N eta/(1-q)]^(-1/2).
 
-    Balancing exp(-2 S Omega t) against the linearized leak and decay terms
-    over (t, Delta) leaves this residual unitary term at the optimum; the
-    decay contribution adds a slowly varying log factor on top, so the
+    The matched rotation turns shearing into exponential squeezing of one
+    quadrature, var = (S/2) exp(-2 S |Omega| t) while depletion is small.
+    Balancing that against the linearized leak and decay terms over
+    (t, Delta) leaves this residual unitary term at the optimum; the decay
+    contribution adds a slowly varying log factor on top, so the
     attainable optimum is somewhat above this floor.
     """
-    if n_atoms < 1 or eta <= 0:
-        raise PhysicsError("need n_atoms >= 1 and eta > 0")
-    q = float(detector_efficiency_q)
-    if not (0.0 <= q <= 1.0):
-        raise PhysicsError(f"detector efficiency must lie in [0, 1], got {q}")
-    if q == 1.0:
-        return 0.0
-    return 4.0 * math.sqrt(2.0) * (n_atoms * eta / (1.0 - q)) ** (-0.5)
+    return _noise_floor(4.0 * math.sqrt(2.0), -0.5, n_atoms, eta, detector_efficiency_q)
 
 
 def to_db(xi):

@@ -12,13 +12,16 @@ blocks of 64 columns, one matrix product per block, so its temporaries
 stay below 4 MiB up to ``SPECTRAL_MAX_DIM``.  Both paths must pass a
 norm gate of 1e-9 before the state is renormalized.  One moments kernel,
 :func:`amplitude_moments`, serves ladder vectors and the oracle's joint
-(m, n) amplitude arrays alike.
+(m, n) amplitude arrays alike.  Its :class:`SpinMoments` holds moments
+only; each consumer reduces them once per point with
+:func:`min_transverse_variance`.  One grid kernel, :func:`coherent_moments`,
+gives the evolved coherent state's moments along a time grid for both
+protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective.
 
-Twisting over a time grid (:func:`squeezing_trace` and the optimizer's
-Dicke objective) works on the coherent state's nonzero band only: the
-levels whose binomial amplitude does not underflow to 0, widened by one
-level on each side and clipped to the ladder (17 187 of 100 001 levels at
-N = 1e5).  The band is exact, not a truncation: the twist multiplies each
+Twisting over a time grid works on the coherent state's nonzero band
+only: the levels whose binomial amplitude does not underflow to 0, widened
+by one level on each side and clipped to the ladder (17 187 of 100 001
+levels at N = 1e5).  The band is exact, not a truncation: the twist multiplies each
 amplitude by a phase, so an amplitude that is exactly 0 stays exactly 0 at
 every t, and the padding levels hold the S+- images of the edge levels
 that the moments need.  Only the summation order of the norm and of the
@@ -49,7 +52,7 @@ _GRID_BLOCK = 64         # time columns per spectral product (temporaries <= 4 M
 
 __all__ = [
     "DickeState", "css", "evolve_oat", "TatPropagator",
-    "amplitude_moments", "moments", "min_transverse_variance", "xi_numeric",
+    "amplitude_moments", "moments", "min_transverse_variance", "coherent_moments",
     "apply_noise", "squeezing_trace",
 ]
 
@@ -80,9 +83,6 @@ class DickeState:
     @property
     def m_values(self) -> np.ndarray:
         return np.arange(self.dim, dtype=float) - self.spin_S
-
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def _check_unit_norm(amps: np.ndarray) -> None:
@@ -195,13 +195,8 @@ class TatPropagator:
             self._h = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
 
     def evolve(self, state: DickeState, t: float) -> DickeState:
-        if t < 0:
-            raise PhysicsError("time must be >= 0")
-        if self.spectral:
-            amps = self._spectral(state.amplitudes, np.array([t], dtype=float))[:, 0]
-        else:
-            amps = self._krylov_step(state.amplitudes, t)
-        return _gated_state(state.spin_S, amps)
+        """The state at one time t >= 0: :meth:`evolve_grid` of the grid [t]."""
+        return self.evolve_grid(state, [t])[0]
 
     def _spectral(self, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
         """exp(-iHt) amps for every t, as the columns of a (dim, T) array.
@@ -267,10 +262,7 @@ def amplitude_moments(amps: np.ndarray, spin_S: float) -> SpinMoments:
 
     The first axis is the ladder m = -S..S; any trailing (photon) axis is
     traced out, because ``np.vdot`` flattens both operands.  Returns all
-    first moments and the transverse (z, y) second moments, with
-    ``min_transverse_var``/``optimal_angle`` filled via
-    :func:`min_transverse_variance` when the mean spin defines a usable
-    transverse plane, else left as None.
+    first moments and the transverse (z, y) second moments.
     """
     return _moments_on_levels(amps, spin_S, -spin_S)
 
@@ -283,15 +275,10 @@ def _moments_on_levels(amps: np.ndarray, spin_S: float, m_lo: float) -> SpinMome
         return float(np.real(np.vdot(a, b)))
 
     mx, my, mz = inner(amps, sx_c), inner(amps, sy_c), inner(amps, sz_c)
-    mom = SpinMoments(spin_S=spin_S, mean_x=mx, mean_y=my, mean_z=mz,
-                      var_z=inner(sz_c, sz_c) - mz * mz,
-                      var_y=inner(sy_c, sy_c) - my * my,
-                      cross_zy=2.0 * inner(sz_c, sy_c) - 2.0 * mz * my)
-    try:
-        variance, angle = min_transverse_variance(mom)
-    except PhysicsError:
-        return mom
-    return replace(mom, min_transverse_var=variance, optimal_angle=angle)
+    return SpinMoments(spin_S=spin_S, mean_x=mx, mean_y=my, mean_z=mz,
+                       var_z=inner(sz_c, sz_c) - mz * mz,
+                       var_y=inner(sy_c, sy_c) - my * my,
+                       cross_zy=2.0 * inner(sz_c, sy_c) - 2.0 * mz * my)
 
 
 def moments(state: DickeState) -> SpinMoments:
@@ -333,10 +320,20 @@ def min_transverse_variance(m: SpinMoments) -> tuple[float, float]:
     return variance, angle
 
 
-def xi_numeric(state: DickeState) -> float:
-    """Squeezing parameter of a ladder state: min transverse var / (S/2)."""
-    variance, _ = min_transverse_variance(moments(state))
-    return variance / (state.spin_S / 2.0)
+def coherent_moments(d: DerivedParams, protocol: str):
+    """Moments of the evolved coherent spin state, as a function of a time grid.
+
+    ``protocol`` is "oat" or "tat", as resolved by :func:`core.resolve_tier`.
+    The function maps ascending times >= 0 to one :class:`SpinMoments` each.
+    Twisting phase-steps the coherent state's nonzero band (see the module
+    docstring); rotation-assisted twisting maps :func:`moments` over one
+    :class:`TatPropagator`, built here once.
+    """
+    state0 = css(d.params.n_atoms)
+    if protocol == "oat":
+        return lambda times: _oat_band_moments(state0, d.omega_twist, times)
+    propagator = TatPropagator(state0.spin_S, d.omega_twist)
+    return lambda times: map(moments, propagator.evolve_grid(state0, times))
 
 
 def apply_noise(m: SpinMoments, d: DerivedParams, t, noise: NoiseModel) -> SpinMoments:
@@ -345,42 +342,34 @@ def apply_noise(m: SpinMoments, d: DerivedParams, t, noise: NoiseModel) -> SpinM
     Both channel variances go onto var_z and var_y (cross terms
     untouched), which shifts each covariance eigenvalue by the same
     amount and therefore adds exactly [dS2_leak + dS2_decay]/(S/2) to xi.
-    The same rule is applied to twisting and rotation-assisted states.
+    :func:`squeezing_trace` adds the same variance to the minimal one
+    directly.
     """
     added = float(analytic.noise_budget(d, t, noise).added_var)
-    new_min = None if m.min_transverse_var is None else m.min_transverse_var + added
-    return replace(m, var_z=m.var_z + added, var_y=m.var_y + added,
-                   min_transverse_var=new_min)
+    return replace(m, var_z=m.var_z + added, var_y=m.var_y + added)
 
 
 def squeezing_trace(d: DerivedParams, times, noise: NoiseModel,
                     protocol: str = "oat") -> SqueezingTrace:
     """Numerically exact squeezing trace over a time grid (dicke tier).
 
-    Twisting is phase-stepped and reduced to moments one time point at a
-    time on the coherent state's nonzero band, the only levels that ever
-    carry amplitude (see the module docstring), so one band vector is alive
-    at a time.  Rotation-assisted twisting propagates the full ladder.
+    The coherent moments come from :func:`coherent_moments`, one point at
+    a time, and each is reduced once by :func:`min_transverse_variance`,
+    which raises when the mean spin defines no transverse plane.  The
+    noise budget is one array call; its added variance goes onto the
+    minimal one, xi_total = (var + added)/(S/2), as in :func:`apply_noise`.
     """
     _, protocol = resolve_tier("dicke", protocol)
     times = np.asarray(times, dtype=float)
-    state0 = css(d.params.n_atoms)
-    if protocol == "oat":
-        reduced = _oat_band_moments(state0, d.omega_twist, times)
-    else:
-        reduced = map(moments, TatPropagator(state0.spin_S, d.omega_twist)
-                      .evolve_grid(state0, times))
-    xi_u = np.empty_like(times)
-    xi_tot = np.empty_like(times)
+    added = analytic.noise_budget(d, times, noise).added_var
+    variance = np.empty_like(times)
     mean_x = np.empty_like(times)
     angle = np.empty_like(times)
-    for i, (t, mom) in enumerate(zip(times, reduced)):
-        variance, _ = min_transverse_variance(mom)  # raises when no transverse plane is defined
-        xi_u[i] = variance / (d.spin_S / 2.0)
-        noisy = apply_noise(mom, d, t, noise)
-        xi_tot[i] = noisy.min_transverse_var / (d.spin_S / 2.0)
+    for i, mom in enumerate(coherent_moments(d, protocol)(times)):
+        variance[i], angle[i] = min_transverse_variance(mom)
         mean_x[i] = mom.mean_x
-        angle[i] = noisy.optimal_angle
-    return SqueezingTrace(times=times, xi_unitary=xi_u, xi_total=xi_tot,
-                          mean_x=mean_x, var_min=xi_tot * (d.spin_S / 2.0),
+    half_S = d.spin_S / 2.0
+    xi_tot = (variance + added) / half_S
+    return SqueezingTrace(times=times, xi_unitary=variance / half_S, xi_total=xi_tot,
+                          mean_x=mean_x, var_min=xi_tot * half_S,
                           angle=angle, model_tier="dicke", protocol=protocol)

@@ -149,26 +149,19 @@ def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str)
     the validity regime point by point, and its variance is added to the
     coherent xi, which is computed only where the guard passes.  Both
     exposures grow with t, so on an ascending array those points are an
-    ascending prefix: the Dicke TAT tier propagates them with one
-    ``evolve_grid`` call, Dicke OAT phase-steps the coherent state's
-    nonzero band once per point, on the same path as
-    ``dicke.squeezing_trace``.  A scalar t gives a float, an array t an
-    array.
+    ascending prefix, which the Dicke tier reduces in one call of its
+    ``dicke.coherent_moments`` kernel, the path of ``dicke.squeezing_trace``.
+    A scalar t gives a float, an array t an array.
     """
     if tier == "analytic":
         def coherent_xi(times):
             return analytic.xi_unitary(d, times).xi
     else:
-        state0 = dicke.css(d.params.n_atoms)
-        if protocol == "tat":
-            propagator = dicke.TatPropagator(state0.spin_S, d.omega_twist)
+        moments_at = dicke.coherent_moments(d, protocol)
 
-            def coherent_xi(times):
-                return [dicke.xi_numeric(s) for s in propagator.evolve_grid(state0, times)]
-        else:
-            def coherent_xi(times):
-                return [dicke.min_transverse_variance(mom)[0] / (d.spin_S / 2.0)
-                        for mom in dicke._oat_band_moments(state0, d.omega_twist, times)]
+        def coherent_xi(times):
+            return [dicke.min_transverse_variance(mom)[0] / (d.spin_S / 2.0)
+                    for mom in moments_at(times)]
 
     def objective(t):
         budget = analytic.noise_budget(d, t, noise)

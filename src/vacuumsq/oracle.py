@@ -286,13 +286,15 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
     ratio = abs(cfg.params.delta) / cfg.params.collective_coupling
     discrepancy = []
     for t, mom in zip(evo.times, evo.moments):
-        if mom.min_transverse_var is None:
+        try:
+            variance, _ = dicke.min_transverse_variance(mom)
+        except PhysicsError as exc:
             tilt = math.atan2(math.hypot(mom.mean_y, mom.mean_z), mom.mean_x)
             raise PhysicsError(
                 f"mean spin tilted {tilt:.3g} rad off the x axis at t={t:.6g} s with "
                 f"Delta/(g sqrt(N)) = {ratio:.3g}: the residual light-shift precession "
-                "leaves no well-defined transverse plane; increase the detuning")
-        xi_full = mom.min_transverse_var / (cfg.spin_S / 2.0)
+                "leaves no well-defined transverse plane; increase the detuning") from exc
+        xi_full = variance / (cfg.spin_S / 2.0)
         xi_model = float(analytic.xi_unitary(d, t).xi)
         rel = abs(xi_full - xi_model) / max(abs(xi_model), 1e-300)
         discrepancy.append({"t_seconds": float(t), "xi_full": float(xi_full),

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from vacuumsq import NoiseModel, SystemParams, derive_params
-from vacuumsq import analytic
+from vacuumsq import NoiseModel, PhysicsError, SystemParams, derive_params
+from vacuumsq import analytic, dicke
 
 
 @pytest.fixture(scope="session")
@@ -42,11 +42,10 @@ def oat_moments(d, t):
 
     Kitagawa & Ueda, PRA 47, 5138 (1993), with A and B as in the
     ``analytic`` module docstring: <Sx> = S cos^(2S-1)(Omega t), var_z =
-    S/2, var_y = S/2 + (S/2)(S - 1/2) A, cross_zy = (S/2)(S - 1/2) B.  The
-    minimal variance and its angle come from ``analytic.xi_unitary``,
-    which also rejects t < 0.
+    S/2, var_y = S/2 + (S/2)(S - 1/2) A, cross_zy = (S/2)(S - 1/2) B.
     """
-    xi, angle = analytic.xi_unitary(d, t)
+    if t < 0:
+        raise PhysicsError("time must be >= 0")
     S = d.spin_S
     x = d.omega_twist * t
     mean_x = S * analytic.cos_pow(x, int(2 * S - 1))
@@ -58,5 +57,35 @@ def oat_moments(d, t):
         var_y = S / 2.0 + 0.5 * S * (S - 0.5) * a
         cross = (S / 2.0) * (S - 0.5) * b
     return analytic.SpinMoments(spin_S=S, mean_x=float(mean_x), mean_y=0.0, mean_z=0.0,
-                                var_z=S / 2.0, var_y=float(var_y), cross_zy=float(cross),
-                                min_transverse_var=(S / 2.0) * xi, optimal_angle=angle)
+                                var_z=S / 2.0, var_y=float(var_y), cross_zy=float(cross))
+
+
+def xi_approx(d, t, detector_efficiency_q=0.0):
+    """Small-decoherence expansion of xi_total, the reference formula.
+
+    The three-term sum 1/(2 S Omega t)^2 + 2(1-q) S g^2 kappa t / Delta^2
+    + 2 Gamma t, whose joint minimum over t and Delta is
+    ``analytic.xi_bound``; it diverges at t = 0.
+    """
+    t = np.asarray(t, dtype=float)
+    S, p = d.spin_S, d.params
+    with np.errstate(divide="ignore"):
+        unitary = 1.0 / (2.0 * S * d.omega_twist * t) ** 2
+    leak = 2.0 * (1.0 - detector_efficiency_q) * S * (d.omega_twist / p.delta) * p.kappa * t
+    return unitary + leak + 2.0 * p.gamma * t
+
+
+def tat_variance_bosonic(d, t):
+    """Minimal variance of rotation-assisted twisting in the bosonic limit.
+
+    var = (S/2) exp(-2 S |Omega| t): the matched rotation squeezes one fixed
+    quadrature exponentially at the collective rate S Omega, while the
+    depletion of the mean spin is small.
+    """
+    return (d.spin_S / 2.0) * np.exp(-2.0 * d.spin_S * abs(d.omega_twist) * t)
+
+
+def xi_numeric(state):
+    """Squeezing parameter of a ladder state: min transverse var / (S/2)."""
+    variance, _ = dicke.min_transverse_variance(dicke.moments(state))
+    return variance / (state.spin_S / 2.0)

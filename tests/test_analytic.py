@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from vacuumsq import NoiseModel, PhysicsError, SystemParams, derive_params
-from vacuumsq import analytic
+from vacuumsq import analytic, dicke
 
-from conftest import oat_moments, small_params
+from conftest import oat_moments, small_params, tat_variance_bosonic, xi_approx
 
 
 def quadrature_variance(mom, phi):
@@ -47,7 +47,7 @@ class TestOatMoments:
         assert m.var_z == m.var_y == 2.0  # S/2
         assert m.cross_zy == 0.0
         assert m.mean_x == 4.0
-        assert m.min_transverse_var == pytest.approx(2.0)
+        assert dicke.min_transverse_variance(m) == (pytest.approx(2.0), 0.0)
 
     def test_single_spin_has_no_cross_term(self):
         d = derive_params(small_params(1))
@@ -107,7 +107,7 @@ class TestXiUnitary:
             at_angle = quadrature_variance(m, angle)
             assert at_angle <= brute + 1e-12
             assert at_angle == pytest.approx(brute, rel=1e-6)
-            assert m.min_transverse_var == pytest.approx(at_angle, rel=1e-12)
+            assert (d.spin_S / 2) * xi == pytest.approx(at_angle, rel=1e-12)
 
     def test_angle_sign_follows_twist_sign(self):
         base = dict(n_atoms=6, coupling_g=2.0, kappa=0.0, gamma=0.0)
@@ -221,26 +221,26 @@ class TestApproxAndBound:
         first = 1.0 / (2 * d.spin_S * d.omega_twist * t) ** 2
         second = 2 * d.spin_S * (d.omega_twist / p.delta) * p.kappa * t
         third = 2 * p.gamma * t
-        assert analytic.xi_approx(d, t) == pytest.approx(first + second + third, rel=1e-14)
-        assert analytic.xi_approx(d, t, 0.9) == pytest.approx(
+        assert xi_approx(d, t) == pytest.approx(first + second + third, rel=1e-14)
+        assert xi_approx(d, t, 0.9) == pytest.approx(
             first + 0.1 * second + third, rel=1e-14)
 
     def test_approx_above_bound(self, fig3a_derived):
         t = np.geomspace(1e-3, 10.0, 200)
         bound = analytic.xi_bound(10_000, 10.0)
-        assert np.all(analytic.xi_approx(fig3a_derived, t) >= bound * (1 - 1e-12))
+        assert np.all(xi_approx(fig3a_derived, t) >= bound * (1 - 1e-12))
 
 
 class TestTatAnalytics:
     def test_bosonic_variance_start(self):
         d = derive_params(small_params(1000))
-        assert analytic.tat_variance_bosonic(d, 0.0) == 250.0
+        assert tat_variance_bosonic(d, 0.0) == 250.0
 
     def test_bosonic_variance_phase_half(self):
         # at collective phase S*Omega*t = 1/2 the variance is (S/2)/e
         d = derive_params(small_params(1000, omega_twist=2.0))
         t = 0.5 / (500.0 * 2.0)
-        assert analytic.tat_variance_bosonic(d, t) == pytest.approx(250.0 / math.e, rel=1e-12)
+        assert tat_variance_bosonic(d, t) == pytest.approx(250.0 / math.e, rel=1e-12)
 
     def test_floor_reference_value(self):
         # 4 sqrt(2) (N eta)^(-1/2) at N eta = 1e5 -> -17.47 dB

@@ -10,7 +10,7 @@ from vacuumsq import NoiseModel, NumericsError, PhysicsError, SystemParams, deri
 from vacuumsq import analytic, cli, dicke, optimize
 from vacuumsq.core import ConfigError, FeasibilityParams
 
-from conftest import small_params
+from conftest import small_params, xi_numeric
 
 # Deterministic example sequences and no example database on disk, so that
 # tier-1 runs are repeatable.
@@ -122,38 +122,42 @@ class TestArrayObjective:
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_guard_rejected_points_skip_the_coherent_kernel(self, monkeypatch, protocol):
-        # records every time point the coherent kernel reduces: Dicke OAT
-        # reduces them on the coherent state's band, TAT one state each
+        # records every time point the coherent kernel reduces, for both protocols
         calls = []
-        if protocol == "oat":
-            band_moments = dicke._oat_band_moments
+        coherent_moments = dicke.coherent_moments
 
-            def counted(state0, omega_twist, times):
-                for t, mom in zip(times, band_moments(state0, omega_twist, times)):
+        def counted(d, protocol):
+            moments_at = coherent_moments(d, protocol)
+
+            def counting(times):
+                for t, mom in zip(times, moments_at(times), strict=True):
                     calls.append(t)
                     yield mom
+            return counting
 
-            monkeypatch.setattr(dicke, "_oat_band_moments", counted)
-        else:
-            xi_numeric = dicke.xi_numeric
-
-            def counted(state):
-                calls.append(state)
-                return xi_numeric(state)
-
-            monkeypatch.setattr(dicke, "xi_numeric", counted)
+        monkeypatch.setattr(dicke, "coherent_moments", counted)
         d = _lossy(100, gamma=20.0, kappa=0.3)
         objective = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)
         values = objective(self.GRID)
         budget = analytic.noise_budget(d, self.GRID, NoiseModel())
         valid = (budget.p_leak <= 0.5) & (budget.p_decay <= 0.5)
         assert 0 < np.sum(valid) < self.GRID.size
-        assert len(calls) == np.sum(valid) == np.sum(np.isfinite(values))
-        if protocol == "oat":
-            assert calls == list(self.GRID[valid])
+        assert np.sum(valid) == np.sum(np.isfinite(values))
+        assert calls == list(self.GRID[valid])
         calls.clear()
         assert objective(self.GRID[-1]) == math.inf
         assert calls == []
+
+    @pytest.mark.parametrize("protocol", ["oat", "tat"])
+    def test_dicke_trace_equals_the_objective_where_the_guard_passes(self, protocol):
+        # squeezing_trace and the optimizer share the coherent kernel; only
+        # the order of adding the noise variance differs
+        d = _lossy(100, gamma=20.0, kappa=0.3)
+        values = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)(self.GRID)
+        valid = np.isfinite(values)
+        assert 0 < np.sum(valid) < self.GRID.size
+        trace = dicke.squeezing_trace(d, self.GRID[valid], NoiseModel(), protocol=protocol)
+        np.testing.assert_allclose(trace.xi_total, values[valid], rtol=1e-12, atol=0.0)
 
     def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_derived, full_noise):
         shapes = []
@@ -225,7 +229,7 @@ class TestProperties:
         # over-twisted regime while the mean spin stays well defined
         d = derive_params(small_params(n))
         t = u / math.sqrt(n)
-        xi_dicke = dicke.xi_numeric(dicke.evolve_oat(dicke.css(n), d.omega_twist, t))
+        xi_dicke = xi_numeric(dicke.evolve_oat(dicke.css(n), d.omega_twist, t))
         assert xi_dicke == pytest.approx(analytic.xi_unitary(d, t).xi, rel=1e-8, abs=1e-12)
 
     @PROPERTY
