@@ -54,7 +54,7 @@ _KNOWN_NOISE = {"free_space", "cavity_leak", "detector_efficiency_q"}
 _KNOWN_GRID = {"start", "stop", "points", "spacing"}
 _KNOWN_OPTIMIZE = {"scan_detuning", "t_max_s", "delta_bracket_hz"}
 _KNOWN_SCALING = {"points", "q", "protocol", "noiseless"}
-_KNOWN_ORACLE = {"photon_cutoff", "delta_over_collective", "n_times"}
+_KNOWN_ORACLE = {"photon_cutoff", "delta_over_collective"}
 _KNOWN_FEAS = {"fsr_hz", "fsr_jitter_hz", "noise_bandwidth_hz", "squeeze_time_s"}
 _KNOWN_OUTPUT = {"csv", "summary"}
 
@@ -78,6 +78,20 @@ def _number(section, key, value):
         float(value)
     except OverflowError:
         raise ConfigError(f"{section}.{key} is too large for a float") from None
+    return value
+
+
+def _integer(section, key, value) -> int:
+    """``value`` as an int if it is an integral JSON number, else ConfigError."""
+    if not float(_number(section, key, value)).is_integer():
+        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _flag(section, key, value) -> bool:
+    """``value`` if it is a JSON boolean, else ConfigError (no truthiness of strings)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{section}.{key} must be true or false, got {value!r}")
     return value
 
 
@@ -121,8 +135,9 @@ def _build_noise(cfg) -> NoiseModel:
     sec = cfg.get("noise", {})
     _require_keys("noise", sec, _KNOWN_NOISE)
     q = _number("noise", "detector_efficiency_q", sec.get("detector_efficiency_q", 0.0))
-    return NoiseModel(include_free_space=bool(sec.get("free_space", True)),
-                      include_cavity_leak=bool(sec.get("cavity_leak", True)),
+    return NoiseModel(include_free_space=_flag("noise", "free_space", sec.get("free_space", True)),
+                      include_cavity_leak=_flag("noise", "cavity_leak",
+                                                sec.get("cavity_leak", True)),
                       detector_efficiency_q=float(q))
 
 
@@ -131,8 +146,8 @@ def _build_time_grid(cfg) -> np.ndarray:
     if sec is None:
         raise ConfigError("this command needs a time_grid section")
     _require_keys("time_grid", sec, _KNOWN_GRID, required=("start", "stop", "points"))
-    start, stop, points = (_number("time_grid", k, sec[k]) for k in ("start", "stop", "points"))
-    start, stop, points = float(start), float(stop), int(points)
+    start, stop = (float(_number("time_grid", k, sec[k])) for k in ("start", "stop"))
+    points = _integer("time_grid", "points", sec["points"])
     spacing = sec.get("spacing", "linear")
     if points < 2:
         raise ConfigError("time_grid.points must be >= 2")
@@ -163,7 +178,7 @@ def _build_optimize(cfg) -> tuple[bool, float | None, tuple | None]:
             raise ConfigError("optimize.delta_bracket_hz must be finite [lo, hi] "
                               f"with 0 < lo < hi, got {bracket!r}")
         bracket = (TWO_PI * lo, TWO_PI * hi)
-    return bool(sec.get("scan_detuning", False)), t_max, bracket
+    return _flag("optimize", "scan_detuning", sec.get("scan_detuning", False)), t_max, bracket
 
 
 def _resolved_config(cfg, command, params: SystemParams) -> dict:
@@ -366,7 +381,7 @@ def cmd_scaling(cfg, outdir):
         raise ConfigError("scaling.points must be a list of [n_atoms, eta] pairs")
     points = [_pair("scaling", "points", point) for point in sec["points"]]
     q = float(_number("scaling", "q", sec.get("q", 0.0)))
-    noise = NoiseModel.none() if sec.get("noiseless", False) \
+    noise = NoiseModel.none() if _flag("scaling", "noiseless", sec.get("noiseless", False)) \
         else NoiseModel(detector_efficiency_q=q)
     scan = optimize.scaling_scan(points, protocol=sec.get("protocol", "oat"),
                                  kappa=params.kappa, gamma=params.gamma, noise=noise)
@@ -389,7 +404,7 @@ def cmd_oracle(cfg, outdir):
     params = _build_system(cfg)
     sec = cfg.get("oracle", {})
     _require_keys("oracle", sec, _KNOWN_ORACLE)
-    cutoff = int(_number("oracle", "photon_cutoff", sec.get("photon_cutoff", 2)))
+    cutoff = _integer("oracle", "photon_cutoff", sec.get("photon_cutoff", 2))
     factor = sec.get("delta_over_collective")
     if factor is not None:
         # Convenience: place the detuning at a multiple of g*sqrt(N).

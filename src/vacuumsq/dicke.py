@@ -6,14 +6,20 @@ dense complex amplitude vector c_m, m = -S..S ascending.  Twisting
 (Omega (S Sx + Sz^2)) is real symmetric tridiagonal and propagated either
 through one spectral decomposition reused across a time grid or, for
 large ladders, through Krylov stepping (``expm_multiply`` picks its own
-sub-steps).  The spectral path multiplies its real eigenvectors only by
-real operands (real and imaginary parts apart) and takes a time grid in
-blocks of 64 columns, one matrix product per block, so its temporaries
-stay below 4 MiB up to ``SPECTRAL_MAX_DIM``.  Both paths must pass a
-norm gate of 1e-9 before the state is renormalized.  One moments kernel,
-:func:`amplitude_moments`, serves ladder vectors and the oracle's joint
-(m, n) amplitude arrays alike.  Its :class:`SpinMoments` holds moments
-only; each consumer reduces them once per point with
+sub-steps).  The spectral path splits the ladder by the reflection
+R|m> = |-m>, which commutes with H: its symmetric and antisymmetric
+sectors are two tridiagonal eigenproblems of about dim/2 each.  On the
+full ladder their spectra interleave into near-degenerate tunnelling
+doublets (gaps below 1e-10 of the spread at dim 2001), which the
+eigensolver must resolve as clusters; within one sector the levels stay
+well separated.  The path multiplies its real eigenvectors only by real
+operands (real and imaginary parts apart) and takes a time grid in
+blocks of 64 columns, one matrix product per sector and block, so its
+temporaries stay below 4 MiB up to ``SPECTRAL_MAX_DIM``.  Both paths
+must pass a norm gate of 1e-9 before the state is renormalized.  One
+moments kernel, :func:`amplitude_moments`, serves ladder vectors and the
+oracle's joint (m, n) amplitude arrays alike.  Its :class:`SpinMoments`
+holds moments only; each consumer reduces them once per point with
 :func:`min_transverse_variance`.  One grid kernel, :func:`coherent_moments`,
 gives the evolved coherent state's moments along a time grid for both
 protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective.
@@ -47,7 +53,9 @@ from . import analytic
 
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
 NORM_DRIFT_GATE = 1e-9  # propagation drift beyond this is an error
-SPECTRAL_MAX_DIM = 4096  # larger ladders use Krylov stepping (memory)
+# Larger ladders use Krylov stepping: the spectral path keeps two real
+# eigenvector blocks of about (dim/2)^2 each, 2 x 33.6 MB at dim 4096.
+SPECTRAL_MAX_DIM = 4096
 _GRID_BLOCK = 64         # time columns per spectral product (temporaries <= 4 MiB)
 
 __all__ = [
@@ -166,19 +174,51 @@ def _sx_offdiag(S: float, m: np.ndarray) -> np.ndarray:
     return 0.5 * np.sqrt((S - m[:-1]) * (S + m[:-1] + 1.0))
 
 
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _parity_sectors(diag: np.ndarray, off: np.ndarray):
+    """The tridiagonal blocks of a ladder matrix on the two sectors of R|m> = |-m>.
+
+    ``diag`` and ``off`` must be invariant under m -> -m, as Omega m^2 and
+    the Sx elements are, so that the matrix commutes with R.  Returns
+    (diag, off) of the symmetric sector, on |0> (integer S) and
+    (|m> + |-m>)/sqrt(2) for m > 0, and of the antisymmetric one, on
+    (|m> - |-m>)/sqrt(2) for m > 0.  For integer S the link of |0> to the
+    m = 1 pair carries a factor sqrt(2); for half-integer S the +-1/2 link
+    becomes +-link on the first diagonal element.
+    """
+    dim = diag.size
+    pos = dim - dim // 2  # index of the lowest level m > 0
+    d_pos, e_pos, link = diag[pos:], off[pos:], off[pos - 1]
+    if dim % 2:
+        return ((np.concatenate(([diag[pos - 1]], d_pos)),
+                 np.concatenate(([math.sqrt(2.0) * link], e_pos))),
+                (d_pos, e_pos))
+    shift = np.zeros_like(d_pos)
+    shift[0] = link
+    return (d_pos + shift, e_pos), (d_pos - shift, e_pos)
+
+
+def _real_product(vecs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """vecs @ z for a real ``vecs`` and complex ``z``, without a complex copy of vecs."""
+    return vecs @ z.real + 1j * (vecs @ z.imag)
+
+
 class TatPropagator:
     """Propagator for H = Omega (S Sx + Sz^2), reusable across a time grid.
 
     Up to dim ``SPECTRAL_MAX_DIM`` it propagates through one tridiagonal
-    eigendecomposition, exact for any t; above, through sparse
-    ``expm_multiply`` (Krylov, which chooses its own sub-steps and stays
-    memory-light for big ladders).  The spectral path multiplies the real
-    eigenvector matrix only by real operands, so it never holds a complex
-    copy of it, and it takes a time grid in blocks of 64 columns, one
-    matrix product each: its complex temporaries stay at
-    dim x 64 x 16 B <= 4 MiB.  :meth:`evolve_grid` returns one gated state
-    per time; norm drift beyond 1e-9 raises, smaller drift is
-    renormalized away.
+    eigendecomposition per reflection sector (see :func:`_parity_sectors`),
+    exact for any t; above, through sparse ``expm_multiply`` (Krylov,
+    which chooses its own sub-steps and stays memory-light for big
+    ladders).  The spectral path keeps the two real eigenvector blocks,
+    of about (dim/2)^2 each, and multiplies them only by real operands,
+    so it never holds a complex copy of them; it takes a time grid in
+    blocks of 64 columns, one matrix product per sector each: its complex
+    temporaries stay at dim x 64 x 16 B <= 4 MiB.  :meth:`evolve_grid`
+    returns one gated state per time; norm drift beyond 1e-9 raises,
+    smaller drift is renormalized away.
     """
 
     def __init__(self, spin_S: float, omega_twist: float):
@@ -190,7 +230,7 @@ class TatPropagator:
         off = omega_twist * spin_S * _sx_offdiag(spin_S, m)
         self.spectral = dim <= SPECTRAL_MAX_DIM
         if self.spectral:
-            self._eigvals, self._eigvecs = eigh_tridiagonal(diag, off)
+            self._sectors = [eigh_tridiagonal(*block) for block in _parity_sectors(diag, off)]
         else:
             self._h = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
 
@@ -201,16 +241,28 @@ class TatPropagator:
     def _spectral(self, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
         """exp(-iHt) amps for every t, as the columns of a (dim, T) array.
 
-        Each product of the real eigenvectors V with a complex operand z is
-        taken as V z.real + i V z.imag, so numpy never upcasts V.
+        The amplitudes are projected once onto the two reflection sectors
+        (see :func:`_parity_sectors`); each sector is rotated in its own
+        eigenbasis, block by block, and the ladder columns are reassembled
+        from the pair.  Each product of real eigenvectors V with a complex
+        operand z is taken as V z.real + i V z.imag, so numpy never
+        upcasts V.
         """
-        vecs = self._eigvecs
-        coeffs = vecs.T @ amps.real + 1j * (vecs.T @ amps.imag)
+        half, pos = amps.size // 2, amps.size - amps.size // 2  # [half:pos] is m = 0, if any
+        upper, lower = amps[pos:], amps[half - 1::-1]  # m > 0 and their mirrors -m
+        parts = (np.concatenate((amps[half:pos], _SQRT_HALF * (upper + lower))),
+                 _SQRT_HALF * (upper - lower))
+        sectors = [(vals, vecs, _real_product(vecs.T, z))
+                   for (vals, vecs), z in zip(self._sectors, parts)]
         out = np.empty((amps.size, times.size), dtype=complex)
         for lo in range(0, times.size, _GRID_BLOCK):
             cols = slice(lo, lo + _GRID_BLOCK)
-            rotated = np.exp(-1j * np.outer(self._eigvals, times[cols])) * coeffs[:, None]
-            out[:, cols] = vecs @ rotated.real + 1j * (vecs @ rotated.imag)
+            sym, anti = (_real_product(vecs, np.exp(-1j * np.outer(vals, times[cols]))
+                                       * coeffs[:, None])
+                         for vals, vecs, coeffs in sectors)
+            out[half:pos, cols] = sym[:pos - half]
+            out[pos:, cols] = _SQRT_HALF * (sym[pos - half:] + anti)
+            out[half - 1::-1, cols] = _SQRT_HALF * (sym[pos - half:] - anti)
         return out
 
     def _krylov_step(self, amps, dt):

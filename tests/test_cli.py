@@ -14,6 +14,7 @@ BASE = {
     "scaling": {"system": SYSTEM,
                 "scaling": {"points": [[100, 1.0], [1_000, 1.0], [10_000, 1.0]]}},
     "validate": {"system": SYSTEM},
+    "oracle": {"system": SYSTEM | {"n_atoms": 4}, "oracle": {"delta_over_collective": 60.0}},
 }
 
 
@@ -64,6 +65,18 @@ MALFORMED = [
     pytest.param("validate", {"system__delta_hz": 10**400}, id="validate-delta-huge-int"),
     pytest.param("scaling", {"noise": {"free_space": False, "cavity_leak": False}},
                  id="scaling-noise-section"),
+    pytest.param("evolve", {"noise": {"free_space": "false"}}, id="evolve-free_space-string"),
+    pytest.param("evolve", {"noise": {"cavity_leak": 0}}, id="evolve-cavity_leak-int"),
+    pytest.param("validate", {"noise": {"free_space": None}}, id="validate-free_space-null"),
+    pytest.param("optimize", {"optimize": {"scan_detuning": "no"}},
+                 id="optimize-scan_detuning-string"),
+    pytest.param("validate", {"optimize": {"scan_detuning": 1}}, id="validate-scan_detuning-int"),
+    pytest.param("scaling", {"scaling__noiseless": "true"}, id="scaling-noiseless-string"),
+    pytest.param("evolve", {"time_grid__points": 2.7}, id="evolve-points-fractional"),
+    pytest.param("evolve", {"time_grid__points": float("nan")}, id="evolve-points-nan"),
+    pytest.param("oracle", {"oracle__photon_cutoff": 2.9}, id="oracle-cutoff-fractional"),
+    pytest.param("oracle", {"oracle__photon_cutoff": True}, id="oracle-cutoff-bool"),
+    pytest.param("oracle", {"oracle__n_times": 7}, id="oracle-n_times-unknown"),
 ]
 
 
@@ -87,6 +100,14 @@ def test_ok_exits_0_and_lists_artifacts(tmp_path, capsys):
                             "resolved_config", "derived", "model_tier", "protocol",
                             "grid_minimum", "bounds", "artifacts"}
     assert (summary["model_tier"], summary["protocol"]) == ("analytic", "oat")
+
+
+def test_integral_float_count_reads_as_the_integer(tmp_path):
+    assert run(tmp_path, "evolve", config("evolve"), out=tmp_path / "a") == 0
+    cfg = config("evolve", time_grid=GRID | {"points": 5.0})
+    assert run(tmp_path, "evolve", cfg, out=tmp_path / "b") == 0
+    csv_a, csv_b = ((tmp_path / out / "evolve.csv").read_text() for out in "ab")
+    assert csv_a == csv_b and len(csv_a.splitlines()) == 1 + 5
 
 
 def test_physics_error_exits_3(tmp_path, capsys):

@@ -242,6 +242,33 @@ class TestEvolveTat:
     def test_empty_grid(self):
         assert dicke.TatPropagator(4.0, 0.5).evolve_grid(dicke.css(8), []) == []
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 19, 20])
+    def test_random_start_matches_dense_expm_in_both_sectors(self, n, rng):
+        # odd n is half-integer S, where the +-1/2 link sits on the sector diagonals
+        S, omega = n / 2, 0.37
+        sx, _, sz = dense_operators(S)
+        h = omega * (S * sx + sz @ sz)
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        st = dicke.DickeState(S, amps / np.linalg.norm(amps))
+        sym, anti = st.amplitudes + st.amplitudes[::-1], st.amplitudes - st.amplitudes[::-1]
+        assert min(np.linalg.norm(sym), np.linalg.norm(anti)) > 0.3
+        times = [0.0, 0.05, 0.214, 1.7]
+        for t, out in zip(times, dicke.TatPropagator(S, omega).evolve_grid(st, times)):
+            want = expm(-1j * h * t) @ st.amplitudes
+            assert out.amplitudes == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [19, 20])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_reflection_parity_is_kept_across_column_blocks(self, n, sign, rng):
+        # R|m> = |-m> commutes with H, so an R eigenstate stays one at every t
+        S = n / 2
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        amps = amps + sign * amps[::-1]
+        st = dicke.DickeState(S, amps / np.linalg.norm(amps))
+        times = np.linspace(0.0, 3.0, 150)
+        for out in dicke.TatPropagator(S, 0.37).evolve_grid(st, times):
+            assert out.amplitudes[::-1] == pytest.approx(sign * out.amplitudes, abs=1e-13)
+
     def test_krylov_agrees_with_spectral(self, monkeypatch):
         # dim 61 is spectral; lowering the size limit below it forces Krylov
         n, omega, t = 60, 0.21, 0.8
