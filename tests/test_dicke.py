@@ -243,11 +243,12 @@ class TestEvolveTat:
         assert dicke.TatPropagator(4.0, 0.5).evolve_grid(dicke.css(8), []) == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 19, 20])
-    def test_random_start_matches_dense_expm_in_both_sectors(self, n, rng):
+    def test_random_start_matches_dense_expm_in_both_sectors(self, n):
         # odd n is half-integer S, where the +-1/2 link sits on the sector diagonals
         S, omega = n / 2, 0.37
         sx, _, sz = dense_operators(S)
         h = omega * (S * sx + sz @ sz)
+        rng = np.random.default_rng(n)
         amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         st = dicke.DickeState(S, amps / np.linalg.norm(amps))
         sym, anti = st.amplitudes + st.amplitudes[::-1], st.amplitudes - st.amplitudes[::-1]
@@ -259,9 +260,10 @@ class TestEvolveTat:
 
     @pytest.mark.parametrize("n", [19, 20])
     @pytest.mark.parametrize("sign", [1, -1])
-    def test_reflection_parity_is_kept_across_column_blocks(self, n, sign, rng):
+    def test_reflection_parity_is_kept_across_column_blocks(self, n, sign):
         # R|m> = |-m> commutes with H, so an R eigenstate stays one at every t
         S = n / 2
+        rng = np.random.default_rng(n)
         amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         amps = amps + sign * amps[::-1]
         st = dicke.DickeState(S, amps / np.linalg.norm(amps))
