@@ -190,8 +190,7 @@ def noise_budget(d: DerivedParams, t, noise: NoiseModel) -> NoiseBudget:
     p_leak = np.zeros_like(t_arr, dtype=float)
     p_decay = np.zeros_like(t_arr, dtype=float)
     if noise.include_cavity_leak and p.kappa > 0:
-        rate = S * (d.omega_twist / p.delta) * p.kappa  # = S g^2 kappa / Delta^2
-        p_leak = np.tanh((1.0 - noise.detector_efficiency_q) * rate * t_arr)
+        p_leak = np.tanh((1.0 - noise.detector_efficiency_q) * d.leak_rate * t_arr)
         added = added + S * p_leak * (1.0 - p_leak)
     if noise.include_free_space and p.gamma > 0:
         survival = np.exp(-p.gamma * t_arr)

@@ -126,9 +126,9 @@ def _build_system(cfg) -> SystemParams:
     _require_keys("system", num, _KNOWN_SYSTEM,
                   required=("n_atoms", "kappa_hz", "gamma_hz", "delta_hz"))
     return SystemParams.from_frequencies(
-        num["n_atoms"], kappa_hz=num["kappa_hz"], gamma_hz=num["gamma_hz"],
-        delta_hz=num["delta_hz"], g_hz=num.get("g_hz"), eta=num.get("eta"),
-        omega0_hz=num.get("omega0_hz"))
+        _integer("system", "n_atoms", num["n_atoms"]), kappa_hz=num["kappa_hz"],
+        gamma_hz=num["gamma_hz"], delta_hz=num["delta_hz"], g_hz=num.get("g_hz"),
+        eta=num.get("eta"), omega0_hz=num.get("omega0_hz"))
 
 
 def _build_noise(cfg) -> NoiseModel:
@@ -179,6 +179,16 @@ def _build_optimize(cfg) -> tuple[bool, float | None, tuple | None]:
                               f"with 0 < lo < hi, got {bracket!r}")
         bracket = (TWO_PI * lo, TWO_PI * hi)
     return _flag("optimize", "scan_detuning", sec.get("scan_detuning", False)), t_max, bracket
+
+
+def _build_output(cfg) -> dict:
+    """The output section: file names that override a command's defaults."""
+    sec = cfg.get("output", {})
+    _require_keys("output", sec, _KNOWN_OUTPUT)
+    for key, name in sec.items():
+        if not (isinstance(name, str) and name):
+            raise ConfigError(f"output.{key} must be a non-empty file name, got {name!r}")
+    return sec
 
 
 def _resolved_config(cfg, command, params: SystemParams) -> dict:
@@ -260,8 +270,7 @@ def _write_artifacts(cfg, command, params, outdir, body, table=None, derived=Tru
     ``derived`` is False) and, next to a CSV, its file name under
     ``artifacts``.  Returns the written paths, CSV first.
     """
-    output = cfg.get("output", {})
-    _require_keys("output", output, _KNOWN_OUTPUT)
+    output = _build_output(cfg)
     csv_name, summary_name = _OUTPUT_NAMES[command]
     summary = {"schema_version": SCHEMA_VERSION, "command": command,
                "package_version": __version__,
@@ -379,7 +388,8 @@ def cmd_scaling(cfg, outdir):
     _require_keys("scaling", sec, _KNOWN_SCALING, required=("points",))
     if not isinstance(sec["points"], list):
         raise ConfigError("scaling.points must be a list of [n_atoms, eta] pairs")
-    points = [_pair("scaling", "points", point) for point in sec["points"]]
+    points = [(_integer("scaling", f"points[{i}][0]", n), eta) for i, (n, eta)
+              in enumerate(_pair("scaling", "points", point) for point in sec["points"])]
     q = float(_number("scaling", "q", sec.get("q", 0.0)))
     noise = NoiseModel.none() if _flag("scaling", "noiseless", sec.get("noiseless", False)) \
         else NoiseModel(detector_efficiency_q=q)
@@ -447,6 +457,7 @@ def cmd_validate(cfg, outdir):
         _build_time_grid(cfg)
     if "optimize" in cfg:
         _build_optimize(cfg)
+    _build_output(cfg)
     diagnostics = {
         "schema_version": SCHEMA_VERSION,
         "valid": True,

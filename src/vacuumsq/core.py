@@ -164,14 +164,19 @@ class DerivedParams:
     """Quantities derived from :class:`SystemParams`.
 
     spin_S = N/2 (half-integer for odd N), eta = 4 g^2/(Gamma kappa),
-    omega_twist = g^2/delta (sign follows delta).  The source params are
-    carried along because the decoherence formulas need kappa, gamma and
-    delta next to S and omega_twist.
+    omega_twist = g^2/delta (sign follows delta), leak_rate = S (Omega/delta)
+    kappa = S g^2 kappa/delta^2, the cavity-leak exposure rate before
+    detector efficiency.  The detuning enters the physics only through
+    omega_twist and leak_rate; the source params are carried along for
+    N, kappa and gamma.  The optimizer batches detunings as one instance
+    whose omega_twist and leak_rate are (L, 1) columns, one row per
+    detuning, with the params of the first.
     """
 
     spin_S: float
     eta: float
     omega_twist: float
+    leak_rate: float
     params: SystemParams
 
 
@@ -185,10 +190,13 @@ def derive_params(p: SystemParams) -> DerivedParams:
         raise PhysicsError("delta must be nonzero")
     loss = p.gamma * p.kappa
     eta = math.inf if loss == 0 else 4.0 * p.coupling_g ** 2 / loss
+    spin_S = p.n_atoms / 2.0
+    omega_twist = p.coupling_g ** 2 / p.delta
     return DerivedParams(
-        spin_S=p.n_atoms / 2.0,
+        spin_S=spin_S,
         eta=eta,
-        omega_twist=p.coupling_g ** 2 / p.delta,
+        omega_twist=omega_twist,
+        leak_rate=spin_S * (omega_twist / p.delta) * p.kappa,
         params=p,
     )
 

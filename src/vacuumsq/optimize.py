@@ -3,10 +3,13 @@
 Objectives are smooth and unimodal in the regime where the additive
 decoherence model is meaningful, so minimization is a coarse logarithmic
 grid followed by golden-section refinement, on log(t) and log(Delta).
-The squeezing objective takes a whole time array, so each coarse time
-grid is one array call; the golden-section refinement calls it with
-scalars.  The detuning grid is evaluated point by point, one optimal time
-per detuning.
+The time optimizer works on lanes, one per detuning: the squeezing
+objective takes every lane's coarse time grid as one (lanes x points)
+array call, and the golden-section refinement steps all lanes in
+lockstep, one call per step.  ``optimal_detuning`` solves its whole
+coarse detuning grid that way; ``optimal_time`` is the one-lane case,
+which calls the objective with scalars, as does the outer refinement of
+the detuning, one ``optimal_time`` per candidate.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
 faithful error measure once its exposure p passes 1/2 (the variance then
@@ -20,7 +23,7 @@ the closed-form floor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +39,11 @@ __all__ = [
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The refinement maps between x and log(x) with libm's exp and log, element
+# by element: numpy's vectorized exp and log differ from them in the last
+# bit for some inputs, which would move refined optima by an ulp.
+_exp = np.vectorize(math.exp, otypes=[float])
+_log = np.vectorize(math.log, otypes=[float])
 MAX_EXPOSURE = 0.5  # binomial noise exposures beyond this are unphysical
 TIME_GRID_POINTS = 240      # coarse log grid of optimal_time
 DETUNING_GRID_POINTS = 96   # coarse log grid of optimal_detuning
@@ -84,29 +92,79 @@ class FeasibilityReport:
     fractional_accuracy: float | None = None
 
 
-def golden_section(f, lo: float, hi: float, rel_tol: float = REL_TOL):
-    """Deterministic golden-section minimum of f on [lo, hi] (linear axis)."""
-    if not (hi > lo):
+def golden_section(f, lo, hi, rel_tol: float = REL_TOL):
+    """Deterministic golden-section minima of f on [lo, hi] (linear axis), lane-wise.
+
+    ``lo`` and ``hi`` are scalars or arrays of one shape, one lane per
+    element, and ``f`` maps an array of that shape to the values there.
+    Each lane takes its own number of iterations, set by its bracket and
+    ``rel_tol``, and its own fc <= fd choice.  The lanes step in lockstep,
+    one call of ``f`` per step; a lane whose iterations are spent, or whose
+    bracket is NaN, is passed NaN and keeps its result (NaN for a NaN
+    bracket).  Every lane equals the one-lane search bitwise.  Returns
+    (x, f(x)), as floats for scalar brackets.
+    """
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    if np.any(hi <= lo):
         raise ValueError("need hi > lo")
     span = hi - lo
-    scale = max(abs(lo), abs(hi))
-    n_iter = max(0, math.ceil(math.log(rel_tol * scale / span) / math.log(_INV_GOLDEN))) \
-        if span > rel_tol * scale else 0
+    tol = rel_tol * np.maximum(np.abs(lo), np.abs(hi))
+    n_iter = np.where(span > tol, np.ceil(_log(tol / span) / math.log(_INV_GOLDEN)), 0)
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(n_iter):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = c if fc <= fd else d
-    return (x, fc) if fc <= fd else (x, fd)
+    fc, fd = np.asarray(f(c), dtype=float), np.asarray(f(d), dtype=float)
+    for k in range(int(n_iter.max(initial=0))):
+        step = k < n_iter
+        left = step & (fc <= fd)  # the minimum lies in [a, d]: drop (d, b]
+        right = step & ~(fc <= fd)  # it lies in [c, b]: drop [a, c)
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d = np.where(right, d, c), np.where(left, c, d)
+        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
+        x = np.where(left, b - _INV_GOLDEN * (b - a),
+                     np.where(right, a + _INV_GOLDEN * (b - a), math.nan))
+        fx = np.asarray(f(x), dtype=float)
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+    better = fc <= fd
+    x, fx = np.where(better, c, d), np.where(better, fc, fd)
+    return (float(x), float(fx)) if x.ndim == 0 else (x, fx)
+
+
+def _minimize_lanes(f, grid, values, rel_tol: float):
+    """:func:`minimize_on_log_axis` on L lanes at once.
+
+    ``grid`` and ``values`` are (L, K), one lane per row; ``f`` maps an
+    (L, 1) column of x to the (L, 1) values there, and is passed NaN in
+    the rows that take no step (see :func:`golden_section`).  Each lane is
+    bracketed, refined and flagged on its own, and equals the one-lane
+    search bitwise.  Returns the (L,) arrays x and f(x) and the list of
+    the L edges.
+    """
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 2 or grid.shape[1] < 3 or not (np.all(grid[:, 0] > 0)
+                                                   and np.all(np.diff(grid) > 0)):
+        raise ValueError("need an ascending grid of at least 3 points > 0")
+    if values.shape != grid.shape:
+        raise ValueError("need one value per grid point")
+    if not np.all(np.any(np.isfinite(values), axis=1)):
+        raise NumericsError("objective is invalid across the whole bracket")
+    rows, last = np.arange(grid.shape[0]), grid.shape[1] - 1
+    i = np.argmin(values, axis=1)
+    x, val = grid[rows, i], values[rows, i]
+    interior = (i > 0) & (i < last)
+    if np.any(interior):
+        j = np.clip(i, 1, last - 1)  # edge lanes take no step: a NaN bracket
+        lo = np.where(interior, _log(grid[rows, j - 1]), math.nan)
+        hi = np.where(interior, _log(grid[rows, j + 1]), math.nan)
+        log_x, log_val = golden_section(lambda u: f(_exp(u)), lo[:, None], hi[:, None],
+                                        rel_tol=rel_tol)
+        refined = interior & ~(val < log_val[:, 0])  # keep the better of grid point and refinement
+        x = np.where(refined, _exp(log_x[:, 0]), x)
+        val = np.where(refined, log_val[:, 0], val)
+    edges = ["lower" if k == 0 else "upper" if k == last else None for k in i]
+    return x, val, edges
 
 
 def minimize_on_log_axis(f, grid, values, rel_tol: float):
@@ -114,61 +172,57 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
 
     ``grid`` is ascending, > 0 and at least 3 points long; ``values`` holds
     the objective on it, which the caller evaluates in one array call where
-    the objective takes arrays.  ``f`` is called with scalars only, by the
-    golden-section refinement on log(x) between the argmin's neighbors.
-    Returns (x, f(x), edge) where edge is None, "lower" or "upper" --
-    an edge argmin means the objective is monotone (or invalid) across the
-    bracket and is reported distinctly rather than refined.
+    the objective takes arrays.  ``f`` is called with Python scalars only,
+    by the golden-section refinement on log(x) between the argmin's
+    neighbors.  Returns (x, f(x), edge) where edge is None, "lower" or
+    "upper" -- an edge argmin means the objective is monotone (or invalid)
+    across the bracket and is reported distinctly rather than refined.
+    This is the one-lane case of the lane solver that ``optimal_detuning``
+    runs on its detuning grid.
     """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or grid.size < 3 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
-        raise ValueError("need an ascending grid of at least 3 points > 0")
-    if values.shape != grid.shape:
-        raise ValueError("need one value per grid point")
-    if not np.any(np.isfinite(values)):
-        raise NumericsError("objective is invalid across the whole bracket")
-    i = int(np.argmin(values))
-    if i == 0:
-        return float(grid[0]), float(values[0]), "lower"
-    if i == grid.size - 1:
-        return float(grid[-1]), float(values[-1]), "upper"
-    log_x, log_val = golden_section(lambda u: f(math.exp(u)),
-                                    math.log(grid[i - 1]), math.log(grid[i + 1]),
-                                    rel_tol=rel_tol)
-    x, val = math.exp(log_x), log_val
-    if values[i] < val:  # keep the better of grid point and refinement
-        x, val = float(grid[i]), float(values[i])
-    return x, val, None
+    x, val, (edge,) = _minimize_lanes(lambda x: np.full(x.shape, f(x.item())),
+                                      np.asarray(grid, dtype=float)[None],
+                                      np.asarray(values, dtype=float)[None], rel_tol)
+    return float(x[0]), float(val[0]), edge
 
 
-def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str):
-    """xi_total(t) for a scalar t or an ascending time array, +inf when invalid.
+def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
+    """xi_total(t) on a list of lanes, +inf where invalid.
 
-    The noise budget is evaluated on all of t at once.  Its exposures guard
-    the validity regime point by point, and its variance is added to the
-    coherent xi, which is computed only where the guard passes.  Both
-    exposures grow with t, so on an ascending array those points are an
-    ascending prefix, which the Dicke tier reduces in one call of its
-    ``dicke.coherent_moments`` kernel, the path of ``dicke.squeezing_trace``.
-    A scalar t gives a float, an array t an array.
+    ``lanes`` holds one DerivedParams per lane, alike but for the detuning.
+    One lane takes a scalar t (giving a float) or a time array; L lanes
+    take an (L, k) array, one row per lane.  The noise budget is evaluated
+    on all of t at once, with the L lanes as one DerivedParams whose
+    omega_twist and leak_rate are (L, 1) columns.  Its exposures guard the
+    validity regime point by point, and its variance is added to the
+    coherent xi, which is computed only where the guard passes (a NaN time
+    never does).  Both exposures grow with t, so in an ascending row those
+    points are an ascending prefix, which the Dicke tier reduces in one
+    call of the lane's own ``dicke.coherent_moments`` kernel, the path of
+    ``dicke.squeezing_trace``.
     """
+    d = lanes[0] if len(lanes) == 1 else replace(
+        lanes[0], omega_twist=np.array([[lane.omega_twist] for lane in lanes]),
+        leak_rate=np.array([[lane.leak_rate] for lane in lanes]))
+    half_S = d.spin_S / 2.0
     if tier == "analytic":
-        def coherent_xi(times):
-            return analytic.xi_unitary(d, times).xi
+        def coherent_xi(times, valid):
+            at_valid = replace(d, omega_twist=np.broadcast_to(d.omega_twist, times.shape)[valid])
+            return analytic.xi_unitary(at_valid, times[valid]).xi
     else:
-        moments_at = dicke.coherent_moments(d, protocol)
+        kernels = [dicke.coherent_moments(lane, protocol) for lane in lanes]
 
-        def coherent_xi(times):
-            return [dicke.min_transverse_variance(mom)[0] / (d.spin_S / 2.0)
-                    for mom in moments_at(times)]
+        def coherent_xi(times, valid):
+            rows = zip(kernels, times.reshape(len(lanes), -1), valid.reshape(len(lanes), -1))
+            return [dicke.min_transverse_variance(mom)[0] / half_S
+                    for kernel, row, ok in rows if ok.any() for mom in kernel(row[ok])]
 
     def objective(t):
+        t = np.asarray(t, dtype=float)
         budget = analytic.noise_budget(d, t, noise)
-        valid = (budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE)
-        xi = np.full(np.shape(t), math.inf)
-        xi[valid] = (coherent_xi(np.asarray(t, dtype=float)[valid])
-                     + np.asarray(budget.added_var)[valid] / (d.spin_S / 2.0))
+        valid = np.asarray((budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE))
+        xi = np.full(t.shape, math.inf)
+        xi[valid] = coherent_xi(t, valid) + np.asarray(budget.added_var)[valid] / half_S
         return xi if xi.ndim else float(xi)
     return objective
 
@@ -189,6 +243,37 @@ def _edge_flags(edge, label):
     return () if edge is None else (f"{label}_{edge}_edge",)
 
 
+def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max, minimize):
+    """The optimal time of every lane in one solve: (t_opt, xi_min, edges, t_max).
+
+    Each lane's coarse time grid spans [t_max * 1e-8, t_max], all of them
+    in one array call of the objective; ``minimize`` refines them, as
+    :func:`_minimize_lanes` does.  The half-floor check applies per lane.
+    """
+    objective = _xi_objective(lanes, noise, tier, protocol)
+    if t_max is None:
+        gamma = lanes[0].params.gamma
+        tops = np.array([10.0 / gamma if gamma > 0 else math.pi / (2.0 * abs(d.omega_twist))
+                         for d in lanes])
+    else:
+        tops = np.full(len(lanes), float(t_max))
+    grid = np.geomspace(tops * 1e-8, tops, TIME_GRID_POINTS, axis=1)
+    t_opt, xi_min, edges = minimize(objective, grid, objective(grid), REL_TOL)
+    floor = _floor_value(lanes[0], noise, protocol)
+    below = [] if floor is None else [float(xi) for xi in xi_min if xi < 0.5 * floor]
+    if below:
+        raise NumericsError(
+            f"xi_min={below[0]!r} is below half the closed-form floor {floor!r}; "
+            "the optimizer left the additive-noise validity regime")
+    return t_opt, xi_min, edges, tops
+
+
+def _one_lane(f, grid, values, rel_tol):
+    """:func:`minimize_on_log_axis` behind the lane solver's interface, for one lane."""
+    x, val, edge = minimize_on_log_axis(f, grid[0], values[0], rel_tol)
+    return [x], [val], [edge]
+
+
 def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
                  protocol: str = "oat", t_max: float | None = None) -> OptimizationResult:
     """Minimize xi_total over t in (0, t_max].
@@ -198,25 +283,23 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
     inputs give bit-identical results.  ``tier``/``protocol`` are checked
     by :func:`core.resolve_tier`.  A result more than 2x below the
     closed-form floor signals the optimizer escaped the model's validity
-    regime.
+    regime.  This is the one-lane solve of ``optimal_detuning``'s grid,
+    refined with scalar calls of the objective.
     """
     tier, protocol = resolve_tier(tier, protocol)
-    if t_max is None:
-        gamma = d.params.gamma
-        t_max = 10.0 / gamma if gamma > 0 else math.pi / (2.0 * abs(d.omega_twist))
-    objective = _xi_objective(d, noise, tier, protocol)
-    grid = np.geomspace(t_max * 1e-8, t_max, TIME_GRID_POINTS)
-    t_opt, xi_min, edge = minimize_on_log_axis(objective, grid, objective(grid), REL_TOL)
-    floor = _floor_value(d, noise, protocol)
-    if floor is not None and xi_min < 0.5 * floor:
-        raise NumericsError(
-            f"xi_min={xi_min!r} is below half the closed-form floor {floor!r}; "
-            "the optimizer left the additive-noise validity regime")
+    (t_opt,), (xi_min,), (edge,), (top,) = _optimal_times([d], noise, tier, protocol, t_max,
+                                                          _one_lane)
     return OptimizationResult(t_opt=t_opt, xi_min=xi_min,
                               xi_min_db=float(analytic.to_db(xi_min)),
                               model_tier=tier, protocol=protocol,
-                              bracket_t=(t_max * 1e-8, t_max),
+                              bracket_t=(float(top * 1e-8), float(top)),
                               flags=_edge_flags(edge, "time"))
+
+
+# A Dicke lane holds its own coherent_moments kernel, up to about 4 dim^2
+# bytes (the two eigenvector blocks of a TatPropagator), so the detuning
+# grid's Dicke lanes are solved in batches whose kernels hold at most this.
+_DICKE_BATCH_BYTES = 64 * 2 ** 20
 
 
 def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int,
@@ -226,8 +309,10 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     """Nested minimization of xi over (Delta, t) at fixed g, kappa, Gamma, N.
 
     Scans Delta > 0 on [kappa, 1e4 kappa] by default (xi is even in the
-    sign of Delta).  Each candidate detuning is solved for its optimal
-    time; the outer golden section then refines the detuning.
+    sign of Delta).  The optimal times of the coarse detuning grid are one
+    lane-batched solve, one lane per detuning (the Dicke tier in batches
+    sized by its kernels' memory); the outer golden section then refines
+    the detuning, with one ``optimal_time`` per candidate.
     """
     tier, protocol = resolve_tier(tier, protocol)
     if bracket is None:
@@ -237,18 +322,22 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     if not (0 < bracket[0] < bracket[1]):
         raise ValueError(f"need a detuning bracket with 0 < lo < hi, got {bracket!r}")
 
-    def solve_at(delta):
-        params = SystemParams(n_atoms=n_atoms, coupling_g=coupling_g, kappa=kappa,
-                              gamma=gamma, delta=delta)
-        return optimal_time(derive_params(params), noise, tier=tier, protocol=protocol,
-                            t_max=t_max)
+    def lane(delta):
+        return derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g,
+                                          kappa=kappa, gamma=gamma, delta=delta))
 
-    def outer(delta):
-        return solve_at(delta).xi_min
+    def solve_at(delta):
+        return optimal_time(lane(delta), noise, tier=tier, protocol=protocol, t_max=t_max)
 
     grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
-    delta_opt, _, edge = minimize_on_log_axis(outer, grid, [outer(x) for x in grid],
-                                              REL_TOL)
+    lanes = [lane(delta) for delta in grid]
+    batch = (max(1, _DICKE_BATCH_BYTES // (4 * (n_atoms + 1) ** 2)) if tier == "dicke"
+             else len(lanes))
+    values = np.concatenate([
+        _optimal_times(lanes[k:k + batch], noise, tier, protocol, t_max, _minimize_lanes)[1]
+        for k in range(0, len(lanes), batch)])
+    delta_opt, _, edge = minimize_on_log_axis(lambda delta: solve_at(delta).xi_min, grid,
+                                              values, REL_TOL)
     inner = solve_at(delta_opt)
     return OptimizationResult(t_opt=inner.t_opt, xi_min=inner.xi_min,
                               xi_min_db=inner.xi_min_db, model_tier=inner.model_tier,

@@ -77,6 +77,15 @@ MALFORMED = [
     pytest.param("oracle", {"oracle__photon_cutoff": 2.9}, id="oracle-cutoff-fractional"),
     pytest.param("oracle", {"oracle__photon_cutoff": True}, id="oracle-cutoff-bool"),
     pytest.param("oracle", {"oracle__n_times": 7}, id="oracle-n_times-unknown"),
+    pytest.param("validate", {"system__n_atoms": 100.5}, id="validate-n_atoms-fractional"),
+    pytest.param("evolve", {"system__n_atoms": 100.5}, id="evolve-n_atoms-fractional"),
+    pytest.param("scaling", {"scaling__points": [[1000.7, 10.0], [10_000, 10.0],
+                                                 [100_000, 10.0]]},
+                 id="scaling-point-atoms-fractional"),
+    pytest.param("evolve", {"output": {"csv": 5}}, id="evolve-output-csv-int"),
+    pytest.param("optimize", {"output": {"summary": None}}, id="optimize-output-summary-null"),
+    pytest.param("evolve", {"output": {"summary": ""}}, id="evolve-output-summary-empty"),
+    pytest.param("validate", {"output": {"csv": ["a.csv"]}}, id="validate-output-csv-list"),
 ]
 
 
@@ -108,6 +117,19 @@ def test_integral_float_count_reads_as_the_integer(tmp_path):
     assert run(tmp_path, "evolve", cfg, out=tmp_path / "b") == 0
     csv_a, csv_b = ((tmp_path / out / "evolve.csv").read_text() for out in "ab")
     assert csv_a == csv_b and len(csv_a.splitlines()) == 1 + 5
+
+
+def test_integral_float_atom_counts_read_as_integers(tmp_path):
+    # n_atoms 100.0 and a scaling point [1000.0, 1.0] are the integers 100 and 1000
+    assert run(tmp_path, "evolve", config("evolve"), out=tmp_path / "a") == 0
+    assert run(tmp_path, "evolve", config("evolve", system__n_atoms=100.0),
+               out=tmp_path / "b") == 0
+    csv_a, csv_b = ((tmp_path / out / "evolve.csv").read_text() for out in "ab")
+    assert csv_a == csv_b
+    points = [[1000.0, 1.0], [10_000, 1.0], [100_000, 1.0]]
+    assert run(tmp_path, "scaling", config("scaling", scaling__points=points)) == 0
+    rows = json.loads((tmp_path / "out" / "scaling_summary.json").read_text())["points"]
+    assert [row["n_atoms"] for row in rows] == [1000, 10_000, 100_000]
 
 
 def test_physics_error_exits_3(tmp_path, capsys):

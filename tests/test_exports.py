@@ -1,8 +1,12 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -13,10 +17,12 @@ MODULES = ["vacuumsq"] + [f"vacuumsq.{info.name}"
                           for info in pkgutil.iter_modules(vacuumsq.__path__)]
 
 
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
 def _tracer():
     """perfbench/tracer.py, loaded by path (perfbench is not a package)."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
@@ -57,3 +63,42 @@ def test_every_exported_name_has_a_program_caller():
               for export in getattr(importlib.import_module(name), "__all__", ())
               if export not in loaded and f"{name}.{export}" not in patched]
     assert unused == []
+
+
+# Runs in a fresh interpreter, because install() replaces module attributes
+# for the rest of the process: loads the tracer by path, installs it, runs
+# the CLI command in argv and prints its exit code and the tracer's counters.
+_TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+run = tracer.Tracer()
+tracer.install(run)
+from vacuumsq import cli
+code = cli.main(sys.argv[2:])
+print(json.dumps({"exit": code, "counters": dict(run.counters)}))
+"""
+
+
+def test_traced_detuning_scan_runs(tmp_path):
+    # the tracer's counting objective calls math.isfinite on every value, so
+    # an array reaching the objective that minimize_on_log_axis receives
+    # fails the traced benchmark run
+    config = {"schema_version": 1,
+              "system": {"n_atoms": 1000, "eta": 10.0, "kappa_hz": 1e5, "gamma_hz": 7e-3,
+                         "delta_hz": 11.2e6},
+              "optimize": {"scan_detuning": True}}
+    path = tmp_path / "optimize.json"
+    path.write_text(json.dumps(config))
+    src = str(pathlib.Path(vacuumsq.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(TRACER), "optimize",
+                           "--config", str(path), "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=300, check=False)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["exit"] == 0, done.stderr
+    counters = result["counters"]
+    assert counters["optimize.detuning_evals"] > 0 and counters["optimize.time_evals"] > 0

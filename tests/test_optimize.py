@@ -35,6 +35,48 @@ class TestGoldenSection:
         with pytest.raises(ValueError):
             optimize.golden_section(lambda x: x, 2.0, 2.0)
 
+    # brackets of different widths and scales take different iteration counts
+    LO = np.array([1.0, 100.0, -3.0, 1e-3, 0.5])
+    HI = np.array([5.0, 100.5, 7.0, 2.0, 0.5 + 1e-4])
+    CENTER = np.array([3.0, 100.2, 6.5, 1e-3, 0.5])
+
+    def test_lanes_equal_one_lane_calls_bitwise(self):
+        shapes, steps = [], []
+
+        def lanes_f(x):
+            shapes.append(np.shape(x))
+            return np.cos(x - self.CENTER) * -1.0 + (x - self.CENTER) ** 2
+
+        x, fx = optimize.golden_section(lanes_f, self.LO, self.HI, rel_tol=1e-6)
+        for k, (lo, hi, center) in enumerate(zip(self.LO, self.HI, self.CENTER)):
+            calls = []
+
+            def f(u):
+                calls.append(u)
+                return math.cos(u - center) * -1.0 + (u - center) ** 2
+
+            x1, fx1 = optimize.golden_section(f, lo, hi, rel_tol=1e-6)
+            assert (x[k], fx[k]) == (x1, fx1), k
+            steps.append(len(calls))
+        assert len(set(steps)) > 2
+        assert shapes == [self.LO.shape] * max(steps)
+
+    def test_spent_and_nan_lanes_are_passed_nan(self):
+        lo, hi = np.append(self.LO, math.nan), np.append(self.HI, 1.0)
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return (x - 0.5) ** 2
+
+        x, fx = optimize.golden_section(f, lo, hi, rel_tol=1e-6)
+        seen = np.array(seen)
+        assert math.isnan(x[-1]) and math.isnan(fx[-1]) and np.all(np.isnan(seen[:, -1]))
+        steps = np.sum(~np.isnan(seen[:, :-1]), axis=0)
+        assert len(set(steps)) > 1
+        for k, n in enumerate(steps):  # a lane steps until its count is spent, then idles
+            assert not np.any(np.isnan(seen[:n, k])) and np.all(np.isnan(seen[n:, k]))
+
 
 def _scalar_only(f):
     def wrapped(x):
@@ -84,7 +126,7 @@ def _lossy(n_atoms, gamma=0.5, kappa=0.0):
 class TestExposureGuard:
     def test_inf_past_half_exposure(self):
         d = _lossy(100)
-        objective = optimize._xi_objective(d, NoiseModel(), "analytic", "oat")
+        objective = optimize._xi_objective([d], NoiseModel(), "analytic", "oat")
         t_half = math.log(2.0) / 0.5  # p_decay = 1 - exp(-Gamma t) = 1/2
         assert objective(0.9 * t_half) == analytic.xi_total(d, 0.9 * t_half, NoiseModel())
         assert objective(1.1 * t_half) == math.inf
@@ -92,7 +134,7 @@ class TestExposureGuard:
     def test_leak_exposure_guarded_too(self):
         d = _lossy(100, gamma=0.0, kappa=0.3)
         noise = NoiseModel()
-        objective = optimize._xi_objective(d, noise, "dicke", "oat")
+        objective = optimize._xi_objective([d], noise, "dicke", "oat")
         times = np.geomspace(1e-2, 1e4, 30)
         p_leak, _ = analytic.noise_probabilities(d, times, noise)
         values = np.array([objective(t) for t in times])
@@ -110,7 +152,7 @@ class TestArrayObjective:
                                                      ("dicke", "tat", 1e-12)])
     def test_array_call_equals_scalar_calls(self, tier, protocol, rel):
         d = _lossy(100, gamma=20.0, kappa=0.3)
-        objective = optimize._xi_objective(d, NoiseModel(), tier, protocol)
+        objective = optimize._xi_objective([d], NoiseModel(), tier, protocol)
         values = objective(self.GRID)
         scalars = np.array([objective(t) for t in self.GRID])
         assert 0 < np.sum(np.isfinite(values)) < self.GRID.size
@@ -137,7 +179,7 @@ class TestArrayObjective:
 
         monkeypatch.setattr(dicke, "coherent_moments", counted)
         d = _lossy(100, gamma=20.0, kappa=0.3)
-        objective = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)
+        objective = optimize._xi_objective([d], NoiseModel(), "dicke", protocol)
         values = objective(self.GRID)
         budget = analytic.noise_budget(d, self.GRID, NoiseModel())
         valid = (budget.p_leak <= 0.5) & (budget.p_decay <= 0.5)
@@ -153,18 +195,20 @@ class TestArrayObjective:
         # squeezing_trace and the optimizer share the coherent kernel; only
         # the order of adding the noise variance differs
         d = _lossy(100, gamma=20.0, kappa=0.3)
-        values = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)(self.GRID)
+        values = optimize._xi_objective([d], NoiseModel(), "dicke", protocol)(self.GRID)
         valid = np.isfinite(values)
         assert 0 < np.sum(valid) < self.GRID.size
         trace = dicke.squeezing_trace(d, self.GRID[valid], NoiseModel(), protocol=protocol)
         np.testing.assert_allclose(trace.xi_total, values[valid], rtol=1e-12, atol=0.0)
 
-    def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_derived, full_noise):
-        shapes = []
+    def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, fig3a_derived,
+                                            full_noise):
+        objectives = []  # (lanes, the shapes each objective was called with)
         xi_objective = optimize._xi_objective
 
-        def recording(*args):
-            objective = xi_objective(*args)
+        def recording(lanes, *args):
+            objective, shapes = xi_objective(lanes, *args), []
+            objectives.append((lanes, shapes))
 
             def wrapped(t):
                 shapes.append(np.shape(t))
@@ -172,9 +216,27 @@ class TestArrayObjective:
             return wrapped
 
         monkeypatch.setattr(optimize, "_xi_objective", recording)
+        p = fig3a_params
+        optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
+        (lanes, shapes), outer = objectives[0], objectives[1:]
+        # the coarse detuning grid: all its time grids in one (L, 240) call,
+        # then one (L, 1) call per golden step
+        n_lanes = optimize.DETUNING_GRID_POINTS
+        assert len(lanes) == n_lanes
+        assert shapes[0] == (n_lanes, optimize.TIME_GRID_POINTS)
+        assert set(shapes[1:]) == {(n_lanes, 1)}
+        # the outer refinement: one-lane solves, a (1, 240) call and then scalars
+        assert outer and all(len(lanes) == 1 and shapes[0] == (1, optimize.TIME_GRID_POINTS)
+                             and set(shapes[1:]) == {()} for lanes, shapes in outer)
+        # as many lockstep steps as the longest one-lane refinement of a lane
+        objectives.clear()
+        for lane in lanes:
+            optimize.optimal_time(lane, full_noise)
+        assert len(shapes) == max(len(one_lane) for _, one_lane in objectives)
+        # optimal_time alone: its 240-point grid, then the scalar golden refinement
+        objectives.clear()
         optimize.optimal_time(fig3a_derived, full_noise)
-        # the 240-point grid in one call, then only the scalar golden refinement
-        assert shapes == [(optimize.TIME_GRID_POINTS,)] + [()] * 13
+        assert objectives[0][1] == [(1, optimize.TIME_GRID_POINTS)] + [()] * 13
 
 
 class TestDetuningBracket:
@@ -183,9 +245,67 @@ class TestDetuningBracket:
     def test_bad_bracket_is_rejected_before_any_inner_solve(self, monkeypatch, bracket):
         calls = []
         monkeypatch.setattr(optimize, "optimal_time", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(optimize, "_optimal_times", lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError):
             optimize.optimal_detuning(1e3, 1e5, 1e-2, 100, NoiseModel(), bracket=bracket)
         assert calls == []
+
+
+class TestDetuningLanes:
+    # kappa/2pi = 100 kHz, Gamma/2pi = 7 mHz and eta = 10, as at the fig3a point
+    KAPPA, GAMMA = 2 * math.pi * 1e5, 2 * math.pi * 7e-3
+    G = math.sqrt(10.0 * GAMMA * KAPPA) / 2.0
+
+    class Coarse(Exception):
+        """Stops optimal_detuning once its coarse grid is solved."""
+
+    @pytest.mark.parametrize("tier, protocol, n_atoms", [("analytic", "oat", 10_000),
+                                                         ("dicke", "oat", 50),
+                                                         ("dicke", "tat", 20)])
+    def test_coarse_lanes_equal_one_lane_solves(self, monkeypatch, full_noise,
+                                                tier, protocol, n_atoms):
+        # coarser grids than the default keep the Dicke solves short
+        monkeypatch.setattr(optimize, "DETUNING_GRID_POINTS", 24)
+        monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
+        minimize = optimize.minimize_on_log_axis
+
+        def coarse(f, grid, values, rel_tol):
+            raise self.Coarse(np.array(grid), np.array(values))
+
+        monkeypatch.setattr(optimize, "minimize_on_log_axis", coarse)
+        with pytest.raises(self.Coarse) as stop:
+            optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, full_noise,
+                                      tier=tier, protocol=protocol)
+        grid, lanes = stop.value.args
+        assert grid.size == 24 and np.all(np.isfinite(lanes))
+        monkeypatch.setattr(optimize, "minimize_on_log_axis", minimize)
+        solo = np.array([optimize.optimal_time(
+            derive_params(SystemParams(n_atoms=n_atoms, coupling_g=self.G, kappa=self.KAPPA,
+                                       gamma=self.GAMMA, delta=delta)),
+            full_noise, tier=tier, protocol=protocol).xi_min for delta in grid])
+        np.testing.assert_allclose(lanes, solo, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("tier, n_atoms, batches", [("dicke", 1000, [16] * 6),
+                                                        ("dicke", 5000, [1] * 96),
+                                                        ("analytic", 5000, [96])])
+    def test_dicke_lanes_go_in_batches_sized_by_their_kernels(self, monkeypatch, full_noise,
+                                                              tier, n_atoms, batches):
+        # a TAT kernel at N=1000 holds about 4 MB, so 16 lanes fit in 64 MiB
+        sizes = []
+
+        def solve(lanes, *args):
+            sizes.append(len(lanes))
+            return None, np.ones(len(lanes)), None, None
+
+        def coarse(*args):
+            raise self.Coarse()
+
+        monkeypatch.setattr(optimize, "_optimal_times", solve)
+        monkeypatch.setattr(optimize, "minimize_on_log_axis", coarse)
+        with pytest.raises(self.Coarse):
+            optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, full_noise,
+                                      tier=tier)
+        assert sizes == batches
 
 
 class TestHalfFloorCheck:
