@@ -7,9 +7,10 @@ The time optimizer works on lanes, one per detuning: the squeezing
 objective takes every lane's coarse time grid as one (lanes x points)
 array call, and the golden-section refinement steps all lanes in
 lockstep, one call per step.  ``optimal_detuning`` solves its whole
-coarse detuning grid that way; ``optimal_time`` is the one-lane case,
-which calls the objective with scalars, as does the outer refinement of
-the detuning, one ``optimal_time`` per candidate.
+coarse detuning grid that way on the analytic tier, and lane by lane on
+the Dicke tier; ``optimal_time`` is the one-lane case, which calls the
+objective with scalars, as does the outer refinement of the detuning,
+one ``optimal_time`` per candidate.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
 faithful error measure once its exposure p passes 1/2 (the variance then
@@ -99,14 +100,13 @@ def golden_section(f, lo, hi, rel_tol: float = REL_TOL):
     element, and ``f`` maps an array of that shape to the values there.
     Each lane takes its own number of iterations, set by its bracket and
     ``rel_tol``, and its own fc <= fd choice.  The lanes step in lockstep,
-    one call of ``f`` per step; a lane whose iterations are spent, or whose
-    bracket is NaN, is passed NaN and keeps its result (NaN for a NaN
-    bracket).  Every lane equals the one-lane search bitwise.  Returns
-    (x, f(x)), as floats for scalar brackets.
+    one call of ``f`` per step; a lane whose iterations are spent is passed
+    NaN and keeps its result.  Every lane equals the one-lane search
+    bitwise.  Returns (x, f(x)), as floats for scalar brackets.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if np.any(hi <= lo):
-        raise ValueError("need hi > lo")
+    if not np.all(hi > lo):
+        raise ValueError("need hi > lo in every lane")
     span = hi - lo
     tol = rel_tol * np.maximum(np.abs(lo), np.abs(hi))
     n_iter = np.where(span > tol, np.ceil(_log(tol / span) / math.log(_INV_GOLDEN)), 0)
@@ -136,10 +136,10 @@ def _minimize_lanes(f, grid, values, rel_tol: float):
 
     ``grid`` and ``values`` are (L, K), one lane per row; ``f`` maps an
     (L, 1) column of x to the (L, 1) values there, and is passed NaN in
-    the rows that take no step (see :func:`golden_section`).  Each lane is
-    bracketed, refined and flagged on its own, and equals the one-lane
-    search bitwise.  Returns the (L,) arrays x and f(x) and the list of
-    the L edges.
+    the rows that take no step: edge lanes, and lanes whose golden-section
+    iterations are spent.  Each lane is bracketed, refined and flagged on
+    its own, and equals the one-lane search bitwise.  Returns the (L,)
+    arrays x and f(x) and the list of the L edges.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -153,16 +153,19 @@ def _minimize_lanes(f, grid, values, rel_tol: float):
     rows, last = np.arange(grid.shape[0]), grid.shape[1] - 1
     i = np.argmin(values, axis=1)
     x, val = grid[rows, i], values[rows, i]
-    interior = (i > 0) & (i < last)
-    if np.any(interior):
-        j = np.clip(i, 1, last - 1)  # edge lanes take no step: a NaN bracket
-        lo = np.where(interior, _log(grid[rows, j - 1]), math.nan)
-        hi = np.where(interior, _log(grid[rows, j + 1]), math.nan)
-        log_x, log_val = golden_section(lambda u: f(_exp(u)), lo[:, None], hi[:, None],
-                                        rel_tol=rel_tol)
-        refined = interior & ~(val < log_val[:, 0])  # keep the better of grid point and refinement
-        x = np.where(refined, _exp(log_x[:, 0]), x)
-        val = np.where(refined, log_val[:, 0], val)
+    interior = np.flatnonzero((i > 0) & (i < last))
+    if interior.size:
+        def f_interior(u):  # only the interior lanes are refined; the rest are passed NaN
+            column = np.full((grid.shape[0], 1), math.nan)
+            column[interior] = _exp(u)
+            return f(column)[interior]
+
+        j = i[interior]
+        log_x, log_val = golden_section(f_interior, _log(grid[interior, j - 1])[:, None],
+                                        _log(grid[interior, j + 1])[:, None], rel_tol=rel_tol)
+        refined = ~(val[interior] < log_val[:, 0])  # keep the better of grid point and refinement
+        x[interior] = np.where(refined, _exp(log_x[:, 0]), x[interior])
+        val[interior] = np.where(refined, log_val[:, 0], val[interior])
     edges = ["lower" if k == 0 else "upper" if k == last else None for k in i]
     return x, val, edges
 
@@ -195,8 +198,9 @@ def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
     on all of t at once, with the L lanes as one DerivedParams whose
     omega_twist and leak_rate are (L, 1) columns.  Its exposures guard the
     validity regime point by point, and its variance is added to the
-    coherent xi, which is computed only where the guard passes (a NaN time
-    never does).  Both exposures grow with t, so in an ascending row those
+    coherent xi, which is computed only where the guard passes.  A NaN
+    time, which the lane solver passes to lanes that take no step, is
+    invalid whether or not a noise channel is on.  Both exposures grow with t, so in an ascending row those
     points are an ascending prefix, which the Dicke tier reduces in one
     call of the lane's own ``dicke.coherent_moments`` kernel, the path of
     ``dicke.squeezing_trace``.
@@ -220,7 +224,8 @@ def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
     def objective(t):
         t = np.asarray(t, dtype=float)
         budget = analytic.noise_budget(d, t, noise)
-        valid = np.asarray((budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE))
+        valid = np.asarray(~np.isnan(t) & (budget.p_leak <= MAX_EXPOSURE)
+                           & (budget.p_decay <= MAX_EXPOSURE))
         xi = np.full(t.shape, math.inf)
         xi[valid] = coherent_xi(t, valid) + np.asarray(budget.added_var)[valid] / half_S
         return xi if xi.ndim else float(xi)
@@ -243,12 +248,13 @@ def _edge_flags(edge, label):
     return () if edge is None else (f"{label}_{edge}_edge",)
 
 
-def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max, minimize):
+def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max):
     """The optimal time of every lane in one solve: (t_opt, xi_min, edges, t_max).
 
     Each lane's coarse time grid spans [t_max * 1e-8, t_max], all of them
-    in one array call of the objective; ``minimize`` refines them, as
-    :func:`_minimize_lanes` does.  The half-floor check applies per lane.
+    in one array call of the objective.  One lane is refined by
+    :func:`minimize_on_log_axis` with scalar calls, several by
+    :func:`_minimize_lanes`.  The half-floor check applies per lane.
     """
     objective = _xi_objective(lanes, noise, tier, protocol)
     if t_max is None:
@@ -258,7 +264,12 @@ def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max, mi
     else:
         tops = np.full(len(lanes), float(t_max))
     grid = np.geomspace(tops * 1e-8, tops, TIME_GRID_POINTS, axis=1)
-    t_opt, xi_min, edges = minimize(objective, grid, objective(grid), REL_TOL)
+    if len(lanes) == 1:
+        t_opt, xi_min, edge = minimize_on_log_axis(objective, grid[0], objective(grid[0]),
+                                                   REL_TOL)
+        t_opt, xi_min, edges = [t_opt], [xi_min], [edge]
+    else:
+        t_opt, xi_min, edges = _minimize_lanes(objective, grid, objective(grid), REL_TOL)
     floor = _floor_value(lanes[0], noise, protocol)
     below = [] if floor is None else [float(xi) for xi in xi_min if xi < 0.5 * floor]
     if below:
@@ -266,12 +277,6 @@ def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max, mi
             f"xi_min={below[0]!r} is below half the closed-form floor {floor!r}; "
             "the optimizer left the additive-noise validity regime")
     return t_opt, xi_min, edges, tops
-
-
-def _one_lane(f, grid, values, rel_tol):
-    """:func:`minimize_on_log_axis` behind the lane solver's interface, for one lane."""
-    x, val, edge = minimize_on_log_axis(f, grid[0], values[0], rel_tol)
-    return [x], [val], [edge]
 
 
 def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
@@ -287,19 +292,12 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
     refined with scalar calls of the objective.
     """
     tier, protocol = resolve_tier(tier, protocol)
-    (t_opt,), (xi_min,), (edge,), (top,) = _optimal_times([d], noise, tier, protocol, t_max,
-                                                          _one_lane)
+    (t_opt,), (xi_min,), (edge,), (top,) = _optimal_times([d], noise, tier, protocol, t_max)
     return OptimizationResult(t_opt=t_opt, xi_min=xi_min,
                               xi_min_db=float(analytic.to_db(xi_min)),
                               model_tier=tier, protocol=protocol,
                               bracket_t=(float(top * 1e-8), float(top)),
                               flags=_edge_flags(edge, "time"))
-
-
-# A Dicke lane holds its own coherent_moments kernel, up to about 4 dim^2
-# bytes (the two eigenvector blocks of a TatPropagator), so the detuning
-# grid's Dicke lanes are solved in batches whose kernels hold at most this.
-_DICKE_BATCH_BYTES = 64 * 2 ** 20
 
 
 def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int,
@@ -310,9 +308,10 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
 
     Scans Delta > 0 on [kappa, 1e4 kappa] by default (xi is even in the
     sign of Delta).  The optimal times of the coarse detuning grid are one
-    lane-batched solve, one lane per detuning (the Dicke tier in batches
-    sized by its kernels' memory); the outer golden section then refines
-    the detuning, with one ``optimal_time`` per candidate.
+    lane-batched solve, one lane per detuning; the Dicke tier solves its
+    lanes one at a time, so that one lane's kernel is alive at once.  The
+    outer golden section then refines the detuning, with one
+    ``optimal_time`` per candidate.
     """
     tier, protocol = resolve_tier(tier, protocol)
     if bracket is None:
@@ -331,11 +330,9 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
 
     grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
     lanes = [lane(delta) for delta in grid]
-    batch = (max(1, _DICKE_BATCH_BYTES // (4 * (n_atoms + 1) ** 2)) if tier == "dicke"
-             else len(lanes))
-    values = np.concatenate([
-        _optimal_times(lanes[k:k + batch], noise, tier, protocol, t_max, _minimize_lanes)[1]
-        for k in range(0, len(lanes), batch)])
+    batch = 1 if tier == "dicke" else len(lanes)
+    values = np.concatenate([_optimal_times(lanes[k:k + batch], noise, tier, protocol, t_max)[1]
+                             for k in range(0, len(lanes), batch)])
     delta_opt, _, edge = minimize_on_log_axis(lambda delta: solve_at(delta).xi_min, grid,
                                               values, REL_TOL)
     inner = solve_at(delta_opt)

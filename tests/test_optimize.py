@@ -61,21 +61,28 @@ class TestGoldenSection:
         assert len(set(steps)) > 2
         assert shapes == [self.LO.shape] * max(steps)
 
-    def test_spent_and_nan_lanes_are_passed_nan(self):
-        lo, hi = np.append(self.LO, math.nan), np.append(self.HI, 1.0)
+    def test_spent_lanes_are_passed_nan(self):
         seen = []
 
         def f(x):
             seen.append(x.copy())
             return (x - 0.5) ** 2
 
-        x, fx = optimize.golden_section(f, lo, hi, rel_tol=1e-6)
-        seen = np.array(seen)
-        assert math.isnan(x[-1]) and math.isnan(fx[-1]) and np.all(np.isnan(seen[:, -1]))
-        steps = np.sum(~np.isnan(seen[:, :-1]), axis=0)
+        optimize.golden_section(f, self.LO, self.HI, rel_tol=1e-6)
+        steps = np.sum(~np.isnan(np.array(seen)), axis=0)
         assert len(set(steps)) > 1
         for k, n in enumerate(steps):  # a lane steps until its count is spent, then idles
-            assert not np.any(np.isnan(seen[:n, k])) and np.all(np.isnan(seen[n:, k]))
+            assert not np.any(np.isnan(np.array(seen)[:n, k]))
+            assert np.all(np.isnan(np.array(seen)[n:, k]))
+
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan),
+                                        (np.array([0.0, math.nan]), np.array([1.0, 1.0]))],
+                             ids=["scalar-lo", "scalar-hi", "one-lane-of-two"])
+    def test_rejects_nan_bracket(self, lo, hi):
+        calls = []
+        with pytest.raises(ValueError):
+            optimize.golden_section(calls.append, lo, hi)
+        assert calls == []
 
 
 def _scalar_only(f):
@@ -225,8 +232,8 @@ class TestArrayObjective:
         assert len(lanes) == n_lanes
         assert shapes[0] == (n_lanes, optimize.TIME_GRID_POINTS)
         assert set(shapes[1:]) == {(n_lanes, 1)}
-        # the outer refinement: one-lane solves, a (1, 240) call and then scalars
-        assert outer and all(len(lanes) == 1 and shapes[0] == (1, optimize.TIME_GRID_POINTS)
+        # the outer refinement: one-lane solves, a 240-point call and then scalars
+        assert outer and all(len(lanes) == 1 and shapes[0] == (optimize.TIME_GRID_POINTS,)
                              and set(shapes[1:]) == {()} for lanes, shapes in outer)
         # as many lockstep steps as the longest one-lane refinement of a lane
         objectives.clear()
@@ -236,7 +243,7 @@ class TestArrayObjective:
         # optimal_time alone: its 240-point grid, then the scalar golden refinement
         objectives.clear()
         optimize.optimal_time(fig3a_derived, full_noise)
-        assert objectives[0][1] == [(1, optimize.TIME_GRID_POINTS)] + [()] * 13
+        assert objectives[0][1] == [(optimize.TIME_GRID_POINTS,)] + [()] * 13
 
 
 class TestDetuningBracket:
@@ -259,38 +266,64 @@ class TestDetuningLanes:
     class Coarse(Exception):
         """Stops optimal_detuning once its coarse grid is solved."""
 
+    # (noise, detuning bracket, t_max): without noise the default time
+    # bracket reaches past the collapse of the mean spin, so the noiseless
+    # runs keep Omega t <= 0.8 on a narrower bracket
+    NOISE = [(NoiseModel(include_free_space=True, include_cavity_leak=True),
+              (KAPPA, 1e4 * KAPPA), None),
+             (NoiseModel.none(), (10.0 * KAPPA, 40.0 * KAPPA), 0.8 * 10.0 * KAPPA / G ** 2)]
+
+    def lanes(self, n_atoms, deltas):
+        return [derive_params(SystemParams(n_atoms=n_atoms, coupling_g=self.G, kappa=self.KAPPA,
+                                           gamma=self.GAMMA, delta=delta)) for delta in deltas]
+
+    @pytest.mark.parametrize("noise, bracket, t_max", NOISE, ids=["full-noise", "noiseless"])
     @pytest.mark.parametrize("tier, protocol, n_atoms", [("analytic", "oat", 10_000),
                                                          ("dicke", "oat", 50),
                                                          ("dicke", "tat", 20)])
-    def test_coarse_lanes_equal_one_lane_solves(self, monkeypatch, full_noise,
+    def test_coarse_lanes_equal_one_lane_solves(self, monkeypatch, noise, bracket, t_max,
                                                 tier, protocol, n_atoms):
         # coarser grids than the default keep the Dicke solves short
         monkeypatch.setattr(optimize, "DETUNING_GRID_POINTS", 24)
         monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
         minimize = optimize.minimize_on_log_axis
 
-        def coarse(f, grid, values, rel_tol):
-            raise self.Coarse(np.array(grid), np.array(values))
+        def coarse(f, grid, values, rel_tol):  # stops at the detuning grid's refinement
+            if len(grid) == 24:
+                raise self.Coarse(np.array(grid), np.array(values))
+            return minimize(f, grid, values, rel_tol)
 
         monkeypatch.setattr(optimize, "minimize_on_log_axis", coarse)
         with pytest.raises(self.Coarse) as stop:
-            optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, full_noise,
-                                      tier=tier, protocol=protocol)
+            optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, noise,
+                                      tier=tier, protocol=protocol, bracket=bracket,
+                                      t_max=t_max)
         grid, lanes = stop.value.args
         assert grid.size == 24 and np.all(np.isfinite(lanes))
-        monkeypatch.setattr(optimize, "minimize_on_log_axis", minimize)
-        solo = np.array([optimize.optimal_time(
-            derive_params(SystemParams(n_atoms=n_atoms, coupling_g=self.G, kappa=self.KAPPA,
-                                       gamma=self.GAMMA, delta=delta)),
-            full_noise, tier=tier, protocol=protocol).xi_min for delta in grid])
+        solo = np.array([optimize.optimal_time(d, noise, tier=tier, protocol=protocol,
+                                               t_max=t_max).xi_min
+                         for d in self.lanes(n_atoms, grid)])
         np.testing.assert_allclose(lanes, solo, rtol=1e-14, atol=0.0)
 
-    @pytest.mark.parametrize("tier, n_atoms, batches", [("dicke", 1000, [16] * 6),
-                                                        ("dicke", 5000, [1] * 96),
-                                                        ("analytic", 5000, [96])])
-    def test_dicke_lanes_go_in_batches_sized_by_their_kernels(self, monkeypatch, full_noise,
-                                                              tier, n_atoms, batches):
-        # a TAT kernel at N=1000 holds about 4 MB, so 16 lanes fit in 64 MiB
+    @pytest.mark.parametrize("noise, bracket, t_max", NOISE, ids=["full-noise", "noiseless"])
+    @pytest.mark.parametrize("protocol, n_atoms", [("oat", 50), ("tat", 20)])
+    def test_dicke_lane_batch_equals_one_lane_solves(self, monkeypatch, noise, bracket, t_max,
+                                                     protocol, n_atoms):
+        # optimal_detuning solves Dicke lanes one at a time, but the lane
+        # solver takes several; its idle lanes are passed NaN times, which
+        # must stay invalid when no noise channel is on
+        monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
+        lanes = self.lanes(n_atoms, np.geomspace(*bracket, 6))
+        t_opt, xi_min, edges, _ = optimize._optimal_times(lanes, noise, "dicke", protocol, t_max)
+        solo = [optimize.optimal_time(d, noise, tier="dicke", protocol=protocol, t_max=t_max)
+                for d in lanes]
+        assert list(t_opt) == [r.t_opt for r in solo]
+        np.testing.assert_allclose(xi_min, [r.xi_min for r in solo], rtol=1e-14, atol=0.0)
+        assert [optimize._edge_flags(e, "time") for e in edges] == [r.flags for r in solo]
+
+    @pytest.mark.parametrize("tier, batches", [("dicke", [1] * 96), ("analytic", [96])])
+    def test_dicke_lanes_are_solved_one_at_a_time(self, monkeypatch, full_noise, tier, batches):
+        # one Dicke kernel is alive at once, as in a one-lane optimal_time
         sizes = []
 
         def solve(lanes, *args):
@@ -303,7 +336,7 @@ class TestDetuningLanes:
         monkeypatch.setattr(optimize, "_optimal_times", solve)
         monkeypatch.setattr(optimize, "minimize_on_log_axis", coarse)
         with pytest.raises(self.Coarse):
-            optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, full_noise,
+            optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, 1000, full_noise,
                                       tier=tier)
         assert sizes == batches
 
