@@ -12,10 +12,17 @@ sectors are two tridiagonal eigenproblems of about dim/2 each.  On the
 full ladder their spectra interleave into near-degenerate tunnelling
 doublets (gaps below 1e-10 of the spread at dim 2001), which the
 eigensolver must resolve as clusters; within one sector the levels stay
-well separated.  The path multiplies its real eigenvectors only by real
-operands (real and imaginary parts apart) and takes a time grid in
-blocks of 64 columns, one matrix product per sector and block, so its
-temporaries stay below 4 MiB up to ``SPECTRAL_MAX_DIM``.  Both paths
+well separated.  A sector is diagonalized the first time a state with a
+nonzero projection on it is propagated, and skipped for states with none.
+The coherent state along +x is exactly R-symmetric (:func:`css` adds the
+two mirrored log-binomial terms as one sum, bitwise the same for m and
+-m), and H commutes with R, so rotation-assisted twisting from it
+diagonalizes and multiplies only the symmetric sector and keeps one
+eigenvector block of about (dim/2)^2.  The path multiplies its real
+eigenvectors only by real operands (real and imaginary parts apart) and
+takes a time grid in blocks of 64 columns, one matrix product per
+occupied sector and block, so its temporaries stay below 4 MiB up to
+``SPECTRAL_MAX_DIM``.  Both paths
 must pass a norm gate of 1e-9 before the state is renormalized.  One
 moments kernel, :func:`amplitude_moments`, serves ladder vectors and the
 oracle's joint (m, n) amplitude arrays alike.  Its :class:`SpinMoments`
@@ -27,7 +34,7 @@ protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective.
 Twisting over a time grid works on the coherent state's nonzero band
 only: the levels whose binomial amplitude does not underflow to 0, widened
 by one level on each side and clipped to the ladder (17 187 of 100 001
-levels at N = 1e5).  The band is exact, not a truncation: the twist multiplies each
+levels at N = 1e5), found once per kernel.  The band is exact, not a truncation: the twist multiplies each
 amplitude by a phase, so an amplitude that is exactly 0 stays exactly 0 at
 every t, and the padding levels hold the S+- images of the edge levels
 that the moments need.  Only the summation order of the norm and of the
@@ -53,8 +60,9 @@ from . import analytic
 
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
 NORM_DRIFT_GATE = 1e-9  # propagation drift beyond this is an error
-# Larger ladders use Krylov stepping: the spectral path keeps two real
-# eigenvector blocks of about (dim/2)^2 each, 2 x 33.6 MB at dim 4096.
+# Larger ladders use Krylov stepping: the spectral path keeps up to two real
+# eigenvector blocks of about (dim/2)^2 each, 2 x 33.6 MB at dim 4096
+# (one for the coherent state, which occupies one reflection sector).
 SPECTRAL_MAX_DIM = 4096
 _GRID_BLOCK = 64         # time columns per spectral product (temporaries <= 4 MiB)
 
@@ -127,7 +135,9 @@ def css(n_atoms: int) -> DickeState:
         raise PhysicsError(f"n_atoms must be a positive integer, got {n_atoms}")
     S = n_atoms / 2.0
     m = np.arange(n_atoms + 1, dtype=float) - S
-    log_amp = 0.5 * (gammaln(2 * S + 1) - gammaln(S + m + 1) - gammaln(S - m + 1)
+    # The mirrored terms as one sum: addition commutes, so c_m and c_-m are
+    # bitwise equal, and TatPropagator skips the empty antisymmetric sector.
+    log_amp = 0.5 * (gammaln(2 * S + 1) - (gammaln(S + m + 1) + gammaln(S - m + 1))
                      - 2 * S * math.log(2.0))
     amps = np.exp(log_amp).astype(complex)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
@@ -148,25 +158,30 @@ def _nonzero_band(amps: np.ndarray) -> slice:
     return slice(max(int(nonzero[0]) - 1, 0), min(int(nonzero[-1]) + 2, amps.size))
 
 
-def _oat_band_moments(state0: DickeState, omega_twist: float, times) -> Iterator[SpinMoments]:
-    """Moments of the twisted state0 at each of ``times``, on its nonzero band.
+def _oat_band_kernel(state0: DickeState, omega_twist: float):
+    """Moments of the twisted state0 along a time grid, on its nonzero band.
 
-    Each point applies the phases exp(-i Omega t m^2) to the band, gates
-    and renormalizes it like :func:`evolve_oat` (drift 1e-9, then the
-    NORM_TOL invariant) and reduces it with the moments kernel.  Equal to
+    The band is found here, once per kernel.  The kernel maps times >= 0
+    to one :class:`SpinMoments` each: every point applies the phases
+    exp(-i Omega t m^2) to the band, gates and renormalizes it like
+    :func:`evolve_oat` (drift 1e-9, then the NORM_TOL invariant) and
+    reduces it with the moments kernel.  Equal to
     ``moments(evolve_oat(state0, omega_twist, t))`` up to summation order.
     """
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise PhysicsError("time must be >= 0")
     band = _nonzero_band(state0.amplitudes)
     amps0 = state0.amplitudes[band]
     m_band = state0.m_values[band]
     m_sq = m_band ** 2
-    for t in times:
-        amps = _renormalized(np.exp(-1j * omega_twist * t * m_sq) * amps0)
-        _check_unit_norm(amps)
-        yield _moments_on_levels(amps, state0.spin_S, m_band[0])
+
+    def moments_at(times) -> Iterator[SpinMoments]:
+        times = np.asarray(times, dtype=float)
+        if np.any(times < 0):
+            raise PhysicsError("time must be >= 0")
+        for t in times:
+            amps = _renormalized(np.exp(-1j * omega_twist * t * m_sq) * amps0)
+            _check_unit_norm(amps)
+            yield _moments_on_levels(amps, state0.spin_S, m_band[0])
+    return moments_at
 
 
 def _sx_offdiag(S: float, m: np.ndarray) -> np.ndarray:
@@ -212,11 +227,16 @@ class TatPropagator:
     eigendecomposition per reflection sector (see :func:`_parity_sectors`),
     exact for any t; above, through sparse ``expm_multiply`` (Krylov,
     which chooses its own sub-steps and stays memory-light for big
-    ladders).  The spectral path keeps the two real eigenvector blocks,
-    of about (dim/2)^2 each, and multiplies them only by real operands,
-    so it never holds a complex copy of them; it takes a time grid in
-    blocks of 64 columns, one matrix product per sector each: its complex
-    temporaries stay at dim x 64 x 16 B <= 4 MiB.  :meth:`evolve_grid`
+    ladders).  The spectral path builds a sector's eigendecomposition on
+    first use, when it propagates a state with a nonzero projection on
+    that sector, and skips a sector the state does not occupy: its
+    product V 0 is exactly 0.  The coherent state occupies only the
+    symmetric sector, so it costs one eigensolve and one eigenvector block
+    of about (dim/2)^2; a general state costs both.  The path multiplies
+    the real eigenvectors only by real operands, so it never holds a
+    complex copy of them; it takes a time grid in blocks of 64 columns,
+    one matrix product per occupied sector each: its complex temporaries
+    stay at dim x 64 x 16 B <= 4 MiB.  :meth:`evolve_grid`
     returns one gated state per time; norm drift beyond 1e-9 raises,
     smaller drift is renormalized away.
     """
@@ -230,7 +250,8 @@ class TatPropagator:
         off = omega_twist * spin_S * _sx_offdiag(spin_S, m)
         self.spectral = dim <= SPECTRAL_MAX_DIM
         if self.spectral:
-            self._sectors = [eigh_tridiagonal(*block) for block in _parity_sectors(diag, off)]
+            self._blocks = _parity_sectors(diag, off)
+            self._sectors = [None, None]  # eigenpairs, computed on first use
         else:
             self._h = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
 
@@ -244,7 +265,9 @@ class TatPropagator:
         The amplitudes are projected once onto the two reflection sectors
         (see :func:`_parity_sectors`); each sector is rotated in its own
         eigenbasis, block by block, and the ladder columns are reassembled
-        from the pair.  Each product of real eigenvectors V with a complex
+        from the pair.  A sector whose projection is all zeros takes an
+        empty eigenbasis instead, whose products are exact zeros, so the
+        reassembled columns equal those of both sectors bitwise.  Each product of real eigenvectors V with a complex
         operand z is taken as V z.real + i V z.imag, so numpy never
         upcasts V.
         """
@@ -252,8 +275,15 @@ class TatPropagator:
         upper, lower = amps[pos:], amps[half - 1::-1]  # m > 0 and their mirrors -m
         parts = (np.concatenate((amps[half:pos], _SQRT_HALF * (upper + lower))),
                  _SQRT_HALF * (upper - lower))
-        sectors = [(vals, vecs, _real_product(vecs.T, z))
-                   for (vals, vecs), z in zip(self._sectors, parts)]
+        sectors = []
+        for k, z in enumerate(parts):
+            if z.any():
+                if self._sectors[k] is None:
+                    self._sectors[k] = eigh_tridiagonal(*self._blocks[k])
+                vals, vecs = self._sectors[k]
+            else:  # V 0 = 0 exactly: no eigenvectors, and products that are zeros
+                vals, vecs = np.empty(0), np.empty((z.size, 0))
+            sectors.append((vals, vecs, _real_product(vecs.T, z)))
         out = np.empty((amps.size, times.size), dtype=complex)
         for lo in range(0, times.size, _GRID_BLOCK):
             cols = slice(lo, lo + _GRID_BLOCK)
@@ -383,7 +413,7 @@ def coherent_moments(d: DerivedParams, protocol: str):
     """
     state0 = css(d.params.n_atoms)
     if protocol == "oat":
-        return lambda times: _oat_band_moments(state0, d.omega_twist, times)
+        return _oat_band_kernel(state0, d.omega_twist)
     propagator = TatPropagator(state0.spin_S, d.omega_twist)
     return lambda times: map(moments, propagator.evolve_grid(state0, times))
 

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DerivedParams, FeasibilityParams, NumericsError, PhysicsError,
-                   SystemParams, TWO_PI, derive_params, resolve_tier)
+from .core import (DegenerateMeanSpinError, DerivedParams, FeasibilityParams, NumericsError,
+                   PhysicsError, SystemParams, TWO_PI, derive_params, resolve_tier)
 from .analytic import NoiseModel
 from . import analytic, dicke
 
@@ -203,7 +203,10 @@ def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
     invalid whether or not a noise channel is on.  Both exposures grow with t, so in an ascending row those
     points are an ascending prefix, which the Dicke tier reduces in one
     call of the lane's own ``dicke.coherent_moments`` kernel, the path of
-    ``dicke.squeezing_trace``.
+    ``dicke.squeezing_trace``.  A Dicke point whose mean spin is
+    degenerate (|<S>| <= 1e-9 S, where ``dicke.min_transverse_variance``
+    raises) is invalid too: without noise the time bracket can reach the
+    collapse of the twisted mean spin.
     """
     d = lanes[0] if len(lanes) == 1 else replace(
         lanes[0], omega_twist=np.array([[lane.omega_twist] for lane in lanes]),
@@ -216,9 +219,15 @@ def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
     else:
         kernels = [dicke.coherent_moments(lane, protocol) for lane in lanes]
 
+        def point_xi(mom):
+            try:
+                return dicke.min_transverse_variance(mom)[0] / half_S
+            except DegenerateMeanSpinError:  # no transverse plane: invalid, not fatal
+                return math.inf
+
         def coherent_xi(times, valid):
             rows = zip(kernels, times.reshape(len(lanes), -1), valid.reshape(len(lanes), -1))
-            return [dicke.min_transverse_variance(mom)[0] / half_S
+            return [point_xi(mom)
                     for kernel, row, ok in rows if ok.any() for mom in kernel(row[ok])]
 
     def objective(t):
@@ -311,7 +320,8 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     lane-batched solve, one lane per detuning; the Dicke tier solves its
     lanes one at a time, so that one lane's kernel is alive at once.  The
     outer golden section then refines the detuning, with one
-    ``optimal_time`` per candidate.
+    ``optimal_time`` per candidate.  Each detuning is solved once, so the
+    result at a refined optimum is the refinement's own solve there.
     """
     tier, protocol = resolve_tier(tier, protocol)
     if bracket is None:
@@ -325,8 +335,13 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         return derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g,
                                           kappa=kappa, gamma=gamma, delta=delta))
 
+    solved = {}  # delta -> its optimal_time result
+
     def solve_at(delta):
-        return optimal_time(lane(delta), noise, tier=tier, protocol=protocol, t_max=t_max)
+        if delta not in solved:
+            solved[delta] = optimal_time(lane(delta), noise, tier=tier, protocol=protocol,
+                                         t_max=t_max)
+        return solved[delta]
 
     grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
     lanes = [lane(delta) for delta in grid]

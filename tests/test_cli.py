@@ -138,19 +138,31 @@ def test_physics_error_exits_3(tmp_path, capsys):
     assert len(error_lines(capsys)) == 1
 
 
-@pytest.mark.parametrize("command, section", [
-    pytest.param("evolve", {"time_grid": GRID | {"stop": 400.0}}, id="evolve"),
-    pytest.param("optimize", {"optimize": {"t_max_s": 400.0}}, id="optimize"),
-])
-def test_vanishing_mean_spin_exits_3_on_every_command(tmp_path, capsys, command, section):
+NOISELESS = {"free_space": False, "cavity_leak": False}
+
+
+def test_vanishing_mean_spin_exits_3_on_evolve(tmp_path, capsys):
     # N=1000 at the fig3a point without noise: the twisted mean spin shrinks
-    # to ~1e-7 by a few hundred seconds, which both commands report alike
-    cfg = config(command, system__n_atoms=1000, tier="dicke",
-                 noise={"free_space": False, "cavity_leak": False}, **section)
-    assert run(tmp_path, command, cfg) == cli.EXIT_PHYSICS == 3
+    # to ~1e-7 by a few hundred seconds, which a trace reports
+    cfg = config("evolve", system__n_atoms=1000, tier="dicke", noise=NOISELESS,
+                 time_grid=GRID | {"stop": 400.0})
+    assert run(tmp_path, "evolve", cfg) == cli.EXIT_PHYSICS == 3
     lines = error_lines(capsys)
     assert len(lines) == 1
     assert json.loads(lines[0].split(" ", 1)[1])["error"] == "DegenerateMeanSpinError"
+
+
+@pytest.mark.parametrize("changes", [
+    pytest.param({"system__n_atoms": 1000, "optimize": {"t_max_s": 400.0}}, id="t_max-400s"),
+    pytest.param({"system__n_atoms": 50, "system__delta_hz": 1e5}, id="default-bracket"),
+])
+def test_noiseless_dicke_optimize_exits_0(tmp_path, changes):
+    # the time brackets reach where the twisted mean spin vanishes; the
+    # optimizer reads those points as invalid and returns the optimum before
+    assert run(tmp_path, "optimize", config("optimize", tier="dicke", noise=NOISELESS,
+                                            **changes)) == cli.EXIT_OK
+    summary = json.loads((tmp_path / "out" / "optimize_summary.json").read_text())
+    assert 0 < summary["result"]["xi_min"] < 1 and summary["result"]["flags"] == []
 
 
 def test_numerics_error_exits_4(tmp_path, capsys):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NormDriftError,
                       NumericsError, PhysicsError, derive_params)
@@ -56,6 +56,12 @@ class TestCss:
         var, angle = dicke.min_transverse_variance(m)
         assert var == pytest.approx(S / 2, rel=1e-10)
         assert angle == 0.0  # isotropic tie-break
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 19, 20, 1001, 2000, 100_000])
+    def test_mirror_symmetric_bitwise(self, n):
+        # c_m = c_-m exactly, so the reflection-antisymmetric part is exactly 0
+        amps = dicke.css(n).amplitudes
+        assert amps.tobytes() == amps[::-1].tobytes()
 
     def test_norm_invariant(self):
         amps = dicke.css(12_345).amplitudes
@@ -159,7 +165,7 @@ class TestOatBand:
         assert dicke._nonzero_band(state0.amplitudes) == slice(0, n + 1)
         d = derive_params(small_params(n))
         times = [0.0, 0.3 / n, 1.0 / math.sqrt(n)]
-        band = dicke._oat_band_moments(state0, d.omega_twist, times)
+        band = dicke._oat_band_kernel(state0, d.omega_twist)(times)
         for got, want in zip(band, full_ladder_trace(d, times), strict=True):
             assert vars(got) == vars(want)  # same levels, same arithmetic
 
@@ -185,16 +191,31 @@ class TestOatBand:
         state0 = dicke.css(1000)
         # bypass DickeState's own 1e-12 check to feed in a drifted norm
         object.__setattr__(state0, "amplitudes", state0.amplitudes * math.sqrt(1.0 + drift))
-        band = dicke._oat_band_moments(state0, 1.0, [0.0, 0.01])
+        band = dicke._oat_band_kernel(state0, 1.0)([0.0, 0.01])
         if raises:
             with pytest.raises(NormDriftError):
                 next(band)
         else:
             assert next(band).mean_x == pytest.approx(500.0, rel=1e-12)
 
+    def test_band_is_found_once_per_kernel(self, monkeypatch):
+        calls = []
+        nonzero_band = dicke._nonzero_band
+
+        def counted(amps):
+            calls.append(amps.size)
+            return nonzero_band(amps)
+
+        monkeypatch.setattr(dicke, "_nonzero_band", counted)
+        d = derive_params(small_params(10_000))
+        kernel = dicke.coherent_moments(d, "oat")
+        for times in ([0.0], [1e-3, 2e-3], [5e-3]):
+            assert len(list(kernel(times))) == len(times)
+        assert calls == [10_001]
+
     def test_negative_time_is_rejected(self):
         with pytest.raises(PhysicsError):
-            next(dicke._oat_band_moments(dicke.css(10), 1.0, [0.1, -0.1]))
+            next(dicke._oat_band_kernel(dicke.css(10), 1.0)([0.1, -0.1]))
 
 
 class TestEvolveTat:
@@ -213,6 +234,44 @@ class TestEvolveTat:
         want = expm(-1j * h * t) @ st.amplitudes
         got = dicke.TatPropagator(S, omega).evolve(st, t).amplitudes
         assert got == pytest.approx(want, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [19, 20])
+    def test_css_grid_matches_dense_expm(self, n):
+        # the CSS occupies only the symmetric sector, at half-integer S too
+        omega = 0.37
+        S = n / 2
+        sx, _, sz = dense_operators(S)
+        h = omega * (S * sx + sz @ sz)
+        st = dicke.css(n)
+        times = [0.0, 0.05, 0.214, 1.7]
+        for t, out in zip(times, dicke.TatPropagator(S, omega).evolve_grid(st, times)):
+            assert out.amplitudes == pytest.approx(expm(-1j * h * t) @ st.amplitudes, abs=1e-12)
+
+    @pytest.mark.parametrize("start, solves", [("css", 1), ("random", 2), ("antisymmetric", 1)])
+    def test_only_occupied_sectors_are_diagonalized(self, monkeypatch, start, solves):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].size)
+            return eigh_tridiagonal(*args, **kwargs)
+
+        monkeypatch.setattr(dicke, "eigh_tridiagonal", counted)
+        n = 20
+        st = dicke.css(n)
+        if start != "css":
+            rng = np.random.default_rng(n)
+            amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+            if start == "antisymmetric":
+                amps -= amps[::-1]
+            st = dicke.DickeState(n / 2, amps / np.linalg.norm(amps))
+        prop = dicke.TatPropagator(n / 2, 0.37)
+        assert calls == []  # nothing is diagonalized before the first propagation
+        prop.evolve_grid(st, [0.1, 0.5])
+        assert len(calls) == solves
+        if start != "random":  # the sector of the other reflection parity
+            assert calls == [n // 2 + 1 if start == "css" else n // 2]
+        prop.evolve_grid(st, np.linspace(0.0, 2.0, 100))
+        assert len(calls) == solves
 
     def test_complex_start_state_matches_dense_expm(self):
         # the CSS is real; an OAT-evolved start has an imaginary part of norm 0.61

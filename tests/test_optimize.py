@@ -258,6 +258,23 @@ class TestDetuningBracket:
         assert calls == []
 
 
+class TestDetuningRefinement:
+    def test_no_inner_solve_is_repeated(self, monkeypatch, fig3a_params, full_noise):
+        # the result at the optimal detuning is the refinement's own solve there
+        deltas = []
+        optimal_time = optimize.optimal_time
+
+        def counted(d, *args, **kwargs):
+            deltas.append(d.params.delta)
+            return optimal_time(d, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "optimal_time", counted)
+        p = fig3a_params
+        result = optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
+        assert result.flags == () and result.delta_opt in deltas
+        assert len(deltas) == len(set(deltas))
+
+
 class TestDetuningLanes:
     # kappa/2pi = 100 kHz, Gamma/2pi = 7 mHz and eta = 10, as at the fig3a point
     KAPPA, GAMMA = 2 * math.pi * 1e5, 2 * math.pi * 7e-3
@@ -339,6 +356,31 @@ class TestDetuningLanes:
             optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, 1000, full_noise,
                                       tier=tier)
         assert sizes == batches
+
+
+class TestNoiselessDickeOptimum:
+    # Without noise the default time bracket reaches where the twisted mean
+    # spin vanishes: 10/Gamma lies far past its collapse, and the lossless
+    # top pi/(2|Omega|) sits on it.  The optimizer reads those points as
+    # invalid; its optimum matches the closed form within the tolerance of
+    # TestProperties.test_dicke_oat_matches_closed_form.
+    KAPPA, GAMMA = TestDetuningLanes.KAPPA, TestDetuningLanes.GAMMA
+
+    @pytest.mark.parametrize("n_atoms", [50, 51])
+    @pytest.mark.parametrize("system", ["delta-kappa", "delta-10kappa", "lossless"])
+    def test_matches_analytic_tier(self, n_atoms, system):
+        if system == "lossless":
+            params = small_params(n_atoms)
+        else:
+            delta = self.KAPPA * (1.0 if system == "delta-kappa" else 10.0)
+            params = SystemParams(n_atoms=n_atoms, coupling_g=TestDetuningLanes.G,
+                                  kappa=self.KAPPA, gamma=self.GAMMA, delta=delta)
+        d = derive_params(params)
+        dicke_opt = optimize.optimal_time(d, NoiseModel.none(), tier="dicke", protocol="oat")
+        analytic_opt = optimize.optimal_time(d, NoiseModel.none(), tier="analytic")
+        assert dicke_opt.xi_min == pytest.approx(analytic_opt.xi_min, rel=1e-8, abs=1e-12)
+        assert dicke_opt.t_opt == pytest.approx(analytic_opt.t_opt, rel=optimize.REL_TOL)
+        assert dicke_opt.flags == analytic_opt.flags == ()
 
 
 class TestHalfFloorCheck:
