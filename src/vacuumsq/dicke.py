@@ -34,11 +34,12 @@ protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective.
 Twisting over a time grid works on the coherent state's nonzero band
 only: the levels whose binomial amplitude does not underflow to 0, widened
 by one level on each side and clipped to the ladder (17 187 of 100 001
-levels at N = 1e5), found once per kernel.  The band is exact, not a truncation: the twist multiplies each
-amplitude by a phase, so an amplitude that is exactly 0 stays exactly 0 at
-every t, and the padding levels hold the S+- images of the edge levels
-that the moments need.  Only the summation order of the norm and of the
-moments differs from the full ladder.
+levels at N = 1e5), found once per kernel.  The band is exact, not a
+truncation: the twist multiplies each amplitude by a phase, so an
+amplitude that is exactly 0 stays exactly 0 at every t, and the padding
+levels hold the S+- images of the edge levels that the moments need.
+Only the summation order of the norm and of the moments differs from the
+full ladder.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ def _nonzero_band(amps: np.ndarray) -> slice:
 
 
 def _oat_band_kernel(state0: DickeState, omega_twist: float):
-    """Moments of the twisted state0 along a time grid, on its nonzero band.
+    """The moments kernel of the twisted state0 along a time grid, on its nonzero band.
 
     The band is found here, once per kernel.  The kernel maps times >= 0
     to one :class:`SpinMoments` each: every point applies the phases
@@ -267,9 +268,9 @@ class TatPropagator:
         eigenbasis, block by block, and the ladder columns are reassembled
         from the pair.  A sector whose projection is all zeros takes an
         empty eigenbasis instead, whose products are exact zeros, so the
-        reassembled columns equal those of both sectors bitwise.  Each product of real eigenvectors V with a complex
-        operand z is taken as V z.real + i V z.imag, so numpy never
-        upcasts V.
+        reassembled columns equal those of both sectors bitwise.  Each
+        product of real eigenvectors V with a complex operand z is taken
+        as V z.real + i V z.imag, so numpy never upcasts V.
         """
         half, pos = amps.size // 2, amps.size - amps.size // 2  # [half:pos] is m = 0, if any
         upper, lower = amps[pos:], amps[half - 1::-1]  # m > 0 and their mirrors -m

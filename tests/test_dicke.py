@@ -235,10 +235,9 @@ class TestEvolveTat:
         got = dicke.TatPropagator(S, omega).evolve(st, t).amplitudes
         assert got == pytest.approx(want, abs=1e-10)
 
-    @pytest.mark.parametrize("n", [19, 20])
-    def test_css_grid_matches_dense_expm(self, n):
+    def test_css_grid_matches_dense_expm_at_half_integer_spin(self):
         # the CSS occupies only the symmetric sector, at half-integer S too
-        omega = 0.37
+        n, omega = 19, 0.37
         S = n / 2
         sx, _, sz = dense_operators(S)
         h = omega * (S * sx + sz @ sz)
@@ -262,13 +261,13 @@ class TestEvolveTat:
             rng = np.random.default_rng(n)
             amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
             if start == "antisymmetric":
-                amps -= amps[::-1]
+                amps = amps - amps[::-1]
             st = dicke.DickeState(n / 2, amps / np.linalg.norm(amps))
         prop = dicke.TatPropagator(n / 2, 0.37)
         assert calls == []  # nothing is diagonalized before the first propagation
         prop.evolve_grid(st, [0.1, 0.5])
         assert len(calls) == solves
-        if start != "random":  # the sector of the other reflection parity
+        if start != "random":  # symmetric sector: n/2 + 1 levels; antisymmetric: n/2
             assert calls == [n // 2 + 1 if start == "css" else n // 2]
         prop.evolve_grid(st, np.linspace(0.0, 2.0, 100))
         assert len(calls) == solves
