@@ -23,6 +23,7 @@ the closed-form floor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -335,13 +336,9 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         return derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g,
                                           kappa=kappa, gamma=gamma, delta=delta))
 
-    solved = {}  # delta -> its optimal_time result
-
+    @functools.cache  # one solve per detuning
     def solve_at(delta):
-        if delta not in solved:
-            solved[delta] = optimal_time(lane(delta), noise, tier=tier, protocol=protocol,
-                                         t_max=t_max)
-        return solved[delta]
+        return optimal_time(lane(delta), noise, tier=tier, protocol=protocol, t_max=t_max)
 
     grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
     lanes = [lane(delta) for delta in grid]
