@@ -31,15 +31,16 @@ holds moments only; each consumer reduces them once per point with
 gives the evolved coherent state's moments along a time grid for both
 protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective.
 
-Twisting over a time grid works on the coherent state's nonzero band
-only: the levels whose binomial amplitude does not underflow to 0, widened
-by one level on each side and clipped to the ladder (17 187 of 100 001
-levels at N = 1e5), found once per kernel.  The band is exact, not a
-truncation: the twist multiplies each amplitude by a phase, so an
-amplitude that is exactly 0 stays exactly 0 at every t, and the padding
-levels hold the S+- images of the edge levels that the moments need.
-Only the summation order of the norm and of the moments differs from the
-full ladder.
+Twisting over a time grid never forms the twisted state.  The twist
+turns c_m by exp(-i Omega t m^2), so the Sz moments do not depend on t,
+and the others are sums of pair weights c*_{m+k} c_m (k = 1, 2) turned
+by a phase of t and the level difference.  The weights live on the
+coherent state's nonzero band, the levels whose amplitude does not
+underflow to 0 (17 187 of 100 001 levels at N = 1e5).  The band is
+exact, not a truncation: a pair weight with a zero amplitude vanishes.
+The weights and the norm-drift gate are evaluated once per kernel: the
+twist keeps sum |c_m|^2 at every t, so a per-point check would only see
+the rounding of |exp(i theta)|, about 1e-16.
 """
 
 from __future__ import annotations
@@ -111,19 +112,19 @@ def _check_unit_norm(amps: np.ndarray) -> None:
         raise NumericsError(f"state norm {norm!r} deviates from 1 beyond {NORM_TOL}")
 
 
-def _renormalized(amps: np.ndarray) -> np.ndarray:
-    """Renormalize propagated amplitudes within the drift gate, else raise NormDriftError."""
-    norm = float(np.sum(np.abs(amps) ** 2))
+def _drift_gated(norm: float) -> float:
+    """The norm of propagated amplitudes if within the drift gate, else raise NormDriftError."""
     if not math.isfinite(norm):
         raise NumericsError("non-finite amplitudes (overflow during propagation?)")
     if abs(norm - 1.0) > NORM_DRIFT_GATE:
         raise NormDriftError(
             f"norm drifted to {norm!r} (gate {NORM_DRIFT_GATE}); propagation lost unitarity")
-    return amps / math.sqrt(norm)
+    return norm
 
 
 def _gated_state(spin_S, amps) -> DickeState:
-    return DickeState(spin_S, _renormalized(amps))
+    """Propagated amplitudes as a state, renormalized within the drift gate."""
+    return DickeState(spin_S, amps / math.sqrt(_drift_gated(float(np.sum(np.abs(amps) ** 2)))))
 
 
 def css(n_atoms: int) -> DickeState:
@@ -154,34 +155,50 @@ def evolve_oat(state: DickeState, omega_twist: float, t: float) -> DickeState:
 
 
 def _nonzero_band(amps: np.ndarray) -> slice:
-    """Levels of the nonzero amplitudes, widened by one level each side, clipped."""
+    """The levels from the first to the last nonzero amplitude."""
     nonzero = np.flatnonzero(amps)
-    return slice(max(int(nonzero[0]) - 1, 0), min(int(nonzero[-1]) + 2, amps.size))
+    return slice(int(nonzero[0]), int(nonzero[-1]) + 1)
 
 
 def _oat_band_kernel(state0: DickeState, omega_twist: float):
     """The moments kernel of the twisted state0 along a time grid, on its nonzero band.
 
-    The band is found here, once per kernel.  The kernel maps times >= 0
-    to one :class:`SpinMoments` each: every point applies the phases
-    exp(-i Omega t m^2) to the band, gates and renormalizes it like
-    :func:`evolve_oat` (drift 1e-9, then the NORM_TOL invariant) and
-    reduces it with the moments kernel.  Equal to
-    ``moments(evolve_oat(state0, omega_twist, t))`` up to summation order.
+    Formed once: the band norm n, the Sz moments, <S+S- + S-S+> =
+    2<S(S+1) - Sz^2>, and the pair weights over n, w1_m = <m+1|S+|m> c*_{m+1} c_m,
+    (2m+1) w1_m and w2_m = <m+2|S+^2|m> c*_{m+2} c_m.  The kernel maps finite
+    times >= 0 to one :class:`SpinMoments` each, once n passes the drift gate
+    (1e-9).  Each point takes e_m = exp(i Omega t (2m+1)) and <S+> = e.w1,
+    <{Sz, S+}> = e.((2m+1) w1), <S+^2> = (e_m e_{m+1}).w2.  Each moment is within
+    3.6e-14 S^2 of ``moments(evolve_oat(...))`` (random complex starts, N <= 301,
+    Omega t <= 2), whose phases Omega t m^2 are the coarser ones.
     """
     band = _nonzero_band(state0.amplitudes)
-    amps0 = state0.amplitudes[band]
-    m_band = state0.m_values[band]
-    m_sq = m_band ** 2
+    S, amps, m = state0.spin_S, state0.amplitudes[band], state0.m_values[band]
+    pop = np.abs(amps) ** 2
+    norm = float(np.sum(pop))
+    mean_z, sz_sq = float(np.dot(m, pop)) / norm, float(np.dot(m ** 2, pop)) / norm
+    up = np.sqrt((S - m[:-1]) * (S + m[:-1] + 1.0))  # <m+1| S+ |m>
+    phase = 2.0 * m[:-1] + 1.0  # (m+1)^2 - m^2
+    w1 = up * amps[1:].conj() * amps[:-1] / norm
+    w1_sz = phase * w1
+    w2 = up[:-1] * up[1:] * amps[2:].conj() * amps[:-2] / norm
+    sym = 2.0 * (S * (S + 1.0) - sz_sq)  # <S+S- + S-S+>
 
     def moments_at(times) -> Iterator[SpinMoments]:
         times = np.asarray(times, dtype=float)
         if np.any(times < 0):
             raise PhysicsError("time must be >= 0")
+        if not np.all(np.isfinite(times)):
+            raise NumericsError("non-finite time")
+        _drift_gated(norm)
         for t in times:
-            amps = _renormalized(np.exp(-1j * omega_twist * t * m_sq) * amps0)
-            _check_unit_norm(amps)
-            yield _moments_on_levels(amps, state0.spin_S, m_band[0])
+            e = np.exp(1j * (omega_twist * t) * phase)
+            sp, sz_sp, sp_sq = e @ w1, e @ w1_sz, (e[:-1] * e[1:]) @ w2
+            mean_x, mean_y = float(sp.real), float(sp.imag)
+            yield SpinMoments(spin_S=S, mean_x=mean_x, mean_y=mean_y, mean_z=mean_z,
+                              var_z=sz_sq - mean_z * mean_z,
+                              var_y=0.25 * (sym - 2.0 * float(sp_sq.real)) - mean_y * mean_y,
+                              cross_zy=float(sz_sp.imag) - 2.0 * mean_z * mean_y)
     return moments_at
 
 
@@ -325,13 +342,9 @@ class TatPropagator:
         return out
 
 
-def _ladder_applications(amps: np.ndarray, spin_S: float, m_lo: float):
-    """Sz c, Sy c, Sx c along the first (m) axis of ``amps``; O(size) each.
-
-    The first axis holds the levels m_lo, m_lo + 1, ...; the amplitudes
-    just outside them must be 0 (ladder ends, or zero padding).
-    """
-    m = (np.arange(amps.shape[0], dtype=float) + m_lo).reshape((-1,) + (1,) * (amps.ndim - 1))
+def _ladder_applications(amps: np.ndarray, spin_S: float):
+    """Sz c, Sy c, Sx c along the first (m = -S..S) axis of ``amps``; O(size) each."""
+    m = (np.arange(amps.shape[0], dtype=float) - spin_S).reshape((-1,) + (1,) * (amps.ndim - 1))
     up = np.sqrt((spin_S - m[:-1]) * (spin_S + m[:-1] + 1.0))  # <m+1| S+ |m>
     sp_c = np.zeros_like(amps)
     sp_c[1:] = up * amps[:-1]
@@ -347,12 +360,7 @@ def amplitude_moments(amps: np.ndarray, spin_S: float) -> SpinMoments:
     traced out, because ``np.vdot`` flattens both operands.  Returns all
     first moments and the transverse (z, y) second moments.
     """
-    return _moments_on_levels(amps, spin_S, -spin_S)
-
-
-def _moments_on_levels(amps: np.ndarray, spin_S: float, m_lo: float) -> SpinMoments:
-    """:func:`amplitude_moments` of amplitudes on the levels m_lo, m_lo + 1, ..."""
-    sz_c, sy_c, sx_c = _ladder_applications(amps, spin_S, m_lo)
+    sz_c, sy_c, sx_c = _ladder_applications(amps, spin_S)
 
     def inner(a, b):
         return float(np.real(np.vdot(a, b)))
@@ -408,9 +416,9 @@ def coherent_moments(d: DerivedParams, protocol: str):
 
     ``protocol`` is "oat" or "tat", as resolved by :func:`core.resolve_tier`.
     The function maps ascending times >= 0 to one :class:`SpinMoments` each.
-    Twisting phase-steps the coherent state's nonzero band (see the module
-    docstring); rotation-assisted twisting maps :func:`moments` over one
-    :class:`TatPropagator`, built here once.
+    Twisting turns the coherent state's pair weights, formed here once (see
+    :func:`_oat_band_kernel`); rotation-assisted twisting maps :func:`moments`
+    over one :class:`TatPropagator`, built here once.
     """
     state0 = css(d.params.n_atoms)
     if protocol == "oat":

@@ -23,7 +23,6 @@ the closed-form floor.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -259,7 +258,7 @@ def _edge_flags(edge, label):
 
 
 def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max):
-    """The optimal time of every lane in one solve: (t_opt, xi_min, edges, t_max).
+    """The optimal time of every lane in one solve, one result per lane.
 
     Each lane's coarse time grid spans [t_max * 1e-8, t_max], all of them
     in one array call of the objective.  One lane is refined by
@@ -286,7 +285,12 @@ def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max):
         raise NumericsError(
             f"xi_min={below[0]!r} is below half the closed-form floor {floor!r}; "
             "the optimizer left the additive-noise validity regime")
-    return t_opt, xi_min, edges, tops
+    return [OptimizationResult(t_opt=float(t), xi_min=float(xi),
+                               xi_min_db=float(analytic.to_db(float(xi))),
+                               model_tier=tier, protocol=protocol,
+                               bracket_t=(float(top * 1e-8), float(top)),
+                               flags=_edge_flags(edge, "time"))
+            for t, xi, edge, top in zip(t_opt, xi_min, edges, tops)]
 
 
 def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
@@ -302,12 +306,7 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
     refined with scalar calls of the objective.
     """
     tier, protocol = resolve_tier(tier, protocol)
-    (t_opt,), (xi_min,), (edge,), (top,) = _optimal_times([d], noise, tier, protocol, t_max)
-    return OptimizationResult(t_opt=t_opt, xi_min=xi_min,
-                              xi_min_db=float(analytic.to_db(xi_min)),
-                              model_tier=tier, protocol=protocol,
-                              bracket_t=(float(top * 1e-8), float(top)),
-                              flags=_edge_flags(edge, "time"))
+    return _optimal_times([d], noise, tier, protocol, t_max)[0]
 
 
 def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int,
@@ -322,7 +321,8 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     lanes one at a time, so that one lane's kernel is alive at once.  The
     outer golden section then refines the detuning, with one
     ``optimal_time`` per candidate.  Each detuning is solved once, so the
-    result at a refined optimum is the refinement's own solve there.
+    result at the optimum is the solve of its coarse lane or of its
+    refinement step.
     """
     tier, protocol = resolve_tier(tier, protocol)
     if bracket is None:
@@ -336,17 +336,22 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         return derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g,
                                           kappa=kappa, gamma=gamma, delta=delta))
 
-    @functools.cache  # one solve per detuning
-    def solve_at(delta):
-        return optimal_time(lane(delta), noise, tier=tier, protocol=protocol, t_max=t_max)
-
     grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
     lanes = [lane(delta) for delta in grid]
     batch = 1 if tier == "dicke" else len(lanes)
-    values = np.concatenate([_optimal_times(lanes[k:k + batch], noise, tier, protocol, t_max)[1]
-                             for k in range(0, len(lanes), batch)])
+    solved = {}  # one solve per detuning, the coarse lanes included
+    for k in range(0, len(lanes), batch):
+        solved.update(zip(grid[k:k + batch],
+                          _optimal_times(lanes[k:k + batch], noise, tier, protocol, t_max)))
+
+    def solve_at(delta):
+        if delta not in solved:
+            solved[delta] = optimal_time(lane(delta), noise, tier=tier, protocol=protocol,
+                                         t_max=t_max)
+        return solved[delta]
+
     delta_opt, _, edge = minimize_on_log_axis(lambda delta: solve_at(delta).xi_min, grid,
-                                              values, REL_TOL)
+                                              [solved[delta].xi_min for delta in grid], REL_TOL)
     inner = solve_at(delta_opt)
     return OptimizationResult(t_opt=inner.t_opt, xi_min=inner.xi_min,
                               xi_min_db=inner.xi_min_db, model_tier=inner.model_tier,

@@ -158,7 +158,7 @@ class TestOatBand:
             assert trace.angle[i] == pytest.approx(angle_full, rel=0.0, abs=1e-12)
         assert np.min(trace.xi_unitary) < 0.01
 
-    @pytest.mark.parametrize("n", [12, 1000])
+    @pytest.mark.parametrize("n", [12, 1000, 2001])
     def test_band_is_the_whole_ladder_without_underflow(self, n):
         state0 = dicke.css(n)
         assert np.all(state0.amplitudes != 0)
@@ -166,25 +166,39 @@ class TestOatBand:
         d = derive_params(small_params(n))
         times = [0.0, 0.3 / n, 1.0 / math.sqrt(n)]
         band = dicke._oat_band_kernel(state0, d.omega_twist)(times)
+        scale = d.spin_S ** 2
         for got, want in zip(band, full_ladder_trace(d, times), strict=True):
-            assert vars(got) == vars(want)  # same levels, same arithmetic
+            # same levels; pair weights instead of the twisted state
+            for key in ("mean_x", "mean_y", "mean_z", "var_z", "var_y", "cross_zy"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                          rel=0.0, abs=1e-12 * scale)
+            xi_got = dicke.min_transverse_variance(got)[0] / (d.spin_S / 2)
+            xi_want = dicke.min_transverse_variance(want)[0] / (d.spin_S / 2)
+            assert xi_got == pytest.approx(xi_want, rel=1e-12, abs=0.0)
 
-    def test_padding_levels_hold_the_ladder_images_of_the_edge_levels(self):
+    @pytest.mark.parametrize("n", [7, 50, 301])
+    def test_complex_start_matches_full_ladder(self, rng, n):
+        # the CSS is real and R-symmetric: only a complex start exercises
+        # the conjugates of the pair weights
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        state0 = dicke.DickeState(n / 2.0, amps / np.linalg.norm(amps))
+        times = np.sort(rng.uniform(0.0, 2.0, size=12))
+        band = dicke._oat_band_kernel(state0, 1.0)(times)
+        for got, t in zip(band, times, strict=True):
+            want = dicke.moments(dicke.evolve_oat(state0, 1.0, t))
+            # the reference rounds phases Omega t m^2 of up to 2 (n/2)^2 rad
+            for key in ("mean_x", "mean_y", "mean_z", "var_z", "var_y", "cross_zy"):
+                assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                          rel=0.0, abs=1e-12 * (n / 2.0) ** 2)
+
+    def test_band_is_the_nonzero_levels(self):
+        # at N=1e4 the binomial tails underflow, so the band ends inside the ladder
         n = 10_000
-        band = dicke._nonzero_band(dicke.css(n).amplitudes)
-        assert 0 < band.start and band.stop < n + 1  # the band ends inside the ladder
-        st = dicke.evolve_oat(dicke.css(n), 1.0, 3e-3)
-        amps, S = st.amplitudes, st.spin_S
-        assert not np.any(amps[:band.start + 1]) and not np.any(amps[band.stop - 1:])
-        assert amps[band.start + 1] != 0 and amps[band.stop - 2] != 0
-        full = dicke._ladder_applications(amps, S, -S)
-        on_band = dicke._ladder_applications(amps[band], S, band.start - S)
-        for f, b in zip(full, on_band):
-            assert np.array_equal(f[band], b)  # exactly, the padding levels included
-            assert not np.any(f[:band.start]) and not np.any(f[band.stop:])
-        _, sy_c, sx_c = full
-        for edge in (band.start, band.stop - 1):
-            assert sx_c[edge] != 0 and sy_c[edge] != 0
+        amps = dicke.css(n).amplitudes
+        band = dicke._nonzero_band(amps)
+        assert 0 < band.start and band.stop < n + 1
+        assert amps[band.start] != 0 and amps[band.stop - 1] != 0
+        assert not np.any(amps[:band.start]) and not np.any(amps[band.stop:])
 
     @pytest.mark.parametrize("drift, raises", [(2e-9, True), (2e-11, False)])
     def test_norm_drift_gate_applies_on_the_band(self, drift, raises):
@@ -216,6 +230,11 @@ class TestOatBand:
     def test_negative_time_is_rejected(self):
         with pytest.raises(PhysicsError):
             next(dicke._oat_band_kernel(dicke.css(10), 1.0)([0.1, -0.1]))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        with pytest.raises(NumericsError):
+            next(dicke._oat_band_kernel(dicke.css(10), 1.0)([t]))
 
 
 class TestEvolveTat:

@@ -274,6 +274,30 @@ class TestDetuningRefinement:
         assert result.flags == () and result.delta_opt in deltas
         assert len(deltas) == len(set(deltas))
 
+    def test_a_coarse_optimum_reuses_its_lane(self, monkeypatch, full_noise):
+        # N=1000 at the fig3a kappa, Gamma and eta, as in the fig3a scaling
+        # scan: the refinement does not beat coarse lane 37, whose solve the
+        # lane batch has already run
+        kappa, gamma = 2 * math.pi * 1e5, 2 * math.pi * 7e-3
+        g = math.sqrt(10.0 * gamma * kappa) / 2.0
+        deltas = []
+        optimal_time = optimize.optimal_time
+
+        def counted(d, *args, **kwargs):
+            deltas.append(d.params.delta)
+            return optimal_time(d, *args, **kwargs)
+
+        monkeypatch.setattr(optimize, "optimal_time", counted)
+        result = optimize.optimal_detuning(g, kappa, gamma, 1000, full_noise)
+        grid = np.geomspace(kappa, 1e4 * kappa, optimize.DETUNING_GRID_POINTS)
+        assert result.flags == () and result.delta_opt == grid[37]
+        assert deltas and not set(deltas) & set(grid)
+        lane = derive_params(SystemParams(n_atoms=1000, coupling_g=g, kappa=kappa,
+                                          gamma=gamma, delta=result.delta_opt))
+        alone = optimal_time(lane, full_noise)
+        assert (result.t_opt, result.xi_min, result.bracket_t) == (
+            alone.t_opt, alone.xi_min, alone.bracket_t)
+
 
 class TestDetuningLanes:
     # kappa/2pi = 100 kHz, Gamma/2pi = 7 mHz and eta = 10, as at the fig3a point
@@ -331,21 +355,23 @@ class TestDetuningLanes:
         # must stay invalid when no noise channel is on
         monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
         lanes = self.lanes(n_atoms, np.geomspace(*bracket, 6))
-        t_opt, xi_min, edges, _ = optimize._optimal_times(lanes, noise, "dicke", protocol, t_max)
+        batch = optimize._optimal_times(lanes, noise, "dicke", protocol, t_max)
         solo = [optimize.optimal_time(d, noise, tier="dicke", protocol=protocol, t_max=t_max)
                 for d in lanes]
-        assert list(t_opt) == [r.t_opt for r in solo]
-        np.testing.assert_allclose(xi_min, [r.xi_min for r in solo], rtol=1e-14, atol=0.0)
-        assert [optimize._edge_flags(e, "time") for e in edges] == [r.flags for r in solo]
+        assert [r.t_opt for r in batch] == [r.t_opt for r in solo]
+        np.testing.assert_allclose([r.xi_min for r in batch], [r.xi_min for r in solo],
+                                   rtol=1e-14, atol=0.0)
+        assert [r.flags for r in batch] == [r.flags for r in solo]
 
     @pytest.mark.parametrize("tier, batches", [("dicke", [1] * 96), ("analytic", [96])])
     def test_dicke_lanes_are_solved_one_at_a_time(self, monkeypatch, full_noise, tier, batches):
         # one Dicke kernel is alive at once, as in a one-lane optimal_time
         sizes = []
 
-        def solve(lanes, *args):
+        def solve(lanes, noise, tier, protocol, t_max):
             sizes.append(len(lanes))
-            return None, np.ones(len(lanes)), None, None
+            return [optimize.OptimizationResult(t_opt=1.0, xi_min=1.0, xi_min_db=0.0,
+                                                model_tier=tier, protocol=protocol)] * len(lanes)
 
         def coarse(*args):
             raise self.Coarse()
