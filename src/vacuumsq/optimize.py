@@ -23,6 +23,7 @@ the closed-form floor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -258,7 +259,7 @@ def _edge_flags(edge, label):
 
 
 def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max):
-    """The optimal time of every lane in one solve, one result per lane.
+    """The optimal time of every lane in one solve: (t_opt, xi_min, edges, t_max).
 
     Each lane's coarse time grid spans [t_max * 1e-8, t_max], all of them
     in one array call of the objective.  One lane is refined by
@@ -285,12 +286,16 @@ def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max):
         raise NumericsError(
             f"xi_min={below[0]!r} is below half the closed-form floor {floor!r}; "
             "the optimizer left the additive-noise validity regime")
-    return [OptimizationResult(t_opt=float(t), xi_min=float(xi),
-                               xi_min_db=float(analytic.to_db(float(xi))),
-                               model_tier=tier, protocol=protocol,
-                               bracket_t=(float(top * 1e-8), float(top)),
-                               flags=_edge_flags(edge, "time"))
-            for t, xi, edge, top in zip(t_opt, xi_min, edges, tops)]
+    return t_opt, xi_min, edges, tops
+
+
+def _time_result(tier: str, protocol: str, t_opt, xi_min, edge, top) -> OptimizationResult:
+    """The result of one lane of :func:`_optimal_times`."""
+    return OptimizationResult(t_opt=float(t_opt), xi_min=float(xi_min),
+                              xi_min_db=float(analytic.to_db(float(xi_min))),
+                              model_tier=tier, protocol=protocol,
+                              bracket_t=(float(top * 1e-8), float(top)),
+                              flags=_edge_flags(edge, "time"))
 
 
 def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
@@ -306,7 +311,8 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
     refined with scalar calls of the objective.
     """
     tier, protocol = resolve_tier(tier, protocol)
-    return _optimal_times([d], noise, tier, protocol, t_max)[0]
+    (t_opt,), (xi_min,), (edge,), (top,) = _optimal_times([d], noise, tier, protocol, t_max)
+    return _time_result(tier, protocol, t_opt, xi_min, edge, top)
 
 
 def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int,
@@ -339,19 +345,19 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
     lanes = [lane(delta) for delta in grid]
     batch = 1 if tier == "dicke" else len(lanes)
-    solved = {}  # one solve per detuning, the coarse lanes included
+    coarse = {}  # (t_opt, xi_min, edge, top) of each grid detuning's lane
     for k in range(0, len(lanes), batch):
-        solved.update(zip(grid[k:k + batch],
-                          _optimal_times(lanes[k:k + batch], noise, tier, protocol, t_max)))
+        coarse.update(zip(grid[k:k + batch],
+                          zip(*_optimal_times(lanes[k:k + batch], noise, tier, protocol, t_max))))
 
+    @functools.cache  # one solve per detuning, the coarse lanes included
     def solve_at(delta):
-        if delta not in solved:
-            solved[delta] = optimal_time(lane(delta), noise, tier=tier, protocol=protocol,
-                                         t_max=t_max)
-        return solved[delta]
+        if delta in coarse:
+            return _time_result(tier, protocol, *coarse[delta])
+        return optimal_time(lane(delta), noise, tier=tier, protocol=protocol, t_max=t_max)
 
     delta_opt, _, edge = minimize_on_log_axis(lambda delta: solve_at(delta).xi_min, grid,
-                                              [solved[delta].xi_min for delta in grid], REL_TOL)
+                                              [xi for _, xi, _, _ in coarse.values()], REL_TOL)
     inner = solve_at(delta_opt)
     return OptimizationResult(t_opt=inner.t_opt, xi_min=inner.xi_min,
                               xi_min_db=inner.xi_min_db, model_tier=inner.model_tier,

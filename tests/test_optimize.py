@@ -355,23 +355,22 @@ class TestDetuningLanes:
         # must stay invalid when no noise channel is on
         monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
         lanes = self.lanes(n_atoms, np.geomspace(*bracket, 6))
-        batch = optimize._optimal_times(lanes, noise, "dicke", protocol, t_max)
+        t_opt, xi_min, edges, _ = optimize._optimal_times(lanes, noise, "dicke", protocol, t_max)
         solo = [optimize.optimal_time(d, noise, tier="dicke", protocol=protocol, t_max=t_max)
                 for d in lanes]
-        assert [r.t_opt for r in batch] == [r.t_opt for r in solo]
-        np.testing.assert_allclose([r.xi_min for r in batch], [r.xi_min for r in solo],
-                                   rtol=1e-14, atol=0.0)
-        assert [r.flags for r in batch] == [r.flags for r in solo]
+        assert list(t_opt) == [r.t_opt for r in solo]
+        np.testing.assert_allclose(xi_min, [r.xi_min for r in solo], rtol=1e-14, atol=0.0)
+        assert [optimize._edge_flags(e, "time") for e in edges] == [r.flags for r in solo]
 
     @pytest.mark.parametrize("tier, batches", [("dicke", [1] * 96), ("analytic", [96])])
     def test_dicke_lanes_are_solved_one_at_a_time(self, monkeypatch, full_noise, tier, batches):
         # one Dicke kernel is alive at once, as in a one-lane optimal_time
         sizes = []
 
-        def solve(lanes, noise, tier, protocol, t_max):
+        def solve(lanes, *args):
             sizes.append(len(lanes))
-            return [optimize.OptimizationResult(t_opt=1.0, xi_min=1.0, xi_min_db=0.0,
-                                                model_tier=tier, protocol=protocol)] * len(lanes)
+            ones = np.ones(len(lanes))
+            return ones, ones, [None] * len(lanes), ones
 
         def coarse(*args):
             raise self.Coarse()
