@@ -18,6 +18,7 @@ precision) and written atomically (temp file + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -486,7 +487,9 @@ def _error_line(exc, code):
     print("VACUUMSQ-ERROR " + json.dumps(payload, sort_keys=True), file=sys.stderr)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="vacuumsq",
         description="Cavity-vacuum spin squeezing simulator and optimizer.")

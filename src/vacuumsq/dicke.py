@@ -40,7 +40,10 @@ underflow to 0 (17 187 of 100 001 levels at N = 1e5).  The band is
 exact, not a truncation: a pair weight with a zero amplitude vanishes.
 The weights and the norm-drift gate are evaluated once per kernel: the
 twist keeps sum |c_m|^2 at every t, so a per-point check would only see
-the rounding of |exp(i theta)|, about 1e-16.
+the rounding of |exp(i theta)|, about 1e-16.  The phases are arithmetic
+in m, so each factors into a row phase and an in-row step: a time point
+takes about 4 sqrt(n) exponentials for n band levels (530 at N = 1e5),
+and a block of 64 times takes two matrix products.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ NORM_DRIFT_GATE = 1e-9  # propagation drift beyond this is an error
 # eigenvector blocks of about (dim/2)^2 each, 2 x 33.6 MB at dim 4096
 # (one for the coherent state, which occupies one reflection sector).
 SPECTRAL_MAX_DIM = 4096
-_GRID_BLOCK = 64         # time columns per spectral product (temporaries <= 4 MiB)
+_GRID_BLOCK = 64         # time columns per grid product (TAT temporaries <= 4 MiB)
 
 __all__ = [
     "DickeState", "css", "evolve_oat", "TatPropagator",
@@ -167,10 +170,18 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
     2<S(S+1) - Sz^2>, and the pair weights over n, w1_m = <m+1|S+|m> c*_{m+1} c_m,
     (2m+1) w1_m and w2_m = <m+2|S+^2|m> c*_{m+2} c_m.  The kernel maps finite
     times >= 0 to one :class:`SpinMoments` each, once n passes the drift gate
-    (1e-9).  Each point takes e_m = exp(i Omega t (2m+1)) and <S+> = e.w1,
-    <{Sz, S+}> = e.((2m+1) w1), <S+^2> = (e_m e_{m+1}).w2.  Each moment is within
-    3.6e-14 S^2 of ``moments(evolve_oat(...))`` (random complex starts, N <= 301,
-    Omega t <= 2), whose phases Omega t m^2 are the coarser ones.
+    (1e-9).  At theta = Omega t the moments are <S+> = sum_j exp(i theta phi_j) w1_j,
+    <{Sz, S+}> the same over (2m+1) w1 and <S+^2> = sum_j exp(i theta psi_j) w2_j,
+    with the pair phases phi_j = (m+1)^2 - m^2 = phi_0 + 2j and psi_j = (m+2)^2 - m^2
+    = psi_0 + 4j of the band levels m = m_0 + j.  Both are arithmetic, so with
+    j = B a + b and B = ceil(sqrt(levels)) each exponential factors into a row
+    phase exp(i theta (phi_0 + 2Ba)) and an in-row step exp(2i theta b): the
+    weights are zero-padded to A full rows of B, and each block of up to 64
+    times takes one product of the stacked w1 rows and one of the w2 rows with
+    their steps, then a sum over rows turned by their row phases.  A point
+    costs 2(A + B) exponentials, about 4 sqrt(levels), and the temporaries
+    stay at about B x 64 x 16 B.  Each moment is within 1e-14 S^2 of a 40-digit
+    reference (random complex start, N = 301, Omega t <= 2).
     """
     band = _nonzero_band(state0.amplitudes)
     S, amps, m = state0.spin_S, state0.amplitudes[band], state0.m_values[band]
@@ -178,11 +189,26 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
     norm = float(np.sum(pop))
     mean_z, sz_sq = float(np.dot(m, pop)) / norm, float(np.dot(m ** 2, pop)) / norm
     up = np.sqrt((S - m[:-1]) * (S + m[:-1] + 1.0))  # <m+1| S+ |m>
-    phase = 2.0 * m[:-1] + 1.0  # (m+1)^2 - m^2
     w1 = up * amps[1:].conj() * amps[:-1] / norm
-    w1_sz = phase * w1
     w2 = up[:-1] * up[1:] * amps[2:].conj() * amps[:-2] / norm
     sym = 2.0 * (S * (S + 1.0) - sz_sq)  # <S+S- + S-S+>
+    width = math.isqrt(m.size - 1) + 1  # B = ceil(sqrt(levels))
+    rows = -(-w1.size // width)  # A, enough for the longer w1
+
+    def padded(w):
+        out = np.zeros(rows * width, dtype=complex)
+        out[:w.size] = w
+        return out.reshape(rows, width)
+
+    phi0 = 2.0 * m[0] + 1.0
+    w1_rows = np.concatenate((padded(w1), padded((2.0 * m[:-1] + 1.0) * w1)))
+    w2_rows = padded(w2)
+    row = np.arange(rows) * float(width)
+    phi_rows, psi_rows = phi0 + 2.0 * row, (2.0 * phi0 + 2.0) + 4.0 * row
+    step = np.arange(width, dtype=float)
+
+    def turns(phases, theta):
+        return np.exp(1j * np.multiply.outer(phases, theta))
 
     def moments_at(times) -> Iterator[SpinMoments]:
         times = np.asarray(times, dtype=float)
@@ -191,14 +217,17 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
         if not np.all(np.isfinite(times)):
             raise NumericsError("non-finite time")
         _drift_gated(norm)
-        for t in times:
-            e = np.exp(1j * (omega_twist * t) * phase)
-            sp, sz_sp, sp_sq = e @ w1, e @ w1_sz, (e[:-1] * e[1:]) @ w2
-            mean_x, mean_y = float(sp.real), float(sp.imag)
-            yield SpinMoments(spin_S=S, mean_x=mean_x, mean_y=mean_y, mean_z=mean_z,
-                              var_z=sz_sq - mean_z * mean_z,
-                              var_y=0.25 * (sym - 2.0 * float(sp_sq.real)) - mean_y * mean_y,
-                              cross_zy=float(sz_sp.imag) - 2.0 * mean_z * mean_y)
+        for lo in range(0, times.size, _GRID_BLOCK):
+            theta = omega_twist * times[lo:lo + _GRID_BLOCK]
+            turned = (w1_rows @ turns(2.0 * step, theta)).reshape(2, rows, theta.size)
+            sp, sz_sp = np.sum(turns(phi_rows, theta) * turned, axis=1)
+            sp_sq = np.sum(turns(psi_rows, theta) * (w2_rows @ turns(4.0 * step, theta)), axis=0)
+            for k in range(theta.size):
+                mean_x, mean_y = float(sp[k].real), float(sp[k].imag)
+                yield SpinMoments(spin_S=S, mean_x=mean_x, mean_y=mean_y, mean_z=mean_z,
+                                  var_z=sz_sq - mean_z * mean_z,
+                                  var_y=0.25 * (sym - 2.0 * float(sp_sq[k].real)) - mean_y * mean_y,
+                                  cross_zy=float(sz_sp[k].imag) - 2.0 * mean_z * mean_y)
     return moments_at
 
 
@@ -270,6 +299,7 @@ class TatPropagator:
         if self.spectral:
             self._blocks = _parity_sectors(diag, off)
             self._sectors = [None, None]  # eigenpairs, computed on first use
+            self._projected = None  # (state, its _project) of the last state propagated
         else:
             self._h = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
 
@@ -277,17 +307,14 @@ class TatPropagator:
         """The state at one time t >= 0: :meth:`evolve_grid` of the grid [t]."""
         return self.evolve_grid(state, [t])[0]
 
-    def _spectral(self, amps: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """exp(-iHt) amps for every t, as the columns of a (dim, T) array.
+    def _project(self, amps: np.ndarray) -> list:
+        """(vals, vecs, V^T z) of each reflection sector for the amplitudes' projection z.
 
-        The amplitudes are projected once onto the two reflection sectors
-        (see :func:`_parity_sectors`); each sector is rotated in its own
-        eigenbasis, block by block, and the ladder columns are reassembled
-        from the pair.  A sector whose projection is all zeros takes an
+        The amplitudes are split onto the two sectors (see
+        :func:`_parity_sectors`) and each projection z is expanded in its
+        sector's eigenbasis.  A sector whose projection is all zeros takes an
         empty eigenbasis instead, whose products are exact zeros, so the
-        reassembled columns equal those of both sectors bitwise.  Each
-        product of real eigenvectors V with a complex operand z is taken
-        as V z.real + i V z.imag, so numpy never upcasts V.
+        rotated columns equal those of both sectors bitwise.
         """
         half, pos = amps.size // 2, amps.size - amps.size // 2  # [half:pos] is m = 0, if any
         upper, lower = amps[pos:], amps[half - 1::-1]  # m > 0 and their mirrors -m
@@ -302,7 +329,20 @@ class TatPropagator:
             else:  # V 0 = 0 exactly: no eigenvectors, and products that are zeros
                 vals, vecs = np.empty(0), np.empty((z.size, 0))
             sectors.append((vals, vecs, _real_product(vecs.T, z)))
-        out = np.empty((amps.size, times.size), dtype=complex)
+        return sectors
+
+    @staticmethod
+    def _rotate(sectors: list, times: np.ndarray) -> np.ndarray:
+        """exp(-iHt) of the projected amplitudes for every t, as the columns of a (dim, T) array.
+
+        Each sector is rotated in its own eigenbasis, block by block, and the
+        ladder columns are reassembled from the pair.  Each product of real
+        eigenvectors V with a complex operand z is taken as
+        V z.real + i V z.imag, so numpy never upcasts V.
+        """
+        # one symmetric level per m >= 0 and one antisymmetric per m > 0
+        pos, half = (vecs.shape[0] for _, vecs, _ in sectors)
+        out = np.empty((pos + half, times.size), dtype=complex)
         for lo in range(0, times.size, _GRID_BLOCK):
             cols = slice(lo, lo + _GRID_BLOCK)
             sym, anti = (_real_product(vecs, np.exp(-1j * np.outer(vals, times[cols]))
@@ -321,16 +361,23 @@ class TatPropagator:
     def evolve_grid(self, state: DickeState, times) -> list[DickeState]:
         """States at the given (ascending, >= 0) times from one initial state.
 
-        The spectral path evaluates the grid in blocks of matrix products
-        (see :meth:`_spectral`).  The Krylov path steps sequentially
-        between grid points, so a full curve costs about the same as one
-        evolution to the final time.
+        The spectral path projects the state (see :meth:`_project`) and
+        evaluates the grid in blocks of matrix products (see :meth:`_rotate`);
+        it keeps the projection of the last state it propagated, so a
+        kernel that steps one state through many grids projects it once.
+        The Krylov path steps sequentially between grid points, so a full
+        curve costs about the same as one evolution to the final time.
+        A NaN or infinite time raises :class:`NumericsError` up front.
         """
         times = np.asarray(times, dtype=float)
         if times.size and (np.any(times < 0) or np.any(np.diff(times) < 0)):
             raise PhysicsError("times must be ascending and >= 0")
+        if not np.all(np.isfinite(times)):
+            raise NumericsError("non-finite time")
         if self.spectral:
-            block = self._spectral(state.amplitudes, times)
+            if self._projected is None or self._projected[0] is not state:
+                self._projected = (state, self._project(state.amplitudes))
+            block = self._rotate(self._projected[1], times)
             return [_gated_state(state.spin_S, block[:, j]) for j in range(times.size)]
         out = []
         amps = state.amplitudes

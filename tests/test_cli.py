@@ -180,10 +180,21 @@ def test_out_naming_a_file_exits_5(tmp_path, capsys):
 
 
 def test_only_config_and_out_are_accepted(tmp_path):
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["evolve", "--config", "c.json", "--threads", "2"])
-    with pytest.raises(SystemExit):
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(["evolve", "--config", "c.json", "--seed", "1"])
+    assert exc.value.code == 2
+
+
+def test_parser_is_built_once_per_process():
+    cli.build_parser.cache_clear()
+    for argv in (["evolve"], ["optimize", "--config", "c.json", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    assert cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("tier", ["analytic", "dicke"])

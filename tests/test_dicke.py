@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, expm
@@ -133,6 +134,12 @@ class TestEquivalenceClosedForm:
         assert abs(xi_num - xi_cf) <= 1e-10 * max(1.0, xi_cf)
 
 
+def assert_moments_close(got, want, tol):
+    """Every moment of ``got`` within ``tol`` (absolute) of ``want``."""
+    for key in ("mean_x", "mean_y", "mean_z", "var_z", "var_y", "cross_zy"):
+        assert getattr(got, key) == pytest.approx(getattr(want, key), rel=0.0, abs=tol), key
+
+
 def full_ladder_trace(d, times):
     """Moments of evolve_oat on the whole ladder, one state per time."""
     state0 = dicke.css(d.params.n_atoms)
@@ -169,17 +176,17 @@ class TestOatBand:
         scale = d.spin_S ** 2
         for got, want in zip(band, full_ladder_trace(d, times), strict=True):
             # same levels; pair weights instead of the twisted state
-            for key in ("mean_x", "mean_y", "mean_z", "var_z", "var_y", "cross_zy"):
-                assert getattr(got, key) == pytest.approx(getattr(want, key),
-                                                          rel=0.0, abs=1e-12 * scale)
+            assert_moments_close(got, want, 1e-12 * scale)
             xi_got = dicke.min_transverse_variance(got)[0] / (d.spin_S / 2)
             xi_want = dicke.min_transverse_variance(want)[0] / (d.spin_S / 2)
             assert xi_got == pytest.approx(xi_want, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("n", [7, 50, 301])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 301, 1000])
     def test_complex_start_matches_full_ladder(self, rng, n):
         # the CSS is real and R-symmetric: only a complex start exercises
-        # the conjugates of the pair weights
+        # the conjugates of the pair weights.  n <= 3: fewer pairs than one row
+        # of ceil(sqrt(n + 1)) (none for w2 at n = 1); n = 1000: 1000 w1 pairs
+        # fill 31 rows of 32 and 8 of the last
         amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         state0 = dicke.DickeState(n / 2.0, amps / np.linalg.norm(amps))
         times = np.sort(rng.uniform(0.0, 2.0, size=12))
@@ -187,9 +194,53 @@ class TestOatBand:
         for got, t in zip(band, times, strict=True):
             want = dicke.moments(dicke.evolve_oat(state0, 1.0, t))
             # the reference rounds phases Omega t m^2 of up to 2 (n/2)^2 rad
-            for key in ("mean_x", "mean_y", "mean_z", "var_z", "var_y", "cross_zy"):
-                assert getattr(got, key) == pytest.approx(getattr(want, key),
-                                                          rel=0.0, abs=1e-12 * (n / 2.0) ** 2)
+            assert_moments_close(got, want, 1e-12 * (n / 2.0) ** 2)
+
+    def test_grid_across_blocks_matches_one_point_calls(self):
+        # 150 times cross the 64-column blocks of the kernel twice
+        n = 1000
+        d = derive_params(small_params(n))
+        times = np.linspace(0.0, 1.0 / math.sqrt(n), 150)
+        kernel = dicke._oat_band_kernel(dicke.css(n), d.omega_twist)
+        grid = list(kernel(times))
+        assert len(grid) == times.size
+        for got, t, want in zip(grid, times, full_ladder_trace(d, times), strict=True):
+            assert_moments_close(got, next(kernel([t])), 1e-15 * d.spin_S ** 2)
+            assert_moments_close(got, want, 1e-12 * d.spin_S ** 2)
+
+    def test_matches_a_40_digit_reference(self):
+        # the twisted state and its moments at 40 digits, from the same start;
+        # the float reference evolve_oat rounds its phases Omega t m^2 instead
+        n = 301
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        state0 = dicke.DickeState(n / 2.0, amps / np.linalg.norm(amps))
+        times = np.sort(rng.uniform(0.0, 2.0, size=4))
+        with mpmath.workdps(40):
+            S = mpmath.mpf(n) / 2
+            m = [mpmath.mpf(k) - S for k in range(n + 1)]
+            up = [mpmath.sqrt((S - m[k]) * (S + m[k] + 1)) for k in range(n)]
+            c0 = [mpmath.mpc(complex(a)) for a in state0.amplitudes]
+            norm = mpmath.fsum(abs(a) ** 2 for a in c0)
+            for got, t in zip(dicke._oat_band_kernel(state0, 1.0)(times), times, strict=True):
+                c = [a * mpmath.expj(-mpmath.mpf(t) * mk ** 2) / mpmath.sqrt(norm)
+                     for a, mk in zip(c0, m)]
+                sp_c = [mpmath.mpc(0)] + [up[k] * c[k] for k in range(n)]
+                sm_c = [up[k] * c[k + 1] for k in range(n)] + [mpmath.mpc(0)]
+                sz_c = [mk * a for mk, a in zip(m, c)]
+                sy_c = [(p - q) / 2j for p, q in zip(sp_c, sm_c)]
+                sx_c = [(p + q) / 2 for p, q in zip(sp_c, sm_c)]
+
+                def inner(a, b):
+                    return mpmath.re(mpmath.fsum(mpmath.conj(x) * y for x, y in zip(a, b)))
+
+                mx, my, mz = inner(c, sx_c), inner(c, sy_c), inner(c, sz_c)
+                want = {"mean_x": mx, "mean_y": my, "mean_z": mz,
+                        "var_z": inner(sz_c, sz_c) - mz ** 2,
+                        "var_y": inner(sy_c, sy_c) - my ** 2,
+                        "cross_zy": 2 * inner(sz_c, sy_c) - 2 * mz * my}
+                for key, value in want.items():
+                    assert abs(getattr(got, key) - float(value)) <= 1e-14 * (n / 2.0) ** 2, key
 
     def test_band_is_the_nonzero_levels(self):
         # at N=1e4 the binomial tails underflow, so the band ends inside the ladder
@@ -318,6 +369,34 @@ class TestEvolveTat:
 
     def test_empty_grid(self):
         assert dicke.TatPropagator(4.0, 0.5).evolve_grid(dicke.css(8), []) == []
+
+    def test_coherent_state_is_projected_once_per_kernel(self, monkeypatch):
+        calls = []
+        project = dicke.TatPropagator._project
+
+        def counted(self, amps):
+            calls.append(amps.size)
+            return project(self, amps)
+
+        monkeypatch.setattr(dicke.TatPropagator, "_project", counted)
+        d = derive_params(small_params(40))
+        kernel = dicke.coherent_moments(d, "tat")
+        grids = ([0.0], [1e-3, 2e-3], [5e-3])
+        got = [list(kernel(times)) for times in grids]
+        assert calls == [41]
+        for times, moms in zip(grids, got):  # bitwise what a fresh propagation gives
+            fresh = dicke.TatPropagator(20.0, d.omega_twist).evolve_grid(dicke.css(40), times)
+            assert [vars(m) for m in moms] == [vars(dicke.moments(out)) for out in fresh]
+        assert len(calls) == 1 + len(grids)  # a new state is projected anew
+
+    @pytest.mark.parametrize("limit", [dicke.SPECTRAL_MAX_DIM, 10], ids=["spectral", "krylov"])
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_is_rejected(self, monkeypatch, limit, t):
+        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", limit)
+        prop = dicke.TatPropagator(10.0, 0.37)
+        assert prop.spectral == (limit > 21)
+        with pytest.raises(NumericsError, match="non-finite time"):
+            prop.evolve_grid(dicke.css(20), [0.0, 0.1, t])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 19, 20])
     def test_random_start_matches_dense_expm_in_both_sectors(self, n):
