@@ -205,7 +205,8 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
     w2_rows = padded(w2)
     row = np.arange(rows) * float(width)
     phi_rows, psi_rows = phi0 + 2.0 * row, (2.0 * phi0 + 2.0) + 4.0 * row
-    step = np.arange(width, dtype=float)
+    phi_steps = 2.0 * np.arange(width, dtype=float)
+    psi_steps = 2.0 * phi_steps
 
     def turns(phases, theta):
         return np.exp(1j * np.multiply.outer(phases, theta))
@@ -219,9 +220,9 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
         _drift_gated(norm)
         for lo in range(0, times.size, _GRID_BLOCK):
             theta = omega_twist * times[lo:lo + _GRID_BLOCK]
-            turned = (w1_rows @ turns(2.0 * step, theta)).reshape(2, rows, theta.size)
+            turned = (w1_rows @ turns(phi_steps, theta)).reshape(2, rows, theta.size)
             sp, sz_sp = np.sum(turns(phi_rows, theta) * turned, axis=1)
-            sp_sq = np.sum(turns(psi_rows, theta) * (w2_rows @ turns(4.0 * step, theta)), axis=0)
+            sp_sq = np.sum(turns(psi_rows, theta) * (w2_rows @ turns(psi_steps, theta)), axis=0)
             for k in range(theta.size):
                 mean_x, mean_y = float(sp[k].real), float(sp[k].imag)
                 yield SpinMoments(spin_S=S, mean_x=mean_x, mean_y=mean_y, mean_z=mean_z,
