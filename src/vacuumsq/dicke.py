@@ -140,10 +140,11 @@ def css(n_atoms: int) -> DickeState:
         raise PhysicsError(f"n_atoms must be a positive integer, got {n_atoms}")
     S = n_atoms / 2.0
     m = np.arange(n_atoms + 1, dtype=float) - S
-    # The mirrored terms as one sum: addition commutes, so c_m and c_-m are
+    # m is exactly antisymmetric, so S - m + 1 is S + m + 1 reversed.  The
+    # mirrored terms as one sum: addition commutes, so c_m and c_-m are
     # bitwise equal, and TatPropagator skips the empty antisymmetric sector.
-    log_amp = 0.5 * (gammaln(2 * S + 1) - (gammaln(S + m + 1) + gammaln(S - m + 1))
-                     - 2 * S * math.log(2.0))
+    up = gammaln(S + m + 1)
+    log_amp = 0.5 * (gammaln(2 * S + 1) - (up + up[::-1]) - 2 * S * math.log(2.0))
     amps = np.exp(log_amp).astype(complex)
     amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     return DickeState(S, amps)
@@ -153,6 +154,8 @@ def evolve_oat(state: DickeState, omega_twist: float, t: float) -> DickeState:
     """Twisting evolution: c_m -> exp(-i Omega m^2 t) c_m, exactly diagonal."""
     if t < 0:
         raise PhysicsError("time must be >= 0")
+    if not math.isfinite(t):
+        raise NumericsError("non-finite time")
     phases = np.exp(-1j * omega_twist * t * state.m_values ** 2)
     return _gated_state(state.spin_S, phases * state.amplitudes)
 

@@ -26,12 +26,12 @@ photon oscillation of about 4 eps_m^2 sin^2(Delta t / 2), with
 eps_m = g sqrt((S+m)(S-m+1)) / Delta, and an O(eps^2) error in xi that
 depends on the phase Delta t.
 
-The oracle runs in one pass: each block k = m is diagonalized once per
-photon cutoff tried, and its adiabatic branch (maximal overlap with
-|m, 0>) serves the cutoff decision, the light-shift table and the
-dynamics alike.  Every branch is an eigenstate, so the photon-number
-populations do not depend on time and the top-Fock gate is read before
-any dynamics; the table is stated at the cutoff the run used.
+The oracle runs in one pass: per photon cutoff tried, one stacked
+eigensolve per block size diagonalizes every block k = m, and each
+adiabatic branch (maximal overlap with |m, 0>) serves the cutoff decision,
+the light-shift table and the dynamics alike.  Every branch is an
+eigenstate, so the photon-number populations do not depend on time and the
+top-Fock gate is read before any dynamics; the table is at the cutoff used.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DerivedParams, LevelCrossingError, PhysicsError, SystemParams, derive_params
+from .core import (DerivedParams, LevelCrossingError, NumericsError, PhysicsError, SystemParams,
+                   derive_params)
 from .analytic import SpinMoments
 from . import analytic, dicke
 
@@ -51,7 +52,7 @@ TOP_FOCK_TOL = 1e-8
 MIN_BRANCH_OVERLAP = 0.9
 
 __all__ = [
-    "TCConfig", "ExcitationBlock", "perturbative_light_shift", "light_shift_table",
+    "TCConfig", "perturbative_light_shift", "light_shift_table",
     "evolve_full", "FullEvolution", "verification_report",
 ]
 
@@ -92,64 +93,71 @@ class TCConfig:
         return derive_params(self.params)
 
 
-@dataclass(frozen=True, eq=False)
-class ExcitationBlock:
-    """One conserved-excitation sector k = m + n.
+def _stacked_blocks(cfg: TCConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The excitation sectors k = m of H at the photon cutoff c of ``cfg``, stacked by size.
 
-    ``m_values`` ascending; state i is |m_i, n = k - m_i>.  The matrix is
+    Sector m holds |m', n = m - m'> for m' >= -S ascending and n <= c; it is
     real symmetric tridiagonal: diagonal n*Delta, off-diagonal
-    g sqrt(n+1) sqrt((S+m)(S-m+1)) linking |m, n> to |m-1, n+1>.
+    g sqrt(n+1) sqrt((S+m')(S-m'+1)) linking |m', n> to |m'-1, n+1>.
+    Returns one (levels, H) pair per size 1..c+1: the ladder indices of
+    each sector's m' (its m last) and the matrices, views of one array.
     """
-
-    k: float
-    m_values: np.ndarray
-    matrix: np.ndarray
-
-
-def _block(cfg: TCConfig, k: float) -> ExcitationBlock:
-    """The excitation sector k of H at the photon cutoff of ``cfg``."""
-    S = cfg.spin_S
-    n_max = cfg.photon_cutoff
-    g = cfg.params.coupling_g
-    delta = cfg.params.delta
-    ms = np.array([m for m in cfg.m_values if 0 <= k - m <= n_max])
-    H = np.zeros((ms.size, ms.size))
-    for i, m in enumerate(ms):
-        n = k - m
-        H[i, i] = n * delta
-        if i > 0 and ms[i - 1] == m - 1:
-            element = g * math.sqrt(n + 1) * math.sqrt((S + m) * (S - m + 1))
-            H[i, i - 1] = H[i - 1, i] = element
-    return ExcitationBlock(k=float(k), m_values=ms, matrix=H)
+    S, g, delta, c = cfg.spin_S, cfg.params.coupling_g, cfg.params.delta, cfg.photon_cutoff
+    n = np.arange(c, -1, -1)
+    levels = np.arange(cfg.n_atoms + 1)[:, None] - n
+    # a level below the ladder reads m' = -S, whose link (S+m') vanishes
+    m = cfg.m_values[np.maximum(levels[:, 1:], 0)]
+    H = np.zeros((cfg.n_atoms + 1, c + 1, c + 1))
+    i = np.arange(c + 1)
+    H[:, i, i] = n * delta
+    H[:, i[1:], i[:-1]] = H[:, i[:-1], i[1:]] = (g * np.sqrt(n[1:] + 1.0)
+                                               * np.sqrt((S + m) * (S - m + 1)))
+    groups = []
+    for size in range(1, min(c, cfg.n_atoms) + 2):
+        # the c lowest m have one sector of each size 1..c, the others size c+1
+        rows, lo = slice(size - 1, size if size <= c else None), c + 1 - size
+        groups.append((levels[rows, lo:], H[rows, lo:, lo:]))
+    return groups
 
 
-def perturbative_light_shift(cfg: TCConfig, m) -> float:
-    """Second-order vacuum shift of |m>: -Omega (S+m)(S-m+1), rad/s."""
+def perturbative_light_shift(cfg: TCConfig, m):
+    """Second-order vacuum shift of |m> (m a scalar or an array): -Omega (S+m)(S-m+1), rad/s."""
     S = cfg.spin_S
     omega = cfg.derived().omega_twist
     return -omega * (S + m) * (S - m + 1)
 
 
-def _adiabatic_branch(cfg: TCConfig, m) -> tuple[ExcitationBlock, float, np.ndarray]:
-    """Dressed eigenstate of the k = m block adiabatically connected to |m, 0>.
+def _branches(cfg: TCConfig, amps: np.ndarray):
+    """Adiabatic branches of the sectors k = m at the cutoff of ``cfg``, one ``eigh`` per size.
 
-    Returns the block, the eigenvalue and the eigenvector, picked as the one
-    with maximal overlap on |m, 0> and signed so that its |m, 0> component
-    is positive (``eigh`` fixes no sign).  Overlap below
-    ``MIN_BRANCH_OVERLAP`` means the detuning is too small to identify the
-    adiabatic branch and raises :class:`LevelCrossingError`.
+    Sector m's branch is its eigenvector of maximal overlap with |m, 0>,
+    made positive there (``eigh`` fixes no sign) and weighted by the
+    amplitude of |m> in ``amps``.  Overlap below ``MIN_BRANCH_OVERLAP``
+    (detuning too small) raises :class:`LevelCrossingError` naming the
+    lowest such m.  Returns flat (rows, cols, weighted vector) arrays into
+    the (m, n) amplitudes and the energies E_m, m = -S..S.
     """
-    block = _block(cfg, m)
-    eigvals, eigvecs = np.linalg.eigh(block.matrix)
-    idx = int(np.flatnonzero(block.m_values == m)[0])
-    overlaps = np.abs(eigvecs[idx, :]) ** 2
-    j = int(np.argmax(overlaps))
-    if overlaps[j] < MIN_BRANCH_OVERLAP:
+    c = cfg.photon_cutoff
+    vals, vecs = np.zeros((cfg.n_atoms + 1, c + 1)), np.zeros((cfg.n_atoms + 1, c + 1, c + 1))
+    for levels, H in _stacked_blocks(cfg):
+        # a smaller sector's eigenpairs fill its trailing corner; the rest stays 0
+        top, lo = levels[:, -1], c + 1 - H.shape[-1]
+        vals[top, lo:], vecs[top, lo:, lo:] = np.linalg.eigh(H)
+    at_m = vecs[:, -1, :]  # the components on |m, 0>
+    overlaps = np.abs(at_m) ** 2
+    b, j = np.arange(cfg.n_atoms + 1), np.argmax(overlaps, axis=1)
+    low = np.flatnonzero(overlaps[b, j] < MIN_BRANCH_OVERLAP)
+    if low.size:
         raise LevelCrossingError(
-            f"largest overlap with |m={m}, 0> is {overlaps[j]:.3f} < {MIN_BRANCH_OVERLAP}; "
+            f"largest overlap with |m={cfg.m_values[low[0]]}, 0> is "
+            f"{overlaps[low[0], j[low[0]]]:.3f} < {MIN_BRANCH_OVERLAP}; "
             "detuning too small to identify the adiabatic branch")
-    vec = eigvecs[:, j] * math.copysign(1.0, eigvecs[idx, j])
-    return block, float(eigvals[j]), vec
+    signed = vecs[b, :, j] * np.copysign(1.0, at_m[b, j])[:, None]
+    n = np.arange(c, -1, -1)
+    levels = b[:, None] - n
+    on_ladder = levels >= 0
+    return (levels[on_ladder], np.broadcast_to(n, levels.shape)[on_ladder],
+            (amps[:, None] * signed)[on_ladder], vals[b, j])
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,30 +190,18 @@ class FullEvolution:
 
 
 def _dressed_css(cfg: TCConfig):
-    """Adiabatic branches carrying |CSS> (x) |0>, at the first cutoff that holds.
+    """The :func:`_branches` carrying |CSS> (x) |0>, at the first cutoff that holds.
 
-    Each block k = m is diagonalized once per cutoff tried, and its branch
-    carries the CSS amplitude of |m>.  The populations per photon number
-    do not depend on time, so the top-Fock gate is read here, before any
-    dynamics: above ``TOP_FOCK_TOL`` the cutoff is raised by one, until the
-    dimension cap of :class:`TCConfig` raises :class:`PhysicsError`.
-
-    Returns the config at the cutoff used, the branches as (rows, cols,
-    energy, amplitude-weighted eigenvector) into the (m, n) amplitude
-    array, and the population of each photon number.
+    Photon-number populations do not depend on time, so the top-Fock gate
+    is read here: above ``TOP_FOCK_TOL`` the cutoff is raised by one, until
+    the :class:`TCConfig` dimension cap raises :class:`PhysicsError`.
+    Returns the config used, the branches and each photon number's population.
     """
-    S = cfg.spin_S
-    css_amps = dicke.css(cfg.n_atoms).amplitudes
+    amps = dicke.css(cfg.n_atoms).amplitudes
     while True:
-        branches = []
+        rows, cols, weighted, _ = branches = _branches(cfg, amps)
         pops = np.zeros((cfg.n_atoms + 1, cfg.photon_cutoff + 1))
-        for amp, m in zip(css_amps, cfg.m_values):
-            block, energy, vec = _adiabatic_branch(cfg, m)
-            rows = np.rint(block.m_values + S).astype(int)
-            cols = np.rint(m - block.m_values).astype(int)
-            vec = amp * vec
-            pops[rows, cols] = np.abs(vec) ** 2
-            branches.append((rows, cols, energy, vec))
+        pops[rows, cols] = np.abs(weighted) ** 2
         fock_pops = np.sum(pops, axis=0)
         if fock_pops[-1] <= TOP_FOCK_TOL:
             return cfg, branches, fock_pops
@@ -219,28 +215,28 @@ def evolve_full(cfg: TCConfig, t_grid) -> FullEvolution:
     |CSS> (x) |0>, built in one pass by ``_dressed_css``, which also raises
     the photon cutoff while the population at the cutoff exceeds 1e-8 (a
     :class:`PhysicsError` once the dimension cap is reached).  Each branch
-    then only picks up the phase exp(-i E_m t).  When some block has no
-    eigenvector with overlap >= ``MIN_BRANCH_OVERLAP`` on |m, 0> the branch
-    cannot be identified and :class:`LevelCrossingError` is raised (CLI
-    exit 4).
+    then only picks up the phase exp(-i E_m t), so the (time, m, n)
+    amplitudes of the grid are one scatter, then turned into the twisting
+    frame by exp(-i Omega t m).
+    An unidentifiable branch raises :class:`LevelCrossingError` (CLI exit
+    4), a negative time :class:`PhysicsError` and a non-finite one
+    :class:`NumericsError`.
     """
     times = np.asarray(t_grid, dtype=float)
     if np.any(times < 0):
         raise PhysicsError("times must be >= 0")
-    used, branches, fock_pops = _dressed_css(cfg)
-    S = used.spin_S
+    if not np.all(np.isfinite(times)):
+        raise NumericsError("non-finite time")
+    used, (rows, cols, weighted, energies), fock_pops = _dressed_css(cfg)
     omega = used.derived().omega_twist
-    m_all = used.m_values
-    moments_out = []
-    for t in times:
-        psi = np.zeros((m_all.size, used.photon_cutoff + 1), dtype=complex)
-        for rows, cols, energy, vec in branches:
-            psi[rows, cols] = np.exp(-1j * energy * t) * vec
-        psi = psi * np.exp(-1j * omega * t * m_all)[:, None]
-        moments_out.append(dicke.amplitude_moments(psi, S))
+    psi = np.zeros((times.size, used.n_atoms + 1, used.photon_cutoff + 1), dtype=complex)
+    # a branch element |m', n> belongs to the block of m = m' + n
+    psi[:, rows, cols] = np.exp(np.multiply.outer(times, -1j * energies))[:, rows + cols] * weighted
+    psi *= np.exp(np.multiply.outer(-1j * omega * times, used.m_values))[:, :, None]
     n_vals = np.arange(fock_pops.size, dtype=float)
-    return FullEvolution(config=used, times=times, moments=moments_out,
-                         light_shifts=np.array([energy for _, _, energy, _ in branches]),
+    return FullEvolution(config=used, times=times,
+                         moments=[dicke.amplitude_moments(amps, used.spin_S) for amps in psi],
+                         light_shifts=energies,
                          photon_population=float(np.dot(n_vals, fock_pops)),
                          top_fock_population=float(fock_pops[-1]))
 
@@ -253,9 +249,9 @@ def light_shift_table(evo: FullEvolution) -> list[dict]:
     """
     cfg = evo.config
     rows = []
-    for m, exact in zip(cfg.m_values, evo.light_shifts):
+    for m, exact, pert in zip(cfg.m_values, evo.light_shifts,
+                              perturbative_light_shift(cfg, cfg.m_values)):
         exact = float(exact)
-        pert = perturbative_light_shift(cfg, m)
         rel = 0.0 if pert == exact else abs(exact - pert) / max(abs(pert), 1e-300)
         rows.append({"m": float(m), "exact_shift": exact,
                      "perturbative_shift": pert, "rel_error": rel})
@@ -284,8 +280,9 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
         t_grid = np.linspace(0.0, t_end, 9)[1:]
     evo = evolve_full(cfg, t_grid)
     ratio = abs(cfg.params.delta) / cfg.params.collective_coupling
+    xi_models = analytic.xi_unitary(d, evo.times).xi.tolist()
     discrepancy = []
-    for t, mom in zip(evo.times, evo.moments):
+    for t, mom, xi_model in zip(evo.times, evo.moments, xi_models):
         try:
             variance, _ = dicke.min_transverse_variance(mom)
         except PhysicsError as exc:
@@ -295,7 +292,6 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
                 f"Delta/(g sqrt(N)) = {ratio:.3g}: the residual light-shift precession "
                 "leaves no well-defined transverse plane; increase the detuning") from exc
         xi_full = variance / (cfg.spin_S / 2.0)
-        xi_model = float(analytic.xi_unitary(d, t).xi)
         rel = abs(xi_full - xi_model) / max(abs(xi_model), 1e-300)
         discrepancy.append({"t_seconds": float(t), "xi_full": float(xi_full),
                             "xi_twisting_model": xi_model, "rel_discrepancy": rel})

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.special import gammaln
 
 from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NormDriftError,
                       NumericsError, PhysicsError, derive_params)
@@ -64,6 +65,18 @@ class TestCss:
         amps = dicke.css(n).amplitudes
         assert amps.tobytes() == amps[::-1].tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 12, 1000, 100_000, 100_001])
+    def test_one_gammaln_call_keeps_the_two_call_bits(self, n):
+        # S - m + 1 is S + m + 1 reversed, so css takes one gammaln call;
+        # the two-call formula is the reference
+        S = n / 2.0
+        m = np.arange(n + 1, dtype=float) - S
+        log_amp = 0.5 * (gammaln(2 * S + 1) - (gammaln(S + m + 1) + gammaln(S - m + 1))
+                         - 2 * S * math.log(2.0))
+        amps = np.exp(log_amp).astype(complex)
+        amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        assert dicke.css(n).amplitudes.tobytes() == amps.tobytes()
+
     def test_norm_invariant(self):
         amps = dicke.css(12_345).amplitudes
         assert np.sum(np.abs(amps) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -84,6 +97,11 @@ class TestStateValidation:
 
 
 class TestEvolveOat:
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        with pytest.raises(NumericsError, match="non-finite time"):
+            dicke.evolve_oat(dicke.css(10), 1.0, t)
+
     def test_zero_time_is_identity(self):
         st = dicke.css(9)
         out = dicke.evolve_oat(st, 0.7, 0.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vacuumsq import LevelCrossingError, PhysicsError, SystemParams, derive_params
+from vacuumsq import LevelCrossingError, NumericsError, PhysicsError, SystemParams, derive_params
 from vacuumsq import analytic, dicke, oracle
 
 
@@ -29,50 +29,118 @@ class TestConfig:
             oracle.TCConfig(params=tc_config(12).params, photon_cutoff=5000)
 
 
+def reference_block(cfg, k):
+    """The sector k of H, element by element: its m values ascending and its matrix.
+
+    State i is |m_i, n = k - m_i>; diagonal n*Delta, off-diagonal
+    g sqrt(n+1) sqrt((S+m)(S-m+1)) linking |m, n> to |m-1, n+1>.
+    """
+    S = cfg.spin_S
+    n_max = cfg.photon_cutoff
+    g = cfg.params.coupling_g
+    delta = cfg.params.delta
+    ms = np.array([m for m in cfg.m_values if 0 <= k - m <= n_max])
+    H = np.zeros((ms.size, ms.size))
+    for i, m in enumerate(ms):
+        n = k - m
+        H[i, i] = n * delta
+        if i > 0 and ms[i - 1] == m - 1:
+            element = g * math.sqrt(n + 1) * math.sqrt((S + m) * (S - m + 1))
+            H[i, i - 1] = H[i - 1, i] = element
+    return ms, H
+
+
+def reference_branch(cfg, m):
+    """Energy and eigenvector of the k = m sector with maximal overlap on |m, 0>.
+
+    One ``eigh`` per sector; the eigenvector is signed so that its |m, 0>
+    component is positive.
+    """
+    ms, H = reference_block(cfg, m)
+    eigvals, eigvecs = np.linalg.eigh(H)
+    idx = int(np.flatnonzero(ms == m)[0])
+    j = int(np.argmax(np.abs(eigvecs[idx, :]) ** 2))
+    return float(eigvals[j]), eigvecs[:, j] * math.copysign(1.0, eigvecs[idx, j])
+
+
+def stacked_block(cfg, k):
+    """The sector k = m as the stacked builder makes it: its m values and its matrix."""
+    for levels, H in oracle._stacked_blocks(cfg):
+        b = np.flatnonzero(cfg.m_values[levels[:, -1]] == k)
+        if b.size:
+            return cfg.m_values[levels[b[0]]], H[b[0]]
+    raise KeyError(k)
+
+
 class TestHamiltonian:
     def test_single_excitation_jaynes_cummings(self):
-        # N=1, the k = 1/2 sector is the {|up,0>, |down,1>} doublet with
+        # N=1, the k = 1/2 sector is the {|down,1>, |up,0>} doublet with
         # off-diagonal g
         cfg = tc_config(1, g=0.7)
-        block = oracle._block(cfg, 0.5)
-        assert block.matrix.shape == (2, 2)
-        assert block.matrix[0, 1] == pytest.approx(0.7)
-        assert block.matrix[1, 1] == 0.0  # |up, 0>
-        assert block.matrix[0, 0] == pytest.approx(cfg.params.delta)
+        _, H = stacked_block(cfg, 0.5)
+        assert H.shape == (2, 2)
+        assert H[0, 1] == pytest.approx(0.7)
+        assert H[1, 1] == 0.0  # |up, 0>
+        assert H[0, 0] == pytest.approx(cfg.params.delta)
 
     def test_collective_enhancement_two_atoms(self):
         # S=1: <0,1|H|1,0> = g sqrt((S+1)(S-1+1)) = g sqrt(2)
         cfg = tc_config(2, g=1.3)
-        block = oracle._block(cfg, 1.0)
-        i1 = int(np.flatnonzero(block.m_values == 1.0)[0])
-        i0 = int(np.flatnonzero(block.m_values == 0.0)[0])
-        assert block.matrix[i1, i0] == pytest.approx(1.3 * math.sqrt(2.0))
+        ms, H = stacked_block(cfg, 1.0)
+        i1 = int(np.flatnonzero(ms == 1.0)[0])
+        i0 = int(np.flatnonzero(ms == 0.0)[0])
+        assert H[i1, i0] == pytest.approx(1.3 * math.sqrt(2.0))
 
     def test_collective_enhancement_four_atoms(self):
         # S=2, m=0 -> m=-1 coupling is g sqrt(6)
         cfg = tc_config(4, g=0.9)
-        block = oracle._block(cfg, 0.0)
-        i0 = int(np.flatnonzero(block.m_values == 0.0)[0])
-        im1 = int(np.flatnonzero(block.m_values == -1.0)[0])
-        assert block.matrix[i0, im1] == pytest.approx(0.9 * math.sqrt(6.0))
+        ms, H = stacked_block(cfg, 0.0)
+        i0 = int(np.flatnonzero(ms == 0.0)[0])
+        im1 = int(np.flatnonzero(ms == -1.0)[0])
+        assert H[i0, im1] == pytest.approx(0.9 * math.sqrt(6.0))
 
     def test_full_matrix_is_symmetric_and_block_diagonal(self):
         cfg = tc_config(4, cutoff=3)
         labels = []
-        for k in np.arange(-2.0, 6.0):
-            block = oracle._block(cfg, k)
-            assert np.array_equal(block.matrix, block.matrix.T)  # exact symmetry, no rounding
-            labels += [(m, k - m) for m in block.m_values]
-        # the blocks partition the (m, n) product basis: conserved excitation number
-        assert sorted(labels) == [(m, n) for m in np.arange(-2.0, 3.0) for n in range(4)]
+        for levels, stack in oracle._stacked_blocks(cfg):
+            assert np.array_equal(stack, np.swapaxes(stack, 1, 2))  # exact symmetry, no rounding
+            for ms, H in zip(cfg.m_values[levels], stack):
+                k = ms[-1]
+                assert H.tobytes() == reference_block(cfg, k)[1].tobytes()
+                labels += [(m, k - m) for m in ms]
+        # the sectors k = m partition the (m, n) states with m + n <= S, the
+        # ones the dressed |CSS> (x) |0> occupies: conserved excitation number
+        assert sorted(labels) == [(m, n) for m in np.arange(-2.0, 3.0) for n in range(4)
+                                  if m + n <= 2.0]
 
     def test_photon_ladder_factor(self):
-        # <m-1, n+1|H|m, n> carries sqrt(n+1)
+        # <m-1, n+1|H|m, n> carries sqrt(n+1): in the k = 1 sector of S=1,
+        # |0, 1> -> |-1, 2> is g sqrt(2) sqrt((S+0)(S-0+1)) = 2 g
         cfg = tc_config(2, g=1.0, cutoff=3)
-        block = oracle._block(cfg, 2.0)  # |1, 1> and |0, 2>
-        i = int(np.flatnonzero(block.m_values == 1.0)[0])
-        j = int(np.flatnonzero(block.m_values == 0.0)[0])
-        assert block.matrix[i, j] == pytest.approx(math.sqrt(2.0) * math.sqrt(2.0))
+        ms, H = stacked_block(cfg, 1.0)  # |-1, 2>, |0, 1> and |1, 0>
+        i = int(np.flatnonzero(ms == 0.0)[0])
+        j = int(np.flatnonzero(ms == -1.0)[0])
+        assert H[i, j] == pytest.approx(math.sqrt(2.0) * math.sqrt(2.0))
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+    @pytest.mark.parametrize("ratio", [10.0, 60.0, 300.0])
+    def test_stacked_branches_match_per_sector_reference_bitwise(self, ratio, cutoff):
+        # one eigh per stacked size runs the same LAPACK routine on each
+        # sector, so energies and weighted vectors keep the per-sector bits
+        for n_atoms in range(1, 13):
+            cfg = tc_config(n_atoms, delta_over_gn=ratio, cutoff=cutoff)
+            amps = dicke.css(n_atoms).amplitudes
+            rows, cols, weighted, energies = oracle._branches(cfg, amps)
+            got = np.zeros((n_atoms + 1, cutoff + 1), dtype=complex)
+            got[rows, cols] = weighted
+            want = np.zeros_like(got)
+            for i, m in enumerate(cfg.m_values):
+                energy, vec = reference_branch(cfg, m)
+                assert energies[i] == energy
+                ms = reference_block(cfg, m)[0]
+                want[np.rint(ms + cfg.spin_S).astype(int), np.rint(m - ms).astype(int)] = \
+                    amps[i] * vec
+            assert got.tobytes() == want.tobytes()
 
 
 class TestVacuumLightShift:
@@ -116,7 +184,7 @@ class TestVacuumLightShift:
         assert report["photon_cutoff_used"] == 3
         used = oracle.TCConfig(params=cfg.params, photon_cutoff=3)
         for row in report["light_shifts"]:
-            assert row["exact_shift"] == oracle._adiabatic_branch(used, row["m"])[1]
+            assert row["exact_shift"] == reference_branch(used, row["m"])[0]
 
 
 class TestEvolveFull:
@@ -167,6 +235,11 @@ class TestEvolveFull:
         assert np.all(evo.photon_population <= 2 * budget)
         assert np.all(evo.top_fock_population <= 1e-8)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_is_rejected(self, t):
+        with pytest.raises(NumericsError, match="non-finite time"):
+            oracle.evolve_full(tc_config(4), [0.1, t])
+
     def test_cutoff_escalation(self):
         # at small detuning the n=1 cutoff is insufficient; it must grow
         params = SystemParams(n_atoms=2, coupling_g=1.0, kappa=0.0, gamma=0.0,
@@ -213,11 +286,12 @@ class TestReport:
 
 
     @pytest.mark.parametrize("ratio, cutoff_used, eigh_calls",
-                             [(60.0, 3, 26), (300.0, 2, 13)])
+                             [(60.0, 3, 7), (300.0, 2, 3)])
     def test_one_diagonalization_per_block_per_cutoff(self, monkeypatch, ratio,
                                                       cutoff_used, eigh_calls):
-        # N=12 has 13 blocks k = m; escalating from cutoff 2 to 3 solves them
-        # twice, and the moments are built once per time of the default grid
+        # N=12 has 13 blocks k = m, of sizes 1..c and c+1 at cutoff c, one
+        # stacked eigh per size: escalating from cutoff 2 to 3 takes 3 + 4
+        # calls, and the moments are built once per time of the default grid
         counts = {"eigh": 0, "moments": 0}
         eigh, moments = np.linalg.eigh, dicke.amplitude_moments
 
