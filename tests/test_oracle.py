@@ -138,8 +138,8 @@ class TestHamiltonian:
                 energy, vec = reference_branch(cfg, m)
                 assert energies[i] == energy
                 ms = reference_block(cfg, m)[0]
-                want[np.rint(ms + cfg.spin_S).astype(int), np.rint(m - ms).astype(int)] = \
-                    amps[i] * vec
+                rows, cols = np.rint(ms + cfg.spin_S).astype(int), np.rint(m - ms).astype(int)
+                want[rows, cols] = amps[i] * vec
             assert got.tobytes() == want.tobytes()
 
 
