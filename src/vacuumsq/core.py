@@ -77,6 +77,23 @@ def resolve_tier(tier: str, protocol: str) -> tuple[str, str]:
     return tier, protocol
 
 
+def time_grid(times) -> np.ndarray:
+    """A time grid as a float array: one-dimensional, >= 0 and finite.
+
+    A grid of any other shape, a 0-d scalar included, or a negative time
+    raises :class:`PhysicsError`; a NaN or infinite time
+    :class:`NumericsError`.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise PhysicsError("time grid must be one-dimensional")
+    if np.any(times < 0):
+        raise PhysicsError("time must be >= 0")
+    if not np.all(np.isfinite(times)):
+        raise NumericsError("non-finite time")
+    return times
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Physical inputs of the cavity-spin system, all angular (rad/s).

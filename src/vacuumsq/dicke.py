@@ -3,47 +3,56 @@
 States live on the (2S+1)-dimensional symmetric subspace, stored as a
 dense complex amplitude vector c_m, m = -S..S ascending.  Twisting
 (Omega Sz^2) is diagonal and applied exactly; rotation-assisted twisting
-(Omega (S Sx + Sz^2)) is real symmetric tridiagonal and propagated either
-through one spectral decomposition reused across a time grid or, for
-large ladders, through Krylov stepping (``expm_multiply`` picks its own
-sub-steps).  The spectral path splits the ladder by the reflection
-R|m> = |-m>, which commutes with H: its symmetric and antisymmetric
-sectors are two tridiagonal eigenproblems of about dim/2 each.  On the
-full ladder their spectra interleave into near-degenerate tunnelling
-doublets (gaps below 1e-10 of the spread at dim 2001), which the
+(Omega (S Sx + Sz^2)) is real symmetric tridiagonal.  It is split by the
+reflection R|m> = |-m>, which commutes with H, into a symmetric and an
+antisymmetric sector, two tridiagonal eigenproblems of about dim/2 each.
+On the full ladder their spectra interleave into near-degenerate
+tunnelling doublets (gaps below 1e-10 of the spread at dim 2001), which an
 eigensolver must resolve as clusters; within one sector the levels stay
-well separated.  A sector is diagonalized the first time a state with a
-nonzero projection on it is propagated, and skipped for states with none.
-The coherent state along +x is exactly R-symmetric (:func:`css` adds the
-two mirrored log-binomial terms as one sum, bitwise the same for m and
--m), and H commutes with R, so rotation-assisted twisting from it
-diagonalizes and multiplies only the symmetric sector and keeps one
-eigenvector block of about (dim/2)^2.  The path multiplies its real
-eigenvectors only by real operands (real and imaginary parts apart) and
-takes a time grid in blocks of 64 columns, one matrix product per
-occupied sector and block, so its temporaries stay below 4 MiB up to
-``SPECTRAL_MAX_DIM``.  Both paths
-must pass a norm gate of 1e-9 before the state is renormalized.  One
-moments kernel, :func:`amplitude_moments`, serves ladder vectors and the
-oracle's joint (m, n) amplitude arrays alike.  Its :class:`SpinMoments`
+well separated.  A sector's eigenvalues are computed once, the first time
+a state with a nonzero projection on it is propagated; a sector the state
+does not occupy is skipped.
+
+A state's eigen-coefficients do not depend on time, and the coherent state
+occupies a narrow energy window: its weights above 1e-24 form one run of
+28 levels at N = 100 and 77 at N = 4000, all within 48 energy spreads of
+its mean energy.  So each sector keeps only the eigenvectors within
+``WINDOW_SIGMAS`` spreads of its projection's mean energy, by inverse
+iteration at the stored eigenvalues (33 to 99 of them over that range of
+N, about a hundred at any N).  The window doubles while an edge
+eigenvector weighs more than ``WINDOW_EDGE_WEIGHT`` or the kept weights
+fall short of the projection's by more than ``NORM_TOL``; a window over the
+whole sector is one full eigensolve.  A state whose windows keep more than
+``SPECTRAL_MAX_DIM`` eigenvectors in all goes through Krylov stepping
+(``expm_multiply`` picks its own sub-steps).  Both paths must pass a norm
+gate of 1e-9, which also bounds the weight a window leaves out, before the
+state is renormalized.  The coherent state along +x is exactly R-symmetric
+(:func:`css` adds the two mirrored log-binomial terms as one sum, bitwise
+the same for m and -m), so rotation-assisted twisting from it takes one
+window of the symmetric sector and never needs Krylov stepping.
+
+One moments kernel, :func:`amplitude_moments`, serves ladder vectors and
+the oracle's joint (m, n) amplitude arrays alike.  Its :class:`SpinMoments`
 holds moments only; each consumer reduces them once per point with
 :func:`min_transverse_variance`.  One grid kernel, :func:`coherent_moments`,
 gives the evolved coherent state's moments along a time grid for both
-protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective.
+protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective,
+without forming the evolved state.  Rotation-assisted twisting takes them
+in the window's eigenbasis, where the spin operators are small real
+matrices formed once per kernel (see :func:`_tat_window_kernel`).
 
-Twisting over a time grid never forms the twisted state.  The twist
-turns c_m by exp(-i Omega t m^2), so the Sz moments do not depend on t,
-and the others are sums of pair weights c*_{m+k} c_m (k = 1, 2) turned
-by a phase of t and the level difference.  The weights live on the
-coherent state's nonzero band, the levels whose amplitude does not
-underflow to 0 (17 187 of 100 001 levels at N = 1e5).  The band is
-exact, not a truncation: a pair weight with a zero amplitude vanishes.
-The weights and the norm-drift gate are evaluated once per kernel: the
-twist keeps sum |c_m|^2 at every t, so a per-point check would only see
-the rounding of |exp(i theta)|, about 1e-16.  The phases are arithmetic
-in m, so each factors into a row phase and an in-row step: a time point
-takes about 4 sqrt(n) exponentials for n band levels (530 at N = 1e5),
-and a block of 64 times takes two matrix products.
+Twisting over a time grid turns c_m by exp(-i Omega t m^2), so the Sz
+moments do not depend on t, and the others are sums of pair weights
+c*_{m+k} c_m (k = 1, 2) turned by a phase of t and the level difference.
+The weights live on the coherent state's nonzero band, the levels whose
+amplitude does not underflow to 0 (17 187 of 100 001 levels at N = 1e5).
+The band is exact, not a truncation: a pair weight with a zero amplitude
+vanishes.  The weights and the norm-drift gate are evaluated once per
+kernel: the twist keeps sum |c_m|^2 at every t, so a per-point check would
+only see the rounding of |exp(i theta)|, about 1e-16.  The phases are
+arithmetic in m, so each factors into a row phase and an in-row step: a
+time point takes about 4 sqrt(n) exponentials for n band levels (530 at
+N = 1e5), and a block of 64 times takes two matrix products.
 """
 
 from __future__ import annotations
@@ -55,20 +64,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstein
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from .core import (DerivedParams, DegenerateMeanSpinError, NormDriftError,
-                   NumericsError, PhysicsError, resolve_tier)
+                   NumericsError, PhysicsError, resolve_tier, time_grid)
 from .analytic import NoiseModel, SpinMoments, SqueezingTrace
 from . import analytic
 
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
 NORM_DRIFT_GATE = 1e-9  # propagation drift beyond this is an error
-# Larger ladders use Krylov stepping: the spectral path keeps up to two real
-# eigenvector blocks of about (dim/2)^2 each, 2 x 33.6 MB at dim 4096
-# (one for the coherent state, which occupies one reflection sector).
+# The spectral path keeps at most this many real eigenvectors, of about
+# dim/2 levels each, over both reflection sectors: a full solve keeps dim of
+# them, 2 x 33.6 MB at dim 4096.  A state whose windows need more is
+# propagated by Krylov stepping; the coherent state's window keeps about 100.
 SPECTRAL_MAX_DIM = 4096
+WINDOW_SIGMAS = 64.0       # first half-width of a TAT energy window, in energy spreads
+WINDOW_EDGE_WEIGHT = 1e-26  # an edge eigenvector weighing more doubles the window
 _GRID_BLOCK = 64         # time columns per grid product (TAT temporaries <= 4 MiB)
 
 __all__ = [
@@ -184,7 +197,8 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
     their steps, then a sum over rows turned by their row phases.  A point
     costs 2(A + B) exponentials, about 4 sqrt(levels), and the temporaries
     stay at about B x 64 x 16 B.  Each moment is within 1e-14 S^2 of a 40-digit
-    reference (random complex start, N = 301, Omega t <= 2).
+    reference (random complex start, N = 301, Omega t <= 2).  The grid must be
+    one-dimensional (see :func:`core.time_grid`).
     """
     band = _nonzero_band(state0.amplitudes)
     S, amps, m = state0.spin_S, state0.amplitudes[band], state0.m_values[band]
@@ -215,11 +229,7 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
         return np.exp(1j * np.multiply.outer(phases, theta))
 
     def moments_at(times) -> Iterator[SpinMoments]:
-        times = np.asarray(times, dtype=float)
-        if np.any(times < 0):
-            raise PhysicsError("time must be >= 0")
-        if not np.all(np.isfinite(times)):
-            raise NumericsError("non-finite time")
+        times = time_grid(times)
         _drift_gated(norm)
         for lo in range(0, times.size, _GRID_BLOCK):
             theta = omega_twist * times[lo:lo + _GRID_BLOCK]
@@ -271,25 +281,59 @@ def _real_product(vecs: np.ndarray, z: np.ndarray) -> np.ndarray:
     return vecs @ z.real + 1j * (vecs @ z.imag)
 
 
+def _sector_split(amps: np.ndarray):
+    """The (symmetric, antisymmetric) projections of ladder amplitudes, first axis m = -S..S.
+
+    The sector bases are those of :func:`_parity_sectors`.
+    """
+    half, pos = amps.shape[0] // 2, amps.shape[0] - amps.shape[0] // 2  # [half:pos] is m = 0
+    upper, lower = amps[pos:], amps[half - 1::-1]  # m > 0 and their mirrors -m
+    return (np.concatenate((amps[half:pos], _SQRT_HALF * (upper + lower))),
+            _SQRT_HALF * (upper - lower))
+
+
+def _sector_join(sym: np.ndarray, anti: np.ndarray) -> np.ndarray:
+    """The ladder array (first axis m = -S..S) of its two sector projections."""
+    # one symmetric level per m >= 0 and one antisymmetric per m > 0
+    pos, half = sym.shape[0], anti.shape[0]
+    out = np.empty((pos + half,) + sym.shape[1:], dtype=np.result_type(sym, anti))
+    out[half:pos] = sym[:pos - half]
+    out[pos:] = _SQRT_HALF * (sym[pos - half:] + anti)
+    out[half - 1::-1] = _SQRT_HALF * (sym[pos - half:] - anti)
+    return out
+
+
+def _energy_spread(diag: np.ndarray, off: np.ndarray, z: np.ndarray) -> tuple[float, float]:
+    """Mean energy E0 = <z|T|z> and spread sigma = |(T - E0) z| of unit z on the tridiagonal T.
+
+    ``z`` need not be normalized: both are taken per unit norm.  O(size).
+    """
+    tz = diag * z
+    tz[1:] += off * z[:-1]
+    tz[:-1] += off * z[1:]
+    norm = float(np.vdot(z, z).real)
+    e0 = float(np.vdot(z, tz).real) / norm
+    return e0, float(np.linalg.norm(tz - e0 * z)) / math.sqrt(norm)
+
+
 class TatPropagator:
     """Propagator for H = Omega (S Sx + Sz^2), reusable across a time grid.
 
-    Up to dim ``SPECTRAL_MAX_DIM`` it propagates through one tridiagonal
-    eigendecomposition per reflection sector (see :func:`_parity_sectors`),
-    exact for any t; above, through sparse ``expm_multiply`` (Krylov,
-    which chooses its own sub-steps and stays memory-light for big
-    ladders).  The spectral path builds a sector's eigendecomposition on
-    first use, when it propagates a state with a nonzero projection on
-    that sector, and skips a sector the state does not occupy: its
-    product V 0 is exactly 0.  The coherent state occupies only the
-    symmetric sector, so it costs one eigensolve and one eigenvector block
-    of about (dim/2)^2; a general state costs both.  The path multiplies
-    the real eigenvectors only by real operands, so it never holds a
-    complex copy of them; it takes a time grid in blocks of 64 columns,
-    one matrix product per occupied sector each: its complex temporaries
-    stay at dim x 64 x 16 B <= 4 MiB.  :meth:`evolve_grid`
-    returns one gated state per time; norm drift beyond 1e-9 raises,
-    smaller drift is renormalized away.
+    The spectral path expands each reflection sector's projection of a
+    state (see :func:`_parity_sectors`) in the eigenpairs of its energy
+    window (see :meth:`_window`), exact for any t.  A sector's eigenvalues
+    are computed on first use and kept; its window's eigenvectors once per
+    state.  A sector the state does not occupy is skipped: its product V 0
+    is exactly 0.  ``SPECTRAL_MAX_DIM`` bounds the eigenvectors kept over
+    both sectors: a state whose windows need more (a random state on a
+    ladder above dim 4096) goes through sparse ``expm_multiply`` instead
+    (Krylov, which chooses its own sub-steps and stays memory-light).  The
+    path multiplies the real eigenvectors only by real operands, so it never
+    holds a complex copy of them, and takes a time grid in blocks of 64
+    columns, one matrix product per occupied sector each.  :meth:`evolve_grid`
+    returns one gated state per time; norm drift beyond 1e-9, the weight
+    left outside the windows included, raises, smaller drift is renormalized
+    away.
     """
 
     def __init__(self, spin_S: float, omega_twist: float):
@@ -297,42 +341,76 @@ class TatPropagator:
         self.spin_S = float(spin_S)
         self.omega_twist = float(omega_twist)
         m = np.arange(dim, dtype=float) - spin_S
-        diag = omega_twist * m ** 2
-        off = omega_twist * spin_S * _sx_offdiag(spin_S, m)
-        self.spectral = dim <= SPECTRAL_MAX_DIM
-        if self.spectral:
-            self._blocks = _parity_sectors(diag, off)
-            self._sectors = [None, None]  # eigenpairs, computed on first use
-            self._projected = None  # (state, its _project) of the last state propagated
-        else:
-            self._h = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+        self._ladder = (omega_twist * m ** 2, omega_twist * spin_S * _sx_offdiag(spin_S, m))
+        self._blocks = _parity_sectors(*self._ladder)
+        self._eigvals = [None, None]  # per sector, computed on first use
+        self._projected = None  # (state, its _project) of the last state propagated
 
     def evolve(self, state: DickeState, t: float) -> DickeState:
         """The state at one time t >= 0: :meth:`evolve_grid` of the grid [t]."""
         return self.evolve_grid(state, [t])[0]
 
-    def _project(self, amps: np.ndarray) -> list:
+    def _window(self, k: int, z: np.ndarray, budget: int):
+        """(vals, vecs, V^T z) of the eigenpairs of sector k that carry its projection z.
+
+        The window holds the levels within W sigma of the mean energy E0 of z
+        (see :func:`_energy_spread`), and at least the level nearest E0.  W
+        starts at ``WINDOW_SIGMAS`` and doubles, with at least one more level
+        on each side, while an edge eigenvector that is not the sector's own
+        edge weighs |V^T z|^2 > ``WINDOW_EDGE_WEIGHT`` or the kept weights fall
+        short of |z|^2 by more than ``NORM_TOL`` (weight far from E0).  A window
+        over the whole sector is one full ``eigh_tridiagonal``.  Returns None,
+        before solving for them, once the window would keep more than
+        ``budget`` eigenvectors.
+        """
+        diag, off = self._blocks[k]
+        if self._eigvals[k] is None:
+            self._eigvals[k] = eigh_tridiagonal(diag, off, eigvals_only=True)
+        vals = self._eigvals[k]
+        e0, sigma = _energy_spread(diag, off, z)
+        weight_z = float(np.vdot(z, z).real)
+        lo = int(np.argmin(np.abs(vals - e0)))
+        hi, width = lo + 1, WINDOW_SIGMAS
+        while True:
+            lo = min(lo, int(np.searchsorted(vals, e0 - width * sigma)))
+            hi = max(hi, int(np.searchsorted(vals, e0 + width * sigma, side="right")))
+            if hi - lo > budget:
+                return None
+            if hi - lo == vals.size:
+                full_vals, vecs = eigh_tridiagonal(diag, off)
+                return full_vals, vecs, _real_product(vecs.T, z)
+            # inverse iteration on T as one unsplit block: Omega S <m+1|Sx|m> has no zero
+            vecs, info = dstein(diag, off, vals[lo:hi], np.ones(vals.size, dtype=np.int32),
+                                np.full(vals.size, vals.size, dtype=np.int32))
+            if info:
+                raise NumericsError(f"inverse iteration left {info} TAT eigenvectors unconverged")
+            coeffs = _real_product(vecs.T, z)
+            weight = np.abs(coeffs) ** 2
+            if not (weight_z - float(np.sum(weight)) > NORM_TOL
+                    or (lo > 0 and weight[0] > WINDOW_EDGE_WEIGHT)
+                    or (hi < vals.size and weight[-1] > WINDOW_EDGE_WEIGHT)):
+                return vals[lo:hi], vecs, coeffs
+            lo, hi, width = max(lo - 1, 0), min(hi + 1, vals.size), 2.0 * width
+
+    def _project(self, amps: np.ndarray) -> list | None:
         """(vals, vecs, V^T z) of each reflection sector for the amplitudes' projection z.
 
-        The amplitudes are split onto the two sectors (see
-        :func:`_parity_sectors`) and each projection z is expanded in its
-        sector's eigenbasis.  A sector whose projection is all zeros takes an
-        empty eigenbasis instead, whose products are exact zeros, so the
-        rotated columns equal those of both sectors bitwise.
+        The amplitudes are split onto the two sectors and each projection z
+        is expanded in the eigenpairs of its window (see :meth:`_window`).  A
+        sector whose projection is all zeros takes an empty eigenbasis
+        instead, whose products are exact zeros.  None when the windows would
+        keep more than ``SPECTRAL_MAX_DIM`` eigenvectors in all.
         """
-        half, pos = amps.size // 2, amps.size - amps.size // 2  # [half:pos] is m = 0, if any
-        upper, lower = amps[pos:], amps[half - 1::-1]  # m > 0 and their mirrors -m
-        parts = (np.concatenate((amps[half:pos], _SQRT_HALF * (upper + lower))),
-                 _SQRT_HALF * (upper - lower))
-        sectors = []
-        for k, z in enumerate(parts):
+        sectors, budget = [], SPECTRAL_MAX_DIM
+        for k, z in enumerate(_sector_split(amps)):
             if z.any():
-                if self._sectors[k] is None:
-                    self._sectors[k] = eigh_tridiagonal(*self._blocks[k])
-                vals, vecs = self._sectors[k]
+                window = self._window(k, z, budget)
+                if window is None:
+                    return None
             else:  # V 0 = 0 exactly: no eigenvectors, and products that are zeros
-                vals, vecs = np.empty(0), np.empty((z.size, 0))
-            sectors.append((vals, vecs, _real_product(vecs.T, z)))
+                window = np.empty(0), np.empty((z.size, 0)), np.empty(0, dtype=complex)
+            budget -= window[0].size
+            sectors.append(window)
         return sectors
 
     @staticmethod
@@ -344,23 +422,25 @@ class TatPropagator:
         eigenvectors V with a complex operand z is taken as
         V z.real + i V z.imag, so numpy never upcasts V.
         """
-        # one symmetric level per m >= 0 and one antisymmetric per m > 0
-        pos, half = (vecs.shape[0] for _, vecs, _ in sectors)
-        out = np.empty((pos + half, times.size), dtype=complex)
+        out = np.empty((sum(vecs.shape[0] for _, vecs, _ in sectors), times.size), dtype=complex)
         for lo in range(0, times.size, _GRID_BLOCK):
             cols = slice(lo, lo + _GRID_BLOCK)
-            sym, anti = (_real_product(vecs, np.exp(-1j * np.outer(vals, times[cols]))
-                                       * coeffs[:, None])
-                         for vals, vecs, coeffs in sectors)
-            out[half:pos, cols] = sym[:pos - half]
-            out[pos:, cols] = _SQRT_HALF * (sym[pos - half:] + anti)
-            out[half - 1::-1, cols] = _SQRT_HALF * (sym[pos - half:] - anti)
+            out[:, cols] = _sector_join(*(
+                _real_product(vecs, np.exp(-1j * np.outer(vals, times[cols])) * coeffs[:, None])
+                for vals, vecs, coeffs in sectors))
         return out
 
-    def _krylov_step(self, amps, dt):
-        if dt == 0.0:
-            return amps.copy()
-        return expm_multiply(-1j * dt * self._h, amps)
+    def _krylov_grid(self, amps: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
+        """The amplitudes at each time, stepped sequentially between grid points."""
+        diag, off = self._ladder
+        h = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
+        out, prev = [], 0.0
+        for t in times:
+            if t > prev:
+                amps = expm_multiply(-1j * (t - prev) * h, amps)
+            prev = t
+            out.append(amps)
+        return out
 
     def evolve_grid(self, state: DickeState, times) -> list[DickeState]:
         """States at the given (ascending, >= 0) times from one initial state.
@@ -371,26 +451,20 @@ class TatPropagator:
         kernel that steps one state through many grids projects it once.
         The Krylov path steps sequentially between grid points, so a full
         curve costs about the same as one evolution to the final time.
-        A NaN or infinite time raises :class:`NumericsError` up front.
+        A grid that is not one-dimensional raises :class:`PhysicsError`, a
+        NaN or infinite time :class:`NumericsError`, both up front.
         """
-        times = np.asarray(times, dtype=float)
-        if times.size and (np.any(times < 0) or np.any(np.diff(times) < 0)):
+        times = time_grid(times)
+        if np.any(np.diff(times) < 0):
             raise PhysicsError("times must be ascending and >= 0")
-        if not np.all(np.isfinite(times)):
-            raise NumericsError("non-finite time")
-        if self.spectral:
-            if self._projected is None or self._projected[0] is not state:
-                self._projected = (state, self._project(state.amplitudes))
-            block = self._rotate(self._projected[1], times)
+        if self._projected is None or self._projected[0] is not state:
+            self._projected = (state, self._project(state.amplitudes))
+        sectors = self._projected[1]
+        if sectors is not None:
+            block = self._rotate(sectors, times)
             return [_gated_state(state.spin_S, block[:, j]) for j in range(times.size)]
-        out = []
-        amps = state.amplitudes
-        prev = 0.0
-        for t in times:
-            amps = self._krylov_step(amps, t - prev)
-            prev = t
-            out.append(_gated_state(state.spin_S, amps))
-        return out
+        return [_gated_state(state.spin_S, amps)
+                for amps in self._krylov_grid(state.amplitudes, times)]
 
 
 def _ladder_applications(amps: np.ndarray, spin_S: float):
@@ -426,6 +500,78 @@ def amplitude_moments(amps: np.ndarray, spin_S: float) -> SpinMoments:
 def moments(state: DickeState) -> SpinMoments:
     """Spin moments of a ladder state (see :func:`amplitude_moments`)."""
     return amplitude_moments(state.amplitudes, state.spin_S)
+
+
+def _tat_window_kernel(state0: DickeState, omega_twist: float):
+    """The moments kernel of state0 under rotation-assisted twisting, in its windows' eigenbasis.
+
+    The state is projected once (see :meth:`TatPropagator._project`), so
+    psi(t) = sum_j u_j(t) L_j with u_j(t) = c_j exp(-i lambda_j t) over the kept
+    eigenvectors L_j of each occupied sector, mapped to the ladder (real), and
+    the norm n = sum |c_j|^2 passes the drift gate (1e-9) once per kernel.
+    With Sz L = Z, Sx L = X and Sy L = i Y (all real, from
+    :func:`_ladder_applications`), the moments are quadratic forms in u over
+    real k x k matrices formed here once per occupied sector: <Sx> over L^T X,
+    <Sz^2> over Z^T Z, <Sy^2> over Y^T Y, and Re <Sz Sy> = -Im u^dag (Z^T Y) u.
+    Sz and Sy flip the reflection sector, so <Sz> and <Sy> vanish unless both
+    sectors are occupied; then they come from the cross blocks L_s^T Z_a and
+    L_s^T Y_a as 2 Re w_z and -2 Im w_y, w = u_s^dag K u_a.  A block of up to 64
+    times takes one product of the stacked forms with the real and imaginary
+    parts of u per occupied sector, and one of the cross blocks.  The grid
+    must be one-dimensional with times >= 0 (see :func:`core.time_grid`);
+    :class:`NumericsError` when the windows exceed ``SPECTRAL_MAX_DIM``.
+    """
+    S = state0.spin_S
+    sectors = TatPropagator(S, omega_twist)._project(state0.amplitudes)
+    if sectors is None:
+        raise NumericsError(
+            f"the state's energy windows keep more than {SPECTRAL_MAX_DIM} eigenvectors")
+    sizes = [vecs.shape[0] for _, vecs, _ in sectors]
+    occupied, images = [], []
+    for k, (vals, vecs, coeffs) in enumerate(sectors):
+        if not vals.size:
+            continue
+        parts = [np.zeros((size, vals.size)) for size in sizes]
+        parts[k] = vecs
+        ladder = _sector_join(*parts)  # the kept eigenvectors on the ladder
+        sz, sy, sx = _ladder_applications(ladder, S)
+        sy = np.ascontiguousarray(sy.imag)  # Sy L = i Y: (S+ - S-) L / 2i has no real part
+        occupied.append((vals, coeffs,
+                         np.concatenate((ladder.T @ sx, sz.T @ sz, sy.T @ sy, sz.T @ sy))))
+        images.append((ladder, sz, sy))
+    cross = None
+    if len(images) == 2:  # Sz and Sy link the two sectors
+        (ladder, _, _), (_, sz, sy) = images
+        cross = np.concatenate((ladder.T @ sz, ladder.T @ sy))
+    norm = sum(float(np.sum(np.abs(coeffs) ** 2)) for _, coeffs, _ in occupied)
+
+    def moments_at(times) -> Iterator[SpinMoments]:
+        times = time_grid(times)
+        _drift_gated(norm)
+        for lo in range(0, times.size, _GRID_BLOCK):
+            t = times[lo:lo + _GRID_BLOCK]
+            quad, amps = np.zeros((4, t.size)), []
+            for vals, coeffs, forms in occupied:
+                u = coeffs[:, None] * np.exp(-1j * np.outer(vals, t))
+                a, b = u.real, u.imag
+                products = forms @ np.concatenate((a, b), axis=1)  # F a and F b of each form F
+                fa, fb = np.split(products.reshape(4, -1, 2 * t.size), 2, axis=2)
+                quad[:3] += np.sum(a * fa[:3] + b * fb[:3], axis=1)
+                quad[3] += np.sum(b * fa[3] - a * fb[3], axis=0)  # Re <Sz psi| Sy psi>
+                amps.append(u)
+            quad /= norm
+            mean_z, mean_y = np.zeros(t.size), np.zeros(t.size)
+            if cross is not None:
+                ka = _real_product(cross, amps[1]).reshape(2, -1, t.size)
+                w = np.sum(amps[0].conj() * ka, axis=1) / norm
+                mean_z, mean_y = 2.0 * w[0].real, -2.0 * w[1].imag
+            for k in range(t.size):
+                mx, my, mz = float(quad[0, k]), float(mean_y[k]), float(mean_z[k])
+                yield SpinMoments(spin_S=S, mean_x=mx, mean_y=my, mean_z=mz,
+                                  var_z=float(quad[1, k]) - mz * mz,
+                                  var_y=float(quad[2, k]) - my * my,
+                                  cross_zy=2.0 * float(quad[3, k]) - 2.0 * mz * my)
+    return moments_at
 
 
 # Relative tilt of the mean spin away from x beyond which the stored
@@ -466,16 +612,15 @@ def coherent_moments(d: DerivedParams, protocol: str):
     """Moments of the evolved coherent spin state, as a function of a time grid.
 
     ``protocol`` is "oat" or "tat", as resolved by :func:`core.resolve_tier`.
-    The function maps ascending times >= 0 to one :class:`SpinMoments` each.
-    Twisting turns the coherent state's pair weights, formed here once (see
-    :func:`_oat_band_kernel`); rotation-assisted twisting maps :func:`moments`
-    over one :class:`TatPropagator`, built here once.
+    The function maps a one-dimensional grid of times >= 0 to one
+    :class:`SpinMoments` each.  Twisting turns the coherent state's pair
+    weights, formed here once (see :func:`_oat_band_kernel`); rotation-assisted
+    twisting turns its eigen-coefficients in the energy window, whose spin
+    matrices are formed here once (see :func:`_tat_window_kernel`).
     """
     state0 = css(d.params.n_atoms)
-    if protocol == "oat":
-        return _oat_band_kernel(state0, d.omega_twist)
-    propagator = TatPropagator(state0.spin_S, d.omega_twist)
-    return lambda times: map(moments, propagator.evolve_grid(state0, times))
+    kernel = _oat_band_kernel if protocol == "oat" else _tat_window_kernel
+    return kernel(state0, d.omega_twist)
 
 
 def apply_noise(m: SpinMoments, d: DerivedParams, t, noise: NoiseModel) -> SpinMoments:

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DerivedParams, LevelCrossingError, NumericsError, PhysicsError, SystemParams,
-                   derive_params)
+from .core import (DerivedParams, LevelCrossingError, PhysicsError, SystemParams,
+                   derive_params, time_grid)
 from .analytic import SpinMoments
 from . import analytic, dicke
 
@@ -219,14 +219,11 @@ def evolve_full(cfg: TCConfig, t_grid) -> FullEvolution:
     amplitudes of the grid are one scatter, then turned into the twisting
     frame by exp(-i Omega t m).
     An unidentifiable branch raises :class:`LevelCrossingError` (CLI exit
-    4), a negative time :class:`PhysicsError` and a non-finite one
-    :class:`NumericsError`.
+    4), a grid that is not one-dimensional or a negative time
+    :class:`PhysicsError` and a non-finite one :class:`NumericsError`
+    (see :func:`core.time_grid`).
     """
-    times = np.asarray(t_grid, dtype=float)
-    if np.any(times < 0):
-        raise PhysicsError("times must be >= 0")
-    if not np.all(np.isfinite(times)):
-        raise NumericsError("non-finite time")
+    times = time_grid(t_grid)
     used, (rows, cols, weighted, energies), fock_pops = _dressed_css(cfg)
     omega = used.derived().omega_twist
     psi = np.zeros((times.size, used.n_atoms + 1, used.photon_cutoff + 1), dtype=complex)

@@ -3,7 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from scipy.linalg import eigh_tridiagonal, expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NormDriftError,
@@ -336,10 +338,13 @@ class TestEvolveTat:
 
     @pytest.mark.parametrize("start, solves", [("css", 1), ("random", 2), ("antisymmetric", 1)])
     def test_only_occupied_sectors_are_diagonalized(self, monkeypatch, start, solves):
+        # symmetric sector: n/2 + 1 levels; antisymmetric: n/2
+        sizes = {"css": [11], "random": [11, 10], "antisymmetric": [10]}[start]
+        assert len(sizes) == solves
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[0].size)
+            calls.append((args[0].size, kwargs.get("eigvals_only", False)))
             return eigh_tridiagonal(*args, **kwargs)
 
         monkeypatch.setattr(dicke, "eigh_tridiagonal", counted)
@@ -354,11 +359,13 @@ class TestEvolveTat:
         prop = dicke.TatPropagator(n / 2, 0.37)
         assert calls == []  # nothing is diagonalized before the first propagation
         prop.evolve_grid(st, [0.1, 0.5])
-        assert len(calls) == solves
-        if start != "random":  # symmetric sector: n/2 + 1 levels; antisymmetric: n/2
-            assert calls == [n // 2 + 1 if start == "css" else n // 2]
+        # at n = 20 every window covers its sector: its eigenvalues, then one full solve
+        assert calls == [(size, only) for size in sizes for only in (True, False)]
         prop.evolve_grid(st, np.linspace(0.0, 2.0, 100))
-        assert len(calls) == solves
+        assert len(calls) == 2 * solves
+        # a new state solves its windows again, but keeps the sectors' eigenvalues
+        prop.evolve_grid(dicke.DickeState(st.spin_S, st.amplitudes * 1j), [0.1])
+        assert calls[2 * solves:] == [(size, False) for size in sizes]
 
     def test_complex_start_state_matches_dense_expm(self):
         # the CSS is real; an OAT-evolved start has an imaginary part of norm 0.61
@@ -402,19 +409,28 @@ class TestEvolveTat:
         grids = ([0.0], [1e-3, 2e-3], [5e-3])
         got = [list(kernel(times)) for times in grids]
         assert calls == [41]
-        for times, moms in zip(grids, got):  # bitwise what a fresh propagation gives
+        for times, moms in zip(grids, got):  # what the propagated states give, to rounding
             fresh = dicke.TatPropagator(20.0, d.omega_twist).evolve_grid(dicke.css(40), times)
-            assert [vars(m) for m in moms] == [vars(dicke.moments(out)) for out in fresh]
+            for mom, out in zip(moms, fresh, strict=True):
+                assert_moments_close(mom, dicke.moments(out), 1e-13 * 20.0 ** 2)
         assert len(calls) == 1 + len(grids)  # a new state is projected anew
 
     @pytest.mark.parametrize("limit", [dicke.SPECTRAL_MAX_DIM, 10], ids=["spectral", "krylov"])
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_is_rejected(self, monkeypatch, limit, t):
+        # the coherent state's window at N = 20 keeps its whole 11-level sector
         monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", limit)
-        prop = dicke.TatPropagator(10.0, 0.37)
-        assert prop.spectral == (limit > 21)
+        prop, st = dicke.TatPropagator(10.0, 0.37), dicke.css(20)
+        prop.evolve_grid(st, [0.1])
+        assert (prop._projected[1] is not None) == (limit >= 11)
         with pytest.raises(NumericsError, match="non-finite time"):
-            prop.evolve_grid(dicke.css(20), [0.0, 0.1, t])
+            prop.evolve_grid(st, [0.0, 0.1, t])
+
+    @pytest.mark.parametrize("limit", [dicke.SPECTRAL_MAX_DIM, 10], ids=["spectral", "krylov"])
+    def test_scalar_time_grid_is_physics_error(self, monkeypatch, limit):
+        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", limit)
+        with pytest.raises(PhysicsError, match="time grid must be one-dimensional"):
+            dicke.TatPropagator(10.0, 0.37).evolve_grid(dicke.css(20), 0.5)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 19, 20])
     def test_random_start_matches_dense_expm_in_both_sectors(self, n):
@@ -446,15 +462,17 @@ class TestEvolveTat:
             assert out.amplitudes[::-1] == pytest.approx(sign * out.amplitudes, abs=1e-13)
 
     def test_krylov_agrees_with_spectral(self, monkeypatch):
-        # dim 61 is spectral; lowering the size limit below it forces Krylov
+        # the window of the coherent state at n = 60 keeps at most its 31-level
+        # sector; a limit below that forces Krylov
         n, omega, t = 60, 0.21, 0.8
         st = dicke.css(n)
         spec = dicke.TatPropagator(st.spin_S, omega)
-        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", n)
+        spec_out = spec.evolve(st, t)
+        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", 10)
         kry = dicke.TatPropagator(st.spin_S, omega)
-        assert spec.spectral and not kry.spectral
-        spec, kry = spec.evolve(st, t), kry.evolve(st, t)
-        assert kry.amplitudes == pytest.approx(spec.amplitudes, abs=1e-9)
+        kry_out = kry.evolve(st, t)
+        assert spec._projected[1] is not None and kry._projected[1] is None
+        assert kry_out.amplitudes == pytest.approx(spec_out.amplitudes, abs=1e-9)
 
     def test_short_time_splits_into_twist_plus_rotation(self):
         # error of the split exp(-i t Omega S Sx) exp(-i t Omega Sz^2) is O(t^2)
@@ -488,6 +506,153 @@ class TestEvolveTat:
             t = phase / (n / 2 * d.omega_twist)
             var, _ = dicke.min_transverse_variance(dicke.moments(prop.evolve(st, t)))
             assert var == pytest.approx(tat_variance_bosonic(d, t), rel=0.02)
+
+
+def full_sector_states(prop, state, times):
+    """exp(-iHt) state from full eigh_tridiagonal solves of both sectors, the reference formula.
+
+    Rows are times, columns the ladder m = -S..S.
+    """
+    rotated = []
+    for (diag, off), z in zip(prop._blocks, dicke._sector_split(state.amplitudes)):
+        vals, vecs = eigh_tridiagonal(diag, off)
+        rotated.append(vecs @ (np.exp(-1j * np.outer(vals, times)) * (vecs.T @ z)[:, None]))
+    return dicke._sector_join(*rotated).T
+
+
+def sz_css(n):
+    """Sz |CSS> normalized: R-antisymmetric, with as narrow an energy window as the CSS."""
+    st = dicke.css(n)
+    amps = st.m_values * st.amplitudes
+    return dicke.DickeState(st.spin_S, amps / np.linalg.norm(amps))
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return dicke.DickeState(n / 2, amps / np.linalg.norm(amps))
+
+
+class TestTatWindow:
+    # TatPropagator keeps only the eigenvectors of a state's energy window
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20, 101, 1000, 2000])
+    @pytest.mark.parametrize("start", [dicke.css, sz_css], ids=["symmetric", "antisymmetric"])
+    def test_matches_full_sector_solves(self, n, start):
+        S, omega = n / 2, 0.37
+        st = start(n)
+        prop = dicke.TatPropagator(S, omega)
+        times = np.array([0.0, 0.5, 2.0, 5.0, 10.0]) / (S * omega)  # Omega S t up to 10
+        got = np.array([out.amplitudes for out in prop.evolve_grid(st, times)])
+        assert np.max(np.abs(got - full_sector_states(prop, st, times))) <= 1e-12
+        occupied = [k for k, vals in enumerate(prop._eigvals) if vals is not None]
+        assert occupied == [0 if start is dicke.css else 1]
+        for k in occupied:
+            want = eigh_tridiagonal(*prop._blocks[k])[0]
+            assert np.max(np.abs(prop._eigvals[k] - want)) <= 1e-14 * omega * S * (S + 1)
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_coherent_window_is_a_narrow_run(self, n):
+        prop = dicke.TatPropagator(n / 2, 0.37)
+        kept = [vals.size for vals, _, _ in prop._project(dicke.css(n).amplitudes)]
+        assert kept[1] == 0 and 60 <= kept[0] <= 100  # of n/2 + 1 levels
+
+    @pytest.mark.parametrize("n", [20, 101])
+    def test_random_state_widens_to_whole_sectors(self, n):
+        st = random_state(n, n)
+        prop = dicke.TatPropagator(n / 2, 0.37)
+        sectors = prop._project(st.amplitudes)
+        assert [vals.size for vals, _, _ in sectors] == [n // 2 + 1, (n + 1) // 2]
+        times = np.array([0.0, 0.3, 2.0]) / (n / 2 * 0.37)
+        got = np.array([out.amplitudes for out in prop.evolve_grid(st, times)])
+        assert np.max(np.abs(got - full_sector_states(prop, st, times))) <= 1e-12
+
+    def test_far_weight_widens_the_window(self):
+        # the CSS plus 1e-3 of the sector's lowest eigenvector: that level lies
+        # beyond three doublings of the first window, and no edge of the CSS's
+        # run holds weight, yet the level's weight of 1e-6 is kept
+        n, omega = 1000, 0.37
+        prop = dicke.TatPropagator(n / 2, omega)
+        sym = dicke._sector_split(dicke.css(n).amplitudes)[0]
+        vals, vecs = eigh_tridiagonal(*prop._blocks[0])
+        sym = sym + 1e-3 * vecs[:, 0]
+        amps = dicke._sector_join(sym, np.zeros(n // 2))
+        st = dicke.DickeState(n / 2, amps / np.linalg.norm(amps))
+        e0, sigma = dicke._energy_spread(*prop._blocks[0], sym)
+        assert e0 - vals[0] > 8 * dicke.WINDOW_SIGMAS * sigma
+        times = np.array([0.0, 1.0]) / (n / 2 * omega)
+        got = np.array([out.amplitudes for out in prop.evolve_grid(st, times)])
+        assert np.max(np.abs(got - full_sector_states(prop, st, times))) <= 1e-12
+
+    def test_narrow_first_window_doubles_until_edges_are_empty(self, monkeypatch):
+        n, omega = 1000, 0.37
+        st = dicke.css(n)
+        want = dicke.TatPropagator(n / 2, omega)._project(st.amplitudes)[0]
+        monkeypatch.setattr(dicke, "WINDOW_SIGMAS", 0.5)
+        got = dicke.TatPropagator(n / 2, omega)._project(st.amplitudes)[0]
+        assert got[0].size >= want[0].size
+        for vals, _, coeffs in (got, want):
+            weights = np.abs(coeffs) ** 2
+            assert max(weights[0], weights[-1]) <= dicke.WINDOW_EDGE_WEIGHT
+            assert np.sum(weights) == pytest.approx(1.0, rel=0.0, abs=dicke.NORM_TOL)
+
+    @pytest.mark.parametrize("n", [1, 2, 100, 101, 2000])
+    @pytest.mark.parametrize("omega", [0.37, -1.3])
+    def test_coherent_energy_and_spread(self, n, omega):
+        # H|CSS> = Omega (S^2 + Sz^2)|CSS>, and Sz is binomial with variance S/2
+        S = n / 2
+        prop = dicke.TatPropagator(S, omega)
+        sym = dicke._sector_split(dicke.css(n).amplitudes)[0]
+        e0, sigma = dicke._energy_spread(*prop._blocks[0], sym)
+        assert e0 == pytest.approx(omega * (S * S + S / 2), rel=1e-12)
+        assert sigma == pytest.approx(abs(omega) * math.sqrt(S * S / 2 - S / 4), rel=1e-9)
+        if n >= 100:  # -> |Omega| S / sqrt(2) for large S
+            assert sigma == pytest.approx(abs(omega) * S / math.sqrt(2.0), rel=0.5 / S)
+
+    def test_xi_matches_expm_multiply_above_the_old_limit(self):
+        # dim 5001 was Krylov-only before the window; Omega S t = 2 is near the
+        # squeezing optimum, and by 4.5 the mean spin has collapsed to 0.6 S
+        n, omega = 5000, 0.37
+        S = n / 2
+        d = derive_params(small_params(n, omega))
+        taus = np.array([2.0, 4.5])
+        moms = list(dicke.coherent_moments(d, "tat")(taus / (S * omega)))
+        assert moms[1].mean_x < 0.7 * S
+        m = np.arange(n + 1) - S
+        off = omega * S * 0.5 * np.sqrt((S - m[:-1]) * (S + m[:-1] + 1.0))
+        h = sparse.diags([off, omega * m ** 2, off], [-1, 0, 1], format="csr")
+        amps, prev = dicke.css(n).amplitudes, 0.0
+        for tau, mom in zip(taus, moms, strict=True):
+            amps, prev = expm_multiply(-1j * (tau - prev) / (S * omega) * h, amps), tau
+            want = xi_numeric(dicke.DickeState(S, amps / np.linalg.norm(amps)))
+            assert dicke.min_transverse_variance(mom)[0] / (S / 2) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [7, 20])
+    def test_kernel_matches_propagated_states_in_both_sectors(self, n):
+        # a random start occupies both sectors, so <Sz> and <Sy> come from the cross blocks
+        st = random_state(n, 7 * n)
+        S, omega = n / 2, 0.37
+        times = np.linspace(0.0, 3.0, 70) / (S * omega)  # two column blocks
+        got = list(dicke._tat_window_kernel(st, omega)(times))
+        want = [dicke.moments(out) for out in dicke.TatPropagator(S, omega).evolve_grid(st, times)]
+        assert max(abs(m.mean_z) + abs(m.mean_y) for m in want) > 0.1 * S
+        for g, w in zip(got, want, strict=True):
+            assert_moments_close(g, w, 1e-13 * S * S)
+
+    def test_kernel_raises_when_the_windows_exceed_the_limit(self, monkeypatch):
+        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", 5)
+        with pytest.raises(NumericsError, match="more than 5 eigenvectors"):
+            dicke._tat_window_kernel(dicke.css(20), 0.37)
+
+    @pytest.mark.parametrize("protocol", ["oat", "tat"])
+    def test_kernel_time_grid_gates(self, protocol):
+        kernel = dicke.coherent_moments(derive_params(small_params(20)), protocol)
+        with pytest.raises(PhysicsError, match="time grid must be one-dimensional"):
+            next(kernel(0.5))
+        with pytest.raises(PhysicsError, match="time must be >= 0"):
+            next(kernel([0.1, -0.1]))
+        with pytest.raises(NumericsError, match="non-finite time"):
+            next(kernel([0.1, math.nan]))
 
 
 class TestMinTransverseVariance:

@@ -240,6 +240,10 @@ class TestEvolveFull:
         with pytest.raises(NumericsError, match="non-finite time"):
             oracle.evolve_full(tc_config(4), [0.1, t])
 
+    def test_scalar_time_grid_is_physics_error(self):
+        with pytest.raises(PhysicsError, match="time grid must be one-dimensional"):
+            oracle.evolve_full(tc_config(4), 0.5)
+
     def test_cutoff_escalation(self):
         # at small detuning the n=1 cutoff is insufficient; it must grow
         params = SystemParams(n_atoms=2, coupling_g=1.0, kappa=0.0, gamma=0.0,
