@@ -99,31 +99,36 @@ def _scalar_like(value, template):
     return float(value) if np.ndim(template) == 0 else value
 
 
-def cos_pow(x, p: int):
+def cos_pow(x, p):
     """sign(cos x)^(p mod 2) * |cos x|^p, computed in log space.
 
     Direct powering underflows/overflows for p ~ 1e4 and loses the sign of
     odd powers; the exact zero of cos maps to 0.  p must be a nonnegative
-    integer (2S-2 and 2S-1 always are).
+    integer (2S-2 and 2S-1 always are), or an integer array that broadcasts
+    against x, such as an (L, 1) column with one exponent per lane.
     """
-    if p != int(p) or p < 0:
+    p = np.asarray(p)
+    if p.dtype.kind not in "iu" or p.min() < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {p}")
-    p = int(p)
     x = np.asarray(x, dtype=float)
     c = np.cos(x)
     safe = np.where(c == 0.0, 1.0, np.abs(c))
     out = np.where(c == 0.0, 0.0, np.exp(p * np.log(safe)))
-    if p % 2:
-        out = out * np.sign(c)
-    return out
+    odd = p % 2 == 1
+    return np.where(odd, out * np.sign(c), out) if odd.any() else out
 
 
 def _ab(d: DerivedParams, t):
-    """The A, B coefficients of the twisting covariance at phase Omega*t."""
-    S = d.spin_S
+    """The A, B coefficients of the twisting covariance at phase Omega*t.
+
+    ``d.spin_S`` may be an array that broadcasts against t, one spin per
+    lane.  One spin (S = 1/2) takes the exponent 0 in place of 2S-2 = -1;
+    its covariance prefactor S - 1/2 vanishes, so A and B are not used.
+    """
     x = d.omega_twist * np.asarray(t, dtype=float)
-    A = 1.0 - cos_pow(2.0 * x, int(2 * S - 2))
-    B = 4.0 * np.sin(x) * cos_pow(x, int(2 * S - 2))
+    p = np.maximum(2.0 * np.asarray(d.spin_S) - 2.0, 0.0).astype(int)
+    A = 1.0 - cos_pow(2.0 * x, p)
+    B = 4.0 * np.sin(x) * cos_pow(x, p)
     return A, B
 
 
@@ -140,19 +145,19 @@ def xi_unitary(d: DerivedParams, t) -> UnitarySqueezing:
     Returns xi = 1 - (1/2)(S-1/2)(sqrt(A^2+B^2) - A) and the angle
     (1/2) atan2(B, -A) at which the quadrature cos(phi) Sy - sin(phi) Sz
     attains the minimal variance (0 by tie-break when the transverse noise
-    is still isotropic).  sqrt(A^2+B^2) - A is evaluated as B^2/(R + A)
-    to stay accurate when B << A.
+    is still isotropic, and for one spin).  sqrt(A^2+B^2) - A is
+    evaluated as B^2/(R + A) to stay accurate when B << A.  ``d.spin_S``,
+    ``d.omega_twist`` and t may be arrays that broadcast together, one
+    lane per element; a lane with S = 1/2 gives xi = 1 exactly, because
+    its prefactor S - 1/2 vanishes.
     """
     t_arr = _check_time(t)
     S = d.spin_S
-    if S == 0.5:  # prefactor (S - 1/2) vanishes; no entanglement for one spin
-        return UnitarySqueezing(_scalar_like(np.ones_like(t_arr), t),
-                                _scalar_like(np.zeros_like(t_arr), t))
     A, B = _ab(d, t_arr)
     R = np.hypot(A, B)
     excess = np.divide(B * B, R + A, out=np.zeros_like(R), where=(R + A) > 0)
     xi = 1.0 - 0.5 * (S - 0.5) * excess
-    angle = np.where(R == 0.0, 0.0, 0.5 * np.arctan2(B, np.negative(A)))
+    angle = np.where((R == 0.0) | (S == 0.5), 0.0, 0.5 * np.arctan2(B, np.negative(A)))
     return UnitarySqueezing(_scalar_like(xi, t), _scalar_like(angle, t))
 
 

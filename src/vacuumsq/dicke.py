@@ -467,14 +467,20 @@ class TatPropagator:
                 for amps in self._krylov_grid(state.amplitudes, times)]
 
 
-def _ladder_applications(amps: np.ndarray, spin_S: float):
-    """Sz c, Sy c, Sx c along the first (m = -S..S) axis of ``amps``; O(size) each."""
+def _ladder_shifts(amps: np.ndarray, spin_S: float):
+    """m, S+ c and S- c along the first (m = -S..S) axis of ``amps``; O(size) each."""
     m = (np.arange(amps.shape[0], dtype=float) - spin_S).reshape((-1,) + (1,) * (amps.ndim - 1))
     up = np.sqrt((spin_S - m[:-1]) * (spin_S + m[:-1] + 1.0))  # <m+1| S+ |m>
     sp_c = np.zeros_like(amps)
     sp_c[1:] = up * amps[:-1]
     sm_c = np.zeros_like(amps)
     sm_c[:-1] = up * amps[1:]
+    return m, sp_c, sm_c
+
+
+def _ladder_applications(amps: np.ndarray, spin_S: float):
+    """Sz c, Sy c, Sx c along the first (m = -S..S) axis of ``amps``; O(size) each."""
+    m, sp_c, sm_c = _ladder_shifts(amps, spin_S)
     return m * amps, (sp_c - sm_c) / 2j, (sp_c + sm_c) / 2.0
 
 
@@ -509,8 +515,8 @@ def _tat_window_kernel(state0: DickeState, omega_twist: float):
     psi(t) = sum_j u_j(t) L_j with u_j(t) = c_j exp(-i lambda_j t) over the kept
     eigenvectors L_j of each occupied sector, mapped to the ladder (real), and
     the norm n = sum |c_j|^2 passes the drift gate (1e-9) once per kernel.
-    With Sz L = Z, Sx L = X and Sy L = i Y (all real, from
-    :func:`_ladder_applications`), the moments are quadratic forms in u over
+    With Sz L = Z, Sx L = X and Sy L = i Y, where Y = (S- L - S+ L)/2 (all
+    real, from :func:`_ladder_shifts`), the moments are quadratic forms in u over
     real k x k matrices formed here once per occupied sector: <Sx> over L^T X,
     <Sz^2> over Z^T Z, <Sy^2> over Y^T Y, and Re <Sz Sy> = -Im u^dag (Z^T Y) u.
     Sz and Sy flip the reflection sector, so <Sz> and <Sy> vanish unless both
@@ -534,8 +540,8 @@ def _tat_window_kernel(state0: DickeState, omega_twist: float):
         parts = [np.zeros((size, vals.size)) for size in sizes]
         parts[k] = vecs
         ladder = _sector_join(*parts)  # the kept eigenvectors on the ladder
-        sz, sy, sx = _ladder_applications(ladder, S)
-        sy = np.ascontiguousarray(sy.imag)  # Sy L = i Y: (S+ - S-) L / 2i has no real part
+        m, sp, sm = _ladder_shifts(ladder, S)
+        sz, sy, sx = m * ladder, (sm - sp) / 2.0, (sp + sm) / 2.0  # Sy L = (S+ - S-) L / 2i = i Y
         occupied.append((vals, coeffs,
                          np.concatenate((ladder.T @ sx, sz.T @ sz, sy.T @ sy, sz.T @ sy))))
         images.append((ladder, sz, sy))

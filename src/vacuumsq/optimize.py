@@ -3,14 +3,17 @@
 Objectives are smooth and unimodal in the regime where the additive
 decoherence model is meaningful, so minimization is a coarse logarithmic
 grid followed by golden-section refinement, on log(t) and log(Delta).
-The time optimizer works on lanes, one per detuning: the squeezing
-objective takes every lane's coarse time grid as one (lanes x points)
-array call, and the golden-section refinement steps all lanes in
-lockstep, one call per step.  ``optimal_detuning`` solves its whole
-coarse detuning grid that way on the analytic tier, and lane by lane on
-the Dicke tier; ``optimal_time`` is the one-lane case, which calls the
-objective with scalars, as does the outer refinement of the detuning,
-one ``optimal_time`` per candidate.
+The time optimizer works on lanes, one per (N, g, detuning): the
+squeezing objective takes every lane's coarse time grid as one (lanes x
+points) array call, and the golden-section refinement steps all lanes in
+lockstep, one call per step.  ``optimal_time`` is the one-lane case,
+which calls the objective with scalars.  The detuning optimizer works on
+lanes too, one per point: each point solves its whole coarse detuning
+grid as one lane batch (lane by lane on the Dicke tier), and the outer
+golden section then refines the detunings of all points in lockstep,
+solving every point's candidate in one lane solve per step.
+``optimal_detuning`` is its one-point case, and ``scaling_scan`` runs all
+of its points through it at once.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
 faithful error measure once its exposure p passes 1/2 (the variance then
@@ -43,9 +46,16 @@ __all__ = [
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The refinement maps between x and log(x) with libm's exp and log, element
 # by element: numpy's vectorized exp and log differ from them in the last
-# bit for some inputs, which would move refined optima by an ulp.
-_exp = np.vectorize(math.exp, otypes=[float])
-_log = np.vectorize(math.log, otypes=[float])
+# bit for some inputs, which would move refined optima by an ulp.  The
+# arrays are lane columns, short enough that a Python loop beats
+# np.vectorize's set-up.
+
+
+def _libm(fn):
+    return lambda x: np.fromiter(map(fn, np.ravel(x)), float, np.size(x)).reshape(np.shape(x))
+
+
+_exp, _log = _libm(math.exp), _libm(math.log)
 MAX_EXPOSURE = 0.5  # binomial noise exposures beyond this are unphysical
 TIME_GRID_POINTS = 240      # coarse log grid of optimal_time
 DETUNING_GRID_POINTS = 96   # coarse log grid of optimal_detuning
@@ -193,36 +203,44 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
 def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
     """xi_total(t) on a list of lanes, +inf where invalid.
 
-    ``lanes`` holds one DerivedParams per lane, alike but for the detuning.
+    ``lanes`` holds one DerivedParams per lane.  The lanes may differ in N,
+    g and the detuning, but must share kappa, Gamma and the noise model.
     One lane takes a scalar t (giving a float) or a time array; L lanes
     take an (L, k) array, one row per lane.  The noise budget is evaluated
     on all of t at once, with the L lanes as one DerivedParams whose
-    omega_twist and leak_rate are (L, 1) columns.  Its exposures guard the
-    validity regime point by point, and its variance is added to the
-    coherent xi, which is computed only where the guard passes.  A NaN
+    spin_S, omega_twist and leak_rate are (L, 1) columns, or scalars
+    where the lanes share them (spin_S on a detuning grid).  Its exposures
+    guard the validity regime point by point, and its variance is added to
+    the coherent xi, which is computed only where the guard passes.  A NaN
     time, which the lane solver passes to lanes that take no step, is
-    invalid whether or not a noise channel is on.  Both exposures grow with t, so in an ascending row those
-    points are an ascending prefix, which the Dicke tier reduces in one
-    call of the lane's own ``dicke.coherent_moments`` kernel, the path of
-    ``dicke.squeezing_trace``.  A Dicke point whose mean spin is
-    degenerate (|<S>| <= 1e-9 S, where ``dicke.min_transverse_variance``
-    raises) is invalid too: without noise the time bracket can reach the
-    collapse of the twisted mean spin.
+    invalid whether or not a noise channel is on.  Both exposures grow with
+    t, so in an ascending row those points are an ascending prefix, which
+    the Dicke tier reduces in one call of the lane's own
+    ``dicke.coherent_moments`` kernel, the path of
+    ``dicke.squeezing_trace``.  A Dicke point whose mean spin is degenerate
+    (|<S>| <= 1e-9 S, where ``dicke.min_transverse_variance`` raises) is
+    invalid too: without noise the time bracket can reach the collapse of
+    the twisted mean spin.
     """
-    d = lanes[0] if len(lanes) == 1 else replace(
-        lanes[0], omega_twist=np.array([[lane.omega_twist] for lane in lanes]),
-        leak_rate=np.array([[lane.leak_rate] for lane in lanes]))
+    def lane_values(name):  # a value all lanes share stays a scalar
+        values = [getattr(lane, name) for lane in lanes]
+        return values[0] if values.count(values[0]) == len(values) else np.array(values)[:, None]
+
+    d = replace(lanes[0], **{name: lane_values(name)
+                             for name in ("spin_S", "omega_twist", "leak_rate")})
     half_S = d.spin_S / 2.0
     if tier == "analytic":
         def coherent_xi(times, valid):
-            at_valid = replace(d, omega_twist=np.broadcast_to(d.omega_twist, times.shape)[valid])
+            at_valid = replace(d, **{name: np.broadcast_to(getattr(d, name), times.shape)[valid]
+                                     for name in ("spin_S", "omega_twist")
+                                     if np.ndim(getattr(d, name))})
             return analytic.xi_unitary(at_valid, times[valid]).xi
     else:
         kernels = [dicke.coherent_moments(lane, protocol) for lane in lanes]
 
         def point_xi(mom):
             try:
-                return dicke.min_transverse_variance(mom)[0] / half_S
+                return dicke.min_transverse_variance(mom)[0] / (mom.spin_S / 2.0)
             except DegenerateMeanSpinError:  # no transverse plane: invalid, not fatal
                 return math.inf
 
@@ -237,11 +255,12 @@ def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
         valid = np.asarray(~np.isnan(t) & (budget.p_leak <= MAX_EXPOSURE)
                            & (budget.p_decay <= MAX_EXPOSURE))
         xi = np.full(t.shape, math.inf)
-        xi[valid] = coherent_xi(t, valid) + np.asarray(budget.added_var)[valid] / half_S
+        xi[valid] = coherent_xi(t, valid) + np.asarray(budget.added_var / half_S)[valid]
         return xi if xi.ndim else float(xi)
     return objective
 
 
+@functools.cache  # the lanes of a detuning grid share N and eta
 def _closed_form_floor(n_atoms, eta, q, protocol: str) -> float:
     floor = analytic.tat_xi_floor if protocol == "tat" else analytic.xi_bound
     return floor(n_atoms, eta, q)
@@ -264,7 +283,9 @@ def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max):
     Each lane's coarse time grid spans [t_max * 1e-8, t_max], all of them
     in one array call of the objective.  One lane is refined by
     :func:`minimize_on_log_axis` with scalar calls, several by
-    :func:`_minimize_lanes`.  The half-floor check applies per lane.
+    :func:`_minimize_lanes`.  The half-floor check applies per lane, against
+    the lane's own floor (its own N and eta), and raises on the first lane
+    that falls below half of it.
     """
     objective = _xi_objective(lanes, noise, tier, protocol)
     if t_max is None:
@@ -280,12 +301,12 @@ def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max):
         t_opt, xi_min, edges = [t_opt], [xi_min], [edge]
     else:
         t_opt, xi_min, edges = _minimize_lanes(objective, grid, objective(grid), REL_TOL)
-    floor = _floor_value(lanes[0], noise, protocol)
-    below = [] if floor is None else [float(xi) for xi in xi_min if xi < 0.5 * floor]
-    if below:
-        raise NumericsError(
-            f"xi_min={below[0]!r} is below half the closed-form floor {floor!r}; "
-            "the optimizer left the additive-noise validity regime")
+    for d, xi in zip(lanes, xi_min):
+        floor = _floor_value(d, noise, protocol)
+        if floor is not None and xi < 0.5 * floor:
+            raise NumericsError(
+                f"xi_min={float(xi)!r} is below half the closed-form floor {floor!r}; "
+                "the optimizer left the additive-noise validity regime")
     return t_opt, xi_min, edges, tops
 
 
@@ -322,15 +343,34 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     """Nested minimization of xi over (Delta, t) at fixed g, kappa, Gamma, N.
 
     Scans Delta > 0 on [kappa, 1e4 kappa] by default (xi is even in the
-    sign of Delta).  The optimal times of the coarse detuning grid are one
-    lane-batched solve, one lane per detuning; the Dicke tier solves its
-    lanes one at a time, so that one lane's kernel is alive at once.  The
-    outer golden section then refines the detuning, with one
-    ``optimal_time`` per candidate.  Each detuning is solved once, so the
-    result at the optimum is the solve of its coarse lane or of its
-    refinement step.
+    sign of Delta).  This is the one-point case of the lockstep solver
+    that ``scaling_scan`` runs on all of its points: the optimal times of
+    the coarse detuning grid are one lane-batched solve, one lane per
+    detuning (the Dicke tier solves its lanes one at a time, so that one
+    lane's kernel is alive at once), and the golden section then refines
+    the detuning, solving each candidate's optimal time as it goes.  Each
+    detuning is solved once, so the result at the optimum is the solve of
+    its coarse lane or of its refinement step.
     """
     tier, protocol = resolve_tier(tier, protocol)
+    (result,) = _optimal_detunings([(n_atoms, coupling_g)], kappa, gamma, noise, tier,
+                                   protocol, bracket, t_max)
+    return result
+
+
+def _optimal_detunings(points, kappa: float, gamma: float, noise: NoiseModel, tier: str,
+                       protocol: str, bracket, t_max) -> list[OptimizationResult]:
+    """:func:`optimal_detuning` at every (n_atoms, coupling_g) of ``points``, in lockstep.
+
+    The points share kappa, Gamma, the noise model and the detuning
+    bracket.  Each point first solves its own coarse detuning grid, one
+    lane per detuning.  The detuning refinement then runs on all points
+    at once, as one :func:`_minimize_lanes` over Delta: every step solves
+    the candidate of each point that takes one in a single
+    :func:`_optimal_times` call, one lane per point (one call per lane on
+    the Dicke tier).  A (point, Delta) pair is solved once, coarse lanes
+    included.  Every point equals its one-point solve bitwise.
+    """
     if bracket is None:
         if kappa <= 0:
             raise PhysicsError("default detuning bracket needs kappa > 0; pass bracket=")
@@ -338,32 +378,43 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     if not (0 < bracket[0] < bracket[1]):
         raise ValueError(f"need a detuning bracket with 0 < lo < hi, got {bracket!r}")
 
-    def lane(delta):
+    def lane(point, delta):
+        n_atoms, coupling_g = points[point]
         return derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g,
                                           kappa=kappa, gamma=gamma, delta=delta))
 
+    solved = {}  # (t_opt, xi_min, edge, top) of each (point, detuning) solved
+
+    def solve(keys):
+        batch = 1 if tier == "dicke" else max(len(keys), 1)
+        for k in range(0, len(keys), batch):
+            chunk = keys[k:k + batch]
+            solved.update(zip(chunk, zip(*_optimal_times([lane(*key) for key in chunk],
+                                                         noise, tier, protocol, t_max))))
+
     grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
-    lanes = [lane(delta) for delta in grid]
-    batch = 1 if tier == "dicke" else len(lanes)
-    coarse = {}  # (t_opt, xi_min, edge, top) of each grid detuning's lane
-    for k in range(0, len(lanes), batch):
-        coarse.update(zip(grid[k:k + batch],
-                          zip(*_optimal_times(lanes[k:k + batch], noise, tier, protocol, t_max))))
+    deltas = grid.tolist()
+    for point in range(len(points)):  # a call per point: all at once would raise the peak memory
+        solve([(point, delta) for delta in deltas])
 
-    @functools.cache  # one solve per detuning, the coarse lanes included
-    def solve_at(delta):
-        if delta in coarse:
-            return _time_result(tier, protocol, *coarse[delta])
-        return optimal_time(lane(delta), noise, tier=tier, protocol=protocol, t_max=t_max)
+    def refine(column):  # one candidate per point; NaN where a point takes no step
+        keys = [(point, delta) for point, delta in enumerate(column[:, 0].tolist())
+                if not math.isnan(delta)]
+        solve([key for key in keys if key not in solved])
+        xi = np.full(column.shape, math.nan)
+        for point, delta in keys:
+            xi[point] = solved[point, delta][1]
+        return xi
 
-    delta_opt, _, edge = minimize_on_log_axis(lambda delta: solve_at(delta).xi_min, grid,
-                                              [xi for _, xi, _, _ in coarse.values()], REL_TOL)
-    inner = solve_at(delta_opt)
-    return OptimizationResult(t_opt=inner.t_opt, xi_min=inner.xi_min,
-                              xi_min_db=inner.xi_min_db, model_tier=inner.model_tier,
-                              protocol=protocol, delta_opt=delta_opt,
-                              bracket_t=inner.bracket_t, bracket_delta=bracket,
-                              flags=inner.flags + _edge_flags(edge, "delta"))
+    values = [[solved[point, delta][1] for delta in deltas] for point in range(len(points))]
+    delta_opt, _, edges = _minimize_lanes(refine, np.tile(grid, (len(points), 1)), values,
+                                          REL_TOL)
+    results = []
+    for point, (delta, edge) in enumerate(zip(delta_opt.tolist(), edges)):
+        inner = _time_result(tier, protocol, *solved[point, delta])
+        results.append(replace(inner, delta_opt=delta, bracket_delta=bracket,
+                               flags=inner.flags + _edge_flags(edge, "delta")))
+    return results
 
 
 @dataclass(frozen=True)
@@ -396,11 +447,14 @@ def scaling_scan(points, protocol: str = "oat",
 
     ``points`` is a list of (n_atoms, eta) pairs; it must hold at least 3
     of them spanning at least two decades of N*eta.  g is derived from eta
-    at fixed (kappa, gamma), the detuning is optimized per point (except
-    for noiseless rotation-assisted rows, where xi does not depend on it),
-    and a log-log slope of xi_min against N*eta is fitted.
+    at fixed (kappa, gamma), and a log-log slope of xi_min against N*eta
+    is fitted.  The detuning of every point is optimized in one lockstep
+    solve: each point solves its own coarse detuning grid, and the points
+    then refine their detunings together, one lane per point (see
+    :func:`_optimal_detunings`).  Noiseless rotation-assisted rows, where
+    xi does not depend on the detuning, take one ``optimal_time`` each.
     """
-    resolve_tier("auto", protocol)
+    tier, protocol = resolve_tier("auto", protocol)
     pts = [(int(n), float(eta)) for n, eta in points]
     if len(pts) < 3:
         raise PhysicsError("need at least 3 scan points")
@@ -409,22 +463,20 @@ def scaling_scan(points, protocol: str = "oat",
         raise PhysicsError("scan points must span at least two decades of N*eta")
     if noise is None:
         noise = NoiseModel()
-
-    def solve(point):
-        n, eta = point
-        g = math.sqrt(eta * gamma * kappa) / 2.0
-        if protocol == "tat" and not noise.any_active:
-            params = SystemParams(n_atoms=n, coupling_g=g, kappa=kappa, gamma=gamma,
-                                  delta=100.0 * kappa)  # xi independent of delta here
-            result = optimal_time(derive_params(params), noise, protocol="tat")
-        else:
-            result = optimal_detuning(g, kappa, gamma, n, noise, protocol=protocol)
-        floor = _closed_form_floor(n, eta, noise.detector_efficiency_q, protocol)
-        return ScalingPoint(n_atoms=n, eta=eta, n_eta=n * eta, xi_min=result.xi_min,
-                            xi_min_db=result.xi_min_db, floor=floor,
-                            t_opt=result.t_opt, delta_opt=result.delta_opt)
-
-    rows = [solve(p) for p in pts]
+    couplings = [math.sqrt(eta * gamma * kappa) / 2.0 for _, eta in pts]
+    if protocol == "tat" and not noise.any_active:
+        results = [optimal_time(derive_params(SystemParams(
+            n_atoms=n, coupling_g=g, kappa=kappa, gamma=gamma,
+            delta=100.0 * kappa)), noise, protocol="tat")  # xi independent of delta here
+            for (n, _), g in zip(pts, couplings)]
+    else:
+        results = _optimal_detunings([(n, g) for (n, _), g in zip(pts, couplings)], kappa,
+                                     gamma, noise, tier, protocol, None, None)
+    rows = [ScalingPoint(n_atoms=n, eta=eta, n_eta=n * eta, xi_min=result.xi_min,
+                         xi_min_db=result.xi_min_db,
+                         floor=_closed_form_floor(n, eta, noise.detector_efficiency_q, protocol),
+                         t_opt=result.t_opt, delta_opt=result.delta_opt)
+            for (n, eta), result in zip(pts, results)]
     slope, intercept = np.polyfit(np.log([r.n_eta for r in rows]),
                                   np.log([r.xi_min for r in rows]), 1)
     return ScalingScan(points=tuple(rows), slope=float(slope),

@@ -208,6 +208,25 @@ class TestArrayObjective:
         trace = dicke.squeezing_trace(d, self.GRID[valid], NoiseModel(), protocol=protocol)
         np.testing.assert_allclose(trace.xi_total, values[valid], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("tier, protocol, atoms", [
+        ("analytic", "oat", (1, 2, 3, 1_000, 10_001, 100_000)),
+        ("dicke", "oat", (1, 2, 5, 20)), ("dicke", "tat", (1, 2, 5, 20))])
+    def test_lanes_of_different_n_equal_one_lane_calls_bitwise(self, tier, protocol, atoms):
+        # the lanes differ in N, g and the detuning, and share kappa and Gamma
+        kappa, gamma = 2 * math.pi * 1e5, 20.0
+        lanes = [derive_params(SystemParams(n_atoms=n, coupling_g=300.0 * (1 + k),
+                                            kappa=kappa, gamma=gamma, delta=(10 + 7 * k) * kappa))
+                 for k, n in enumerate(atoms)]
+        times = np.geomspace(1e-6, 1.0, 60) * np.linspace(1.0, 2.0, len(lanes))[:, None]
+        noise = NoiseModel()
+        objective = optimize._xi_objective(lanes, noise, tier, protocol)
+        values = objective(times)
+        assert 0 < np.sum(np.isfinite(values)) < values.size
+        ones = [optimize._xi_objective([d], noise, tier, protocol) for d in lanes]
+        assert values.tobytes() == np.array([f(row) for f, row in zip(ones, times)]).tobytes()
+        column = objective(times[:, 40:41])
+        assert column.tobytes() == np.array([[f(row[40])] for f, row in zip(ones, times)]).tobytes()
+
     def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, fig3a_derived,
                                             full_noise):
         objectives = []  # (lanes, the shapes each objective was called with)
@@ -258,21 +277,30 @@ class TestDetuningBracket:
         assert calls == []
 
 
+def _record_optimal_times(monkeypatch):
+    """Hooks optimize._optimal_times; returns the list of each call's lanes."""
+    calls = []
+    optimal_times = optimize._optimal_times
+
+    def recorded(lanes, *args):
+        calls.append(list(lanes))
+        return optimal_times(lanes, *args)
+
+    monkeypatch.setattr(optimize, "_optimal_times", recorded)
+    return calls
+
+
 class TestDetuningRefinement:
     def test_no_inner_solve_is_repeated(self, monkeypatch, fig3a_params, full_noise):
         # the result at the optimal detuning is the refinement's own solve there
-        deltas = []
-        optimal_time = optimize.optimal_time
-
-        def counted(d, *args, **kwargs):
-            deltas.append(d.params.delta)
-            return optimal_time(d, *args, **kwargs)
-
-        monkeypatch.setattr(optimize, "optimal_time", counted)
+        calls = _record_optimal_times(monkeypatch)
         p = fig3a_params
         result = optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
+        (coarse, *steps) = [[d.params.delta for d in lanes] for lanes in calls]
+        deltas = [delta for step in steps for delta in step]
+        assert len(coarse) == optimize.DETUNING_GRID_POINTS
         assert result.flags == () and result.delta_opt in deltas
-        assert len(deltas) == len(set(deltas))
+        assert len(coarse + deltas) == len(set(coarse + deltas))
 
     def test_a_coarse_optimum_reuses_its_lane(self, monkeypatch, full_noise):
         # N=1000 at the fig3a kappa, Gamma and eta, as in the fig3a scaling
@@ -280,21 +308,17 @@ class TestDetuningRefinement:
         # lane batch has already run
         kappa, gamma = 2 * math.pi * 1e5, 2 * math.pi * 7e-3
         g = math.sqrt(10.0 * gamma * kappa) / 2.0
-        deltas = []
-        optimal_time = optimize.optimal_time
-
-        def counted(d, *args, **kwargs):
-            deltas.append(d.params.delta)
-            return optimal_time(d, *args, **kwargs)
-
-        monkeypatch.setattr(optimize, "optimal_time", counted)
+        calls = _record_optimal_times(monkeypatch)
         result = optimize.optimal_detuning(g, kappa, gamma, 1000, full_noise)
+        (coarse, *steps) = [[d.params.delta for d in lanes] for lanes in calls]
+        deltas = [delta for step in steps for delta in step]
         grid = np.geomspace(kappa, 1e4 * kappa, optimize.DETUNING_GRID_POINTS)
+        assert coarse == list(grid)
         assert result.flags == () and result.delta_opt == grid[37]
         assert deltas and not set(deltas) & set(grid)
         lane = derive_params(SystemParams(n_atoms=1000, coupling_g=g, kappa=kappa,
                                           gamma=gamma, delta=result.delta_opt))
-        alone = optimal_time(lane, full_noise)
+        alone = optimize.optimal_time(lane, full_noise)
         assert (result.t_opt, result.xi_min, result.bracket_t) == (
             alone.t_opt, alone.xi_min, alone.bracket_t)
 
@@ -327,14 +351,14 @@ class TestDetuningLanes:
         # coarser grids than the default keep the Dicke solves short
         monkeypatch.setattr(optimize, "DETUNING_GRID_POINTS", 24)
         monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
-        minimize = optimize.minimize_on_log_axis
+        minimize = optimize._minimize_lanes
 
         def coarse(f, grid, values, rel_tol):  # stops at the detuning grid's refinement
-            if len(grid) == 24:
-                raise self.Coarse(np.array(grid), np.array(values))
+            if np.shape(grid)[1] == 24:
+                raise self.Coarse(np.array(grid)[0], np.array(values)[0])
             return minimize(f, grid, values, rel_tol)
 
-        monkeypatch.setattr(optimize, "minimize_on_log_axis", coarse)
+        monkeypatch.setattr(optimize, "_minimize_lanes", coarse)
         with pytest.raises(self.Coarse) as stop:
             optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, noise,
                                       tier=tier, protocol=protocol, bracket=bracket,
@@ -376,7 +400,7 @@ class TestDetuningLanes:
             raise self.Coarse()
 
         monkeypatch.setattr(optimize, "_optimal_times", solve)
-        monkeypatch.setattr(optimize, "minimize_on_log_axis", coarse)
+        monkeypatch.setattr(optimize, "_minimize_lanes", coarse)
         with pytest.raises(self.Coarse):
             optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, 1000, full_noise,
                                       tier=tier)
@@ -419,6 +443,18 @@ class TestHalfFloorCheck:
             optimize.optimal_time(derive_params(params), NoiseModel())
 
 
+    def test_each_lane_is_checked_against_its_own_floor(self):
+        # one atom at N eta = 1000 stays above half its floor 0.6, one atom at
+        # N eta = 1 does not (floor 6): the first lane's floor must not
+        # stand in for the second's
+        lanes = [derive_params(SystemParams.from_frequencies(
+            1, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=11.2e6, eta=eta)) for eta in (1000.0, 1.0)]
+        floor = analytic.xi_bound(1, lanes[1].eta)
+        optimize._optimal_times(lanes[:1], NoiseModel(), "analytic", "oat", None)
+        with pytest.raises(NumericsError, match=f"half the closed-form floor {floor!r}"):
+            optimize._optimal_times(lanes, NoiseModel(), "analytic", "oat", None)
+
+
 class TestResolver:
     def test_auto_tier(self, fig3a_derived, full_noise):
         result = optimize.optimal_time(fig3a_derived, full_noise)
@@ -439,6 +475,51 @@ class TestScalingScan:
     def test_needs_two_decades(self):
         with pytest.raises(PhysicsError, match="two decades"):
             optimize.scaling_scan([(100, 1.0), (1_000, 1.0), (9_000, 1.0)])
+
+
+class TestLockstepScan:
+    KAPPA, GAMMA = TestDetuningLanes.KAPPA, TestDetuningLanes.GAMMA
+
+    def one_point_rows(self, points, protocol):
+        """The scan's rows and fit from one optimal_detuning solve per point."""
+        floor = analytic.tat_xi_floor if protocol == "tat" else analytic.xi_bound
+        rows = []
+        for n, eta in points:
+            g = math.sqrt(eta * self.GAMMA * self.KAPPA) / 2.0
+            r = optimize.optimal_detuning(g, self.KAPPA, self.GAMMA, n, NoiseModel(),
+                                          protocol=protocol)
+            rows.append({"n_atoms": n, "eta": eta, "n_eta": n * eta, "xi_min": r.xi_min,
+                         "xi_min_db": r.xi_min_db, "floor": floor(n, eta), "t_opt": r.t_opt,
+                         "delta_opt": r.delta_opt})
+        slope, intercept = np.polyfit(np.log([r["n_eta"] for r in rows]),
+                                      np.log([r["xi_min"] for r in rows]), 1)
+        return rows, float(slope), float(intercept)
+
+    @pytest.mark.parametrize("points, protocol", [
+        ([(1_000, 10.0), (10_000, 10.0), (100_000, 10.0)], "oat"),
+        ([(1_000, 3.0), (10_000, 10.0), (100_000, 30.0)], "oat"),
+        ([(1, 1000.0), (1_000, 10.0), (10_000, 10.0)], "oat"),
+        ([(2, 5.0), (20, 10.0), (100, 20.0)], "tat")],
+        ids=["fig3a", "eta-per-point", "one-atom", "tat-noisy"])
+    def test_scan_equals_one_point_solves_bitwise(self, monkeypatch, points, protocol):
+        if protocol == "tat":  # coarser grids keep the Dicke solves short
+            monkeypatch.setattr(optimize, "DETUNING_GRID_POINTS", 24)
+            monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
+        scan = optimize.scaling_scan(points, protocol=protocol)
+        rows, slope, intercept = self.one_point_rows(points, protocol)
+        assert scan.rows() == rows
+        assert (scan.slope, scan.intercept) == (slope, intercept)
+
+    def test_points_refine_their_detunings_together(self, monkeypatch):
+        points = [(1_000, 10.0), (10_000, 10.0), (100_000, 10.0)]
+        calls = _record_optimal_times(monkeypatch)
+        optimize.scaling_scan(points)
+        atoms = [[d.params.n_atoms for d in lanes] for lanes in calls]
+        coarse, steps = atoms[:len(points)], atoms[len(points):]
+        # one coarse grid per point, then at most one lane per point and step
+        assert coarse == [[n] * optimize.DETUNING_GRID_POINTS for n, _ in points]
+        assert steps and all(len(step) == len(set(step)) for step in steps)
+        assert [n for n, _ in points] in steps
 
 
 class TestProperties:
