@@ -185,9 +185,10 @@ class DerivedParams:
     kappa = S g^2 kappa/delta^2, the cavity-leak exposure rate before
     detector efficiency.  The detuning enters the physics only through
     omega_twist and leak_rate; the source params are carried along for
-    N, kappa and gamma.  The optimizer batches detunings as one instance
-    whose omega_twist and leak_rate are (L, 1) columns, one row per
-    detuning, with the params of the first.
+    N, kappa and gamma.  The optimizer batches lanes that share kappa and
+    gamma as one instance whose spin_S, omega_twist and leak_rate are
+    (L, 1) columns, one row per lane, where the lanes differ, with the
+    params of the first.
     """
 
     spin_S: float

@@ -463,15 +463,13 @@ def scaling_scan(points, protocol: str = "oat",
         raise PhysicsError("scan points must span at least two decades of N*eta")
     if noise is None:
         noise = NoiseModel()
-    couplings = [math.sqrt(eta * gamma * kappa) / 2.0 for _, eta in pts]
-    if protocol == "tat" and not noise.any_active:
-        results = [optimal_time(derive_params(SystemParams(
-            n_atoms=n, coupling_g=g, kappa=kappa, gamma=gamma,
-            delta=100.0 * kappa)), noise, protocol="tat")  # xi independent of delta here
-            for (n, _), g in zip(pts, couplings)]
+    atoms_g = [(n, math.sqrt(eta * gamma * kappa) / 2.0) for n, eta in pts]
+    if protocol == "tat" and not noise.any_active:  # xi does not depend on the detuning here
+        results = [optimal_time(derive_params(SystemParams(n_atoms=n, coupling_g=g, kappa=kappa,
+                                                           gamma=gamma, delta=100.0 * kappa)),
+                                noise, protocol="tat") for n, g in atoms_g]
     else:
-        results = _optimal_detunings([(n, g) for (n, _), g in zip(pts, couplings)], kappa,
-                                     gamma, noise, tier, protocol, None, None)
+        results = _optimal_detunings(atoms_g, kappa, gamma, noise, tier, protocol, None, None)
     rows = [ScalingPoint(n_atoms=n, eta=eta, n_eta=n * eta, xi_min=result.xi_min,
                          xi_min_db=result.xi_min_db,
                          floor=_closed_form_floor(n, eta, noise.detector_efficiency_q, protocol),
