@@ -104,11 +104,11 @@ def cos_pow(x, p):
 
     Direct powering underflows/overflows for p ~ 1e4 and loses the sign of
     odd powers; the exact zero of cos maps to 0.  p must be a nonnegative
-    integer (2S-2 and 2S-1 always are), or an integer array that broadcasts
+    integer (2S-2 and 2S-1 always are), or an array of them that broadcasts
     against x, such as an (L, 1) column with one exponent per lane.
     """
     p = np.asarray(p)
-    if p.dtype.kind not in "iu" or p.min() < 0:
+    if np.any((p < 0) | (p != np.floor(p))):
         raise ValueError(f"exponent must be a nonnegative integer, got {p}")
     x = np.asarray(x, dtype=float)
     c = np.cos(x)

@@ -26,7 +26,6 @@ the closed-form floor.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -260,7 +259,6 @@ def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
     return objective
 
 
-@functools.cache  # the lanes of a detuning grid share N and eta
 def _closed_form_floor(n_atoms, eta, q, protocol: str) -> float:
     floor = analytic.tat_xi_floor if protocol == "tat" else analytic.xi_bound
     return floor(n_atoms, eta, q)

@@ -67,7 +67,8 @@ def test_every_exported_name_has_a_program_caller():
 
 # Runs in a fresh interpreter, because install() replaces module attributes
 # for the rest of the process: loads the tracer by path, installs it, runs
-# the CLI command in argv and prints its exit code and the tracer's counters.
+# the CLI command in argv and prints its exit code, the tracer's counters
+# and, for each span, its name and the names of its parent and grandparent.
 _TRACED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
@@ -77,17 +78,24 @@ run = tracer.Tracer()
 tracer.install(run)
 from vacuumsq import cli
 code = cli.main(sys.argv[2:])
-print(json.dumps({"exit": code, "counters": dict(run.counters)}))
+
+def name(i):
+    return run.names[run.name_id[i]] if i >= 0 else None
+
+def chain(i):
+    return [name(i), name(run.parent[i]), name(run.parent[i]) and name(run.parent[run.parent[i]])]
+
+print(json.dumps({"exit": code, "counters": dict(run.counters),
+                  "chains": [chain(i) for i in range(run.span_count())]}))
 """
 
 
 def test_traced_detuning_scan_runs(tmp_path):
     # the tracer's counting objective calls math.isfinite on every value, so
     # an array reaching the objective that minimize_on_log_axis receives
-    # fails the traced benchmark run.  It counts the scalar objective calls
-    # of the inner time solves; the detuning refinement steps its points in
-    # lockstep through _minimize_lanes, which the tracer does not wrap, so
-    # no optimize.detuning_evals are booked
+    # fails the traced benchmark run.  The detuning refinement is the golden
+    # section that optimal_detuning runs on Delta; each of its candidates is
+    # a one-lane time solve, whose scalar objective calls the tracer counts
     config = {"schema_version": 1,
               "system": {"n_atoms": 1000, "eta": 10.0, "kappa_hz": 1e5, "gamma_hz": 7e-3,
                          "delta_hz": 11.2e6},
@@ -105,3 +113,6 @@ def test_traced_detuning_scan_runs(tmp_path):
     assert result["exit"] == 0, done.stderr
     counters = result["counters"]
     assert counters["optimize.time_evals"] > 0
+    refinement = ["optimize.minimize_on_log_axis", "optimize.golden_section",
+                  "optimize.optimal_detuning"]
+    assert result["chains"].count(refinement) > 0

@@ -226,6 +226,8 @@ class TestArrayObjective:
         assert values.tobytes() == np.array([f(row) for f, row in zip(ones, times)]).tobytes()
         column = objective(times[:, 40:41])
         assert column.tobytes() == np.array([[f(row[40])] for f, row in zip(ones, times)]).tobytes()
+        # a column past the exposure limit in every lane reaches no coherent kernel
+        assert np.all(objective(np.full((len(lanes), 1), 10.0)) == math.inf)
 
     def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, fig3a_derived,
                                             full_noise):
