@@ -3,33 +3,38 @@
 States live on the (2S+1)-dimensional symmetric subspace, stored as a
 dense complex amplitude vector c_m, m = -S..S ascending.  Twisting
 (Omega Sz^2) is diagonal and applied exactly; rotation-assisted twisting
-(Omega (S Sx + Sz^2)) is real symmetric tridiagonal.  It is split by the
-reflection R|m> = |-m>, which commutes with H, into a symmetric and an
-antisymmetric sector, two tridiagonal eigenproblems of about dim/2 each.
-On the full ladder their spectra interleave into near-degenerate
-tunnelling doublets (gaps below 1e-10 of the spread at dim 2001), which an
-eigensolver must resolve as clusters; within one sector the levels stay
-well separated.  A sector's eigenvalues are computed once, the first time
-a state with a nonzero projection on it is propagated; a sector the state
-does not occupy is skipped.
+(Omega (S Sx + Sz^2)) is real symmetric tridiagonal.  For a general state,
+:class:`TatPropagator` splits it by the reflection R|m> = |-m>, which
+commutes with H, into a symmetric and an antisymmetric sector, two
+tridiagonal eigenproblems of about dim/2 each.  On the full ladder their
+spectra interleave into near-degenerate tunnelling doublets (gaps below
+1e-10 of the spread at dim 2001), which an eigensolver must resolve as
+clusters; within one sector the levels stay well separated.  Each sector
+keeps only the eigenvectors of its projection's energy window (see
+:func:`_energy_window`), by inverse iteration at the sector's eigenvalues,
+which are computed once; a window over the whole sector is one full
+eigensolve.  A state whose windows keep more than ``SPECTRAL_MAX_DIM``
+eigenvectors in all goes through Krylov stepping (``expm_multiply`` picks
+its own sub-steps).  Both paths must pass a norm gate of 1e-9, which also
+bounds the weight a window leaves out, before the state is renormalized.
 
-A state's eigen-coefficients do not depend on time, and the coherent state
-occupies a narrow energy window: its weights above 1e-24 form one run of
-28 levels at N = 100 and 77 at N = 4000, all within 48 energy spreads of
-its mean energy.  So each sector keeps only the eigenvectors within
-``WINDOW_SIGMAS`` spreads of its projection's mean energy, by inverse
-iteration at the stored eigenvalues (33 to 99 of them over that range of
-N, about a hundred at any N).  The window doubles while an edge
-eigenvector weighs more than ``WINDOW_EDGE_WEIGHT`` or the kept weights
-fall short of the projection's by more than ``NORM_TOL``; a window over the
-whole sector is one full eigensolve.  A state whose windows keep more than
-``SPECTRAL_MAX_DIM`` eigenvectors in all goes through Krylov stepping
-(``expm_multiply`` picks its own sub-steps).  Both paths must pass a norm
-gate of 1e-9, which also bounds the weight a window leaves out, before the
-state is renormalized.  The coherent state along +x is exactly R-symmetric
-(:func:`css` adds the two mirrored log-binomial terms as one sum, bitwise
-the same for m and -m), so rotation-assisted twisting from it takes one
-window of the symmetric sector and never needs Krylov stepping.
+The coherent state along +x needs neither the ladder nor its sectors.  In
+the mean-spin basis x -> z', z -> x', y -> -y', H = Omega (S Sz' + Sx'^2)
+and the coherent state is |m' = S>.  Sx'^2 keeps the parity of S - m', so
+the state lives on one tridiagonal block, the levels m' = S, S - 2, ...: the
+symmetric sector above in another basis (R is a pi rotation about x, the
+parity of S - m'), with its size and spectrum.  The squeezed state stays
+near the top of the block: in the bosonic limit it is a squeezed vacuum
+with r = |Omega| S t, whose level m' = S - 2j holds at most tanh(r)^(2j).
+So the kernel keeps the top K levels of the block, K from that bound at
+the grid's last time, and gates every grid on the population of the two
+last kept levels: above ``WINDOW_EDGE_WEIGHT`` at any time, K doubles, up
+to the whole block.  At N = 1e4 to 1e6 a grid up to Omega S t = 1.5 keeps
+303 levels and a window of about 60 eigenvectors.  The block is shifted by
+its top level's energy, a global phase.  Unshifted, lambda t reaches about
+S Omega S t, 7.5e4 rad at N = 1e5 and Omega S t = 1.5, and the rounding of
+those phases alone holds the edge population above the gate: K doubles
+from 303 to 4848 there.
 
 One moments kernel, :func:`amplitude_moments`, serves ladder vectors and
 the oracle's joint (m, n) amplitude arrays alike.  Its :class:`SpinMoments`
@@ -38,8 +43,9 @@ holds moments only; each consumer reduces them once per point with
 gives the evolved coherent state's moments along a time grid for both
 protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective,
 without forming the evolved state.  Rotation-assisted twisting takes them
-in the window's eigenbasis, where the spin operators are small real
-matrices formed once per kernel (see :func:`_tat_window_kernel`).
+in the eigenbasis of the truncated block's energy window, where the spin
+operators are small real matrices formed once per solve (see
+:func:`_tat_coherent_kernel`).
 
 Twisting over a time grid turns c_m by exp(-i Omega t m^2), so the Sz
 moments do not depend on t, and the others are sums of pair weights
@@ -75,17 +81,21 @@ from . import analytic
 
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
 NORM_DRIFT_GATE = 1e-9  # propagation drift beyond this is an error
-# The spectral path keeps at most this many real eigenvectors, of about
-# dim/2 levels each, over both reflection sectors: a full solve keeps dim of
-# them, 2 x 33.6 MB at dim 4096.  A state whose windows need more is
-# propagated by Krylov stepping; the coherent state's window keeps about 100.
+# An energy window keeps at most this many real eigenvectors: over both
+# reflection sectors of TatPropagator, of about dim/2 levels each (a full
+# solve keeps dim of them, 2 x 33.6 MB at dim 4096), and in the coherent
+# kernel's truncated block, of K levels each.  A state whose windows need
+# more is propagated by Krylov stepping; the coherent kernel raises instead,
+# though its window keeps fewer than 100 up to Omega S t = 2.
 SPECTRAL_MAX_DIM = 4096
 WINDOW_SIGMAS = 64.0       # first half-width of a TAT energy window, in energy spreads
-WINDOW_EDGE_WEIGHT = 1e-26  # an edge eigenvector weighing more doubles the window
+# An edge eigenvector weighing more doubles an energy window; a last kept
+# level of the coherent kernel's block populated more doubles the block.
+WINDOW_EDGE_WEIGHT = 1e-26
 _GRID_BLOCK = 64         # time columns per grid product (TAT temporaries <= 4 MiB)
 
 __all__ = [
-    "DickeState", "css", "evolve_oat", "TatPropagator",
+    "DickeState", "css", "evolve_oat",
     "amplitude_moments", "moments", "min_transverse_variance", "coherent_moments",
     "apply_noise", "squeezing_trace",
 ]
@@ -156,6 +166,7 @@ def css(n_atoms: int) -> DickeState:
     # m is exactly antisymmetric, so S - m + 1 is S + m + 1 reversed.  The
     # mirrored terms as one sum: addition commutes, so c_m and c_-m are
     # bitwise equal, and TatPropagator skips the empty antisymmetric sector.
+    # The coherent TAT kernel starts from |m' = S> and reads no amplitudes.
     up = gammaln(S + m + 1)
     log_amp = 0.5 * (gammaln(2 * S + 1) - (up + up[::-1]) - 2 * S * math.log(2.0))
     amps = np.exp(log_amp).astype(complex)
@@ -316,12 +327,53 @@ def _energy_spread(diag: np.ndarray, off: np.ndarray, z: np.ndarray) -> tuple[fl
     return e0, float(np.linalg.norm(tz - e0 * z)) / math.sqrt(norm)
 
 
+def _energy_window(diag: np.ndarray, off: np.ndarray, vals: np.ndarray, z: np.ndarray,
+                   spread: tuple[float, float], budget: int):
+    """(vals, vecs, V^T z) of the eigenpairs of the tridiagonal T that carry z.
+
+    ``vals`` are all eigenvalues of T = (diag, off), ascending, and
+    ``spread`` is (E0, sigma), the mean energy and spread of z (see
+    :func:`_energy_spread`).  The window holds the levels within W sigma of
+    E0, and at least the level nearest E0.  W starts at ``WINDOW_SIGMAS``
+    and doubles, with at least one more level on each side, while an edge
+    eigenvector that is not T's own edge weighs |V^T z|^2 >
+    ``WINDOW_EDGE_WEIGHT`` or the kept weights fall short of |z|^2 by more
+    than ``NORM_TOL`` (weight far from E0).  A window over all of T is one
+    full ``eigh_tridiagonal``.  Returns None, before solving for them, once
+    the window would keep more than ``budget`` eigenvectors.
+    """
+    e0, sigma = spread
+    weight_z = float(np.vdot(z, z).real)
+    lo = int(np.argmin(np.abs(vals - e0)))
+    hi, width = lo + 1, WINDOW_SIGMAS
+    while True:
+        lo = min(lo, int(np.searchsorted(vals, e0 - width * sigma)))
+        hi = max(hi, int(np.searchsorted(vals, e0 + width * sigma, side="right")))
+        if hi - lo > budget:
+            return None
+        if hi - lo == vals.size:
+            full_vals, vecs = eigh_tridiagonal(diag, off)
+            return full_vals, vecs, _real_product(vecs.T, z)
+        # inverse iteration on T as one unsplit block: no link of a TAT block is zero
+        vecs, info = dstein(diag, off, vals[lo:hi], np.ones(vals.size, dtype=np.int32),
+                            np.full(vals.size, vals.size, dtype=np.int32))
+        if info:
+            raise NumericsError(f"inverse iteration left {info} TAT eigenvectors unconverged")
+        coeffs = _real_product(vecs.T, z)
+        weight = np.abs(coeffs) ** 2
+        if not (weight_z - float(np.sum(weight)) > NORM_TOL
+                or (lo > 0 and weight[0] > WINDOW_EDGE_WEIGHT)
+                or (hi < vals.size and weight[-1] > WINDOW_EDGE_WEIGHT)):
+            return vals[lo:hi], vecs, coeffs
+        lo, hi, width = max(lo - 1, 0), min(hi + 1, vals.size), 2.0 * width
+
+
 class TatPropagator:
     """Propagator for H = Omega (S Sx + Sz^2), reusable across a time grid.
 
     The spectral path expands each reflection sector's projection of a
     state (see :func:`_parity_sectors`) in the eigenpairs of its energy
-    window (see :meth:`_window`), exact for any t.  A sector's eigenvalues
+    window (see :func:`_energy_window`), exact for any t.  A sector's eigenvalues
     are computed on first use and kept; its window's eigenvectors once per
     state.  A sector the state does not occupy is skipped: its product V 0
     is exactly 0.  ``SPECTRAL_MAX_DIM`` bounds the eigenvectors kept over
@@ -350,53 +402,11 @@ class TatPropagator:
         """The state at one time t >= 0: :meth:`evolve_grid` of the grid [t]."""
         return self.evolve_grid(state, [t])[0]
 
-    def _window(self, k: int, z: np.ndarray, budget: int):
-        """(vals, vecs, V^T z) of the eigenpairs of sector k that carry its projection z.
-
-        The window holds the levels within W sigma of the mean energy E0 of z
-        (see :func:`_energy_spread`), and at least the level nearest E0.  W
-        starts at ``WINDOW_SIGMAS`` and doubles, with at least one more level
-        on each side, while an edge eigenvector that is not the sector's own
-        edge weighs |V^T z|^2 > ``WINDOW_EDGE_WEIGHT`` or the kept weights fall
-        short of |z|^2 by more than ``NORM_TOL`` (weight far from E0).  A window
-        over the whole sector is one full ``eigh_tridiagonal``.  Returns None,
-        before solving for them, once the window would keep more than
-        ``budget`` eigenvectors.
-        """
-        diag, off = self._blocks[k]
-        if self._eigvals[k] is None:
-            self._eigvals[k] = eigh_tridiagonal(diag, off, eigvals_only=True)
-        vals = self._eigvals[k]
-        e0, sigma = _energy_spread(diag, off, z)
-        weight_z = float(np.vdot(z, z).real)
-        lo = int(np.argmin(np.abs(vals - e0)))
-        hi, width = lo + 1, WINDOW_SIGMAS
-        while True:
-            lo = min(lo, int(np.searchsorted(vals, e0 - width * sigma)))
-            hi = max(hi, int(np.searchsorted(vals, e0 + width * sigma, side="right")))
-            if hi - lo > budget:
-                return None
-            if hi - lo == vals.size:
-                full_vals, vecs = eigh_tridiagonal(diag, off)
-                return full_vals, vecs, _real_product(vecs.T, z)
-            # inverse iteration on T as one unsplit block: Omega S <m+1|Sx|m> has no zero
-            vecs, info = dstein(diag, off, vals[lo:hi], np.ones(vals.size, dtype=np.int32),
-                                np.full(vals.size, vals.size, dtype=np.int32))
-            if info:
-                raise NumericsError(f"inverse iteration left {info} TAT eigenvectors unconverged")
-            coeffs = _real_product(vecs.T, z)
-            weight = np.abs(coeffs) ** 2
-            if not (weight_z - float(np.sum(weight)) > NORM_TOL
-                    or (lo > 0 and weight[0] > WINDOW_EDGE_WEIGHT)
-                    or (hi < vals.size and weight[-1] > WINDOW_EDGE_WEIGHT)):
-                return vals[lo:hi], vecs, coeffs
-            lo, hi, width = max(lo - 1, 0), min(hi + 1, vals.size), 2.0 * width
-
     def _project(self, amps: np.ndarray) -> list | None:
         """(vals, vecs, V^T z) of each reflection sector for the amplitudes' projection z.
 
         The amplitudes are split onto the two sectors and each projection z
-        is expanded in the eigenpairs of its window (see :meth:`_window`).  A
+        is expanded in the eigenpairs of its window (see :func:`_energy_window`).  A
         sector whose projection is all zeros takes an empty eigenbasis
         instead, whose products are exact zeros.  None when the windows would
         keep more than ``SPECTRAL_MAX_DIM`` eigenvectors in all.
@@ -404,7 +414,11 @@ class TatPropagator:
         sectors, budget = [], SPECTRAL_MAX_DIM
         for k, z in enumerate(_sector_split(amps)):
             if z.any():
-                window = self._window(k, z, budget)
+                diag, off = self._blocks[k]
+                if self._eigvals[k] is None:
+                    self._eigvals[k] = eigh_tridiagonal(diag, off, eigvals_only=True)
+                window = _energy_window(diag, off, self._eigvals[k], z,
+                                        _energy_spread(diag, off, z), budget)
                 if window is None:
                     return None
             else:  # V 0 = 0 exactly: no eigenvectors, and products that are zeros
@@ -508,75 +522,98 @@ def moments(state: DickeState) -> SpinMoments:
     return amplitude_moments(state.amplitudes, state.spin_S)
 
 
-def _tat_window_kernel(state0: DickeState, omega_twist: float):
-    """The moments kernel of state0 under rotation-assisted twisting, in its windows' eigenbasis.
+def _tat_coherent_kernel(spin_S: float, omega_twist: float):
+    """The moments kernel of the coherent state under rotation-assisted twisting.
 
-    The state is projected once (see :meth:`TatPropagator._project`), so
-    psi(t) = sum_j u_j(t) L_j with u_j(t) = c_j exp(-i lambda_j t) over the kept
-    eigenvectors L_j of each occupied sector, mapped to the ladder (real), and
-    the norm n = sum |c_j|^2 passes the drift gate (1e-9) once per kernel.
-    With Sz L = Z, Sx L = X and Sy L = i Y, where Y = (S- L - S+ L)/2 (all
-    real, from :func:`_ladder_shifts`), the moments are quadratic forms in u over
-    real k x k matrices formed here once per occupied sector: <Sx> over L^T X,
-    <Sz^2> over Z^T Z, <Sy^2> over Y^T Y, and Re <Sz Sy> = -Im u^dag (Z^T Y) u.
-    Sz and Sy flip the reflection sector, so <Sz> and <Sy> vanish unless both
-    sectors are occupied; then they come from the cross blocks L_s^T Z_a and
-    L_s^T Y_a as 2 Re w_z and -2 Im w_y, w = u_s^dag K u_a.  A block of up to 64
-    times takes one product of the stacked forms with the real and imaginary
-    parts of u per occupied sector, and one of the cross blocks.  The grid
-    must be one-dimensional with times >= 0 (see :func:`core.time_grid`);
-    :class:`NumericsError` when the windows exceed ``SPECTRAL_MAX_DIM``.
+    In the mean-spin basis x -> z', z -> x', y -> -y', H = Omega (S Sz' +
+    Sx'^2) and the coherent state is |m' = S>.  Sx'^2 keeps the parity of
+    n = S - m', so the state stays on the tridiagonal block of the levels
+    n = 0, 2, 4, ..., with H - Omega (S^2 + S/2) = -Omega n^2 / 2 on its
+    diagonal and Omega <m'|S'+^2|m'-2> / 4 on its links: the shift by the
+    top level's energy is a global phase that keeps lambda t small (see the
+    module docstring).
+
+    A solve keeps the top K levels of the block and expands |m' = S> in the
+    eigenpairs of its energy window (see :func:`_energy_window`), with E0 = 0
+    and sigma = |off[0]|: psi(t) = sum_j u_j(t) L_j with u_j = c_j exp(-i
+    lambda_j t), c_j = L_j[0].  Each call gates its grid: the two last kept
+    levels must stay at most ``WINDOW_EDGE_WEIGHT`` populated at every
+    time, or K doubles, up to the whole block, which needs no gate.  The
+    first K follows the bosonic limit, a squeezed vacuum with r = |Omega| S t
+    at the grid's last time, whose population of level n = 2j is at most
+    tanh(r)^(2j).  The kernel keeps its largest solve for later calls.
+
+    The moments are quadratic forms in u over real k x k matrices, formed
+    once per solve: <n>, <D> with D = (S'+S'- + S'-S'+)/4 = S/2 + n (S - n/2),
+    the diagonal that Sx'^2 and Sy'^2 share, and <S'+^2>.  Then <Sx> = S - <n>,
+    var_z = <Sx'^2> = <D> + Re <S'+^2> / 2, var_y = <Sy'^2> = <D> - Re <S'+^2> / 2,
+    cross_zy = -<{Sx', Sy'}> = -Im <S'+^2>, and <Sy> = <Sz> = 0 exactly:
+    Sx' and Sy' leave the block.  A block of up to 64 times takes one
+    product of the stacked forms with the real and imaginary parts of u.  The
+    grid must be one-dimensional with times >= 0 (see :func:`core.time_grid`);
+    :class:`NumericsError` when the window exceeds ``SPECTRAL_MAX_DIM``.
     """
-    S = state0.spin_S
-    sectors = TatPropagator(S, omega_twist)._project(state0.amplitudes)
-    if sectors is None:
-        raise NumericsError(
-            f"the state's energy windows keep more than {SPECTRAL_MAX_DIM} eigenvectors")
-    sizes = [vecs.shape[0] for _, vecs, _ in sectors]
-    occupied, images = [], []
-    for k, (vals, vecs, coeffs) in enumerate(sectors):
-        if not vals.size:
-            continue
-        parts = [np.zeros((size, vals.size)) for size in sizes]
-        parts[k] = vecs
-        ladder = _sector_join(*parts)  # the kept eigenvectors on the ladder
-        m, sp, sm = _ladder_shifts(ladder, S)
-        sz, sy, sx = m * ladder, (sm - sp) / 2.0, (sp + sm) / 2.0  # Sy L = (S+ - S-) L / 2i = i Y
-        occupied.append((vals, coeffs,
-                         np.concatenate((ladder.T @ sx, sz.T @ sz, sy.T @ sy, sz.T @ sy))))
-        images.append((ladder, sz, sy))
-    cross = None
-    if len(images) == 2:  # Sz and Sy link the two sectors
-        (ladder, _, _), (_, sz, sy) = images
-        cross = np.concatenate((ladder.T @ sz, ladder.T @ sy))
-    norm = sum(float(np.sum(np.abs(coeffs) ** 2)) for _, coeffs, _ in occupied)
+    S = float(spin_S)
+    levels = int(round(2 * S)) // 2 + 1  # m' = S, S - 2, ... >= -S
+    need = -math.log(WINDOW_EDGE_WEIGHT)
+    solved = None  # the largest solve: (K, vals, coeffs, forms, the last two kept rows)
+
+    def first_size(r):  # K = j + 2 for the first j with tanh(r)^(2j) <= WINDOW_EDGE_WEIGHT
+        rate = -2.0 * math.log(math.tanh(r)) if r > 0 else math.inf  # 0 once tanh(r) rounds to 1
+        return levels if rate * levels <= need else min(levels, max(1, math.ceil(need / rate)) + 2)
+
+    def solve(size):
+        n = 2.0 * np.arange(size)  # S - m' of the kept levels
+        lift = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0) * (2 * S - n[:-1]) * (2 * S - n[:-1] - 1.0))
+        diag, off = -0.5 * omega_twist * n * n, 0.25 * omega_twist * lift
+        top = np.zeros(size)
+        top[0] = 1.0
+        sigma = abs(float(off[0])) if size > 1 else 0.0
+        window = _energy_window(diag, off, eigh_tridiagonal(diag, off, eigvals_only=True), top,
+                                (0.0, sigma), SPECTRAL_MAX_DIM)
+        if window is None:
+            raise NumericsError(
+                f"the coherent state's energy window keeps more than {SPECTRAL_MAX_DIM} "
+                "eigenvectors")
+        vals, vecs, coeffs = window
+        raised = np.zeros_like(vecs)  # S'+^2 L
+        raised[:-1] = lift[:, None] * vecs[1:]
+        shared = S / 2.0 + n * (S - n / 2.0)  # the diagonal D of Sx'^2 and Sy'^2
+        images = np.concatenate((n[:, None] * vecs, shared[:, None] * vecs, raised), axis=1)
+        return size, vals, coeffs, images.T @ vecs, vecs[-2:]  # forms: n, D and (L^T S'+^2 L)^T
+
+    def turned(solve, times):  # u = c exp(-i lambda t), a block of up to 64 columns at a time
+        _, vals, coeffs, _, _ = solve
+        for lo in range(0, times.size, _GRID_BLOCK):
+            yield coeffs[:, None] * np.exp(-1j * np.outer(vals, times[lo:lo + _GRID_BLOCK]))
+
+    def edge_weight(solve, times):  # the largest population of the two last kept levels
+        return max(float(np.max(np.abs(_real_product(solve[4], u)) ** 2))
+                   for u in turned(solve, times))
 
     def moments_at(times) -> Iterator[SpinMoments]:
+        nonlocal solved
         times = time_grid(times)
-        _drift_gated(norm)
-        for lo in range(0, times.size, _GRID_BLOCK):
-            t = times[lo:lo + _GRID_BLOCK]
-            quad, amps = np.zeros((4, t.size)), []
-            for vals, coeffs, forms in occupied:
-                u = coeffs[:, None] * np.exp(-1j * np.outer(vals, t))
-                a, b = u.real, u.imag
-                products = forms @ np.concatenate((a, b), axis=1)  # F a and F b of each form F
-                fa, fb = np.split(products.reshape(4, -1, 2 * t.size), 2, axis=2)
-                quad[:3] += np.sum(a * fa[:3] + b * fb[:3], axis=1)
-                quad[3] += np.sum(b * fa[3] - a * fb[3], axis=0)  # Re <Sz psi| Sy psi>
-                amps.append(u)
-            quad /= norm
-            mean_z, mean_y = np.zeros(t.size), np.zeros(t.size)
-            if cross is not None:
-                ka = _real_product(cross, amps[1]).reshape(2, -1, t.size)
-                w = np.sum(amps[0].conj() * ka, axis=1) / norm
-                mean_z, mean_y = 2.0 * w[0].real, -2.0 * w[1].imag
-            for k in range(t.size):
-                mx, my, mz = float(quad[0, k]), float(mean_y[k]), float(mean_z[k])
-                yield SpinMoments(spin_S=S, mean_x=mx, mean_y=my, mean_z=mz,
-                                  var_z=float(quad[1, k]) - mz * mz,
-                                  var_y=float(quad[2, k]) - my * my,
-                                  cross_zy=2.0 * float(quad[3, k]) - 2.0 * mz * my)
+        if not times.size:
+            return
+        size = first_size(abs(omega_twist) * S * float(np.max(times)))
+        if solved is None or solved[0] < size:
+            solved = solve(size)
+        while solved[0] < levels and edge_weight(solved, times) > WINDOW_EDGE_WEIGHT:
+            solved = solve(min(2 * solved[0], levels))
+        _, vals, coeffs, forms, _ = solved
+        norm = _drift_gated(float(np.sum(np.abs(coeffs) ** 2)))
+        for u in turned(solved, times):  # bound now: a later call may replace the kept solve
+            a, b = u.real, u.imag
+            products = forms @ np.concatenate((a, b), axis=1)  # F a and F b of each form F
+            fa, fb = np.split(products.reshape(3, vals.size, -1), 2, axis=2)
+            quad = np.sum(a * fa + b * fb, axis=1) / norm  # <n>, <D>, Re <S'+^2>
+            im = np.sum(b * fa[2] - a * fb[2], axis=0) / norm  # Im <S'+^2>
+            for k in range(u.shape[1]):
+                shared_k, re_k = float(quad[1, k]), float(quad[2, k])
+                yield SpinMoments(spin_S=S, mean_x=S - float(quad[0, k]), mean_y=0.0, mean_z=0.0,
+                                  var_z=shared_k + 0.5 * re_k, var_y=shared_k - 0.5 * re_k,
+                                  cross_zy=-float(im[k]))
     return moments_at
 
 
@@ -620,13 +657,17 @@ def coherent_moments(d: DerivedParams, protocol: str):
     ``protocol`` is "oat" or "tat", as resolved by :func:`core.resolve_tier`.
     The function maps a one-dimensional grid of times >= 0 to one
     :class:`SpinMoments` each.  Twisting turns the coherent state's pair
-    weights, formed here once (see :func:`_oat_band_kernel`); rotation-assisted
-    twisting turns its eigen-coefficients in the energy window, whose spin
-    matrices are formed here once (see :func:`_tat_window_kernel`).
+    weights, formed here once (see :func:`_oat_band_kernel`).  Rotation-assisted
+    twisting starts from |m' = S> in the mean-spin basis and turns its
+    eigen-coefficients in the energy window of the top K levels of its block;
+    the spin matrices are formed once per K, and K grows with the grid's last
+    time and doubles while the last kept levels are populated beyond
+    ``WINDOW_EDGE_WEIGHT`` (see :func:`_tat_coherent_kernel`).  The function
+    keeps its largest solve, so a later grid that ends sooner reuses it.
     """
-    state0 = css(d.params.n_atoms)
-    kernel = _oat_band_kernel if protocol == "oat" else _tat_window_kernel
-    return kernel(state0, d.omega_twist)
+    if protocol == "oat":
+        return _oat_band_kernel(css(d.params.n_atoms), d.omega_twist)
+    return _tat_coherent_kernel(d.spin_S, d.omega_twist)
 
 
 def apply_noise(m: SpinMoments, d: DerivedParams, t, noise: NoiseModel) -> SpinMoments:

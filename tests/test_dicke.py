@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -12,7 +13,8 @@ from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NormDriftError,
                       NumericsError, PhysicsError, derive_params)
 from vacuumsq import analytic, dicke
 
-from conftest import oat_moments, small_params, tat_variance_bosonic, xi_numeric
+from conftest import (oat_moments, small_params, tat_variance_bosonic, tat_window_moments,
+                      xi_numeric)
 
 
 def dense_operators(S):
@@ -396,24 +398,31 @@ class TestEvolveTat:
         assert dicke.TatPropagator(4.0, 0.5).evolve_grid(dicke.css(8), []) == []
 
     def test_coherent_state_is_projected_once_per_kernel(self, monkeypatch):
-        calls = []
-        project = dicke.TatPropagator._project
+        # the coherent kernel projects no ladder state: it solves its mean-spin
+        # block once, and a grid that ends sooner reuses that solve
+        calls, solves = [], []
+        project, window = dicke.TatPropagator._project, dicke._energy_window
 
         def counted(self, amps):
             calls.append(amps.size)
             return project(self, amps)
 
+        def solved(diag, *args):
+            solves.append(diag.size)
+            return window(diag, *args)
+
         monkeypatch.setattr(dicke.TatPropagator, "_project", counted)
+        monkeypatch.setattr(dicke, "_energy_window", solved)
         d = derive_params(small_params(40))
         kernel = dicke.coherent_moments(d, "tat")
-        grids = ([0.0], [1e-3, 2e-3], [5e-3])
+        grids = ([5e-3], [1e-3, 2e-3], [0.0])
         got = [list(kernel(times)) for times in grids]
-        assert calls == [41]
+        assert calls == [] and len(solves) == 1
         for times, moms in zip(grids, got):  # what the propagated states give, to rounding
             fresh = dicke.TatPropagator(20.0, d.omega_twist).evolve_grid(dicke.css(40), times)
             for mom, out in zip(moms, fresh, strict=True):
                 assert_moments_close(mom, dicke.moments(out), 1e-13 * 20.0 ** 2)
-        assert len(calls) == 1 + len(grids)  # a new state is projected anew
+        assert len(calls) == len(grids)  # each propagator projects its state
 
     @pytest.mark.parametrize("limit", [dicke.SPECTRAL_MAX_DIM, 10], ids=["spectral", "krylov"])
     @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -633,16 +642,18 @@ class TestTatWindow:
         st = random_state(n, 7 * n)
         S, omega = n / 2, 0.37
         times = np.linspace(0.0, 3.0, 70) / (S * omega)  # two column blocks
-        got = list(dicke._tat_window_kernel(st, omega)(times))
+        got = list(tat_window_moments(st, omega)(times))
         want = [dicke.moments(out) for out in dicke.TatPropagator(S, omega).evolve_grid(st, times)]
         assert max(abs(m.mean_z) + abs(m.mean_y) for m in want) > 0.1 * S
         for g, w in zip(got, want, strict=True):
             assert_moments_close(g, w, 1e-13 * S * S)
 
     def test_kernel_raises_when_the_windows_exceed_the_limit(self, monkeypatch):
+        # Omega S t = 4.5 takes the whole 11-level block, whose window keeps more than 5
         monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", 5)
+        kernel = dicke.coherent_moments(derive_params(small_params(20, 0.37)), "tat")
         with pytest.raises(NumericsError, match="more than 5 eigenvectors"):
-            dicke._tat_window_kernel(dicke.css(20), 0.37)
+            next(kernel([4.5 / (10 * 0.37)]))
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_kernel_time_grid_gates(self, protocol):
@@ -653,6 +664,137 @@ class TestTatWindow:
             next(kernel([0.1, -0.1]))
         with pytest.raises(NumericsError, match="non-finite time"):
             next(kernel([0.1, math.nan]))
+
+
+def recorded_solves(monkeypatch):
+    """The block sizes of the coherent kernel's solves, recorded as they happen."""
+    sizes, window = [], dicke._energy_window
+
+    def recorded(diag, *args):
+        sizes.append(diag.size)
+        return window(diag, *args)
+
+    monkeypatch.setattr(dicke, "_energy_window", recorded)
+    return sizes
+
+
+class TestTatBlock:
+    # the coherent kernel keeps the top levels of its block in the mean-spin basis
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 20, 101, 2000])
+    @pytest.mark.parametrize("omega", [0.37, -1.3])
+    def test_matches_the_full_ladder_reference(self, n, omega):
+        # n = 1 is a one-level block; Omega S t runs past the squeezing optimum to 4
+        S = n / 2
+        times = np.concatenate(([0.0], np.linspace(0.01, 4.0, 70))) / (S * abs(omega))
+        got = list(dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")(times))
+        want = list(tat_window_moments(dicke.css(n), omega)(times))
+        for g, w in zip(got, want, strict=True):
+            assert_moments_close(g, w, 1e-12 * S * S)
+            (var_g, angle_g), (var_w, angle_w) = map(dicke.min_transverse_variance, (g, w))
+            assert var_g == pytest.approx(var_w, rel=1e-10)
+            assert angle_g == pytest.approx(angle_w, rel=0.0, abs=1e-10)
+
+    def test_early_angle_matches_a_40_digit_reference(self):
+        # near t = 0 the state is almost isotropic and its angle ill-conditioned;
+        # the reference evolves the block's top 20 levels at 40 digits, where the
+        # squeezed vacuum's tail bound tanh(r)^40 is below 1e-50
+        n, omega = 2000, 0.37
+        d = derive_params(small_params(n, omega))
+        taus = [1e-3, 5e-3, 0.05]
+        got = dicke.coherent_moments(d, "tat")(np.array(taus) / (d.spin_S * d.omega_twist))
+        with mpmath.workdps(40):
+            S, levels = mpmath.mpf(n) / 2, 20
+            k = [2 * mpmath.mpf(j) for j in range(levels)]  # S - m'
+            lift = [mpmath.sqrt((a + 1) * (a + 2) * (2 * S - a) * (2 * S - a - 1)) for a in k[:-1]]
+            h = mpmath.matrix(levels)
+            for j in range(levels):
+                h[j, j] = -k[j] ** 2 / 2
+            for j in range(levels - 1):
+                h[j, j + 1] = h[j + 1, j] = lift[j] / 4
+            vals, vecs = mpmath.eigsy(h)
+            for tau, mom in zip(taus, got, strict=True):
+                theta = mpmath.mpf(tau) / S  # Omega t, with Omega factored out of h
+                psi = [mpmath.fsum(vecs[i, j] * vecs[0, j] * mpmath.expj(-vals[j] * theta)
+                                   for j in range(levels)) for i in range(levels)]
+                shared = mpmath.fsum(abs(a) ** 2 * (S / 2 + b * (S - b / 2)) for a, b in zip(psi, k))
+                raised = mpmath.fsum(mpmath.conj(psi[j]) * lift[j] * psi[j + 1]
+                                     for j in range(levels - 1))
+                var_z, var_y = shared + raised.real / 2, shared - raised.real / 2
+                angle = (mpmath.pi - mpmath.atan2(-raised.imag, var_y - var_z)) / 2
+                variance = (var_z + var_y) / 2 - mpmath.hypot((var_z - var_y) / 2, raised.imag / 2)
+                got_variance, got_angle = dicke.min_transverse_variance(mom)
+                assert abs(got_angle - float(angle)) <= 1e-11
+                assert got_variance == pytest.approx(float(variance), rel=1e-13)
+
+    def test_variance_approaches_the_bosonic_limit_as_one_over_s(self):
+        # paper scale: N = 1e6 keeps about 300 of its 500 001 block levels
+        taus = np.array([0.25, 0.5, 1.0, 1.5])
+        deviations = []
+        for n in (10_000, 100_000, 1_000_000):
+            d = derive_params(small_params(n, 0.37))
+            times = taus / (d.spin_S * 0.37)
+            var = [dicke.min_transverse_variance(m)[0]
+                   for m in dicke.coherent_moments(d, "tat")(times)]
+            deviations.append(np.array(var) / tat_variance_bosonic(d, times) - 1.0)
+        assert np.all(deviations[-1] > 0) and np.all(deviations[-1] < 1e-5)
+        for coarse, fine in zip(deviations, deviations[1:]):  # S grows tenfold
+            assert coarse / fine == pytest.approx(10.0, rel=0.2)
+
+    def test_grid_past_the_separatrix_takes_the_whole_block(self, monkeypatch):
+        sizes = recorded_solves(monkeypatch)
+        n, omega = 2000, 0.37
+        kernel = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")
+        list(kernel(np.array([1.0, 4.5]) / (n / 2 * omega)))
+        assert sizes == [n // 2 + 1]
+
+    def test_first_block_follows_the_grid_end(self, monkeypatch):
+        # the squeezed vacuum's tail at r = Omega S t sets the first size, far below
+        # the 5001 levels at N = 1e4, and the gate passes on it
+        sizes = recorded_solves(monkeypatch)
+        n, omega = 10_000, 0.37
+        kernel = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")
+        for tau in (0.25, 1.0, 1.5):
+            list(kernel(np.linspace(0.0, tau, 9) / (n / 2 * omega)))
+        assert sizes[0] < sizes[1] < sizes[2] < 400
+
+    def test_a_failing_gate_doubles_the_block_up_to_the_whole(self, monkeypatch):
+        # no population passes a zero gate, so the block doubles to its 201 levels
+        sizes = recorded_solves(monkeypatch)
+        n, omega = 400, 0.37
+        d = derive_params(small_params(n, omega))
+        kernel = dicke.coherent_moments(d, "tat")
+        monkeypatch.setattr(dicke, "WINDOW_EDGE_WEIGHT", 0.0)
+        times = np.array([0.1, 0.25]) / (n / 2 * omega)
+        got = list(kernel(times))
+        first = sizes[0]
+        assert sizes == [first, 2 * first, 4 * first, 8 * first, n // 2 + 1]
+        for g, w in zip(got, tat_window_moments(dicke.css(n), omega)(times), strict=True):
+            assert_moments_close(g, w, 1e-12 * (n / 2) ** 2)
+
+    @pytest.mark.parametrize("n", [101, 2000])
+    def test_call_order_moves_results_only_within_the_gate(self, n):
+        # short grid first solves a small block, then the long grid a larger one;
+        # the long grid first solves the larger block, which the short grid reuses
+        omega = 0.37
+        d = derive_params(small_params(n, omega))
+        short, long = (np.linspace(0.0, tau, 11) / (n / 2 * omega) for tau in (0.5, 2.5))
+        forward, backward = (dicke.coherent_moments(d, "tat") for _ in range(2))
+        short_first = [list(forward(short)), list(forward(long))]
+        long_first = [list(backward(long)), list(backward(short))]
+        for grid, a, b in ((short, short_first[0], long_first[1]),
+                           (long, short_first[1], long_first[0])):
+            want = tat_window_moments(dicke.css(n), omega)(grid)
+            for x, y, w in zip(a, b, want, strict=True):
+                assert_moments_close(x, y, 1e-12 * (n / 2) ** 2)
+                assert_moments_close(x, w, 1e-12 * (n / 2) ** 2)
+
+    def test_repeat_kernels_are_bitwise_identical(self):
+        d = derive_params(small_params(2000, 0.37))
+        times = np.geomspace(1e-4, 1.0, 100) / (1000 * 0.37)
+        first, second = (np.array([astuple(m) for m in dicke.coherent_moments(d, "tat")(times)])
+                         for _ in range(2))
+        assert first.tobytes() == second.tobytes()
 
 
 class TestMinTransverseVariance:
