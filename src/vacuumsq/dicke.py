@@ -536,7 +536,8 @@ def _tat_coherent_kernel(spin_S: float, omega_twist: float):
     A solve keeps the top K levels of the block and expands |m' = S> in the
     eigenpairs of its energy window (see :func:`_energy_window`), with E0 = 0
     and sigma = |off[0]|: psi(t) = sum_j u_j(t) L_j with u_j = c_j exp(-i
-    lambda_j t), c_j = L_j[0].  Each call gates its grid: the two last kept
+    lambda_j t), c_j = L_j[0], whose kept weight sum |c_j|^2 passes the drift
+    gate (1e-9) on every call.  Each call also gates its grid: the two last kept
     levels must stay at most ``WINDOW_EDGE_WEIGHT`` populated at every
     time, or K doubles, up to the whole block, which needs no gate.  The
     first K follows the bosonic limit, a squeezed vacuum with r = |Omega| S t

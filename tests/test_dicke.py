@@ -400,19 +400,14 @@ class TestEvolveTat:
     def test_coherent_state_is_projected_once_per_kernel(self, monkeypatch):
         # the coherent kernel projects no ladder state: it solves its mean-spin
         # block once, and a grid that ends sooner reuses that solve
-        calls, solves = [], []
-        project, window = dicke.TatPropagator._project, dicke._energy_window
+        calls, solves = [], recorded_solves(monkeypatch)
+        project = dicke.TatPropagator._project
 
         def counted(self, amps):
             calls.append(amps.size)
             return project(self, amps)
 
-        def solved(diag, *args):
-            solves.append(diag.size)
-            return window(diag, *args)
-
         monkeypatch.setattr(dicke.TatPropagator, "_project", counted)
-        monkeypatch.setattr(dicke, "_energy_window", solved)
         d = derive_params(small_params(40))
         kernel = dicke.coherent_moments(d, "tat")
         grids = ([5e-3], [1e-3, 2e-3], [0.0])
@@ -717,7 +712,8 @@ class TestTatBlock:
                 theta = mpmath.mpf(tau) / S  # Omega t, with Omega factored out of h
                 psi = [mpmath.fsum(vecs[i, j] * vecs[0, j] * mpmath.expj(-vals[j] * theta)
                                    for j in range(levels)) for i in range(levels)]
-                shared = mpmath.fsum(abs(a) ** 2 * (S / 2 + b * (S - b / 2)) for a, b in zip(psi, k))
+                shared = mpmath.fsum(abs(a) ** 2 * (S / 2 + b * (S - b / 2))
+                                     for a, b in zip(psi, k))
                 raised = mpmath.fsum(mpmath.conj(psi[j]) * lift[j] * psi[j + 1]
                                      for j in range(levels - 1))
                 var_z, var_y = shared + raised.real / 2, shared - raised.real / 2
@@ -750,13 +746,14 @@ class TestTatBlock:
 
     def test_first_block_follows_the_grid_end(self, monkeypatch):
         # the squeezed vacuum's tail at r = Omega S t sets the first size, far below
-        # the 5001 levels at N = 1e4, and the gate passes on it
+        # the 50 001 levels at N = 1e5, and the gate passes on it: no doubling, which
+        # phase rounding would force without the shift by the top energy
         sizes = recorded_solves(monkeypatch)
-        n, omega = 10_000, 0.37
+        n, omega = 100_000, 0.37
         kernel = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")
         for tau in (0.25, 1.0, 1.5):
             list(kernel(np.linspace(0.0, tau, 9) / (n / 2 * omega)))
-        assert sizes[0] < sizes[1] < sizes[2] < 400
+        assert len(sizes) == 3 and sizes[0] < sizes[1] < sizes[2] < 400
 
     def test_a_failing_gate_doubles_the_block_up_to_the_whole(self, monkeypatch):
         # no population passes a zero gate, so the block doubles to its 201 levels
