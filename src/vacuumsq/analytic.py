@@ -260,7 +260,7 @@ def squeezing_trace(d: DerivedParams, times, noise: NoiseModel) -> SqueezingTrac
     """Closed-form squeezing trace over a time grid (analytic tier)."""
     t = np.asarray(times, dtype=float)
     xi_u, angle = xi_unitary(d, t)
-    xi_tot = xi_total(d, t, noise)
+    xi_tot = add_noise_to_xi(d, xi_u, t, noise)
     mean_x = d.spin_S * cos_pow(d.omega_twist * t, int(2 * d.spin_S - 1))
     return SqueezingTrace(times=t, xi_unitary=np.asarray(xi_u),
                           xi_total=np.asarray(xi_tot), mean_x=np.asarray(mean_x),

@@ -383,6 +383,10 @@ def cmd_scaling(cfg, outdir):
     if "noise" in cfg:
         raise ConfigError("scaling takes its noise from scaling.q and scaling.noiseless; "
                           "remove the noise section")
+    for key in ("tier", "protocol"):
+        if key in cfg:
+            raise ConfigError(f"scaling takes its protocol from scaling.protocol and picks "
+                              f"its tier from that; remove the top-level {key}")
     sec = cfg.get("scaling")
     if sec is None:
         raise ConfigError("scaling command needs a scaling section")
@@ -413,6 +417,9 @@ def cmd_scaling(cfg, outdir):
 
 def cmd_oracle(cfg, outdir):
     params = _build_system(cfg)
+    if cfg.get("protocol", "oat") != "oat":
+        raise ConfigError(f"the oracle runs one-axis twisting only, got protocol "
+                          f"{cfg['protocol']!r}")
     sec = cfg.get("oracle", {})
     _require_keys("oracle", sec, _KNOWN_ORACLE)
     cutoff = _integer("oracle", "photon_cutoff", sec.get("photon_cutoff", 2))

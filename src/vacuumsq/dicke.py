@@ -9,14 +9,11 @@ commutes with H, into a symmetric and an antisymmetric sector, two
 tridiagonal eigenproblems of about dim/2 each.  On the full ladder their
 spectra interleave into near-degenerate tunnelling doublets (gaps below
 1e-10 of the spread at dim 2001), which an eigensolver must resolve as
-clusters; within one sector the levels stay well separated.  Each sector
-keeps only the eigenvectors of its projection's energy window (see
-:func:`_energy_window`), by inverse iteration at the sector's eigenvalues,
-which are computed once; a window over the whole sector is one full
-eigensolve.  A state whose windows keep more than ``SPECTRAL_MAX_DIM``
-eigenvectors in all goes through Krylov stepping (``expm_multiply`` picks
-its own sub-steps).  Both paths must pass a norm gate of 1e-9, which also
-bounds the weight a window leaves out, before the state is renormalized.
+clusters; within one sector the levels stay well separated.  The
+propagator solves each occupied sector in full, once, and is exact for any
+t on ladders of up to ``SPECTRAL_MAX_DIM`` levels.  No package code forms
+TAT states: the propagator is the reference that the coherent kernel below
+is tested against.
 
 The coherent state along +x needs neither the ladder nor its sectors.  In
 the mean-spin basis x -> z', z -> x', y -> -y', H = Omega (S Sz' + Sx'^2)
@@ -68,10 +65,8 @@ from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sparse
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstein
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from .core import (DerivedParams, DegenerateMeanSpinError, NormDriftError,
@@ -81,12 +76,10 @@ from . import analytic
 
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
 NORM_DRIFT_GATE = 1e-9  # propagation drift beyond this is an error
-# An energy window keeps at most this many real eigenvectors: over both
-# reflection sectors of TatPropagator, of about dim/2 levels each (a full
-# solve keeps dim of them, 2 x 33.6 MB at dim 4096), and in the coherent
-# kernel's truncated block, of K levels each.  A state whose windows need
-# more is propagated by Krylov stepping; the coherent kernel raises instead,
-# though its window keeps fewer than 100 up to Omega S t = 2.
+# The most real eigenvectors a TAT solve keeps, else NumericsError: over the
+# two reflection sectors of TatPropagator's ladder, of about dim/2 levels
+# each (2 x 33.6 MB at dim 4096), and in the energy window of the coherent
+# kernel's truncated block, which keeps fewer than 100 up to Omega S t = 2.
 SPECTRAL_MAX_DIM = 4096
 WINDOW_SIGMAS = 64.0       # first half-width of a TAT energy window, in energy spreads
 # An edge eigenvector weighing more doubles an energy window; a last kept
@@ -165,8 +158,7 @@ def css(n_atoms: int) -> DickeState:
     m = np.arange(n_atoms + 1, dtype=float) - S
     # m is exactly antisymmetric, so S - m + 1 is S + m + 1 reversed.  The
     # mirrored terms as one sum: addition commutes, so c_m and c_-m are
-    # bitwise equal, and TatPropagator skips the empty antisymmetric sector.
-    # The coherent TAT kernel starts from |m' = S> and reads no amplitudes.
+    # bitwise equal, and TatPropagator solves only the symmetric sector.
     up = gammaln(S + m + 1)
     log_amp = 0.5 * (gammaln(2 * S + 1) - (up + up[::-1]) - 2 * S * math.log(2.0))
     amps = np.exp(log_amp).astype(complex)
@@ -314,33 +306,21 @@ def _sector_join(sym: np.ndarray, anti: np.ndarray) -> np.ndarray:
     return out
 
 
-def _energy_spread(diag: np.ndarray, off: np.ndarray, z: np.ndarray) -> tuple[float, float]:
-    """Mean energy E0 = <z|T|z> and spread sigma = |(T - E0) z| of unit z on the tridiagonal T.
-
-    ``z`` need not be normalized: both are taken per unit norm.  O(size).
-    """
-    tz = diag * z
-    tz[1:] += off * z[:-1]
-    tz[:-1] += off * z[1:]
-    norm = float(np.vdot(z, z).real)
-    e0 = float(np.vdot(z, tz).real) / norm
-    return e0, float(np.linalg.norm(tz - e0 * z)) / math.sqrt(norm)
-
-
 def _energy_window(diag: np.ndarray, off: np.ndarray, vals: np.ndarray, z: np.ndarray,
                    spread: tuple[float, float], budget: int):
     """(vals, vecs, V^T z) of the eigenpairs of the tridiagonal T that carry z.
 
     ``vals`` are all eigenvalues of T = (diag, off), ascending, and
-    ``spread`` is (E0, sigma), the mean energy and spread of z (see
-    :func:`_energy_spread`).  The window holds the levels within W sigma of
-    E0, and at least the level nearest E0.  W starts at ``WINDOW_SIGMAS``
-    and doubles, with at least one more level on each side, while an edge
-    eigenvector that is not T's own edge weighs |V^T z|^2 >
-    ``WINDOW_EDGE_WEIGHT`` or the kept weights fall short of |z|^2 by more
-    than ``NORM_TOL`` (weight far from E0).  A window over all of T is one
-    full ``eigh_tridiagonal``.  Returns None, before solving for them, once
-    the window would keep more than ``budget`` eigenvectors.
+    ``spread`` is (E0, sigma), the mean energy <z|T|z> / |z|^2 and the
+    spread |(T - E0) z| / |z| of z: (diag[0], |off[0]|) for the first unit
+    vector, the coherent kernel's |m' = S>.  The window holds the levels
+    within W sigma of E0, and at least the level nearest E0.  W starts at
+    ``WINDOW_SIGMAS`` and doubles, with at least one more level on each
+    side, while an edge eigenvector that is not T's own edge weighs
+    |V^T z|^2 > ``WINDOW_EDGE_WEIGHT`` or the kept weights fall short of
+    |z|^2 by more than ``NORM_TOL`` (weight far from E0).  A window over all
+    of T is one full ``eigh_tridiagonal``.  Returns None, before solving for
+    them, once the window would keep more than ``budget`` eigenvectors.
     """
     e0, sigma = spread
     weight_z = float(np.vdot(z, z).real)
@@ -369,116 +349,58 @@ def _energy_window(diag: np.ndarray, off: np.ndarray, vals: np.ndarray, z: np.nd
 
 
 class TatPropagator:
-    """Propagator for H = Omega (S Sx + Sz^2), reusable across a time grid.
+    """Exact propagator for H = Omega (S Sx + Sz^2), reusable across states and time grids.
 
-    The spectral path expands each reflection sector's projection of a
-    state (see :func:`_parity_sectors`) in the eigenpairs of its energy
-    window (see :func:`_energy_window`), exact for any t.  A sector's eigenvalues
-    are computed on first use and kept; its window's eigenvectors once per
-    state.  A sector the state does not occupy is skipped: its product V 0
-    is exactly 0.  ``SPECTRAL_MAX_DIM`` bounds the eigenvectors kept over
-    both sectors: a state whose windows need more (a random state on a
-    ladder above dim 4096) goes through sparse ``expm_multiply`` instead
-    (Krylov, which chooses its own sub-steps and stays memory-light).  The
-    path multiplies the real eigenvectors only by real operands, so it never
-    holds a complex copy of them, and takes a time grid in blocks of 64
-    columns, one matrix product per occupied sector each.  :meth:`evolve_grid`
-    returns one gated state per time; norm drift beyond 1e-9, the weight
-    left outside the windows included, raises, smaller drift is renormalized
-    away.
+    Each reflection sector a state occupies (see :func:`_parity_sectors`) is
+    solved in full by ``eigh_tridiagonal`` on first use, and its eigenpairs
+    are kept for later states and grids.  A sector the state does not occupy
+    is skipped: its product V 0 is exactly 0.  A ladder of more than
+    ``SPECTRAL_MAX_DIM`` levels raises :class:`NumericsError`.
     """
 
     def __init__(self, spin_S: float, omega_twist: float):
         dim = int(round(2 * spin_S + 1))
+        if dim > SPECTRAL_MAX_DIM:
+            raise NumericsError(
+                f"a ladder of {dim} levels exceeds the propagator's limit of {SPECTRAL_MAX_DIM}")
         self.spin_S = float(spin_S)
-        self.omega_twist = float(omega_twist)
         m = np.arange(dim, dtype=float) - spin_S
-        self._ladder = (omega_twist * m ** 2, omega_twist * spin_S * _sx_offdiag(spin_S, m))
-        self._blocks = _parity_sectors(*self._ladder)
-        self._eigvals = [None, None]  # per sector, computed on first use
-        self._projected = None  # (state, its _project) of the last state propagated
+        self._blocks = _parity_sectors(omega_twist * m ** 2,
+                                       omega_twist * spin_S * _sx_offdiag(spin_S, m))
+        self._pairs = [None, None]  # (vals, vecs) per sector, solved on first use
 
     def evolve(self, state: DickeState, t: float) -> DickeState:
         """The state at one time t >= 0: :meth:`evolve_grid` of the grid [t]."""
         return self.evolve_grid(state, [t])[0]
 
-    def _project(self, amps: np.ndarray) -> list | None:
-        """(vals, vecs, V^T z) of each reflection sector for the amplitudes' projection z.
+    def evolve_grid(self, state: DickeState, times) -> list[DickeState]:
+        """exp(-iHt) of one initial state at each time of a grid, as gated states.
 
-        The amplitudes are split onto the two sectors and each projection z
-        is expanded in the eigenpairs of its window (see :func:`_energy_window`).  A
-        sector whose projection is all zeros takes an empty eigenbasis
-        instead, whose products are exact zeros.  None when the windows would
-        keep more than ``SPECTRAL_MAX_DIM`` eigenvectors in all.
+        Each sector's projection z is expanded once, c = V^T z.  Each block
+        of up to 64 times takes V (c exp(-i lambda t)) per occupied sector,
+        as V a + i V b so that numpy never upcasts the real V, and joins the
+        pair into ladder columns.  Norm drift beyond 1e-9 raises, smaller
+        drift is renormalized away.  A grid that is not one-dimensional
+        raises :class:`PhysicsError`, a NaN or infinite time
+        :class:`NumericsError`, both up front (see :func:`core.time_grid`).
         """
-        sectors, budget = [], SPECTRAL_MAX_DIM
-        for k, z in enumerate(_sector_split(amps)):
-            if z.any():
-                diag, off = self._blocks[k]
-                if self._eigvals[k] is None:
-                    self._eigvals[k] = eigh_tridiagonal(diag, off, eigvals_only=True)
-                window = _energy_window(diag, off, self._eigvals[k], z,
-                                        _energy_spread(diag, off, z), budget)
-                if window is None:
-                    return None
-            else:  # V 0 = 0 exactly: no eigenvectors, and products that are zeros
-                window = np.empty(0), np.empty((z.size, 0)), np.empty(0, dtype=complex)
-            budget -= window[0].size
-            sectors.append(window)
-        return sectors
-
-    @staticmethod
-    def _rotate(sectors: list, times: np.ndarray) -> np.ndarray:
-        """exp(-iHt) of the projected amplitudes for every t, as the columns of a (dim, T) array.
-
-        Each sector is rotated in its own eigenbasis, block by block, and the
-        ladder columns are reassembled from the pair.  Each product of real
-        eigenvectors V with a complex operand z is taken as
-        V z.real + i V z.imag, so numpy never upcasts V.
-        """
-        out = np.empty((sum(vecs.shape[0] for _, vecs, _ in sectors), times.size), dtype=complex)
+        times = time_grid(times)
+        sectors = []
+        for k, z in enumerate(_sector_split(state.amplitudes)):
+            if not z.any():  # no eigenvectors, and products that are zeros
+                sectors.append((np.empty(0), np.empty((z.size, 0)), np.empty(0, dtype=complex)))
+                continue
+            if self._pairs[k] is None:
+                self._pairs[k] = eigh_tridiagonal(*self._blocks[k])
+            vals, vecs = self._pairs[k]
+            sectors.append((vals, vecs, _real_product(vecs.T, z)))
+        out = np.empty((state.dim, times.size), dtype=complex)
         for lo in range(0, times.size, _GRID_BLOCK):
             cols = slice(lo, lo + _GRID_BLOCK)
             out[:, cols] = _sector_join(*(
                 _real_product(vecs, np.exp(-1j * np.outer(vals, times[cols])) * coeffs[:, None])
                 for vals, vecs, coeffs in sectors))
-        return out
-
-    def _krylov_grid(self, amps: np.ndarray, times: np.ndarray) -> list[np.ndarray]:
-        """The amplitudes at each time, stepped sequentially between grid points."""
-        diag, off = self._ladder
-        h = sparse.diags([off, diag, off], [-1, 0, 1], format="csr")
-        out, prev = [], 0.0
-        for t in times:
-            if t > prev:
-                amps = expm_multiply(-1j * (t - prev) * h, amps)
-            prev = t
-            out.append(amps)
-        return out
-
-    def evolve_grid(self, state: DickeState, times) -> list[DickeState]:
-        """States at the given (ascending, >= 0) times from one initial state.
-
-        The spectral path projects the state (see :meth:`_project`) and
-        evaluates the grid in blocks of matrix products (see :meth:`_rotate`);
-        it keeps the projection of the last state it propagated, so a
-        kernel that steps one state through many grids projects it once.
-        The Krylov path steps sequentially between grid points, so a full
-        curve costs about the same as one evolution to the final time.
-        A grid that is not one-dimensional raises :class:`PhysicsError`, a
-        NaN or infinite time :class:`NumericsError`, both up front.
-        """
-        times = time_grid(times)
-        if np.any(np.diff(times) < 0):
-            raise PhysicsError("times must be ascending and >= 0")
-        if self._projected is None or self._projected[0] is not state:
-            self._projected = (state, self._project(state.amplitudes))
-        sectors = self._projected[1]
-        if sectors is not None:
-            block = self._rotate(sectors, times)
-            return [_gated_state(state.spin_S, block[:, j]) for j in range(times.size)]
-        return [_gated_state(state.spin_S, amps)
-                for amps in self._krylov_grid(state.amplitudes, times)]
+        return [_gated_state(state.spin_S, out[:, j]) for j in range(times.size)]
 
 
 def _ladder_shifts(amps: np.ndarray, spin_S: float):

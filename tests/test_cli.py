@@ -65,6 +65,9 @@ MALFORMED = [
     pytest.param("validate", {"system__delta_hz": 10**400}, id="validate-delta-huge-int"),
     pytest.param("scaling", {"noise": {"free_space": False, "cavity_leak": False}},
                  id="scaling-noise-section"),
+    pytest.param("scaling", {"tier": "dicke"}, id="scaling-top-level-tier"),
+    pytest.param("scaling", {"protocol": "tat"}, id="scaling-top-level-protocol"),
+    pytest.param("oracle", {"protocol": "tat"}, id="oracle-protocol-tat"),
     pytest.param("evolve", {"noise": {"free_space": "false"}}, id="evolve-free_space-string"),
     pytest.param("evolve", {"noise": {"cavity_leak": 0}}, id="evolve-cavity_leak-int"),
     pytest.param("validate", {"noise": {"free_space": None}}, id="validate-free_space-null"),

@@ -13,7 +13,7 @@ from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NormDriftError,
                       NumericsError, PhysicsError, derive_params)
 from vacuumsq import analytic, dicke
 
-from conftest import (oat_moments, small_params, tat_variance_bosonic, tat_window_moments,
+from conftest import (oat_moments, small_params, tat_ladder_moments, tat_variance_bosonic,
                       xi_numeric)
 
 
@@ -361,13 +361,11 @@ class TestEvolveTat:
         prop = dicke.TatPropagator(n / 2, 0.37)
         assert calls == []  # nothing is diagonalized before the first propagation
         prop.evolve_grid(st, [0.1, 0.5])
-        # at n = 20 every window covers its sector: its eigenvalues, then one full solve
-        assert calls == [(size, only) for size in sizes for only in (True, False)]
+        assert calls == [(size, False) for size in sizes]  # one full solve per occupied sector
+        # a later grid and a new state in the same sectors reuse the solves
         prop.evolve_grid(st, np.linspace(0.0, 2.0, 100))
-        assert len(calls) == 2 * solves
-        # a new state solves its windows again, but keeps the sectors' eigenvalues
         prop.evolve_grid(dicke.DickeState(st.spin_S, st.amplitudes * 1j), [0.1])
-        assert calls[2 * solves:] == [(size, False) for size in sizes]
+        assert len(calls) == solves
 
     def test_complex_start_state_matches_dense_expm(self):
         # the CSS is real; an OAT-evolved start has an imaginary part of norm 0.61
@@ -388,7 +386,8 @@ class TestEvolveTat:
     def test_grid_across_column_blocks_matches_single_evolves(self):
         prop = dicke.TatPropagator(15.0, 0.4)
         st = dicke.evolve_oat(dicke.css(30), 1.0, 0.2)
-        times = np.linspace(0.0, 2.0, 150)
+        # in any order: the rotation of each time needs no earlier one
+        times = np.random.default_rng(3).permutation(np.linspace(0.0, 2.0, 150))
         grid = prop.evolve_grid(st, times)
         assert len(grid) == times.size
         for t, out in zip(times, grid):
@@ -398,16 +397,16 @@ class TestEvolveTat:
         assert dicke.TatPropagator(4.0, 0.5).evolve_grid(dicke.css(8), []) == []
 
     def test_coherent_state_is_projected_once_per_kernel(self, monkeypatch):
-        # the coherent kernel projects no ladder state: it solves its mean-spin
+        # the coherent kernel splits no ladder state: it solves its mean-spin
         # block once, and a grid that ends sooner reuses that solve
         calls, solves = [], recorded_solves(monkeypatch)
-        project = dicke.TatPropagator._project
+        split = dicke._sector_split
 
-        def counted(self, amps):
+        def counted(amps):
             calls.append(amps.size)
-            return project(self, amps)
+            return split(amps)
 
-        monkeypatch.setattr(dicke.TatPropagator, "_project", counted)
+        monkeypatch.setattr(dicke, "_sector_split", counted)
         d = derive_params(small_params(40))
         kernel = dicke.coherent_moments(d, "tat")
         grids = ([5e-3], [1e-3, 2e-3], [0.0])
@@ -417,22 +416,16 @@ class TestEvolveTat:
             fresh = dicke.TatPropagator(20.0, d.omega_twist).evolve_grid(dicke.css(40), times)
             for mom, out in zip(moms, fresh, strict=True):
                 assert_moments_close(mom, dicke.moments(out), 1e-13 * 20.0 ** 2)
-        assert len(calls) == len(grids)  # each propagator projects its state
+        assert calls == [41] * len(grids) and len(solves) == 1  # each propagator splits its state
 
-    @pytest.mark.parametrize("limit", [dicke.SPECTRAL_MAX_DIM, 10], ids=["spectral", "krylov"])
     @pytest.mark.parametrize("t", [math.nan, math.inf])
-    def test_non_finite_time_is_rejected(self, monkeypatch, limit, t):
-        # the coherent state's window at N = 20 keeps its whole 11-level sector
-        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", limit)
+    def test_non_finite_time_is_rejected(self, t):
         prop, st = dicke.TatPropagator(10.0, 0.37), dicke.css(20)
         prop.evolve_grid(st, [0.1])
-        assert (prop._projected[1] is not None) == (limit >= 11)
         with pytest.raises(NumericsError, match="non-finite time"):
             prop.evolve_grid(st, [0.0, 0.1, t])
 
-    @pytest.mark.parametrize("limit", [dicke.SPECTRAL_MAX_DIM, 10], ids=["spectral", "krylov"])
-    def test_scalar_time_grid_is_physics_error(self, monkeypatch, limit):
-        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", limit)
+    def test_scalar_time_grid_is_physics_error(self):
         with pytest.raises(PhysicsError, match="time grid must be one-dimensional"):
             dicke.TatPropagator(10.0, 0.37).evolve_grid(dicke.css(20), 0.5)
 
@@ -465,18 +458,12 @@ class TestEvolveTat:
         for out in dicke.TatPropagator(S, 0.37).evolve_grid(st, times):
             assert out.amplitudes[::-1] == pytest.approx(sign * out.amplitudes, abs=1e-13)
 
-    def test_krylov_agrees_with_spectral(self, monkeypatch):
-        # the window of the coherent state at n = 60 keeps at most its 31-level
-        # sector; a limit below that forces Krylov
-        n, omega, t = 60, 0.21, 0.8
-        st = dicke.css(n)
-        spec = dicke.TatPropagator(st.spin_S, omega)
-        spec_out = spec.evolve(st, t)
-        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", 10)
-        kry = dicke.TatPropagator(st.spin_S, omega)
-        kry_out = kry.evolve(st, t)
-        assert spec._projected[1] is not None and kry._projected[1] is None
-        assert kry_out.amplitudes == pytest.approx(spec_out.amplitudes, abs=1e-9)
+    def test_ladder_above_the_limit_is_refused(self, monkeypatch):
+        # a ladder of more levels than the limit raises before any solve
+        monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", 20)
+        assert dicke.TatPropagator(9.5, 0.37).evolve(dicke.css(19), 0.1).dim == 20
+        with pytest.raises(NumericsError, match="ladder of 21 levels exceeds"):
+            dicke.TatPropagator(10.0, 0.37)
 
     def test_short_time_splits_into_twist_plus_rotation(self):
         # error of the split exp(-i t Omega S Sx) exp(-i t Omega Sz^2) is O(t^2)
@@ -515,13 +502,41 @@ class TestEvolveTat:
 def full_sector_states(prop, state, times):
     """exp(-iHt) state from full eigh_tridiagonal solves of both sectors, the reference formula.
 
-    Rows are times, columns the ladder m = -S..S.
+    The sector bases are dense ladder matrices, so the reference shares no
+    split, join or column blocking with the propagator.  Rows are times,
+    columns the ladder m = -S..S.
     """
-    rotated = []
-    for (diag, off), z in zip(prop._blocks, dicke._sector_split(state.amplitudes)):
+    dim = state.dim
+    pos = dim - dim // 2  # index of the lowest level m > 0
+    eye, upper = np.eye(dim), np.arange(pos, dim)
+    plus, minus = eye[:, upper], eye[:, dim - 1 - upper]  # |m> and |-m> for m > 0
+    zero = eye[:, pos - 1:pos] if dim % 2 else np.empty((dim, 0))
+    bases = np.hstack((zero, (plus + minus) / math.sqrt(2.0))), (plus - minus) / math.sqrt(2.0)
+    rotated = np.zeros((dim, len(times)), dtype=complex)
+    for (diag, off), basis in zip(prop._blocks, bases, strict=True):
         vals, vecs = eigh_tridiagonal(diag, off)
-        rotated.append(vecs @ (np.exp(-1j * np.outer(vals, times)) * (vecs.T @ z)[:, None]))
-    return dicke._sector_join(*rotated).T
+        coeffs = vecs.T @ (basis.T @ state.amplitudes)
+        rotated += basis @ (vecs @ (np.exp(-1j * np.outer(vals, times)) * coeffs[:, None]))
+    return rotated.T
+
+
+def energy_spread(diag, off, z):
+    """Mean energy E0 = <z|T|z> and spread sigma = |(T - E0) z| of z on the tridiagonal T.
+
+    Both are taken per unit norm of z.
+    """
+    tz = diag * z
+    tz[1:] += off * z[:-1]
+    tz[:-1] += off * z[1:]
+    norm = float(np.vdot(z, z).real)
+    e0 = float(np.vdot(z, tz).real) / norm
+    return e0, float(np.linalg.norm(tz - e0 * z)) / math.sqrt(norm)
+
+
+def sector_window(block, z):
+    """The energy window of z on a reflection sector's block, E0 and sigma from energy_spread."""
+    vals = eigh_tridiagonal(*block, eigvals_only=True)
+    return dicke._energy_window(*block, vals, z, energy_spread(*block, z), dicke.SPECTRAL_MAX_DIM)
 
 
 def sz_css(n):
@@ -538,7 +553,8 @@ def random_state(n, seed):
 
 
 class TestTatWindow:
-    # TatPropagator keeps only the eigenvectors of a state's energy window
+    # the energy window of the coherent kernel, on the reflection sectors
+    # whose full solves TatPropagator uses
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 20, 101, 1000, 2000])
     @pytest.mark.parametrize("start", [dicke.css, sz_css], ids=["symmetric", "antisymmetric"])
@@ -549,51 +565,46 @@ class TestTatWindow:
         times = np.array([0.0, 0.5, 2.0, 5.0, 10.0]) / (S * omega)  # Omega S t up to 10
         got = np.array([out.amplitudes for out in prop.evolve_grid(st, times)])
         assert np.max(np.abs(got - full_sector_states(prop, st, times))) <= 1e-12
-        occupied = [k for k, vals in enumerate(prop._eigvals) if vals is not None]
-        assert occupied == [0 if start is dicke.css else 1]
-        for k in occupied:
-            want = eigh_tridiagonal(*prop._blocks[k])[0]
-            assert np.max(np.abs(prop._eigvals[k] - want)) <= 1e-14 * omega * S * (S + 1)
+        solved = [k for k, pair in enumerate(prop._pairs) if pair is not None]
+        assert solved == [0 if start is dicke.css else 1]
 
     @pytest.mark.parametrize("n", [1000, 2000])
     def test_coherent_window_is_a_narrow_run(self, n):
-        prop = dicke.TatPropagator(n / 2, 0.37)
-        kept = [vals.size for vals, _, _ in prop._project(dicke.css(n).amplitudes)]
-        assert kept[1] == 0 and 60 <= kept[0] <= 100  # of n/2 + 1 levels
+        block = dicke.TatPropagator(n / 2, 0.37)._blocks[0]
+        kept, _, _ = sector_window(block, dicke._sector_split(dicke.css(n).amplitudes)[0])
+        assert 60 <= kept.size <= 100  # of n/2 + 1 levels
 
     @pytest.mark.parametrize("n", [20, 101])
     def test_random_state_widens_to_whole_sectors(self, n):
-        st = random_state(n, n)
-        prop = dicke.TatPropagator(n / 2, 0.37)
-        sectors = prop._project(st.amplitudes)
-        assert [vals.size for vals, _, _ in sectors] == [n // 2 + 1, (n + 1) // 2]
-        times = np.array([0.0, 0.3, 2.0]) / (n / 2 * 0.37)
-        got = np.array([out.amplitudes for out in prop.evolve_grid(st, times)])
-        assert np.max(np.abs(got - full_sector_states(prop, st, times))) <= 1e-12
+        blocks = dicke.TatPropagator(n / 2, 0.37)._blocks
+        sectors = dicke._sector_split(random_state(n, n).amplitudes)
+        assert [z.size for z in sectors] == [n // 2 + 1, (n + 1) // 2]
+        for block, z in zip(blocks, sectors, strict=True):
+            vals, vecs, coeffs = sector_window(block, z)
+            assert vals.size == z.size
+            assert np.max(np.abs(dicke._real_product(vecs, coeffs) - z)) <= 1e-12
 
     def test_far_weight_widens_the_window(self):
         # the CSS plus 1e-3 of the sector's lowest eigenvector: that level lies
         # beyond three doublings of the first window, and no edge of the CSS's
         # run holds weight, yet the level's weight of 1e-6 is kept
         n, omega = 1000, 0.37
-        prop = dicke.TatPropagator(n / 2, omega)
-        sym = dicke._sector_split(dicke.css(n).amplitudes)[0]
-        vals, vecs = eigh_tridiagonal(*prop._blocks[0])
-        sym = sym + 1e-3 * vecs[:, 0]
-        amps = dicke._sector_join(sym, np.zeros(n // 2))
-        st = dicke.DickeState(n / 2, amps / np.linalg.norm(amps))
-        e0, sigma = dicke._energy_spread(*prop._blocks[0], sym)
+        block = dicke.TatPropagator(n / 2, omega)._blocks[0]
+        vals, vecs = eigh_tridiagonal(*block)
+        z = dicke._sector_split(dicke.css(n).amplitudes)[0] + 1e-3 * vecs[:, 0]
+        e0, sigma = energy_spread(*block, z)
         assert e0 - vals[0] > 8 * dicke.WINDOW_SIGMAS * sigma
-        times = np.array([0.0, 1.0]) / (n / 2 * omega)
-        got = np.array([out.amplitudes for out in prop.evolve_grid(st, times)])
-        assert np.max(np.abs(got - full_sector_states(prop, st, times))) <= 1e-12
+        kept, kept_vecs, coeffs = sector_window(block, z)
+        assert kept[0] == pytest.approx(vals[0], rel=1e-12)
+        assert np.max(np.abs(dicke._real_product(kept_vecs, coeffs) - z)) <= 1e-12
 
     def test_narrow_first_window_doubles_until_edges_are_empty(self, monkeypatch):
         n, omega = 1000, 0.37
-        st = dicke.css(n)
-        want = dicke.TatPropagator(n / 2, omega)._project(st.amplitudes)[0]
+        block = dicke.TatPropagator(n / 2, omega)._blocks[0]
+        z = dicke._sector_split(dicke.css(n).amplitudes)[0]
+        want = sector_window(block, z)
         monkeypatch.setattr(dicke, "WINDOW_SIGMAS", 0.5)
-        got = dicke.TatPropagator(n / 2, omega)._project(st.amplitudes)[0]
+        got = sector_window(block, z)
         assert got[0].size >= want[0].size
         for vals, _, coeffs in (got, want):
             weights = np.abs(coeffs) ** 2
@@ -602,20 +613,30 @@ class TestTatWindow:
 
     @pytest.mark.parametrize("n", [1, 2, 100, 101, 2000])
     @pytest.mark.parametrize("omega", [0.37, -1.3])
-    def test_coherent_energy_and_spread(self, n, omega):
-        # H|CSS> = Omega (S^2 + Sz^2)|CSS>, and Sz is binomial with variance S/2
+    def test_coherent_energy_and_spread(self, monkeypatch, n, omega):
+        # H|CSS> = Omega (S^2 + Sz^2)|CSS>, and Sz is binomial with variance S/2;
+        # the coherent kernel's window takes that spread for its |m' = S>
         S = n / 2
-        prop = dicke.TatPropagator(S, omega)
         sym = dicke._sector_split(dicke.css(n).amplitudes)[0]
-        e0, sigma = dicke._energy_spread(*prop._blocks[0], sym)
+        e0, sigma = energy_spread(*dicke.TatPropagator(S, omega)._blocks[0], sym)
         assert e0 == pytest.approx(omega * (S * S + S / 2), rel=1e-12)
         assert sigma == pytest.approx(abs(omega) * math.sqrt(S * S / 2 - S / 4), rel=1e-9)
         if n >= 100:  # -> |Omega| S / sqrt(2) for large S
             assert sigma == pytest.approx(abs(omega) * S / math.sqrt(2.0), rel=0.5 / S)
+        spreads, window = [], dicke._energy_window
+
+        def recorded(diag, off, vals, z, spread, budget):
+            spreads.append(spread)
+            return window(diag, off, vals, z, spread, budget)
+
+        monkeypatch.setattr(dicke, "_energy_window", recorded)
+        list(dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")([0.0]))
+        assert spreads[0][1] == pytest.approx(sigma, rel=1e-9)
 
     def test_xi_matches_expm_multiply_above_the_old_limit(self):
-        # dim 5001 was Krylov-only before the window; Omega S t = 2 is near the
-        # squeezing optimum, and by 4.5 the mean spin has collapsed to 0.6 S
+        # dim 5001 is above TatPropagator's limit, so Krylov stepping is the
+        # reference; Omega S t = 2 is near the squeezing optimum, and by 4.5
+        # the mean spin has collapsed to 0.6 S
         n, omega = 5000, 0.37
         S = n / 2
         d = derive_params(small_params(n, omega))
@@ -630,18 +651,6 @@ class TestTatWindow:
             amps, prev = expm_multiply(-1j * (tau - prev) / (S * omega) * h, amps), tau
             want = xi_numeric(dicke.DickeState(S, amps / np.linalg.norm(amps)))
             assert dicke.min_transverse_variance(mom)[0] / (S / 2) == pytest.approx(want, rel=1e-9)
-
-    @pytest.mark.parametrize("n", [7, 20])
-    def test_kernel_matches_propagated_states_in_both_sectors(self, n):
-        # a random start occupies both sectors, so <Sz> and <Sy> come from the cross blocks
-        st = random_state(n, 7 * n)
-        S, omega = n / 2, 0.37
-        times = np.linspace(0.0, 3.0, 70) / (S * omega)  # two column blocks
-        got = list(tat_window_moments(st, omega)(times))
-        want = [dicke.moments(out) for out in dicke.TatPropagator(S, omega).evolve_grid(st, times)]
-        assert max(abs(m.mean_z) + abs(m.mean_y) for m in want) > 0.1 * S
-        for g, w in zip(got, want, strict=True):
-            assert_moments_close(g, w, 1e-13 * S * S)
 
     def test_kernel_raises_when_the_windows_exceed_the_limit(self, monkeypatch):
         # Omega S t = 4.5 takes the whole 11-level block, whose window keeps more than 5
@@ -683,7 +692,7 @@ class TestTatBlock:
         S = n / 2
         times = np.concatenate(([0.0], np.linspace(0.01, 4.0, 70))) / (S * abs(omega))
         got = list(dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")(times))
-        want = list(tat_window_moments(dicke.css(n), omega)(times))
+        want = list(tat_ladder_moments(dicke.css(n), omega)(times))
         for g, w in zip(got, want, strict=True):
             assert_moments_close(g, w, 1e-12 * S * S)
             (var_g, angle_g), (var_w, angle_w) = map(dicke.min_transverse_variance, (g, w))
@@ -766,7 +775,7 @@ class TestTatBlock:
         got = list(kernel(times))
         first = sizes[0]
         assert sizes == [first, 2 * first, 4 * first, 8 * first, n // 2 + 1]
-        for g, w in zip(got, tat_window_moments(dicke.css(n), omega)(times), strict=True):
+        for g, w in zip(got, tat_ladder_moments(dicke.css(n), omega)(times), strict=True):
             assert_moments_close(g, w, 1e-12 * (n / 2) ** 2)
 
     @pytest.mark.parametrize("n", [101, 2000])
@@ -781,7 +790,7 @@ class TestTatBlock:
         long_first = [list(backward(long)), list(backward(short))]
         for grid, a, b in ((short, short_first[0], long_first[1]),
                            (long, short_first[1], long_first[0])):
-            want = tat_window_moments(dicke.css(n), omega)(grid)
+            want = tat_ladder_moments(dicke.css(n), omega)(grid)
             for x, y, w in zip(a, b, want, strict=True):
                 assert_moments_close(x, y, 1e-12 * (n / 2) ** 2)
                 assert_moments_close(x, w, 1e-12 * (n / 2) ** 2)

@@ -46,23 +46,53 @@ def test_names_the_benchmark_tracer_patches_exist():
     assert missing == []
 
 
+def _defined_names(tree):
+    """The module-level functions, classes and constants of a module's syntax tree."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and target.id != "__all__":
+                    yield target.id
+
+
 def test_every_exported_name_has_a_program_caller():
-    # the public API holds no function that only tests call: each exported
-    # name is loaded (a Name or an Attribute, not an import or a string)
-    # somewhere in the package, or patched by name by the benchmark tracer
+    # the package holds no function, class or constant, private ones
+    # included, that only tests call: each is loaded (a Name or an
+    # Attribute, not an import or a string) somewhere in the package, or
+    # patched by name by the benchmark tracer
+    trees = {f"vacuumsq.{path.stem}".removesuffix(".__init__"): ast.parse(path.read_text())
+             for path in pathlib.Path(vacuumsq.__file__).parent.glob("*.py")}
     loaded = set()
-    for path in pathlib.Path(vacuumsq.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for tree in trees.values():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 loaded.add(node.attr)
     patched = {f"vacuumsq.{layer}.{attr}" for layer, attrs in _tracer().SPANS.items()
-               for attr in attrs}
-    unused = [f"{name}.{export}" for name in MODULES
-              for export in getattr(importlib.import_module(name), "__all__", ())
-              if export not in loaded and f"{name}.{export}" not in patched]
+               for attr in attrs} | {"vacuumsq.dicke.TatPropagator"}
+    unused = [f"{name}.{defined}" for name, tree in trees.items()
+              for defined in _defined_names(tree)
+              if defined not in loaded and f"{name}.{defined}" not in patched]
     assert unused == []
+
+
+def _fresh_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(pathlib.Path(vacuumsq.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+def test_cli_import_leaves_out_scipy_sparse():
+    # no package path steps through sparse matrices; importing the CLI loads none
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, vacuumsq.cli; print('scipy.sparse' in sys.modules)"],
+        capture_output=True, text=True, env=_fresh_env(), timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
 
 
 # Runs in a fresh interpreter, because install() replaces module attributes
@@ -102,12 +132,10 @@ def test_traced_detuning_scan_runs(tmp_path):
               "optimize": {"scan_detuning": True}}
     path = tmp_path / "optimize.json"
     path.write_text(json.dumps(config))
-    src = str(pathlib.Path(vacuumsq.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     done = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(TRACER), "optimize",
                            "--config", str(path), "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=300, check=False)
+                          capture_output=True, text=True, env=_fresh_env(), timeout=300,
+                          check=False)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["exit"] == 0, done.stderr
