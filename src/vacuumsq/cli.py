@@ -3,12 +3,13 @@
 Commands (``vacuumsq <command> --config <path>``):
 
 * ``evolve``      squeezing trace over a time grid -> CSV + JSON summary
-* ``optimize``    optimal time (optionally nested detuning) -> JSON
+* ``optimize``    optimal time (optionally with the detuning) -> JSON
 * ``scaling``     optimum-vs-N*eta table -> CSV + JSON
 * ``oracle``      light-shift table and dynamics discrepancy -> CSV + JSON
 * ``feasibility`` robustness arithmetic -> JSON
 * ``validate``    parse + physics checks only, prints derived parameters
 
+Each command refuses the top-level config keys it does not read.
 Exit codes: 0 ok, 2 config error, 3 physics validation, 4 numerical gate,
 5 I/O.  Errors additionally emit one machine-readable JSON line on stderr.
 Outputs are deterministic for a fixed config (full round-trip float
@@ -48,8 +49,6 @@ CSV_COLUMNS = ["t_seconds", "xi_unitary", "xi_total", "xi_db", "mean_x",
 # --------------------------------------------------------------------------
 # config parsing
 
-_KNOWN_TOP = {"schema_version", "command", "system", "protocol", "tier", "noise",
-              "time_grid", "optimize", "scaling", "oracle", "feasibility", "output"}
 _KNOWN_SYSTEM = {"n_atoms", "g_hz", "eta", "kappa_hz", "gamma_hz", "delta_hz", "omega0_hz"}
 _KNOWN_NOISE = {"free_space", "cavity_leak", "detector_efficiency_q"}
 _KNOWN_GRID = {"start", "stop", "points", "spacing"}
@@ -103,7 +102,8 @@ def _pair(section, key, value) -> tuple:
     return tuple(_number(section, key, v) for v in value)
 
 
-def load_config(path) -> dict:
+def load_config(path, command: str) -> dict:
+    """The parsed config at ``path``, refusing top-level keys ``command`` does not read."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
@@ -113,7 +113,9 @@ def load_config(path) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _require_keys("config", cfg, _KNOWN_TOP, required=("schema_version", "system"))
+    _require_keys(f"the {command} config", cfg,
+                  {"schema_version", "command", "system", "output"} | _COMMAND_KEYS[command],
+                  required=("schema_version", "system"))
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r} "
                           f"(this build reads {SCHEMA_VERSION})")
@@ -179,7 +181,10 @@ def _build_optimize(cfg) -> tuple[bool, float | None, tuple | None]:
             raise ConfigError("optimize.delta_bracket_hz must be finite [lo, hi] "
                               f"with 0 < lo < hi, got {bracket!r}")
         bracket = (TWO_PI * lo, TWO_PI * hi)
-    return _flag("optimize", "scan_detuning", sec.get("scan_detuning", False)), t_max, bracket
+    scan_detuning = _flag("optimize", "scan_detuning", sec.get("scan_detuning", False))
+    if bracket is not None and not scan_detuning:
+        raise ConfigError("optimize.delta_bracket_hz needs \"scan_detuning\": true")
+    return scan_detuning, t_max, bracket
 
 
 def _build_output(cfg) -> dict:
@@ -380,13 +385,6 @@ def cmd_optimize(cfg, outdir):
 
 def cmd_scaling(cfg, outdir):
     params = _build_system(cfg)  # kappa/gamma anchor the scan
-    if "noise" in cfg:
-        raise ConfigError("scaling takes its noise from scaling.q and scaling.noiseless; "
-                          "remove the noise section")
-    for key in ("tier", "protocol"):
-        if key in cfg:
-            raise ConfigError(f"scaling takes its protocol from scaling.protocol and picks "
-                              f"its tier from that; remove the top-level {key}")
     sec = cfg.get("scaling")
     if sec is None:
         raise ConfigError("scaling command needs a scaling section")
@@ -396,8 +394,10 @@ def cmd_scaling(cfg, outdir):
     points = [(_integer("scaling", f"points[{i}][0]", n), eta) for i, (n, eta)
               in enumerate(_pair("scaling", "points", point) for point in sec["points"])]
     q = float(_number("scaling", "q", sec.get("q", 0.0)))
-    noise = NoiseModel.none() if _flag("scaling", "noiseless", sec.get("noiseless", False)) \
-        else NoiseModel(detector_efficiency_q=q)
+    noiseless = _flag("scaling", "noiseless", sec.get("noiseless", False))
+    if noiseless and "q" in sec:
+        raise ConfigError("scaling.q sets the cavity leak, which \"noiseless\": true turns off")
+    noise = NoiseModel.none() if noiseless else NoiseModel(detector_efficiency_q=q)
     scan = optimize.scaling_scan(points, protocol=sec.get("protocol", "oat"),
                                  kappa=params.kappa, gamma=params.gamma, noise=noise)
     columns = ["n_atoms", "eta", "n_eta", "xi_min", "xi_min_db", "floor",
@@ -476,6 +476,17 @@ def cmd_validate(cfg, outdir):
     return []
 
 
+# The top-level config keys each command reads besides schema_version,
+# command, system and output; validate checks every one of them.
+_COMMAND_KEYS = {
+    "evolve": {"tier", "protocol", "noise", "time_grid"},
+    "optimize": {"tier", "protocol", "noise", "optimize"},
+    "scaling": {"scaling"},
+    "oracle": {"protocol", "oracle"},
+    "feasibility": {"feasibility"},
+}
+_COMMAND_KEYS["validate"] = set().union(*_COMMAND_KEYS.values())
+
 COMMANDS = {
     "evolve": cmd_evolve,
     "optimize": cmd_optimize,
@@ -513,7 +524,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     outdir = args.out or os.environ.get(OUTDIR_ENV) or os.getcwd()
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.command)
         declared = cfg.get("command")
         if declared is not None and declared != args.command:
             raise ConfigError(

@@ -185,10 +185,9 @@ class DerivedParams:
     kappa = S g^2 kappa/delta^2, the cavity-leak exposure rate before
     detector efficiency.  The detuning enters the physics only through
     omega_twist and leak_rate; the source params are carried along for
-    N, kappa and gamma.  The optimizer batches lanes that share kappa and
-    gamma as one instance whose spin_S, omega_twist and leak_rate are
-    (L, 1) columns, one row per lane, where the lanes differ, with the
-    params of the first.
+    N, kappa and gamma.  The detuning optimizer evaluates the noise of a
+    whole grid of detunings as one instance whose leak_rate is an array,
+    one element per detuning, with the params of the bracket's lower end.
     """
 
     spin_S: float

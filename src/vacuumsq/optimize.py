@@ -2,18 +2,15 @@
 
 Objectives are smooth and unimodal in the regime where the additive
 decoherence model is meaningful, so minimization is a coarse logarithmic
-grid followed by golden-section refinement, on log(t) and log(Delta).
-The time optimizer works on lanes, one per (N, g, detuning): the
-squeezing objective takes every lane's coarse time grid as one (lanes x
-points) array call, and the golden-section refinement steps all lanes in
-lockstep, one call per step.  ``optimal_time`` is the one-lane case,
-which calls the objective with scalars.  The detuning optimizer works on
-lanes too, one per point: each point solves its whole coarse detuning
-grid as one lane batch (lane by lane on the Dicke tier), and the outer
-golden section then refines the detunings of all points in lockstep,
-solving every point's candidate in one lane solve per step.
-``optimal_detuning`` is its one-point case, and ``scaling_scan`` runs all
-of its points through it at once.
+grid followed by golden-section refinement on the log axis.
+``optimal_time`` minimizes over t at one detuning: one array call of the
+objective on its coarse grid, then scalar calls.  ``optimal_detuning``
+minimizes over (t, Delta) through the twisting angle tau = Omega t,
+Omega = g^2/Delta: the coherent squeezing depends on N and tau alone, so
+the detuning only moves the noise.  Its coarse tau grid takes one
+coherent kernel and one lane solve of the least noise over Delta, one
+lane per tau; the refinement over tau makes scalar calls.
+``scaling_scan`` runs ``optimal_detuning`` once per point.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
 faithful error measure once its exposure p passes 1/2 (the variance then
@@ -46,8 +43,8 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # The refinement maps between x and log(x) with libm's exp and log, element
 # by element: numpy's vectorized exp and log differ from them in the last
 # bit for some inputs, which would move refined optima by an ulp.  The
-# arrays are lane columns, short enough that a Python loop beats
-# np.vectorize's set-up.
+# arrays are lane columns, one row per tau of optimal_detuning's grid at
+# most, short enough that a Python loop beats np.vectorize's set-up.
 
 
 def _libm(fn):
@@ -56,9 +53,13 @@ def _libm(fn):
 
 _exp, _log = _libm(math.exp), _libm(math.log)
 MAX_EXPOSURE = 0.5  # binomial noise exposures beyond this are unphysical
-TIME_GRID_POINTS = 240      # coarse log grid of optimal_time
-DETUNING_GRID_POINTS = 96   # coarse log grid of optimal_detuning
-REL_TOL = 1e-3              # golden-section tolerance of both, relative
+TIME_GRID_POINTS = 240      # coarse log grid of t in optimal_time, of tau in optimal_detuning
+DETUNING_GRID_POINTS = 96   # coarse log grid of Delta at each tau of optimal_detuning
+# golden_section's tolerance for both: it stops once the bracket is narrower
+# than REL_TOL * max(|lo|, |hi|).  The refinements run on log(x), so that is
+# an absolute width in log(x) that scales with |log x| and depends on the
+# unit of x (see minimize_on_log_axis), not a width relative to x.
+REL_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,9 @@ def golden_section(f, lo, hi, rel_tol: float = REL_TOL):
 
     ``lo`` and ``hi`` are scalars or arrays of one shape, one lane per
     element, and ``f`` maps an array of that shape to the values there.
-    Each lane takes its own number of iterations, set by its bracket and
-    ``rel_tol``, and its own fc <= fd choice.  The lanes step in lockstep,
+    Each lane takes its own number of iterations: it stops once its bracket
+    is narrower than ``rel_tol * max(|lo|, |hi|)``.  Each makes its own
+    fc <= fd choice.  The lanes step in lockstep,
     one call of ``f`` per step; a lane whose iterations are spent is passed
     NaN and keeps its result.  Every lane equals the one-lane search
     bitwise.  Returns (x, f(x)), as floats for scalar brackets.
@@ -190,8 +192,13 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
     neighbors.  Returns (x, f(x), edge) where edge is None, "lower" or
     "upper" -- an edge argmin means the objective is monotone (or invalid)
     across the bracket and is reported distinctly rather than refined.
-    This is the one-lane case of the lane solver that ``optimal_detuning``
-    runs on its detuning grid.
+
+    The refinement stops once its bracket in log(x) is narrower than
+    ``rel_tol * max(|log lo|, |log hi|)``: a width in log(x) that grows
+    with |log x|, so the unit of x sets how far it refines.  At
+    ``REL_TOL`` it takes 5 golden steps around Delta = 7e7 rad/s (a final
+    width of 1.7 % in Delta), 11 around t = 0.48 s and 16 around t = 0.99 s.
+    This is the one-lane case of :func:`_minimize_lanes`.
     """
     x, val, (edge,) = _minimize_lanes(lambda x: np.full(x.shape, f(x.item())),
                                       np.asarray(grid, dtype=float)[None],
@@ -199,64 +206,64 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
     return float(x[0]), float(val[0]), edge
 
 
-def _xi_objective(lanes, noise: NoiseModel, tier: str, protocol: str):
-    """xi_total(t) on a list of lanes, +inf where invalid.
+def _coherent_xi(d: DerivedParams, tier: str, protocol: str):
+    """The coherent xi of ``d`` as a function of a one-dimensional ascending time array.
 
-    ``lanes`` holds one DerivedParams per lane.  The lanes may differ in N,
-    g and the detuning, but must share kappa, Gamma and the noise model.
-    One lane takes a scalar t (giving a float) or a time array; L lanes
-    take an (L, k) array, one row per lane.  The noise budget is evaluated
-    on all of t at once, with the L lanes as one DerivedParams whose
-    spin_S, omega_twist and leak_rate are (L, 1) columns, or scalars
-    where the lanes share them (spin_S on a detuning grid).  Its exposures
-    guard the validity regime point by point, and its variance is added to
-    the coherent xi, which is computed only where the guard passes.  A NaN
-    time, which the lane solver passes to lanes that take no step, is
-    invalid whether or not a noise channel is on.  Both exposures grow with
-    t, so in an ascending row those points are an ascending prefix, which
-    the Dicke tier reduces in one call of the lane's own
-    ``dicke.coherent_moments`` kernel, the path of
-    ``dicke.squeezing_trace``.  A Dicke point whose mean spin is degenerate
-    (|<S>| <= 1e-9 S, where ``dicke.min_transverse_variance`` raises) is
-    invalid too: without noise the time bracket can reach the collapse of
-    the twisted mean spin.
+    The analytic tier is one ``analytic.xi_unitary`` call.  The Dicke tier
+    makes one ``dicke.coherent_moments`` kernel here and reduces each of its
+    points; a point whose mean spin is degenerate (|<S>| <= 1e-9 S, where
+    ``dicke.min_transverse_variance`` raises) is invalid (+inf): without
+    noise the time bracket can reach the collapse of the twisted mean spin.
     """
-    def lane_values(name):  # a value all lanes share stays a scalar
-        values = [getattr(lane, name) for lane in lanes]
-        return values[0] if values.count(values[0]) == len(values) else np.array(values)[:, None]
-
-    d = replace(lanes[0], **{name: lane_values(name)
-                             for name in ("spin_S", "omega_twist", "leak_rate")})
-    half_S = d.spin_S / 2.0
     if tier == "analytic":
-        def coherent_xi(times, valid):
-            at_valid = replace(d, **{name: np.broadcast_to(getattr(d, name), times.shape)[valid]
-                                     for name in ("spin_S", "omega_twist")
-                                     if np.ndim(getattr(d, name))})
-            return analytic.xi_unitary(at_valid, times[valid]).xi
-    else:
-        kernels = [dicke.coherent_moments(lane, protocol) for lane in lanes]
+        return lambda times: analytic.xi_unitary(d, times).xi
+    kernel = dicke.coherent_moments(d, protocol)
 
-        def point_xi(mom):
-            try:
-                return dicke.min_transverse_variance(mom)[0] / (mom.spin_S / 2.0)
-            except DegenerateMeanSpinError:  # no transverse plane: invalid, not fatal
-                return math.inf
+    def point_xi(mom):
+        try:
+            return dicke.min_transverse_variance(mom)[0] / (mom.spin_S / 2.0)
+        except DegenerateMeanSpinError:  # no transverse plane: invalid, not fatal
+            return math.inf
 
-        def coherent_xi(times, valid):
-            rows = zip(kernels, times.reshape(len(lanes), -1), valid.reshape(len(lanes), -1))
-            return [point_xi(mom)
-                    for kernel, row, ok in rows if ok.any() for mom in kernel(row[ok])]
+    return lambda times: np.array([point_xi(mom) for mom in kernel(times)])
+
+
+def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str):
+    """xi_total(t) of ``d`` at a scalar t (giving a float) or a time array, +inf where invalid.
+
+    The noise budget is evaluated on all of t at once.  Its exposures guard
+    the validity regime point by point, and its variance is added to the
+    coherent xi, which is computed only where the guard passes.  Both
+    exposures grow with t, so in an ascending grid those points are an
+    ascending prefix, which the Dicke tier reduces in one call of its
+    kernel, the path of ``dicke.squeezing_trace``.
+    """
+    coherent = _coherent_xi(d, tier, protocol)
+    half_S = d.spin_S / 2.0
 
     def objective(t):
         t = np.asarray(t, dtype=float)
         budget = analytic.noise_budget(d, t, noise)
-        valid = np.asarray(~np.isnan(t) & (budget.p_leak <= MAX_EXPOSURE)
-                           & (budget.p_decay <= MAX_EXPOSURE))
+        valid = np.asarray((budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE))
         xi = np.full(t.shape, math.inf)
-        xi[valid] = coherent_xi(t, valid) + np.asarray(budget.added_var / half_S)[valid]
+        if valid.any():
+            xi[valid] = coherent(t[valid]) + np.asarray(budget.added_var / half_S)[valid]
         return xi if xi.ndim else float(xi)
     return objective
+
+
+def _check_floor(d: DerivedParams, xi_min: float, noise: NoiseModel, protocol: str) -> None:
+    """Raise NumericsError when xi_min is below half the closed-form floor.
+
+    The floor is defined with both noise channels on and a finite eta.
+    """
+    if not (noise.include_free_space and noise.include_cavity_leak and math.isfinite(d.eta)):
+        return
+    floor = _closed_form_floor(d.params.n_atoms, d.eta, noise.detector_efficiency_q, protocol)
+    if xi_min < 0.5 * floor:
+        raise NumericsError(
+            f"xi_min={float(xi_min)!r} is below half the closed-form floor {floor!r}; "
+            "the optimizer left the additive-noise validity regime")
 
 
 def _closed_form_floor(n_atoms, eta, q, protocol: str) -> float:
@@ -264,57 +271,8 @@ def _closed_form_floor(n_atoms, eta, q, protocol: str) -> float:
     return floor(n_atoms, eta, q)
 
 
-def _floor_value(d: DerivedParams, noise: NoiseModel, protocol: str):
-    """Closed-form optimum floor, when defined for the active noise set."""
-    if not (noise.include_free_space and noise.include_cavity_leak and math.isfinite(d.eta)):
-        return None
-    return _closed_form_floor(d.params.n_atoms, d.eta, noise.detector_efficiency_q, protocol)
-
-
 def _edge_flags(edge, label):
     return () if edge is None else (f"{label}_{edge}_edge",)
-
-
-def _optimal_times(lanes, noise: NoiseModel, tier: str, protocol: str, t_max):
-    """The optimal time of every lane in one solve: (t_opt, xi_min, edges, t_max).
-
-    Each lane's coarse time grid spans [t_max * 1e-8, t_max], all of them
-    in one array call of the objective.  One lane is refined by
-    :func:`minimize_on_log_axis` with scalar calls, several by
-    :func:`_minimize_lanes`.  The half-floor check applies per lane, against
-    the lane's own floor (its own N and eta), and raises on the first lane
-    that falls below half of it.
-    """
-    objective = _xi_objective(lanes, noise, tier, protocol)
-    if t_max is None:
-        gamma = lanes[0].params.gamma
-        tops = np.array([10.0 / gamma if gamma > 0 else math.pi / (2.0 * abs(d.omega_twist))
-                         for d in lanes])
-    else:
-        tops = np.full(len(lanes), float(t_max))
-    grid = np.geomspace(tops * 1e-8, tops, TIME_GRID_POINTS, axis=1)
-    if len(lanes) == 1:
-        t_opt, xi_min, edge = minimize_on_log_axis(objective, grid[0], objective(grid[0]),
-                                                   REL_TOL)
-        t_opt, xi_min, edges = [t_opt], [xi_min], [edge]
-    else:
-        t_opt, xi_min, edges = _minimize_lanes(objective, grid, objective(grid), REL_TOL)
-    for d, xi in zip(lanes, xi_min):
-        floor = _floor_value(d, noise, protocol)
-        if floor is not None and xi < 0.5 * floor:
-            raise NumericsError(
-                f"xi_min={float(xi)!r} is below half the closed-form floor {floor!r}; "
-                "the optimizer left the additive-noise validity regime")
-    return t_opt, xi_min, edges, tops
-
-
-def _time_result(tier: str, protocol: str, t_opt, xi_min, edge, top) -> OptimizationResult:
-    """The result of one lane of :func:`_optimal_times`."""
-    return OptimizationResult(t_opt=float(t_opt), xi_min=float(xi_min),
-                              xi_min_db=float(analytic.to_db(float(xi_min))),
-                              model_tier=tier, protocol=protocol,
-                              bracket_t=(float(top * 1e-8), float(top)),
-                              flags=_edge_flags(edge, "time"))
 
 
 def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
@@ -322,97 +280,125 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
     """Minimize xi_total over t in (0, t_max].
 
     Default bracket top is 10/Gamma (or a quarter twisting period when
-    Gamma = 0); the bottom is t_max * 1e-8.  Deterministic: identical
-    inputs give bit-identical results.  ``tier``/``protocol`` are checked
-    by :func:`core.resolve_tier`.  A result more than 2x below the
+    Gamma = 0); the bottom is t_max * 1e-8.  The coarse grid is one array
+    call of the objective, refined with scalar calls.  Deterministic:
+    identical inputs give bit-identical results.  ``tier``/``protocol`` are
+    checked by :func:`core.resolve_tier`.  A result more than 2x below the
     closed-form floor signals the optimizer escaped the model's validity
-    regime.  This is the one-lane solve of ``optimal_detuning``'s grid,
-    refined with scalar calls of the objective.
+    regime.
     """
     tier, protocol = resolve_tier(tier, protocol)
-    (t_opt,), (xi_min,), (edge,), (top,) = _optimal_times([d], noise, tier, protocol, t_max)
-    return _time_result(tier, protocol, t_opt, xi_min, edge, top)
+    if t_max is None:
+        gamma = d.params.gamma
+        t_max = 10.0 / gamma if gamma > 0 else math.pi / (2.0 * abs(d.omega_twist))
+    t_max = float(t_max)
+    objective = _xi_objective(d, noise, tier, protocol)
+    grid = np.geomspace(t_max * 1e-8, t_max, TIME_GRID_POINTS)
+    t_opt, xi_min, edge = minimize_on_log_axis(objective, grid, objective(grid), REL_TOL)
+    _check_floor(d, xi_min, noise, protocol)
+    return OptimizationResult(t_opt=t_opt, xi_min=xi_min, xi_min_db=float(analytic.to_db(xi_min)),
+                              model_tier=tier, protocol=protocol,
+                              bracket_t=(t_max * 1e-8, t_max), flags=_edge_flags(edge, "time"))
 
 
 def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int,
                      noise: NoiseModel, tier: str = "auto", protocol: str = "oat",
                      bracket: tuple[float, float] | None = None,
                      t_max: float | None = None) -> OptimizationResult:
-    """Nested minimization of xi over (Delta, t) at fixed g, kappa, Gamma, N.
+    """Minimize xi over (Delta, t) at fixed g, kappa, Gamma, N, as a scan over tau = Omega t.
 
     Scans Delta > 0 on [kappa, 1e4 kappa] by default (xi is even in the
-    sign of Delta).  This is the one-point case of the lockstep solver
-    that ``scaling_scan`` runs on all of its points: the optimal times of
-    the coarse detuning grid are one lane-batched solve, one lane per
-    detuning (the Dicke tier solves its lanes one at a time, so that one
-    lane's kernel is alive at once), and the golden section then refines
-    the detuning, solving each candidate's optimal time as it goes.  Each
-    detuning is solved once, so the result at the optimum is the solve of
-    its coarse lane or of its refinement step.
+    sign of Delta), and at each Delta the time bracket of
+    :func:`optimal_time`.  With Omega = g^2/Delta the coherent xi depends
+    on N and tau alone; at fixed tau the detuning only trades the cavity
+    leak against free-space decay.  So xi(tau) = xi_coh(tau) + the least
+    added noise over Delta, on a log grid of tau that spans the bracket:
+
+    * the noise minimum is one lane solve with one lane per tau, over the
+      Delta where t = tau Delta/g^2 stays inside the time bracket; a tau
+      with no Delta there, or none that passes the exposure guard, is
+      invalid (+inf);
+    * xi_coh is one ``analytic.xi_unitary`` call or one call of a single
+      ``dicke.coherent_moments`` kernel, at the valid tau only;
+    * the sum is refined on log(S tau) with scalar calls, each a one-lane
+      noise solve and one coherent point.
+
+    Flags: ``delta_*_edge`` when the best detuning at the optimal tau sits
+    on the Delta bracket; ``time_*_edge`` when it sits on an end of the
+    time bracket, or the optimal tau on an end of its grid.
     """
     tier, protocol = resolve_tier(tier, protocol)
-    (result,) = _optimal_detunings([(n_atoms, coupling_g)], kappa, gamma, noise, tier,
-                                   protocol, bracket, t_max)
-    return result
-
-
-def _optimal_detunings(points, kappa: float, gamma: float, noise: NoiseModel, tier: str,
-                       protocol: str, bracket, t_max) -> list[OptimizationResult]:
-    """:func:`optimal_detuning` at every (n_atoms, coupling_g) of ``points``, in lockstep.
-
-    The points share kappa, Gamma, the noise model and the detuning
-    bracket.  Each point first solves its own coarse detuning grid, one
-    lane per detuning.  The detuning refinement then runs on all points
-    at once, as one :func:`_minimize_lanes` over Delta: every step solves
-    the candidate of each point that takes one in a single
-    :func:`_optimal_times` call, one lane per point (one call per lane on
-    the Dicke tier).  A (point, Delta) pair is solved once, coarse lanes
-    included.  Every point equals its one-point solve bitwise.
-    """
     if bracket is None:
         if kappa <= 0:
             raise PhysicsError("default detuning bracket needs kappa > 0; pass bracket=")
         bracket = (kappa, 1e4 * kappa)
     if not (0 < bracket[0] < bracket[1]):
         raise ValueError(f"need a detuning bracket with 0 < lo < hi, got {bracket!r}")
+    lo, hi = bracket
+    d = derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g, kappa=kappa,
+                                   gamma=gamma, delta=lo))
+    g2, S = coupling_g ** 2, d.spin_S
+    if t_max is None and gamma <= 0:  # the top pi/(2|Omega|) is tau = pi/2 at every Delta
+        t_top = reach = None
+        xs = np.geomspace(S * math.pi / 2.0 * 1e-8, S * math.pi / 2.0, TIME_GRID_POINTS)
+    else:
+        t_top = 10.0 / gamma if t_max is None else float(t_max)
+        reach = g2 * t_top  # tau Delta at the top of the time bracket
+        xs = np.geomspace(S * 1e-8 * reach / hi, S * reach / lo, TIME_GRID_POINTS)
 
-    def lane(point, delta):
-        n_atoms, coupling_g = points[point]
-        return derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g,
-                                          kappa=kappa, gamma=gamma, delta=delta))
+    def added_xi(tau, delta):  # the noise's share of xi at (tau, Delta), +inf past the guard
+        omega = g2 / delta
+        budget = analytic.noise_budget(replace(d, leak_rate=S * (omega / delta) * kappa),
+                                       tau * delta / g2, noise)
+        valid = (budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE)
+        return np.where(valid, budget.added_var / (S / 2.0), math.inf)
 
-    solved = {}  # (t_opt, xi_min, edge, top) of each (point, detuning) solved
+    def best_detunings(tau):
+        """(added xi, Delta, edge, Delta range) of each tau's least-noise detuning."""
+        if reach is None:
+            d_lo, d_hi = np.full(tau.shape, lo), np.full(tau.shape, hi)
+        else:
+            d_lo, d_hi = np.maximum(lo, 1e-8 * reach / tau), np.minimum(hi, reach / tau)
+        value, delta = np.full(tau.shape, math.inf), np.full(tau.shape, math.nan)
+        edges = np.full(tau.shape, None)
+        rows = np.flatnonzero(d_lo < d_hi)
+        grid = np.geomspace(d_lo[rows], d_hi[rows], DETUNING_GRID_POINTS, axis=1)
+        values = added_xi(tau[rows, None], grid)
+        # lanes with a valid Delta, on a grid that float rounding leaves ascending
+        keep = np.any(np.isfinite(values), axis=1) & np.all(np.diff(grid) > 0, axis=1)
+        rows = rows[keep]
+        if rows.size:
+            delta[rows], value[rows], edges[rows] = _minimize_lanes(
+                lambda column: added_xi(tau[rows, None], column), grid[keep], values[keep],
+                REL_TOL)
+        return value, delta, edges, d_lo, d_hi
 
-    def solve(keys):
-        batch = 1 if tier == "dicke" else max(len(keys), 1)
-        for k in range(0, len(keys), batch):
-            chunk = keys[k:k + batch]
-            solved.update(zip(chunk, zip(*_optimal_times([lane(*key) for key in chunk],
-                                                         noise, tier, protocol, t_max))))
+    coherent = _coherent_xi(replace(d, omega_twist=1.0), tier, protocol)  # a function of tau
 
-    grid = np.geomspace(bracket[0], bracket[1], DETUNING_GRID_POINTS)
-    deltas = grid.tolist()
-    for point in range(len(points)):  # a call per point: all at once would raise the peak memory
-        solve([(point, delta) for delta in deltas])
-
-    def refine(column):  # one candidate per point; NaN where a point takes no step
-        keys = [(point, delta) for point, delta in enumerate(column[:, 0].tolist())
-                if not math.isnan(delta)]
-        solve([key for key in keys if key not in solved])
-        xi = np.full(column.shape, math.nan)
-        for point, delta in keys:
-            xi[point] = solved[point, delta][1]
+    def total(tau):  # xi at each tau with its least-noise detuning, +inf where none is valid
+        noise_xi = best_detunings(tau)[0]
+        valid = np.isfinite(noise_xi)
+        xi = np.full(tau.shape, math.inf)
+        if valid.any():
+            xi[valid] = coherent(tau[valid]) + noise_xi[valid]
         return xi
 
-    values = [[solved[point, delta][1] for delta in deltas] for point in range(len(points))]
-    delta_opt, _, edges = _minimize_lanes(refine, np.tile(grid, (len(points), 1)), values,
-                                          REL_TOL)
-    results = []
-    for point, (delta, edge) in enumerate(zip(delta_opt.tolist(), edges)):
-        inner = _time_result(tier, protocol, *solved[point, delta])
-        results.append(replace(inner, delta_opt=delta, bracket_delta=bracket,
-                               flags=inner.flags + _edge_flags(edge, "delta")))
-    return results
+    x_opt, xi_min, tau_edge = minimize_on_log_axis(lambda x: float(total(np.array([x / S]))[0]),
+                                                   xs, total(xs / S), REL_TOL)
+    tau = np.array([x_opt / S])
+    _, delta, (edge,), (d_lo,), (d_hi,) = best_detunings(tau)
+    delta_opt = float(delta[0])
+    flags = _edge_flags(tau_edge, "time")
+    if edge is not None:
+        on_bracket = d_lo == lo if edge == "lower" else d_hi == hi
+        flags += _edge_flags(edge, "delta" if on_bracket else "time")
+    _check_floor(d, xi_min, noise, protocol)
+    top = t_top if t_top is not None else math.pi / (2.0 * abs(g2 / delta_opt))
+    return OptimizationResult(t_opt=float(tau[0] * delta_opt / g2), xi_min=xi_min,
+                              xi_min_db=float(analytic.to_db(xi_min)), model_tier=tier,
+                              protocol=protocol, delta_opt=delta_opt,
+                              bracket_t=(top * 1e-8, top), bracket_delta=bracket,
+                              flags=tuple(dict.fromkeys(flags)))
 
 
 @dataclass(frozen=True)
@@ -446,11 +432,9 @@ def scaling_scan(points, protocol: str = "oat",
     ``points`` is a list of (n_atoms, eta) pairs; it must hold at least 3
     of them spanning at least two decades of N*eta.  g is derived from eta
     at fixed (kappa, gamma), and a log-log slope of xi_min against N*eta
-    is fitted.  The detuning of every point is optimized in one lockstep
-    solve: each point solves its own coarse detuning grid, and the points
-    then refine their detunings together, one lane per point (see
-    :func:`_optimal_detunings`).  Noiseless rotation-assisted rows, where
-    xi does not depend on the detuning, take one ``optimal_time`` each.
+    is fitted.  Each point is one :func:`optimal_detuning` solve.
+    Noiseless rotation-assisted rows, where xi does not depend on the
+    detuning, take one ``optimal_time`` each at Delta = 100 kappa.
     """
     tier, protocol = resolve_tier("auto", protocol)
     pts = [(int(n), float(eta)) for n, eta in points]
@@ -467,7 +451,7 @@ def scaling_scan(points, protocol: str = "oat",
                                                            gamma=gamma, delta=100.0 * kappa)),
                                 noise, protocol="tat") for n, g in atoms_g]
     else:
-        results = _optimal_detunings(atoms_g, kappa, gamma, noise, tier, protocol, None, None)
+        results = [optimal_detuning(g, kappa, gamma, n, noise, tier, protocol) for n, g in atoms_g]
     rows = [ScalingPoint(n_atoms=n, eta=eta, n_eta=n * eta, xi_min=result.xi_min,
                          xi_min_db=result.xi_min_db,
                          floor=_closed_form_floor(n, eta, noise.detector_efficiency_q, protocol),

@@ -15,6 +15,9 @@ BASE = {
                 "scaling": {"points": [[100, 1.0], [1_000, 1.0], [10_000, 1.0]]}},
     "validate": {"system": SYSTEM},
     "oracle": {"system": SYSTEM | {"n_atoms": 4}, "oracle": {"delta_over_collective": 60.0}},
+    "feasibility": {"system": SYSTEM, "feasibility": {"fsr_hz": 1e10, "fsr_jitter_hz": 1e3,
+                                                      "noise_bandwidth_hz": 1e4,
+                                                      "squeeze_time_s": 1e-2}},
 }
 
 
@@ -89,6 +92,14 @@ MALFORMED = [
     pytest.param("optimize", {"output": {"summary": None}}, id="optimize-output-summary-null"),
     pytest.param("evolve", {"output": {"summary": ""}}, id="evolve-output-summary-empty"),
     pytest.param("validate", {"output": {"csv": ["a.csv"]}}, id="validate-output-csv-list"),
+    pytest.param("oracle", {"tier": "dicke"}, id="oracle-tier"),
+    pytest.param("oracle", {"noise": {"free_space": False}}, id="oracle-noise"),
+    pytest.param("optimize", {"time_grid": GRID}, id="optimize-time_grid"),
+    pytest.param("feasibility", {"noise": {"free_space": False}}, id="feasibility-noise"),
+    pytest.param("optimize", {"optimize": {"delta_bracket_hz": [1e5, 1e7]}},
+                 id="optimize-bracket-without-scan"),
+    pytest.param("scaling", {"scaling__q": 0.5, "scaling__noiseless": True},
+                 id="scaling-q-noiseless"),
 ]
 
 
@@ -101,6 +112,20 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, changes):
     payload = json.loads(lines[0].split(" ", 1)[1])
     assert payload["exit_code"] == 2
     assert payload["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command, changes", [
+    ("evolve", {"tier": "analytic", "protocol": "oat", "noise": {}}),
+    ("optimize", {"tier": "analytic", "protocol": "oat", "noise": {}, "optimize": {}}),
+    ("scaling", {}),
+    ("oracle", {"protocol": "oat"}),
+    ("feasibility", {}),
+    ("validate", {"tier": "analytic", "protocol": "oat", "noise": {}, "time_grid": GRID,
+                  "optimize": {}, "scaling": {}, "oracle": {}, "feasibility": {}}),
+])
+def test_each_command_accepts_the_keys_it_reads(tmp_path, command, changes):
+    cfg = config(command, output={}, **changes) | {"command": command}
+    assert run(tmp_path, command, cfg) == cli.EXIT_OK
 
 
 def test_ok_exits_0_and_lists_artifacts(tmp_path, capsys):

@@ -123,9 +123,9 @@ print(json.dumps({"exit": code, "counters": dict(run.counters),
 def test_traced_detuning_scan_runs(tmp_path):
     # the tracer's counting objective calls math.isfinite on every value, so
     # an array reaching the objective that minimize_on_log_axis receives
-    # fails the traced benchmark run.  The detuning refinement is the golden
-    # section that optimal_detuning runs on Delta; each of its candidates is
-    # a one-lane time solve, whose scalar objective calls the tracer counts
+    # fails the traced benchmark run.  optimal_detuning refines tau = Omega t
+    # with minimize_on_log_axis and scalar calls, which the tracer counts as
+    # detuning evaluations; each golden step runs under that refinement
     config = {"schema_version": 1,
               "system": {"n_atoms": 1000, "eta": 10.0, "kappa_hz": 1e5, "gamma_hz": 7e-3,
                          "delta_hz": 11.2e6},
@@ -140,7 +140,7 @@ def test_traced_detuning_scan_runs(tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["exit"] == 0, done.stderr
     counters = result["counters"]
-    assert counters["optimize.time_evals"] > 0
-    refinement = ["optimize.minimize_on_log_axis", "optimize.golden_section",
+    assert counters["optimize.detuning_evals"] > 0
+    refinement = ["optimize.golden_section", "optimize.minimize_on_log_axis",
                   "optimize.optimal_detuning"]
     assert result["chains"].count(refinement) > 0

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -133,7 +134,7 @@ def _lossy(n_atoms, gamma=0.5, kappa=0.0):
 class TestExposureGuard:
     def test_inf_past_half_exposure(self):
         d = _lossy(100)
-        objective = optimize._xi_objective([d], NoiseModel(), "analytic", "oat")
+        objective = optimize._xi_objective(d, NoiseModel(), "analytic", "oat")
         t_half = math.log(2.0) / 0.5  # p_decay = 1 - exp(-Gamma t) = 1/2
         assert objective(0.9 * t_half) == analytic.xi_total(d, 0.9 * t_half, NoiseModel())
         assert objective(1.1 * t_half) == math.inf
@@ -141,7 +142,7 @@ class TestExposureGuard:
     def test_leak_exposure_guarded_too(self):
         d = _lossy(100, gamma=0.0, kappa=0.3)
         noise = NoiseModel()
-        objective = optimize._xi_objective([d], noise, "dicke", "oat")
+        objective = optimize._xi_objective(d, noise, "dicke", "oat")
         times = np.geomspace(1e-2, 1e4, 30)
         p_leak, _ = analytic.noise_probabilities(d, times, noise)
         values = np.array([objective(t) for t in times])
@@ -159,7 +160,7 @@ class TestArrayObjective:
                                                      ("dicke", "tat", 1e-12)])
     def test_array_call_equals_scalar_calls(self, tier, protocol, rel):
         d = _lossy(100, gamma=20.0, kappa=0.3)
-        objective = optimize._xi_objective([d], NoiseModel(), tier, protocol)
+        objective = optimize._xi_objective(d, NoiseModel(), tier, protocol)
         values = objective(self.GRID)
         scalars = np.array([objective(t) for t in self.GRID])
         assert 0 < np.sum(np.isfinite(values)) < self.GRID.size
@@ -186,7 +187,7 @@ class TestArrayObjective:
 
         monkeypatch.setattr(dicke, "coherent_moments", counted)
         d = _lossy(100, gamma=20.0, kappa=0.3)
-        objective = optimize._xi_objective([d], NoiseModel(), "dicke", protocol)
+        objective = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)
         values = objective(self.GRID)
         budget = analytic.noise_budget(d, self.GRID, NoiseModel())
         valid = (budget.p_leak <= 0.5) & (budget.p_decay <= 0.5)
@@ -202,69 +203,51 @@ class TestArrayObjective:
         # squeezing_trace and the optimizer share the coherent kernel; only
         # the order of adding the noise variance differs
         d = _lossy(100, gamma=20.0, kappa=0.3)
-        values = optimize._xi_objective([d], NoiseModel(), "dicke", protocol)(self.GRID)
+        values = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)(self.GRID)
         valid = np.isfinite(values)
         assert 0 < np.sum(valid) < self.GRID.size
         trace = dicke.squeezing_trace(d, self.GRID[valid], NoiseModel(), protocol=protocol)
         np.testing.assert_allclose(trace.xi_total, values[valid], rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("tier, protocol, atoms", [
-        ("analytic", "oat", (1, 2, 3, 1_000, 10_001, 100_000)),
-        ("dicke", "oat", (1, 2, 5, 20)), ("dicke", "tat", (1, 2, 5, 20))])
-    def test_lanes_of_different_n_equal_one_lane_calls_bitwise(self, tier, protocol, atoms):
-        # the lanes differ in N, g and the detuning, and share kappa and Gamma
-        kappa, gamma = 2 * math.pi * 1e5, 20.0
-        lanes = [derive_params(SystemParams(n_atoms=n, coupling_g=300.0 * (1 + k),
-                                            kappa=kappa, gamma=gamma, delta=(10 + 7 * k) * kappa))
-                 for k, n in enumerate(atoms)]
-        times = np.geomspace(1e-6, 1.0, 60) * np.linspace(1.0, 2.0, len(lanes))[:, None]
-        noise = NoiseModel()
-        objective = optimize._xi_objective(lanes, noise, tier, protocol)
-        values = objective(times)
-        assert 0 < np.sum(np.isfinite(values)) < values.size
-        ones = [optimize._xi_objective([d], noise, tier, protocol) for d in lanes]
-        assert values.tobytes() == np.array([f(row) for f, row in zip(ones, times)]).tobytes()
-        column = objective(times[:, 40:41])
-        assert column.tobytes() == np.array([[f(row[40])] for f, row in zip(ones, times)]).tobytes()
-        # a column past the exposure limit in every lane reaches no coherent kernel
-        assert np.all(objective(np.full((len(lanes), 1), 10.0)) == math.inf)
-
     def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, fig3a_derived,
                                             full_noise):
-        objectives = []  # (lanes, the shapes each objective was called with)
+        shapes = {"xi_unitary": [], "noise_budget": []}  # the time shape of each call
+        for name in shapes:
+            def recording(d, t, *args, fn=getattr(analytic, name), calls=shapes[name]):
+                calls.append(np.shape(t))
+                return fn(d, t, *args)
+            monkeypatch.setattr(analytic, name, recording)
+        p = fig3a_params
+        optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
+        # the coarse tau grid: the noise of all its lanes and detunings in one
+        # call, one (L, 1) call per golden step of the lanes with a valid
+        # detuning, and the coherent xi of their taus in one call
+        (lanes, width), *rest = shapes["noise_budget"]
+        assert lanes > 1 and width == optimize.DETUNING_GRID_POINTS
+        steps = list(itertools.takewhile(lambda shape: shape[0] > 1, rest))
+        one_lane = rest[len(steps):]
+        (valid,), *points = shapes["xi_unitary"]
+        assert steps and set(steps) == {(valid, 1)} and 1 < valid <= lanes
+        # the refinement over tau: each call solves one lane of detunings and
+        # one coherent point, and the optimum's lane is solved once more
+        assert set(one_lane) == {(1, width), (1, 1)} and set(points) == {(1,)}
+        assert one_lane.count((1, width)) == len(points) + 1
+        # optimal_time: its 240-point grid, then the scalar golden refinement
+        objectives = []
         xi_objective = optimize._xi_objective
 
-        def recording(lanes, *args):
-            objective, shapes = xi_objective(lanes, *args), []
-            objectives.append((lanes, shapes))
+        def recording(d, *args):
+            objective, calls = xi_objective(d, *args), []
+            objectives.append(calls)
 
             def wrapped(t):
-                shapes.append(np.shape(t))
+                calls.append(np.shape(t))
                 return objective(t)
             return wrapped
 
         monkeypatch.setattr(optimize, "_xi_objective", recording)
-        p = fig3a_params
-        optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
-        (lanes, shapes), outer = objectives[0], objectives[1:]
-        # the coarse detuning grid: all its time grids in one (L, 240) call,
-        # then one (L, 1) call per golden step
-        n_lanes = optimize.DETUNING_GRID_POINTS
-        assert len(lanes) == n_lanes
-        assert shapes[0] == (n_lanes, optimize.TIME_GRID_POINTS)
-        assert set(shapes[1:]) == {(n_lanes, 1)}
-        # the outer refinement: one-lane solves, a 240-point call and then scalars
-        assert outer and all(len(lanes) == 1 and shapes[0] == (optimize.TIME_GRID_POINTS,)
-                             and set(shapes[1:]) == {()} for lanes, shapes in outer)
-        # as many lockstep steps as the longest one-lane refinement of a lane
-        objectives.clear()
-        for lane in lanes:
-            optimize.optimal_time(lane, full_noise)
-        assert len(shapes) == max(len(one_lane) for _, one_lane in objectives)
-        # optimal_time alone: its 240-point grid, then the scalar golden refinement
-        objectives.clear()
         optimize.optimal_time(fig3a_derived, full_noise)
-        assert objectives[0][1] == [(optimize.TIME_GRID_POINTS,)] + [()] * 13
+        assert objectives == [[(optimize.TIME_GRID_POINTS,)] + [()] * 13]
 
 
 class TestDetuningBracket:
@@ -272,66 +255,50 @@ class TestDetuningBracket:
                              ids=["reversed", "zero", "negative"])
     def test_bad_bracket_is_rejected_before_any_inner_solve(self, monkeypatch, bracket):
         calls = []
-        monkeypatch.setattr(optimize, "optimal_time", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(optimize, "_optimal_times", lambda *a, **k: calls.append(a))
+        for module, name in ((analytic, "noise_budget"), (analytic, "xi_unitary"),
+                             (dicke, "coherent_moments")):
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError):
             optimize.optimal_detuning(1e3, 1e5, 1e-2, 100, NoiseModel(), bracket=bracket)
         assert calls == []
 
 
-def _record_optimal_times(monkeypatch):
-    """Hooks optimize._optimal_times; returns the list of each call's lanes."""
-    calls = []
-    optimal_times = optimize._optimal_times
+def _record_kernels(monkeypatch):
+    """Hooks dicke.coherent_moments; returns, per kernel made, the list of grids it reduced."""
+    kernels = []
+    coherent_moments = dicke.coherent_moments
 
-    def recorded(lanes, *args):
-        calls.append(list(lanes))
-        return optimal_times(lanes, *args)
+    def recorded(d, protocol):
+        kernel, grids = coherent_moments(d, protocol), []
+        kernels.append(grids)
 
-    monkeypatch.setattr(optimize, "_optimal_times", recorded)
-    return calls
+        def reducing(times):
+            grids.append(list(times))
+            return kernel(times)
+        return reducing
+
+    monkeypatch.setattr(dicke, "coherent_moments", recorded)
+    return kernels
 
 
 class TestDetuningRefinement:
-    def test_no_inner_solve_is_repeated(self, monkeypatch, fig3a_params, full_noise):
-        # the result at the optimal detuning is the refinement's own solve there
-        calls = _record_optimal_times(monkeypatch)
-        p = fig3a_params
-        result = optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
-        (coarse, *steps) = [[d.params.delta for d in lanes] for lanes in calls]
-        deltas = [delta for step in steps for delta in step]
-        assert len(coarse) == optimize.DETUNING_GRID_POINTS
-        assert result.flags == () and result.delta_opt in deltas
-        assert len(coarse + deltas) == len(set(coarse + deltas))
-
-    def test_a_coarse_optimum_reuses_its_lane(self, monkeypatch, full_noise):
-        # N=1000 at the fig3a kappa, Gamma and eta, as in the fig3a scaling
-        # scan: the refinement does not beat coarse lane 37, whose solve the
-        # lane batch has already run
-        kappa, gamma = 2 * math.pi * 1e5, 2 * math.pi * 7e-3
-        g = math.sqrt(10.0 * gamma * kappa) / 2.0
-        calls = _record_optimal_times(monkeypatch)
-        result = optimize.optimal_detuning(g, kappa, gamma, 1000, full_noise)
-        (coarse, *steps) = [[d.params.delta for d in lanes] for lanes in calls]
-        deltas = [delta for step in steps for delta in step]
-        grid = np.geomspace(kappa, 1e4 * kappa, optimize.DETUNING_GRID_POINTS)
-        assert coarse == list(grid)
-        assert result.flags == () and result.delta_opt == grid[37]
-        assert deltas and not set(deltas) & set(grid)
-        lane = derive_params(SystemParams(n_atoms=1000, coupling_g=g, kappa=kappa,
-                                          gamma=gamma, delta=result.delta_opt))
-        alone = optimize.optimal_time(lane, full_noise)
-        assert (result.t_opt, result.xi_min, result.bracket_t) == (
-            alone.t_opt, alone.xi_min, alone.bracket_t)
+    def test_no_inner_solve_is_repeated(self, monkeypatch, full_noise):
+        # the coherent kernel reduces the valid taus of the coarse grid in one
+        # call, then one new tau per step of the refinement over tau
+        kernels = _record_kernels(monkeypatch)
+        G, KAPPA, GAMMA = TestDetuningLanes.G, TestDetuningLanes.KAPPA, TestDetuningLanes.GAMMA
+        result = optimize.optimal_detuning(G, KAPPA, GAMMA, 200, full_noise, tier="dicke")
+        ((coarse, *steps),) = kernels
+        taus = coarse + [tau for step in steps for tau in step]
+        assert result.flags == () and 1 < len(coarse) and coarse == sorted(coarse)
+        assert steps and all(len(step) == 1 for step in steps)
+        assert len(taus) == len(set(taus))
 
 
 class TestDetuningLanes:
     # kappa/2pi = 100 kHz, Gamma/2pi = 7 mHz and eta = 10, as at the fig3a point
     KAPPA, GAMMA = 2 * math.pi * 1e5, 2 * math.pi * 7e-3
     G = math.sqrt(10.0 * GAMMA * KAPPA) / 2.0
-
-    class Coarse(Exception):
-        """Stops optimal_detuning once its coarse grid is solved."""
 
     # (noise, detuning bracket, t_max): without noise the default time
     # bracket reaches past the collapse of the mean spin, so the noiseless
@@ -340,73 +307,32 @@ class TestDetuningLanes:
               (KAPPA, 1e4 * KAPPA), None),
              (NoiseModel.none(), (10.0 * KAPPA, 40.0 * KAPPA), 0.8 * 10.0 * KAPPA / G ** 2)]
 
-    def lanes(self, n_atoms, deltas):
-        return [derive_params(SystemParams(n_atoms=n_atoms, coupling_g=self.G, kappa=self.KAPPA,
-                                           gamma=self.GAMMA, delta=delta)) for delta in deltas]
-
     @pytest.mark.parametrize("noise, bracket, t_max", NOISE, ids=["full-noise", "noiseless"])
     @pytest.mark.parametrize("tier, protocol, n_atoms", [("analytic", "oat", 10_000),
                                                          ("dicke", "oat", 50),
                                                          ("dicke", "tat", 20)])
     def test_coarse_lanes_equal_one_lane_solves(self, monkeypatch, noise, bracket, t_max,
                                                 tier, protocol, n_atoms):
-        # coarser grids than the default keep the Dicke solves short
-        monkeypatch.setattr(optimize, "DETUNING_GRID_POINTS", 24)
-        monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
-        minimize = optimize._minimize_lanes
+        # the coarse tau grid is one lane solve of the noise, one lane per tau,
+        # and one coherent kernel call; the refinement's scalar calls solve one
+        # tau each.  Both give the same xi at every tau of the grid
+        minimize = optimize.minimize_on_log_axis
+        coarse = []
 
-        def coarse(f, grid, values, rel_tol):  # stops at the detuning grid's refinement
-            if np.shape(grid)[1] == 24:
-                raise self.Coarse(np.array(grid)[0], np.array(values)[0])
+        def recording(f, grid, values, rel_tol):
+            coarse.append((np.array(values), np.array([f(x) for x in grid])))
             return minimize(f, grid, values, rel_tol)
 
-        monkeypatch.setattr(optimize, "_minimize_lanes", coarse)
-        with pytest.raises(self.Coarse) as stop:
-            optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, noise,
-                                      tier=tier, protocol=protocol, bracket=bracket,
-                                      t_max=t_max)
-        grid, lanes = stop.value.args
-        assert grid.size == 24 and np.all(np.isfinite(lanes))
-        solo = np.array([optimize.optimal_time(d, noise, tier=tier, protocol=protocol,
-                                               t_max=t_max).xi_min
-                         for d in self.lanes(n_atoms, grid)])
-        np.testing.assert_allclose(lanes, solo, rtol=1e-14, atol=0.0)
-
-    @pytest.mark.parametrize("noise, bracket, t_max", NOISE, ids=["full-noise", "noiseless"])
-    @pytest.mark.parametrize("protocol, n_atoms", [("oat", 50), ("tat", 20)])
-    def test_dicke_lane_batch_equals_one_lane_solves(self, monkeypatch, noise, bracket, t_max,
-                                                     protocol, n_atoms):
-        # optimal_detuning solves Dicke lanes one at a time, but the lane
-        # solver takes several; its idle lanes are passed NaN times, which
-        # must stay invalid when no noise channel is on
-        monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
-        lanes = self.lanes(n_atoms, np.geomspace(*bracket, 6))
-        t_opt, xi_min, edges, _ = optimize._optimal_times(lanes, noise, "dicke", protocol, t_max)
-        solo = [optimize.optimal_time(d, noise, tier="dicke", protocol=protocol, t_max=t_max)
-                for d in lanes]
-        assert list(t_opt) == [r.t_opt for r in solo]
-        np.testing.assert_allclose(xi_min, [r.xi_min for r in solo], rtol=1e-14, atol=0.0)
-        assert [optimize._edge_flags(e, "time") for e in edges] == [r.flags for r in solo]
-
-    @pytest.mark.parametrize("tier, batches", [("dicke", [1] * 96), ("analytic", [96])])
-    def test_dicke_lanes_are_solved_one_at_a_time(self, monkeypatch, full_noise, tier, batches):
-        # one Dicke kernel is alive at once, as in a one-lane optimal_time
-        sizes = []
-
-        def solve(lanes, *args):
-            sizes.append(len(lanes))
-            ones = np.ones(len(lanes))
-            return ones, ones, [None] * len(lanes), ones
-
-        def coarse(*args):
-            raise self.Coarse()
-
-        monkeypatch.setattr(optimize, "_optimal_times", solve)
-        monkeypatch.setattr(optimize, "_minimize_lanes", coarse)
-        with pytest.raises(self.Coarse):
-            optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, 1000, full_noise,
-                                      tier=tier)
-        assert sizes == batches
+        monkeypatch.setattr(optimize, "minimize_on_log_axis", recording)
+        optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, noise, tier=tier,
+                                  protocol=protocol, bracket=bracket, t_max=t_max)
+        ((lanes, solo),) = coarse
+        assert lanes.size == optimize.TIME_GRID_POINTS and np.any(np.isfinite(lanes))
+        assert np.array_equal(np.isinf(lanes), np.isinf(solo))
+        if tier == "analytic":
+            assert lanes.tobytes() == solo.tobytes()
+        else:  # a Dicke kernel's blocks of times round differently from one time
+            np.testing.assert_allclose(lanes, solo, rtol=1e-12, atol=0.0)
 
 
 class TestNoiselessDickeOptimum:
@@ -445,16 +371,17 @@ class TestHalfFloorCheck:
             optimize.optimal_time(derive_params(params), NoiseModel())
 
 
-    def test_each_lane_is_checked_against_its_own_floor(self):
-        # one atom at N eta = 1000 stays above half its floor 0.6, one atom at
-        # N eta = 1 does not (floor 6): the first lane's floor must not
-        # stand in for the second's
-        lanes = [derive_params(SystemParams.from_frequencies(
-            1, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=11.2e6, eta=eta)) for eta in (1000.0, 1.0)]
-        floor = analytic.xi_bound(1, lanes[1].eta)
-        optimize._optimal_times(lanes[:1], NoiseModel(), "analytic", "oat", None)
+    def test_detuning_scan_checks_its_own_floor(self):
+        # one atom cannot squeeze: at N eta = 1000 it stays above half its
+        # floor 0.6, at N eta = 1 it falls below half its floor 6
+        kappa, gamma = TestDetuningLanes.KAPPA, TestDetuningLanes.GAMMA
+        g_1000, g_1 = (math.sqrt(eta * gamma * kappa) / 2.0 for eta in (1000.0, 1.0))
+        assert optimize.optimal_detuning(g_1000, kappa, gamma, 1, NoiseModel()).xi_min > 1.0
+        d = derive_params(SystemParams(n_atoms=1, coupling_g=g_1, kappa=kappa, gamma=gamma,
+                                       delta=kappa))
+        floor = analytic.xi_bound(1, d.eta)
         with pytest.raises(NumericsError, match=f"half the closed-form floor {floor!r}"):
-            optimize._optimal_times(lanes, NoiseModel(), "analytic", "oat", None)
+            optimize.optimal_detuning(g_1, kappa, gamma, 1, NoiseModel())
 
 
 class TestResolver:
@@ -512,16 +439,66 @@ class TestLockstepScan:
         assert scan.rows() == rows
         assert (scan.slope, scan.intercept) == (slope, intercept)
 
-    def test_points_refine_their_detunings_together(self, monkeypatch):
-        points = [(1_000, 10.0), (10_000, 10.0), (100_000, 10.0)]
-        calls = _record_optimal_times(monkeypatch)
-        optimize.scaling_scan(points)
-        atoms = [[d.params.n_atoms for d in lanes] for lanes in calls]
-        coarse, steps = atoms[:len(points)], atoms[len(points):]
-        # one coarse grid per point, then at most one lane per point and step
-        assert coarse == [[n] * optimize.DETUNING_GRID_POINTS for n, _ in points]
-        assert steps and all(len(step) == len(set(step)) for step in steps)
-        assert [n for n, _ in points] in steps
+class TestTauScan:
+    KAPPA, GAMMA, G = TestDetuningLanes.KAPPA, TestDetuningLanes.GAMMA, TestDetuningLanes.G
+
+    # (tier, protocol, N, xi_min, t_opt, Delta_opt) of the nested search over
+    # (t, Delta) that the tau scan replaced: an optimal time per detuning,
+    # refined over the detuning.  Full noise, fig3a kappa, Gamma and eta.
+    NESTED = [
+        ("analytic", "oat", 1_000, 0.2525765075639503, 0.987586250993666, 22702548.13706912),
+        ("analytic", "oat", 10_000, 0.12344174909229098, 0.47573910372070904,
+         71022843.96961331),
+        ("analytic", "oat", 100_000, 0.05872100161879328, 0.22448686581756885,
+         223392175.8799659),
+        ("analytic", "oat", 1_000_000, 0.027571382895782284, 0.1046283423335526,
+         703544834.0341666),
+        ("dicke", "oat", 2_000, 0.20444463329188062, 0.7960697412899154, 32001487.8079095),
+        ("dicke", "tat", 200, 0.36837216399112693, 1.6527911105885345, 10327273.706843589),
+        ("dicke", "tat", 600, 0.2537627885406417, 1.1548921593158203, 17672247.225690782),
+        ("dicke", "tat", 1_000, 0.21158911919031012, 0.9678281739789324, 22702548.13706912),
+        ("dicke", "tat", 2_000, 0.16410815573417217, 0.7554499036083671, 31919959.266035113),
+        ("dicke", "tat", 4_000, 0.12630894851700505, 0.5860580207572245, 44994340.772395276),
+    ]
+
+    @pytest.mark.parametrize("tier, protocol, n_atoms, xi_min, t_opt, delta_opt", NESTED)
+    def test_no_worse_than_the_nested_search(self, tier, protocol, n_atoms, xi_min, t_opt,
+                                             delta_opt):
+        # the optimum moves within the flatness of the minimum at REL_TOL
+        result = optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, NoiseModel(),
+                                           tier=tier, protocol=protocol)
+        assert result.flags == ()
+        assert xi_min * (1.0 - 1e-5) <= result.xi_min <= xi_min * (1.0 + 1e-6)
+        assert result.t_opt == pytest.approx(t_opt, rel=2e-3)
+        assert result.delta_opt == pytest.approx(delta_opt, rel=2e-3)
+
+    @pytest.mark.parametrize("bracket, t_max, flags", [
+        ((KAPPA, 2.0 * KAPPA), None, ("delta_upper_edge",)),
+        ((1e4 * KAPPA, 2e4 * KAPPA), None, ("delta_lower_edge",)),
+        (None, 0.05, ("time_upper_edge",))], ids=["delta-low", "delta-high", "t_max-short"])
+    def test_edge_flags(self, bracket, t_max, flags):
+        # detuning brackets below and above the best detuning at N = 1e4, and
+        # a time bracket that ends before the best time: there the best
+        # detuning at the optimal tau is the one that reaches t_max
+        result = optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, 10_000, NoiseModel(),
+                                           bracket=bracket, t_max=t_max)
+        assert result.flags == flags
+        if t_max is not None:
+            assert result.t_opt == pytest.approx(t_max, rel=1e-12)
+
+    @pytest.mark.parametrize("protocol", ["oat", "tat"])
+    def test_one_coherent_kernel_per_n(self, monkeypatch, protocol):
+        kernels = _record_kernels(monkeypatch)
+        optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, 200, NoiseModel(),
+                                  tier="dicke", protocol=protocol)
+        assert len(kernels) == 1
+
+    def test_rotation_assisted_scaling_with_noise(self):
+        # N eta spans two decades, 1e3 to 1e5
+        scan = optimize.scaling_scan([(400, 2.5), (1_000, 10.0), (4_000, 25.0)], protocol="tat")
+        for row in scan.points:
+            assert row.xi_min > row.floor == analytic.tat_xi_floor(row.n_atoms, row.eta)
+        assert scan.slope < 0
 
 
 class TestProperties:
