@@ -104,29 +104,24 @@ def cos_pow(x, p):
 
     Direct powering underflows/overflows for p ~ 1e4 and loses the sign of
     odd powers; the exact zero of cos maps to 0.  p must be a nonnegative
-    integer (2S-2 and 2S-1 always are), or an array of them that broadcasts
-    against x, such as an (L, 1) column with one exponent per lane.
+    integer (2S-2 and 2S-1 always are).
     """
-    p = np.asarray(p)
-    if np.any((p < 0) | (p != np.floor(p))):
+    if not (p >= 0 and float(p).is_integer()):
         raise ValueError(f"exponent must be a nonnegative integer, got {p}")
-    x = np.asarray(x, dtype=float)
-    c = np.cos(x)
+    c = np.cos(np.asarray(x, dtype=float))
     safe = np.where(c == 0.0, 1.0, np.abs(c))
     out = np.where(c == 0.0, 0.0, np.exp(p * np.log(safe)))
-    odd = p % 2 == 1
-    return np.where(odd, out * np.sign(c), out) if odd.any() else out
+    return out * np.sign(c) if p % 2 == 1 else out
 
 
 def _ab(d: DerivedParams, t):
     """The A, B coefficients of the twisting covariance at phase Omega*t.
 
-    ``d.spin_S`` may be an array that broadcasts against t, one spin per
-    lane.  One spin (S = 1/2) takes the exponent 0 in place of 2S-2 = -1;
-    its covariance prefactor S - 1/2 vanishes, so A and B are not used.
+    One spin (S = 1/2) takes the exponent 0 in place of 2S-2 = -1; its
+    covariance prefactor S - 1/2 vanishes, so A and B are not used.
     """
     x = d.omega_twist * np.asarray(t, dtype=float)
-    p = np.maximum(2.0 * np.asarray(d.spin_S) - 2.0, 0.0).astype(int)
+    p = max(int(2.0 * d.spin_S) - 2, 0)
     A = 1.0 - cos_pow(2.0 * x, p)
     B = 4.0 * np.sin(x) * cos_pow(x, p)
     return A, B
@@ -146,9 +141,8 @@ def xi_unitary(d: DerivedParams, t) -> UnitarySqueezing:
     (1/2) atan2(B, -A) at which the quadrature cos(phi) Sy - sin(phi) Sz
     attains the minimal variance (0 by tie-break when the transverse noise
     is still isotropic, and for one spin).  sqrt(A^2+B^2) - A is
-    evaluated as B^2/(R + A) to stay accurate when B << A.  ``d.spin_S``,
-    ``d.omega_twist`` and t may be arrays that broadcast together, one
-    lane per element; a lane with S = 1/2 gives xi = 1 exactly, because
+    evaluated as B^2/(R + A) to stay accurate when B << A.  t may be a
+    scalar or an array; one spin (S = 1/2) gives xi = 1 exactly, because
     its prefactor S - 1/2 vanishes.
     """
     t_arr = _check_time(t)

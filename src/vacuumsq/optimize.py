@@ -8,8 +8,9 @@ objective on its coarse grid, then scalar calls.  ``optimal_detuning``
 minimizes over (t, Delta) through the twisting angle tau = Omega t,
 Omega = g^2/Delta: the coherent squeezing depends on N and tau alone, so
 the detuning only moves the noise.  Its coarse tau grid takes one
-coherent kernel and one lane solve of the least noise over Delta, one
-lane per tau; the refinement over tau makes scalar calls.
+coherent kernel call and one call of the noise on a Delta grid per tau;
+the refinement over tau makes scalar calls, each with a scalar search
+over Delta.
 ``scaling_scan`` runs ``optimal_detuning`` once per point.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
@@ -40,25 +41,14 @@ __all__ = [
 ]
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-# The refinement maps between x and log(x) with libm's exp and log, element
-# by element: numpy's vectorized exp and log differ from them in the last
-# bit for some inputs, which would move refined optima by an ulp.  The
-# arrays are lane columns, one row per tau of optimal_detuning's grid at
-# most, short enough that a Python loop beats np.vectorize's set-up.
-
-
-def _libm(fn):
-    return lambda x: np.fromiter(map(fn, np.ravel(x)), float, np.size(x)).reshape(np.shape(x))
-
-
-_exp, _log = _libm(math.exp), _libm(math.log)
 MAX_EXPOSURE = 0.5  # binomial noise exposures beyond this are unphysical
 TIME_GRID_POINTS = 240      # coarse log grid of t in optimal_time, of tau in optimal_detuning
 DETUNING_GRID_POINTS = 96   # coarse log grid of Delta at each tau of optimal_detuning
-# golden_section's tolerance for both: it stops once the bracket is narrower
-# than REL_TOL * max(|lo|, |hi|).  The refinements run on log(x), so that is
-# an absolute width in log(x) that scales with |log x| and depends on the
-# unit of x (see minimize_on_log_axis), not a width relative to x.
+# golden_section's tolerance in every refinement, over t, tau and Delta: it
+# stops once the bracket is narrower than REL_TOL * max(|lo|, |hi|).  The
+# refinements run on log(x), so that is an absolute width in log(x) that
+# scales with |log x| and depends on the unit of x (see minimize_on_log_axis),
+# not a width relative to x.
 REL_TOL = 1e-3
 
 
@@ -104,82 +94,32 @@ class FeasibilityReport:
     fractional_accuracy: float | None = None
 
 
-def golden_section(f, lo, hi, rel_tol: float = REL_TOL):
-    """Deterministic golden-section minima of f on [lo, hi] (linear axis), lane-wise.
+def golden_section(f, lo: float, hi: float, rel_tol: float = REL_TOL):
+    """Deterministic golden-section minimum of f on [lo, hi] (linear axis).
 
-    ``lo`` and ``hi`` are scalars or arrays of one shape, one lane per
-    element, and ``f`` maps an array of that shape to the values there.
-    Each lane takes its own number of iterations: it stops once its bracket
-    is narrower than ``rel_tol * max(|lo|, |hi|)``.  Each makes its own
-    fc <= fd choice.  The lanes step in lockstep,
-    one call of ``f`` per step; a lane whose iterations are spent is passed
-    NaN and keeps its result.  Every lane equals the one-lane search
-    bitwise.  Returns (x, f(x)), as floats for scalar brackets.
+    Stops once the bracket is narrower than ``rel_tol * max(|lo|, |hi|)``;
+    the iteration count follows from the bracket alone.  Where f(c) <= f(d)
+    at the two inner points it keeps [a, d], else [c, b].  Returns
+    (x, f(x)) as floats.
     """
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    if not np.all(hi > lo):
-        raise ValueError("need hi > lo in every lane")
-    span = hi - lo
-    tol = rel_tol * np.maximum(np.abs(lo), np.abs(hi))
-    n_iter = np.where(span > tol, np.ceil(_log(tol / span) / math.log(_INV_GOLDEN)), 0)
+    lo, hi = float(lo), float(hi)
+    if not hi > lo:
+        raise ValueError(f"need hi > lo, got [{lo!r}, {hi!r}]")
+    span, tol = hi - lo, rel_tol * max(abs(lo), abs(hi))
+    n_iter = math.ceil(math.log(tol / span) / math.log(_INV_GOLDEN)) if span > tol else 0
     a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = np.asarray(f(c), dtype=float), np.asarray(f(d), dtype=float)
-    for k in range(int(n_iter.max(initial=0))):
-        step = k < n_iter
-        left = step & (fc <= fd)  # the minimum lies in [a, d]: drop (d, b]
-        right = step & ~(fc <= fd)  # it lies in [c, b]: drop [a, c)
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, d = np.where(right, d, c), np.where(left, c, d)
-        fc, fd = np.where(right, fd, fc), np.where(left, fc, fd)
-        x = np.where(left, b - _INV_GOLDEN * (b - a),
-                     np.where(right, a + _INV_GOLDEN * (b - a), math.nan))
-        fx = np.asarray(f(x), dtype=float)
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-    better = fc <= fd
-    x, fx = np.where(better, c, d), np.where(better, fc, fd)
-    return (float(x), float(fx)) if x.ndim == 0 else (x, fx)
-
-
-def _minimize_lanes(f, grid, values, rel_tol: float):
-    """:func:`minimize_on_log_axis` on L lanes at once.
-
-    ``grid`` and ``values`` are (L, K), one lane per row; ``f`` maps an
-    (L, 1) column of x to the (L, 1) values there, and is passed NaN in
-    the rows that take no step: edge lanes, and lanes whose golden-section
-    iterations are spent.  Each lane is bracketed, refined and flagged on
-    its own, and equals the one-lane search bitwise.  Returns the (L,)
-    arrays x and f(x) and the list of the L edges.
-    """
-    grid = np.asarray(grid, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if grid.ndim != 2 or grid.shape[1] < 3 or not (np.all(grid[:, 0] > 0)
-                                                   and np.all(np.diff(grid) > 0)):
-        raise ValueError("need an ascending grid of at least 3 points > 0")
-    if values.shape != grid.shape:
-        raise ValueError("need one value per grid point")
-    if not np.all(np.any(np.isfinite(values), axis=1)):
-        raise NumericsError("objective is invalid across the whole bracket")
-    rows, last = np.arange(grid.shape[0]), grid.shape[1] - 1
-    i = np.argmin(values, axis=1)
-    x, val = grid[rows, i], values[rows, i]
-    interior = np.flatnonzero((i > 0) & (i < last))
-    if interior.size:
-        def f_interior(u):  # only the interior lanes are refined; the rest are passed NaN
-            column = np.full((grid.shape[0], 1), math.nan)
-            column[interior] = _exp(u)
-            return f(column)[interior]
-
-        j = i[interior]
-        log_x, log_val = golden_section(f_interior, _log(grid[interior, j - 1])[:, None],
-                                        _log(grid[interior, j + 1])[:, None], rel_tol=rel_tol)
-        refined = ~(val[interior] < log_val[:, 0])  # keep the better of grid point and refinement
-        x[interior] = np.where(refined, _exp(log_x[:, 0]), x[interior])
-        val[interior] = np.where(refined, log_val[:, 0], val[interior])
-    edges = ["lower" if k == 0 else "upper" if k == last else None for k in i]
-    return x, val, edges
+    c, d = b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a)
+    fc, fd = float(f(c)), float(f(d))
+    for _ in range(n_iter):
+        if fc <= fd:  # the minimum lies in [a, d]: drop (d, b]
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = float(f(c))
+        else:  # it lies in [c, b]: drop [a, c)
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = float(f(d))
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def minimize_on_log_axis(f, grid, values, rel_tol: float):
@@ -189,21 +129,34 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
     the objective on it, which the caller evaluates in one array call where
     the objective takes arrays.  ``f`` is called with Python scalars only,
     by the golden-section refinement on log(x) between the argmin's
-    neighbors.  Returns (x, f(x), edge) where edge is None, "lower" or
-    "upper" -- an edge argmin means the objective is monotone (or invalid)
-    across the bracket and is reported distinctly rather than refined.
+    neighbors; the better of the argmin and the refined point is kept.
+    Returns (x, f(x), edge) where edge is None, "lower" or "upper" -- an
+    edge argmin means the objective is monotone (or invalid) across the
+    bracket and is reported distinctly rather than refined.
 
     The refinement stops once its bracket in log(x) is narrower than
     ``rel_tol * max(|log lo|, |log hi|)``: a width in log(x) that grows
     with |log x|, so the unit of x sets how far it refines.  At
     ``REL_TOL`` it takes 5 golden steps around Delta = 7e7 rad/s (a final
     width of 1.7 % in Delta), 11 around t = 0.48 s and 16 around t = 0.99 s.
-    This is the one-lane case of :func:`_minimize_lanes`.
     """
-    x, val, (edge,) = _minimize_lanes(lambda x: np.full(x.shape, f(x.item())),
-                                      np.asarray(grid, dtype=float)[None],
-                                      np.asarray(values, dtype=float)[None], rel_tol)
-    return float(x[0]), float(val[0]), edge
+    grid = np.asarray(grid, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < 3 or not (grid[0] > 0 and np.all(np.diff(grid) > 0)):
+        raise ValueError("need an ascending grid of at least 3 points > 0")
+    if values.shape != grid.shape:
+        raise ValueError("need one value per grid point")
+    if not np.any(np.isfinite(values)):
+        raise NumericsError("objective is invalid across the whole bracket")
+    i = int(np.argmin(values))
+    x, val = float(grid[i]), float(values[i])
+    if i == 0 or i == grid.size - 1:
+        return x, val, "lower" if i == 0 else "upper"
+    log_x, log_val = golden_section(lambda u: f(math.exp(u)), math.log(grid[i - 1]),
+                                    math.log(grid[i + 1]), rel_tol=rel_tol)
+    if val < log_val:
+        return x, val, None
+    return math.exp(log_x), log_val, None
 
 
 def _coherent_xi(d: DerivedParams, tier: str, protocol: str):
@@ -314,14 +267,16 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     leak against free-space decay.  So xi(tau) = xi_coh(tau) + the least
     added noise over Delta, on a log grid of tau that spans the bracket:
 
-    * the noise minimum is one lane solve with one lane per tau, over the
-      Delta where t = tau Delta/g^2 stays inside the time bracket; a tau
-      with no Delta there, or none that passes the exposure guard, is
-      invalid (+inf);
+    * the noise at each tau is read on a log grid of the Delta where
+      t = tau Delta/g^2 stays inside the time bracket, all taus in one
+      call; a tau with no Delta there, or none that passes the exposure
+      guard, is invalid (+inf);
+    * the coarse tau grid takes each tau's least noise on its Delta grid
+      as it stands, except at its argmin, where the noise is refined;
     * xi_coh is one ``analytic.xi_unitary`` call or one call of a single
       ``dicke.coherent_moments`` kernel, at the valid tau only;
-    * the sum is refined on log(S tau) with scalar calls, each a one-lane
-      noise solve and one coherent point.
+    * the sum is refined on log(S tau) with scalar calls, each a refined
+      noise solve over Delta and one coherent point.
 
     Flags: ``delta_*_edge`` when the best detuning at the optimal tau sits
     on the Delta bracket; ``time_*_edge`` when it sits on an end of the
@@ -353,48 +308,54 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         valid = (budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE)
         return np.where(valid, budget.added_var / (S / 2.0), math.inf)
 
-    def best_detunings(tau):
-        """(added xi, Delta, edge, Delta range) of each tau's least-noise detuning."""
+    def detuning_grids(tau):
+        """The rows of the taus with a valid detuning, their Delta grids and added xi there,
+        and the Delta range (d_lo, d_hi) of every tau."""
         if reach is None:
             d_lo, d_hi = np.full(tau.shape, lo), np.full(tau.shape, hi)
         else:
             d_lo, d_hi = np.maximum(lo, 1e-8 * reach / tau), np.minimum(hi, reach / tau)
-        value, delta = np.full(tau.shape, math.inf), np.full(tau.shape, math.nan)
-        edges = np.full(tau.shape, None)
         rows = np.flatnonzero(d_lo < d_hi)
         grid = np.geomspace(d_lo[rows], d_hi[rows], DETUNING_GRID_POINTS, axis=1)
         values = added_xi(tau[rows, None], grid)
-        # lanes with a valid Delta, on a grid that float rounding leaves ascending
+        # rows with a valid Delta, on a grid that float rounding leaves ascending
         keep = np.any(np.isfinite(values), axis=1) & np.all(np.diff(grid) > 0, axis=1)
-        rows = rows[keep]
-        if rows.size:
-            delta[rows], value[rows], edges[rows] = _minimize_lanes(
-                lambda column: added_xi(tau[rows, None], column), grid[keep], values[keep],
-                REL_TOL)
-        return value, delta, edges, d_lo, d_hi
+        return rows[keep], grid[keep], values[keep], d_lo, d_hi
+
+    def best_detuning(tau):
+        """(added xi, Delta, edge, Delta range) of the refined least-noise detuning at one tau."""
+        rows, grids, values, (d_lo,), (d_hi,) = detuning_grids(np.array([tau]))
+        if not rows.size:
+            return math.inf, math.nan, None, d_lo, d_hi
+        delta, value, edge = minimize_on_log_axis(lambda delta: added_xi(tau, delta),
+                                                  grids[0], values[0], REL_TOL)
+        return value, delta, edge, d_lo, d_hi
 
     coherent = _coherent_xi(replace(d, omega_twist=1.0), tier, protocol)  # a function of tau
 
-    def total(tau):  # xi at each tau with its least-noise detuning, +inf where none is valid
-        noise_xi = best_detunings(tau)[0]
-        valid = np.isfinite(noise_xi)
-        xi = np.full(tau.shape, math.inf)
-        if valid.any():
-            xi[valid] = coherent(tau[valid]) + noise_xi[valid]
-        return xi
+    def total(x):  # xi at tau = x/S with its refined least-noise detuning, +inf if none is valid
+        tau = x / S
+        noise_xi = best_detuning(tau)[0]
+        return noise_xi if noise_xi == math.inf else coherent(np.array([tau]))[0] + noise_xi
 
-    x_opt, xi_min, tau_edge = minimize_on_log_axis(lambda x: float(total(np.array([x / S]))[0]),
-                                                   xs, total(xs / S), REL_TOL)
-    tau = np.array([x_opt / S])
-    _, delta, (edge,), (d_lo,), (d_hi,) = best_detunings(tau)
-    delta_opt = float(delta[0])
+    taus = xs / S
+    rows, _, values, _, _ = detuning_grids(taus)
+    coarse = np.full(taus.shape, math.inf)
+    if rows.size:
+        coherent_xi, noise_xi = coherent(taus[rows]), values.min(axis=1)
+        # refine the noise at the argmin, whose xi the tau refinement's result competes with
+        k = int(np.argmin(coherent_xi + noise_xi))
+        noise_xi[k] = best_detuning(taus[rows[k]])[0]
+        coarse[rows] = coherent_xi + noise_xi
+    x_opt, xi_min, tau_edge = minimize_on_log_axis(total, xs, coarse, REL_TOL)
+    _, delta_opt, edge, d_lo, d_hi = best_detuning(x_opt / S)
     flags = _edge_flags(tau_edge, "time")
     if edge is not None:
         on_bracket = d_lo == lo if edge == "lower" else d_hi == hi
         flags += _edge_flags(edge, "delta" if on_bracket else "time")
     _check_floor(d, xi_min, noise, protocol)
     top = t_top if t_top is not None else math.pi / (2.0 * abs(g2 / delta_opt))
-    return OptimizationResult(t_opt=float(tau[0] * delta_opt / g2), xi_min=xi_min,
+    return OptimizationResult(t_opt=x_opt / S * delta_opt / g2, xi_min=xi_min,
                               xi_min_db=float(analytic.to_db(xi_min)), model_tier=tier,
                               protocol=protocol, delta_opt=delta_opt,
                               bracket_t=(top * 1e-8, top), bracket_delta=bracket,
@@ -429,8 +390,9 @@ def scaling_scan(points, protocol: str = "oat",
                  noise: NoiseModel | None = None) -> ScalingScan:
     """Optimum xi versus N*eta, with the matching closed-form floor.
 
-    ``points`` is a list of (n_atoms, eta) pairs; it must hold at least 3
-    of them spanning at least two decades of N*eta.  g is derived from eta
+    ``points`` is a list of (n_atoms, eta) pairs, each with n_atoms >= 1
+    and a finite eta > 0; it must hold at least 3 of them spanning at least
+    two decades of N*eta.  g is derived from eta
     at fixed (kappa, gamma), and a log-log slope of xi_min against N*eta
     is fitted.  Each point is one :func:`optimal_detuning` solve.
     Noiseless rotation-assisted rows, where xi does not depend on the
@@ -438,6 +400,9 @@ def scaling_scan(points, protocol: str = "oat",
     """
     tier, protocol = resolve_tier("auto", protocol)
     pts = [(int(n), float(eta)) for n, eta in points]
+    for n, eta in pts:
+        if n < 1 or not (math.isfinite(eta) and eta > 0):
+            raise PhysicsError(f"scan point [{n}, {eta!r}] needs n_atoms >= 1 and a finite eta > 0")
     if len(pts) < 3:
         raise PhysicsError("need at least 3 scan points")
     n_etas = [n * eta for n, eta in pts]

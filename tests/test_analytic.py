@@ -40,12 +40,9 @@ class TestCosPow:
             analytic.cos_pow(0.1, -1)
         with pytest.raises(ValueError):
             analytic.cos_pow(0.1, 2.5)
-        with pytest.raises(ValueError):
-            analytic.cos_pow(np.full((2, 1), 0.1), np.array([[2], [-2]]))
 
     def test_integral_float_and_empty_exponents(self):
         assert analytic.cos_pow(0.3, 2.0) == analytic.cos_pow(0.3, 2)
-        assert analytic.cos_pow(np.empty(0), np.empty(0, dtype=int)).shape == (0,)
 
 
 class TestOatMoments:

@@ -166,6 +166,17 @@ def test_physics_error_exits_3(tmp_path, capsys):
     assert len(error_lines(capsys)) == 1
 
 
+@pytest.mark.parametrize("point", [[1_000, 0], [0, 10], [1_000, -1.0]],
+                         ids=["zero-eta", "zero-atoms", "negative-eta"])
+def test_scaling_point_without_atoms_or_positive_eta_exits_3(tmp_path, capsys, point):
+    points = [point, [1_000, 1.0], [100_000, 1.0]]
+    assert run(tmp_path, "scaling", config("scaling", scaling__points=points)) == 3
+    (line,) = error_lines(capsys)
+    payload = json.loads(line.split(" ", 1)[1])
+    n, eta = point
+    assert payload["error"] == "PhysicsError" and f"[{n}, {float(eta)!r}]" in payload["message"]
+
+
 NOISELESS = {"free_space": False, "cavity_leak": False}
 
 

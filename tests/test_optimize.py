@@ -1,4 +1,3 @@
-import itertools
 import json
 import math
 
@@ -36,49 +35,8 @@ class TestGoldenSection:
         with pytest.raises(ValueError):
             optimize.golden_section(lambda x: x, 2.0, 2.0)
 
-    # brackets of different widths and scales take different iteration counts
-    LO = np.array([1.0, 100.0, -3.0, 1e-3, 0.5])
-    HI = np.array([5.0, 100.5, 7.0, 2.0, 0.5 + 1e-4])
-    CENTER = np.array([3.0, 100.2, 6.5, 1e-3, 0.5])
-
-    def test_lanes_equal_one_lane_calls_bitwise(self):
-        shapes, steps = [], []
-
-        def lanes_f(x):
-            shapes.append(np.shape(x))
-            return np.cos(x - self.CENTER) * -1.0 + (x - self.CENTER) ** 2
-
-        x, fx = optimize.golden_section(lanes_f, self.LO, self.HI, rel_tol=1e-6)
-        for k, (lo, hi, center) in enumerate(zip(self.LO, self.HI, self.CENTER)):
-            calls = []
-
-            def f(u):
-                calls.append(u)
-                return math.cos(u - center) * -1.0 + (u - center) ** 2
-
-            x1, fx1 = optimize.golden_section(f, lo, hi, rel_tol=1e-6)
-            assert (x[k], fx[k]) == (x1, fx1), k
-            steps.append(len(calls))
-        assert len(set(steps)) > 2
-        assert shapes == [self.LO.shape] * max(steps)
-
-    def test_spent_lanes_are_passed_nan(self):
-        seen = []
-
-        def f(x):
-            seen.append(x.copy())
-            return (x - 0.5) ** 2
-
-        optimize.golden_section(f, self.LO, self.HI, rel_tol=1e-6)
-        steps = np.sum(~np.isnan(np.array(seen)), axis=0)
-        assert len(set(steps)) > 1
-        for k, n in enumerate(steps):  # a lane steps until its count is spent, then idles
-            assert not np.any(np.isnan(np.array(seen)[:n, k]))
-            assert np.all(np.isnan(np.array(seen)[n:, k]))
-
-    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan),
-                                        (np.array([0.0, math.nan]), np.array([1.0, 1.0]))],
-                             ids=["scalar-lo", "scalar-hi", "one-lane-of-two"])
+    @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.nan)],
+                             ids=["scalar-lo", "scalar-hi"])
     def test_rejects_nan_bracket(self, lo, hi):
         calls = []
         with pytest.raises(ValueError):
@@ -219,19 +177,17 @@ class TestArrayObjective:
             monkeypatch.setattr(analytic, name, recording)
         p = fig3a_params
         optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
-        # the coarse tau grid: the noise of all its lanes and detunings in one
-        # call, one (L, 1) call per golden step of the lanes with a valid
-        # detuning, and the coherent xi of their taus in one call
-        (lanes, width), *rest = shapes["noise_budget"]
-        assert lanes > 1 and width == optimize.DETUNING_GRID_POINTS
-        steps = list(itertools.takewhile(lambda shape: shape[0] > 1, rest))
-        one_lane = rest[len(steps):]
+        # the coarse tau grid: the noise of all its taus and detunings in one
+        # call, unrefined, and the coherent xi of the valid taus in one call
+        (taus, width), *rest = shapes["noise_budget"]
+        assert taus > 1 and width == optimize.DETUNING_GRID_POINTS
         (valid,), *points = shapes["xi_unitary"]
-        assert steps and set(steps) == {(valid, 1)} and 1 < valid <= lanes
-        # the refinement over tau: each call solves one lane of detunings and
-        # one coherent point, and the optimum's lane is solved once more
-        assert set(one_lane) == {(1, width), (1, 1)} and set(points) == {(1,)}
-        assert one_lane.count((1, width)) == len(points) + 1
+        assert 1 < valid <= taus
+        # then scalar searches over Delta, each a (1, width) grid call and
+        # scalar golden steps: at the coarse argmin, at each step of the
+        # refinement over tau (with one coherent point) and at the optimum
+        assert set(rest) == {(1, width), ()} and set(points) == {(1,)}
+        assert rest.count((1, width)) == len(points) + 2
         # optimal_time: its 240-point grid, then the scalar golden refinement
         objectives = []
         xi_objective = optimize._xi_objective
@@ -313,26 +269,27 @@ class TestDetuningLanes:
                                                          ("dicke", "tat", 20)])
     def test_coarse_lanes_equal_one_lane_solves(self, monkeypatch, noise, bracket, t_max,
                                                 tier, protocol, n_atoms):
-        # the coarse tau grid is one lane solve of the noise, one lane per tau,
-        # and one coherent kernel call; the refinement's scalar calls solve one
-        # tau each.  Both give the same xi at every tau of the grid
+        # the coarse tau grid reads each tau's least noise on its Delta grid
+        # without refining it, so at every tau of the grid it lies at or above
+        # the refinement's scalar calls, which refine the noise over Delta,
+        # and both are +inf at the same taus
         minimize = optimize.minimize_on_log_axis
         coarse = []
 
         def recording(f, grid, values, rel_tol):
-            coarse.append((np.array(values), np.array([f(x) for x in grid])))
+            if len(grid) == optimize.TIME_GRID_POINTS:  # the tau grid, not a Delta grid
+                coarse.append((np.array(values), np.array([f(x) for x in grid])))
             return minimize(f, grid, values, rel_tol)
 
         monkeypatch.setattr(optimize, "minimize_on_log_axis", recording)
         optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, noise, tier=tier,
                                   protocol=protocol, bracket=bracket, t_max=t_max)
-        ((lanes, solo),) = coarse
-        assert lanes.size == optimize.TIME_GRID_POINTS and np.any(np.isfinite(lanes))
-        assert np.array_equal(np.isinf(lanes), np.isinf(solo))
-        if tier == "analytic":
-            assert lanes.tobytes() == solo.tobytes()
-        else:  # a Dicke kernel's blocks of times round differently from one time
-            np.testing.assert_allclose(lanes, solo, rtol=1e-12, atol=0.0)
+        ((unrefined, refined),) = coarse
+        finite = np.isfinite(unrefined)
+        assert np.any(finite) and np.array_equal(finite, np.isfinite(refined))
+        # a Dicke kernel's blocks of times round differently from one time
+        rel = 0.0 if tier == "analytic" else 1e-12
+        assert np.all(unrefined[finite] >= refined[finite] * (1.0 - rel))
 
 
 class TestNoiselessDickeOptimum:
@@ -485,6 +442,35 @@ class TestTauScan:
         assert result.flags == flags
         if t_max is not None:
             assert result.t_opt == pytest.approx(t_max, rel=1e-12)
+
+    # (tier, protocol, N, detuning bracket, t_max) and the (xi_min, t_opt,
+    # Delta_opt, flags) of the search that refined every coarse tau's noise
+    # over Delta before the coarse grid went to the refinement over tau
+    LANE_SEARCH = [
+        (("analytic", "oat", 10_000, None, None),
+         (0.12344174839286519, 0.47578749109067137, 71022843.96961331, ())),
+        (("dicke", "tat", 1_000, None, None),
+         (0.21158924093448017, 0.9661150204699767, 22664948.232432403, ())),
+        (("auto", "oat", 10_000, (KAPPA, 2.0 * KAPPA), None),
+         (0.65011524470654, 0.003996440517717858, 1256637.0614359172, ("delta_upper_edge",))),
+        (("auto", "oat", 10_000, (1e4 * KAPPA, 2e4 * KAPPA), None),
+         (0.708774614978336, 15.759597715744862, 6283185307.179585, ("delta_lower_edge",))),
+        (("auto", "oat", 10_000, None, 0.05),
+         (0.23448740072742336, 0.05, 14030305.973709581, ("time_upper_edge",))),
+    ]
+
+    @pytest.mark.parametrize("case, pinned", LANE_SEARCH,
+                             ids=["analytic-1e4", "dicke-tat-1000", "delta-low", "delta-high",
+                                  "t_max-short"])
+    def test_unrefined_coarse_grid_keeps_the_lane_search_optimum(self, case, pinned):
+        tier, protocol, n_atoms, bracket, t_max = case
+        result = optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, NoiseModel(),
+                                           tier=tier, protocol=protocol, bracket=bracket,
+                                           t_max=t_max)
+        *values, flags = pinned
+        assert result.flags == flags
+        np.testing.assert_allclose([result.xi_min, result.t_opt, result.delta_opt], values,
+                                   rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_one_coherent_kernel_per_n(self, monkeypatch, protocol):
