@@ -128,10 +128,16 @@ def _ab(d: DerivedParams, t):
 
 
 def _check_time(t):
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    """t as a Python float if it is a scalar, else as a float array; negative times raise."""
+    if isinstance(t, float) or np.ndim(t) == 0:
+        t = float(t)
+        negative = t < 0.0
+    else:
+        t = np.asarray(t, dtype=float)
+        negative = np.any(t < 0.0)
+    if negative:
         raise PhysicsError("time must be >= 0")
-    return t_arr
+    return t
 
 
 def xi_unitary(d: DerivedParams, t) -> UnitarySqueezing:
@@ -182,21 +188,28 @@ def noise_budget(d: DerivedParams, t, noise: NoiseModel) -> NoiseBudget:
     The additive variance model is trustworthy while both exposures stay
     <= 1/2 (monotone regime).  This is the one place that decides which
     channels are on.
+
+    A scalar t (a float or a 0-d array) gives Python floats, computed
+    without array overhead; an array t gives arrays of its shape.  Both go
+    through the same expressions, so an array call gives, element by
+    element, the bits of the scalar calls.
     """
-    t_arr = _check_time(t)
+    t = _check_time(t)
     S, p = d.spin_S, d.params
-    added = np.zeros_like(t_arr, dtype=float)
-    p_leak = np.zeros_like(t_arr, dtype=float)
-    p_decay = np.zeros_like(t_arr, dtype=float)
+    scalar = isinstance(t, float)
+    added, p_leak, p_decay = (0.0, 0.0, 0.0) if scalar else np.zeros((3, *t.shape))
     if noise.include_cavity_leak and p.kappa > 0:
-        p_leak = np.tanh((1.0 - noise.detector_efficiency_q) * d.leak_rate * t_arr)
+        p_leak = np.tanh((1.0 - noise.detector_efficiency_q) * d.leak_rate * t)
+        if scalar:
+            p_leak = float(p_leak)
         added = added + S * p_leak * (1.0 - p_leak)
     if noise.include_free_space and p.gamma > 0:
-        survival = np.exp(-p.gamma * t_arr)
+        survival = np.exp(-p.gamma * t)
+        if scalar:
+            survival = float(survival)
         added = added + S * survival * (1.0 - survival)
         p_decay = 1.0 - survival
-    return NoiseBudget(_scalar_like(added, t), _scalar_like(p_leak, t),
-                       _scalar_like(p_decay, t))
+    return NoiseBudget(added, p_leak, p_decay)
 
 
 def xi_total(d: DerivedParams, t, noise: NoiseModel):

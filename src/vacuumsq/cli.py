@@ -13,7 +13,9 @@ Each command refuses the top-level config keys it does not read.
 Exit codes: 0 ok, 2 config error, 3 physics validation, 4 numerical gate,
 5 I/O.  Errors additionally emit one machine-readable JSON line on stderr.
 Outputs are deterministic for a fixed config (full round-trip float
-precision) and written atomically (temp file + rename).
+precision) and written atomically (temp file + rename).  CSV tables are
+column-major: a command hands over one sequence per column, and each float
+is written as its ``repr``.
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ EXIT_CONFIG = 2
 EXIT_PHYSICS = 3
 EXIT_NUMERICS = 4
 EXIT_IO = 5
-
-CSV_COLUMNS = ["t_seconds", "xi_unitary", "xi_total", "xi_db", "mean_x",
-               "var_min", "angle_rad", "model_tier", "xi_db_3dp"]
-
 
 # --------------------------------------------------------------------------
 # config parsing
@@ -247,10 +245,17 @@ def _atomic_write(path, text: str):
         raise
 
 
-def write_csv(path, columns, rows):
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_format_cell(row[c]) for c in columns))
+def write_csv(path, table):
+    """Write ``table``, a mapping of column name to the column's values, as CSV.
+
+    The table is column-major: each column is formatted on its own, a float
+    array as the ``repr`` of each element and any other sequence cell by
+    cell, and the rows are joined from the formatted columns.
+    """
+    cells = [map(repr, col.tolist())
+             if isinstance(col, np.ndarray) and col.dtype.kind == "f" else map(_format_cell, col)
+             for col in table.values()]
+    lines = [",".join(table), *map(",".join, zip(*cells, strict=True))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -269,7 +274,7 @@ _OUTPUT_NAMES = {
 
 
 def _write_artifacts(cfg, command, params, outdir, body, table=None, derived=True):
-    """Write a command's CSV (``table`` = (columns, rows)) and summary JSON.
+    """Write a command's CSV (``table``, as :func:`write_csv` takes it) and summary JSON.
 
     The summary is ``body`` inside the shared envelope: schema and package
     version, command, resolved config, the derived parameters (unless
@@ -286,7 +291,7 @@ def _write_artifacts(cfg, command, params, outdir, body, table=None, derived=Tru
     paths = []
     if table is not None:
         paths.append(os.path.join(outdir, output.get("csv", csv_name)))
-        write_csv(paths[0], *table)
+        write_csv(paths[0], table)
         summary["artifacts"] = {"csv": os.path.basename(paths[0])}
     paths.append(os.path.join(outdir, output.get("summary", summary_name)))
     write_json(paths[-1], {**summary, **body})
@@ -296,22 +301,13 @@ def _write_artifacts(cfg, command, params, outdir, body, table=None, derived=Tru
 # --------------------------------------------------------------------------
 # commands
 
-def _trace_rows(trace):
-    rows = []
-    for i, t in enumerate(trace.times):
-        xi_db = float(analytic.to_db(trace.xi_total[i]))
-        rows.append({
-            "t_seconds": float(t),
-            "xi_unitary": float(trace.xi_unitary[i]),
-            "xi_total": float(trace.xi_total[i]),
-            "xi_db": xi_db,
-            "mean_x": float(trace.mean_x[i]),
-            "var_min": float(trace.var_min[i]),
-            "angle_rad": float(trace.angle[i]),
-            "model_tier": trace.model_tier,
-            "xi_db_3dp": f"{xi_db:.3f}",
-        })
-    return rows
+def _trace_table(trace):
+    xi_db = analytic.to_db(trace.xi_total)
+    return {"t_seconds": trace.times, "xi_unitary": trace.xi_unitary,
+            "xi_total": trace.xi_total, "xi_db": xi_db, "mean_x": trace.mean_x,
+            "var_min": trace.var_min, "angle_rad": trace.angle,
+            "model_tier": [trace.model_tier] * len(trace.times),
+            "xi_db_3dp": [f"{x:.3f}" for x in xi_db.tolist()]}
 
 
 def cmd_evolve(cfg, outdir):
@@ -334,7 +330,7 @@ def cmd_evolve(cfg, outdir):
             "xi_db": float(analytic.to_db(trace.xi_total[i_min])),
         },
         "bounds": _bounds_block(params, noise),
-    }, table=(CSV_COLUMNS, _trace_rows(trace)))
+    }, table=_trace_table(trace))
 
 
 def _bounds_block(params, noise):
@@ -400,19 +396,15 @@ def cmd_scaling(cfg, outdir):
     noise = NoiseModel.none() if noiseless else NoiseModel(detector_efficiency_q=q)
     scan = optimize.scaling_scan(points, protocol=sec.get("protocol", "oat"),
                                  kappa=params.kappa, gamma=params.gamma, noise=noise)
-    columns = ["n_atoms", "eta", "n_eta", "xi_min", "xi_min_db", "floor",
-               "t_opt", "delta_opt_hz"]
-    rows = []
-    for p in scan.points:
-        rows.append({"n_atoms": p.n_atoms, "eta": p.eta, "n_eta": p.n_eta,
-                     "xi_min": p.xi_min, "xi_min_db": p.xi_min_db, "floor": p.floor,
-                     "t_opt": p.t_opt,
-                     "delta_opt_hz": "" if p.delta_opt is None else repr(angular_to_hz(p.delta_opt))})
+    table = {c: [getattr(p, c) for p in scan.points]
+             for c in ("n_atoms", "eta", "n_eta", "xi_min", "xi_min_db", "floor", "t_opt")}
+    table["delta_opt_hz"] = ["" if p.delta_opt is None else angular_to_hz(p.delta_opt)
+                             for p in scan.points]
     return _write_artifacts(cfg, "scaling", params, outdir, {
         "fitted_loglog_slope": scan.slope,
         "protocol": scan.protocol,
         "points": scan.rows(),
-    }, table=(columns, rows), derived=False)
+    }, table=table, derived=False)
 
 
 def cmd_oracle(cfg, outdir):
@@ -432,9 +424,10 @@ def cmd_oracle(cfg, outdir):
                               kappa=params.kappa, gamma=params.gamma, delta=delta,
                               omega0=params.omega0)
     report = oracle.verification_report(oracle.TCConfig(params=params, photon_cutoff=cutoff))
-    shift_columns = ["m", "exact_shift", "perturbative_shift", "rel_error"]
-    return _write_artifacts(cfg, "oracle", params, outdir, {"report": report},
-                            table=(shift_columns, report["light_shifts"]))
+    shifts = report["light_shifts"]
+    table = {c: [row[c] for row in shifts]
+             for c in ("m", "exact_shift", "perturbative_shift", "rel_error")}
+    return _write_artifacts(cfg, "oracle", params, outdir, {"report": report}, table=table)
 
 
 def cmd_feasibility(cfg, outdir):

@@ -276,7 +276,9 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     * xi_coh is one ``analytic.xi_unitary`` call or one call of a single
       ``dicke.coherent_moments`` kernel, at the valid tau only;
     * the sum is refined on log(S tau) with scalar calls, each a refined
-      noise solve over Delta and one coherent point.
+      noise solve over Delta and one coherent point;
+    * each tau's Delta solve is kept, so the detuning at the optimal tau is
+      the one found when the search reached that tau, not solved again.
 
     Flags: ``delta_*_edge`` when the best detuning at the optimal tau sits
     on the Delta bracket; ``time_*_edge`` when it sits on an end of the
@@ -305,8 +307,12 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         omega = g2 / delta
         budget = analytic.noise_budget(replace(d, leak_rate=S * (omega / delta) * kappa),
                                        tau * delta / g2, noise)
+        added = budget.added_var / (S / 2.0)
+        if isinstance(added, float):
+            valid = budget.p_leak <= MAX_EXPOSURE and budget.p_decay <= MAX_EXPOSURE
+            return added if valid else math.inf
         valid = (budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE)
-        return np.where(valid, budget.added_var / (S / 2.0), math.inf)
+        return np.where(valid, added, math.inf)
 
     def detuning_grids(tau):
         """The rows of the taus with a valid detuning, their Delta grids and added xi there,
@@ -322,14 +328,20 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         keep = np.any(np.isfinite(values), axis=1) & np.all(np.diff(grid) > 0, axis=1)
         return rows[keep], grid[keep], values[keep], d_lo, d_hi
 
+    solved = {}  # tau -> best_detuning(tau), so that no tau is solved twice
+
     def best_detuning(tau):
         """(added xi, Delta, edge, Delta range) of the refined least-noise detuning at one tau."""
-        rows, grids, values, (d_lo,), (d_hi,) = detuning_grids(np.array([tau]))
-        if not rows.size:
-            return math.inf, math.nan, None, d_lo, d_hi
-        delta, value, edge = minimize_on_log_axis(lambda delta: added_xi(tau, delta),
-                                                  grids[0], values[0], REL_TOL)
-        return value, delta, edge, d_lo, d_hi
+        tau = float(tau)
+        if tau not in solved:
+            rows, grids, values, (d_lo,), (d_hi,) = detuning_grids(np.array([tau]))
+            if not rows.size:
+                solved[tau] = math.inf, math.nan, None, d_lo, d_hi
+            else:
+                delta, value, edge = minimize_on_log_axis(lambda delta: added_xi(tau, delta),
+                                                          grids[0], values[0], REL_TOL)
+                solved[tau] = value, delta, edge, d_lo, d_hi
+        return solved[tau]
 
     coherent = _coherent_xi(replace(d, omega_twist=1.0), tier, protocol)  # a function of tau
 

@@ -166,6 +166,35 @@ class TestNoiseVariances:
         assert added_var(d, 0.46, replace(CAVITY_LEAK, detector_efficiency_q=1.0)) == 0.0
 
 
+CHANNELS = {"both": NoiseModel(), "leak only": CAVITY_LEAK, "decay only": FREE_SPACE,
+            "none": NoiseModel.none()}
+
+
+class TestNoiseBudgetScalars:
+    """A scalar t gives Python floats with the bits of one array call's matching element."""
+
+    TIMES = np.concatenate([[0.0], np.geomspace(1e-6, 1e4, 301)])
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize("channels", list(CHANNELS))
+    def test_scalar_calls_equal_the_array_call_bitwise(self, fig3a_derived, channels, q):
+        noise = replace(CHANNELS[channels], detector_efficiency_q=q)
+        array = analytic.noise_budget(fig3a_derived, self.TIMES, noise)
+        assert all(field.shape == self.TIMES.shape for field in array)
+        for i, t in enumerate(self.TIMES.tolist()):
+            want = [field[i].tobytes() for field in array]
+            for scalar in (t, np.array(t), np.float64(t)):
+                budget = analytic.noise_budget(fig3a_derived, scalar, noise)
+                assert all(type(field) is float for field in budget)
+                assert [np.float64(field).tobytes() for field in budget] == want
+
+    @pytest.mark.parametrize("t", [-1e-9, np.array(-1.0), np.float64(-2.0)],
+                             ids=["float", "0-d", "float64"])
+    def test_negative_scalar_time_is_refused(self, fig3a_derived, t):
+        with pytest.raises(PhysicsError):
+            analytic.noise_budget(fig3a_derived, t, NoiseModel())
+
+
 class TestXiTotal:
     def test_noise_off_equals_unitary(self, fig3a_derived):
         t = np.linspace(0.0, 1.0, 9)

@@ -1,9 +1,11 @@
 import copy
 import json
+import math
 
+import numpy as np
 import pytest
 
-from vacuumsq import cli
+from vacuumsq import analytic, cli
 
 SYSTEM = {"n_atoms": 100, "eta": 10.0, "kappa_hz": 1e5, "gamma_hz": 7e-3,
           "delta_hz": 11.2e6}
@@ -251,3 +253,34 @@ def test_failed_write_leaves_no_temp_file(tmp_path, capsys):
     assert run(tmp_path, "evolve", config("evolve"), out=out) == cli.EXIT_IO
     assert len(error_lines(capsys)) == 1
     assert not list(out.glob(".vacuumsq-*"))
+
+
+def _per_cell_csv(table):
+    """The CSV of a column table, formatted one cell at a time, row by row."""
+    rows = zip(*table.values())
+    lines = [",".join(table)] + [",".join(cli._format_cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_equals_per_cell_formatting(tmp_path):
+    floats = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16,
+                       1e-300, 0.1, 1.0 / 3.0, -2.5e22])
+    n = floats.size
+    table = {"float_array": floats, "reversed": floats[::-1], "float_list": floats.tolist(),
+             "int_array": np.arange(-3, n - 3), "int64": [np.int64(k) ** 5 for k in range(n)],
+             "int": list(range(n)), "string": [f"s{k}" for k in range(n)],
+             "empty_string": [""] * n, "mixed": ["", 3, 2.5, "x", *floats[4:].tolist()]}
+    cli.write_csv(tmp_path / "table.csv", table)
+    assert (tmp_path / "table.csv").read_bytes() == _per_cell_csv(table).encode()
+
+
+@pytest.mark.parametrize("tier", ["analytic", "dicke"])
+def test_evolve_db_columns_equal_per_row_conversion(tmp_path, tier):
+    assert run(tmp_path, "evolve", config("evolve", tier=tier, time_grid__points=200)) == 0
+    header, *lines = (tmp_path / "out" / "evolve.csv").read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert len(rows) == 200
+    for row in rows:
+        xi_db = float(analytic.to_db(float(row["xi_total"])))
+        assert row["xi_db"] == repr(xi_db)
+        assert row["xi_db_3dp"] == f"{xi_db:.3f}"

@@ -170,9 +170,15 @@ class TestArrayObjective:
     def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, fig3a_derived,
                                             full_noise):
         shapes = {"xi_unitary": [], "noise_budget": []}  # the time shape of each call
+        grid_taus = []  # the tau of each (1, width) noise call
+        g2 = fig3a_params.coupling_g ** 2
         for name in shapes:
             def recording(d, t, *args, fn=getattr(analytic, name), calls=shapes[name]):
                 calls.append(np.shape(t))
+                if np.shape(t) == (1, optimize.DETUNING_GRID_POINTS):
+                    # leak_rate = S g^2 kappa / Delta^2 and t = tau Delta / g^2
+                    delta = np.sqrt(d.spin_S * g2 * d.params.kappa / d.leak_rate)
+                    grid_taus.append(float(np.median(t * g2 / delta)))
                 return fn(d, t, *args)
             monkeypatch.setattr(analytic, name, recording)
         p = fig3a_params
@@ -184,10 +190,13 @@ class TestArrayObjective:
         (valid,), *points = shapes["xi_unitary"]
         assert 1 < valid <= taus
         # then scalar searches over Delta, each a (1, width) grid call and
-        # scalar golden steps: at the coarse argmin, at each step of the
-        # refinement over tau (with one coherent point) and at the optimum
+        # scalar golden steps: at the coarse argmin and at each step of the
+        # refinement over tau (with one coherent point); the optimum reuses
+        # the search of the tau it was found at, so no tau is solved twice
         assert set(rest) == {(1, width), ()} and set(points) == {(1,)}
-        assert rest.count((1, width)) == len(points) + 2
+        assert rest.count((1, width)) == len(points) + 1
+        grid_taus = np.sort(grid_taus)
+        assert np.all(np.diff(grid_taus) > 1e-9 * grid_taus[1:])
         # optimal_time: its 240-point grid, then the scalar golden refinement
         objectives = []
         xi_objective = optimize._xi_objective
