@@ -307,7 +307,7 @@ def _sector_join(sym: np.ndarray, anti: np.ndarray) -> np.ndarray:
 
 
 def _energy_window(diag: np.ndarray, off: np.ndarray, vals: np.ndarray, z: np.ndarray,
-                   spread: tuple[float, float], budget: int):
+                   spread: tuple[float, float]):
     """(vals, vecs, V^T z) of the eigenpairs of the tridiagonal T that carry z.
 
     ``vals`` are all eigenvalues of T = (diag, off), ascending, and
@@ -319,8 +319,8 @@ def _energy_window(diag: np.ndarray, off: np.ndarray, vals: np.ndarray, z: np.nd
     side, while an edge eigenvector that is not T's own edge weighs
     |V^T z|^2 > ``WINDOW_EDGE_WEIGHT`` or the kept weights fall short of
     |z|^2 by more than ``NORM_TOL`` (weight far from E0).  A window over all
-    of T is one full ``eigh_tridiagonal``.  Returns None, before solving for
-    them, once the window would keep more than ``budget`` eigenvectors.
+    of T is one full ``eigh_tridiagonal``.  Raises :class:`NumericsError` once the
+    window would keep more than ``SPECTRAL_MAX_DIM`` eigenvectors.
     """
     e0, sigma = spread
     weight_z = float(np.vdot(z, z).real)
@@ -329,8 +329,9 @@ def _energy_window(diag: np.ndarray, off: np.ndarray, vals: np.ndarray, z: np.nd
     while True:
         lo = min(lo, int(np.searchsorted(vals, e0 - width * sigma)))
         hi = max(hi, int(np.searchsorted(vals, e0 + width * sigma, side="right")))
-        if hi - lo > budget:
-            return None
+        if hi - lo > SPECTRAL_MAX_DIM:
+            raise NumericsError(
+                f"the energy window keeps more than {SPECTRAL_MAX_DIM} eigenvectors")
         if hi - lo == vals.size:
             full_vals, vecs = eigh_tridiagonal(diag, off)
             return full_vals, vecs, _real_product(vecs.T, z)
@@ -492,13 +493,8 @@ def _tat_coherent_kernel(spin_S: float, omega_twist: float):
         top = np.zeros(size)
         top[0] = 1.0
         sigma = abs(float(off[0])) if size > 1 else 0.0
-        window = _energy_window(diag, off, eigh_tridiagonal(diag, off, eigvals_only=True), top,
-                                (0.0, sigma), SPECTRAL_MAX_DIM)
-        if window is None:
-            raise NumericsError(
-                f"the coherent state's energy window keeps more than {SPECTRAL_MAX_DIM} "
-                "eigenvectors")
-        vals, vecs, coeffs = window
+        vals = eigh_tridiagonal(diag, off, eigvals_only=True)
+        vals, vecs, coeffs = _energy_window(diag, off, vals, top, (0.0, sigma))
         raised = np.zeros_like(vecs)  # S'+^2 L
         raised[:-1] = lift[:, None] * vecs[1:]
         shared = S / 2.0 + n * (S - n / 2.0)  # the diagonal D of Sx'^2 and Sy'^2

@@ -2,16 +2,14 @@
 
 Objectives are smooth and unimodal in the regime where the additive
 decoherence model is meaningful, so minimization is a coarse logarithmic
-grid followed by golden-section refinement on the log axis.
-``optimal_time`` minimizes over t at one detuning: one array call of the
-objective on its coarse grid, then scalar calls.  ``optimal_detuning``
-minimizes over (t, Delta) through the twisting angle tau = Omega t,
-Omega = g^2/Delta: the coherent squeezing depends on N and tau alone, so
-the detuning only moves the noise.  Its coarse tau grid takes one
-coherent kernel call and one call of the noise on a Delta grid per tau;
-the refinement over tau makes scalar calls, each with a scalar search
-over Delta.
-``scaling_scan`` runs ``optimal_detuning`` once per point.
+grid followed by golden-section refinement on the log axis.  There is one
+search, ``optimal_detuning``, over (t, Delta) through the twisting angle
+tau = Omega t, Omega = g^2/Delta: the coherent squeezing depends on N and
+tau alone, so the detuning only moves the noise.  Its coarse tau grid
+takes one coherent kernel call and one call of the noise on a Delta grid
+per tau; the refinement over tau makes scalar calls, each with a scalar
+search over Delta.  ``optimal_time`` is that search on a one-point Delta
+range, and ``scaling_scan`` runs it once per point.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
 faithful error measure once its exposure p passes 1/2 (the variance then
@@ -42,9 +40,9 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EXPOSURE = 0.5  # binomial noise exposures beyond this are unphysical
-TIME_GRID_POINTS = 240      # coarse log grid of t in optimal_time, of tau in optimal_detuning
+TIME_GRID_POINTS = 240      # coarse log grid of tau in optimal_detuning, and so in optimal_time
 DETUNING_GRID_POINTS = 96   # coarse log grid of Delta at each tau of optimal_detuning
-# golden_section's tolerance in every refinement, over t, tau and Delta: it
+# golden_section's tolerance in every refinement, over tau and Delta: it
 # stops once the bracket is narrower than REL_TOL * max(|lo|, |hi|).  The
 # refinements run on log(x), so that is an absolute width in log(x) that
 # scales with |log x| and depends on the unit of x (see minimize_on_log_axis),
@@ -138,7 +136,7 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
     ``rel_tol * max(|log lo|, |log hi|)``: a width in log(x) that grows
     with |log x|, so the unit of x sets how far it refines.  At
     ``REL_TOL`` it takes 5 golden steps around Delta = 7e7 rad/s (a final
-    width of 1.7 % in Delta), 11 around t = 0.48 s and 16 around t = 0.99 s.
+    width of 1.7 % in Delta), 11 around S tau = 2.3 and 13 around S tau = 1.3.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -181,30 +179,6 @@ def _coherent_xi(d: DerivedParams, tier: str, protocol: str):
     return lambda times: np.array([point_xi(mom) for mom in kernel(times)])
 
 
-def _xi_objective(d: DerivedParams, noise: NoiseModel, tier: str, protocol: str):
-    """xi_total(t) of ``d`` at a scalar t (giving a float) or a time array, +inf where invalid.
-
-    The noise budget is evaluated on all of t at once.  Its exposures guard
-    the validity regime point by point, and its variance is added to the
-    coherent xi, which is computed only where the guard passes.  Both
-    exposures grow with t, so in an ascending grid those points are an
-    ascending prefix, which the Dicke tier reduces in one call of its
-    kernel, the path of ``dicke.squeezing_trace``.
-    """
-    coherent = _coherent_xi(d, tier, protocol)
-    half_S = d.spin_S / 2.0
-
-    def objective(t):
-        t = np.asarray(t, dtype=float)
-        budget = analytic.noise_budget(d, t, noise)
-        valid = np.asarray((budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE))
-        xi = np.full(t.shape, math.inf)
-        if valid.any():
-            xi[valid] = coherent(t[valid]) + np.asarray(budget.added_var / half_S)[valid]
-        return xi if xi.ndim else float(xi)
-    return objective
-
-
 def _check_floor(d: DerivedParams, xi_min: float, noise: NoiseModel, protocol: str) -> None:
     """Raise NumericsError when xi_min is below half the closed-form floor.
 
@@ -230,28 +204,18 @@ def _edge_flags(edge, label):
 
 def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
                  protocol: str = "oat", t_max: float | None = None) -> OptimizationResult:
-    """Minimize xi_total over t in (0, t_max].
+    """Minimize xi_total over t in (0, t_max] at the detuning of ``d``.
 
-    Default bracket top is 10/Gamma (or a quarter twisting period when
-    Gamma = 0); the bottom is t_max * 1e-8.  The coarse grid is one array
-    call of the objective, refined with scalar calls.  Deterministic:
-    identical inputs give bit-identical results.  ``tier``/``protocol`` are
-    checked by :func:`core.resolve_tier`.  A result more than 2x below the
-    closed-form floor signals the optimizer escaped the model's validity
-    regime.
+    This is :func:`optimal_detuning` on the one-point detuning bracket
+    (|Delta|, |Delta|), since xi is even in the sign of Delta, with the same
+    time bracket: its top is ``t_max``, by default 10/Gamma (or a quarter
+    twisting period when Gamma = 0), and its bottom t_max * 1e-8.  The
+    result carries no detuning, so only ``time_*_edge`` flags can be set.
     """
-    tier, protocol = resolve_tier(tier, protocol)
-    if t_max is None:
-        gamma = d.params.gamma
-        t_max = 10.0 / gamma if gamma > 0 else math.pi / (2.0 * abs(d.omega_twist))
-    t_max = float(t_max)
-    objective = _xi_objective(d, noise, tier, protocol)
-    grid = np.geomspace(t_max * 1e-8, t_max, TIME_GRID_POINTS)
-    t_opt, xi_min, edge = minimize_on_log_axis(objective, grid, objective(grid), REL_TOL)
-    _check_floor(d, xi_min, noise, protocol)
-    return OptimizationResult(t_opt=t_opt, xi_min=xi_min, xi_min_db=float(analytic.to_db(xi_min)),
-                              model_tier=tier, protocol=protocol,
-                              bracket_t=(t_max * 1e-8, t_max), flags=_edge_flags(edge, "time"))
+    p, delta = d.params, abs(d.params.delta)
+    result = optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, noise, tier, protocol,
+                              bracket=(delta, delta), t_max=t_max)
+    return replace(result, delta_opt=None, bracket_delta=None)
 
 
 def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int,
@@ -260,12 +224,14 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
                      t_max: float | None = None) -> OptimizationResult:
     """Minimize xi over (Delta, t) at fixed g, kappa, Gamma, N, as a scan over tau = Omega t.
 
-    Scans Delta > 0 on [kappa, 1e4 kappa] by default (xi is even in the
-    sign of Delta), and at each Delta the time bracket of
-    :func:`optimal_time`.  With Omega = g^2/Delta the coherent xi depends
-    on N and tau alone; at fixed tau the detuning only trades the cavity
-    leak against free-space decay.  So xi(tau) = xi_coh(tau) + the least
-    added noise over Delta, on a log grid of tau that spans the bracket:
+    Scans Delta > 0 on the bracket [lo, hi], by default [kappa, 1e4 kappa]
+    (xi is even in the sign of Delta), and t in (0, t_max]: by default
+    t_max = 10/Gamma, or a quarter twisting period at each Delta when
+    Gamma = 0, and the bottom of the time bracket is t_max * 1e-8.  With
+    Omega = g^2/Delta the coherent xi depends on N and tau alone; at fixed
+    tau the detuning only trades the cavity leak against free-space decay.
+    So xi(tau) = xi_coh(tau) + the least added noise over Delta, on a log
+    grid of tau that spans the bracket:
 
     * the noise at each tau is read on a log grid of the Delta where
       t = tau Delta/g^2 stays inside the time bracket, all taus in one
@@ -280,6 +246,11 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     * each tau's Delta solve is kept, so the detuning at the optimal tau is
       the one found when the search reached that tau, not solved again.
 
+    A one-point bracket, lo = hi, fixes the detuning (this is
+    :func:`optimal_time`): each tau has that one Delta, with no Delta grid
+    and no search over Delta, and the tau grid keeps every t inside the
+    time bracket.
+
     Flags: ``delta_*_edge`` when the best detuning at the optimal tau sits
     on the Delta bracket; ``time_*_edge`` when it sits on an end of the
     time bracket, or the optimal tau on an end of its grid.
@@ -289,8 +260,8 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         if kappa <= 0:
             raise PhysicsError("default detuning bracket needs kappa > 0; pass bracket=")
         bracket = (kappa, 1e4 * kappa)
-    if not (0 < bracket[0] < bracket[1]):
-        raise ValueError(f"need a detuning bracket with 0 < lo < hi, got {bracket!r}")
+    if not (0 < bracket[0] <= bracket[1]):
+        raise ValueError(f"need a detuning bracket with 0 < lo <= hi, got {bracket!r}")
     lo, hi = bracket
     d = derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g, kappa=kappa,
                                    gamma=gamma, delta=lo))
@@ -316,13 +287,14 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
 
     def detuning_grids(tau):
         """The rows of the taus with a valid detuning, their Delta grids and added xi there,
-        and the Delta range (d_lo, d_hi) of every tau."""
-        if reach is None:
+        and the Delta range (d_lo, d_hi) of every tau; one Delta per tau if hi == lo."""
+        if reach is None or hi == lo:  # the tau grid keeps every t inside the time bracket
             d_lo, d_hi = np.full(tau.shape, lo), np.full(tau.shape, hi)
         else:
             d_lo, d_hi = np.maximum(lo, 1e-8 * reach / tau), np.minimum(hi, reach / tau)
-        rows = np.flatnonzero(d_lo < d_hi)
-        grid = np.geomspace(d_lo[rows], d_hi[rows], DETUNING_GRID_POINTS, axis=1)
+        rows = np.flatnonzero(d_lo <= d_hi)
+        grid = d_lo[rows, None] if hi == lo else np.geomspace(d_lo[rows], d_hi[rows],
+                                                              DETUNING_GRID_POINTS, axis=1)
         values = added_xi(tau[rows, None], grid)
         # rows with a valid Delta, on a grid that float rounding leaves ascending
         keep = np.any(np.isfinite(values), axis=1) & np.all(np.diff(grid) > 0, axis=1)
@@ -333,7 +305,9 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     def best_detuning(tau):
         """(added xi, Delta, edge, Delta range) of the refined least-noise detuning at one tau."""
         tau = float(tau)
-        if tau not in solved:
+        if tau not in solved and hi == lo:  # one detuning: nothing to search
+            solved[tau] = added_xi(tau, lo), lo, None, lo, hi
+        elif tau not in solved:
             rows, grids, values, (d_lo,), (d_hi,) = detuning_grids(np.array([tau]))
             if not rows.size:
                 solved[tau] = math.inf, math.nan, None, d_lo, d_hi

@@ -536,7 +536,7 @@ def energy_spread(diag, off, z):
 def sector_window(block, z):
     """The energy window of z on a reflection sector's block, E0 and sigma from energy_spread."""
     vals = eigh_tridiagonal(*block, eigvals_only=True)
-    return dicke._energy_window(*block, vals, z, energy_spread(*block, z), dicke.SPECTRAL_MAX_DIM)
+    return dicke._energy_window(*block, vals, z, energy_spread(*block, z))
 
 
 def sz_css(n):
@@ -625,9 +625,9 @@ class TestTatWindow:
             assert sigma == pytest.approx(abs(omega) * S / math.sqrt(2.0), rel=0.5 / S)
         spreads, window = [], dicke._energy_window
 
-        def recorded(diag, off, vals, z, spread, budget):
+        def recorded(diag, off, vals, z, spread):
             spreads.append(spread)
-            return window(diag, off, vals, z, spread, budget)
+            return window(diag, off, vals, z, spread)
 
         monkeypatch.setattr(dicke, "_energy_window", recorded)
         list(dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")([0.0]))

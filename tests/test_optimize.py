@@ -89,21 +89,50 @@ def _lossy(n_atoms, gamma=0.5, kappa=0.0):
                                       kappa=kappa, gamma=gamma, delta=base.delta))
 
 
-class TestExposureGuard:
-    def test_inf_past_half_exposure(self):
-        d = _lossy(100)
-        objective = optimize._xi_objective(d, NoiseModel(), "analytic", "oat")
-        t_half = math.log(2.0) / 0.5  # p_decay = 1 - exp(-Gamma t) = 1/2
-        assert objective(0.9 * t_half) == analytic.xi_total(d, 0.9 * t_half, NoiseModel())
-        assert objective(1.1 * t_half) == math.inf
+def _coarse_tau_grid(monkeypatch, d, noise, tier, protocol="oat"):
+    """Runs optimal_time on d; returns its coarse tau grid, the times of those taus at the
+    detuning of d, and the objective's values there."""
+    minimize, coarse = optimize.minimize_on_log_axis, []
 
-    def test_leak_exposure_guarded_too(self):
+    def recording(f, grid, values, rel_tol):
+        coarse.append((np.array(grid), np.array(values)))
+        return minimize(f, grid, values, rel_tol)
+
+    monkeypatch.setattr(optimize, "minimize_on_log_axis", recording)
+    optimize.optimal_time(d, noise, tier=tier, protocol=protocol)
+    ((grid, values),) = coarse  # one detuning: no search over Delta
+    taus = grid / d.spin_S
+    return taus, _tau_times(d, taus), values
+
+
+def _tau_times(d, taus):
+    """t = tau Delta/g^2 at the detuning of d, as optimal_detuning forms it."""
+    return taus * abs(d.params.delta) / d.params.coupling_g ** 2
+
+
+def _guard_passes(d, times, noise):
+    budget = analytic.noise_budget(d, times, noise)
+    return (budget.p_leak <= optimize.MAX_EXPOSURE) & (budget.p_decay <= optimize.MAX_EXPOSURE)
+
+
+class TestExposureGuard:
+    def test_inf_past_half_exposure(self, monkeypatch):
+        # p_decay = 1 - exp(-Gamma t) passes 1/2 at t = log(2)/Gamma
+        d = _lossy(100)
+        _, times, values = _coarse_tau_grid(monkeypatch, d, NoiseModel(), "analytic")
+        past = times > math.log(2.0) / 0.5
+        assert 0 < np.sum(past) < times.size
+        assert np.array_equal(~_guard_passes(d, times, NoiseModel()), past)
+        assert np.array_equal(np.isinf(values), past)
+        np.testing.assert_allclose(values[~past], analytic.xi_total(d, times[~past], NoiseModel()),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_leak_exposure_guarded_too(self, monkeypatch):
         d = _lossy(100, gamma=0.0, kappa=0.3)
         noise = NoiseModel()
-        objective = optimize._xi_objective(d, noise, "dicke", "oat")
-        times = np.geomspace(1e-2, 1e4, 30)
+        _, times, values = _coarse_tau_grid(monkeypatch, d, noise, "dicke")
         p_leak, _ = analytic.noise_probabilities(d, times, noise)
-        values = np.array([objective(t) for t in times])
+        assert 0 < np.sum(p_leak > 0.5) < times.size
         assert np.all(np.isinf(values[p_leak > 0.5]))
         assert np.all(np.isfinite(values[p_leak <= 0.5]))
 
@@ -111,61 +140,31 @@ class TestExposureGuard:
 class TestArrayObjective:
     # N=100 with Gamma = 20/s: the decay exposure crosses 1/2 at t = 35 ms,
     # while the twisted mean spin is still well defined
-    GRID = np.geomspace(1e-5, 1.0, 240)
-
-    @pytest.mark.parametrize("tier, protocol, rel", [("analytic", "oat", 0.0),
-                                                     ("dicke", "oat", 1e-12),
-                                                     ("dicke", "tat", 1e-12)])
-    def test_array_call_equals_scalar_calls(self, tier, protocol, rel):
-        d = _lossy(100, gamma=20.0, kappa=0.3)
-        objective = optimize._xi_objective(d, NoiseModel(), tier, protocol)
-        values = objective(self.GRID)
-        scalars = np.array([objective(t) for t in self.GRID])
-        assert 0 < np.sum(np.isfinite(values)) < self.GRID.size
-        assert np.array_equal(np.isinf(values), np.isinf(scalars))
-        if rel == 0.0:
-            assert values.tobytes() == scalars.tobytes()
-        else:
-            np.testing.assert_allclose(values, scalars, rtol=rel, atol=0.0)
-
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_guard_rejected_points_skip_the_coherent_kernel(self, monkeypatch, protocol):
-        # records every time point the coherent kernel reduces, for both protocols
-        calls = []
-        coherent_moments = dicke.coherent_moments
-
-        def counted(d, protocol):
-            moments_at = coherent_moments(d, protocol)
-
-            def counting(times):
-                for t, mom in zip(times, moments_at(times), strict=True):
-                    calls.append(t)
-                    yield mom
-            return counting
-
-        monkeypatch.setattr(dicke, "coherent_moments", counted)
+        # at one detuning the coherent kernel reduces the guard-passing taus of
+        # the coarse grid, then only taus whose noise passes the guard
+        kernels = _record_kernels(monkeypatch)
         d = _lossy(100, gamma=20.0, kappa=0.3)
-        objective = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)
-        values = objective(self.GRID)
-        budget = analytic.noise_budget(d, self.GRID, NoiseModel())
-        valid = (budget.p_leak <= 0.5) & (budget.p_decay <= 0.5)
-        assert 0 < np.sum(valid) < self.GRID.size
-        assert np.sum(valid) == np.sum(np.isfinite(values))
-        assert calls == list(self.GRID[valid])
-        calls.clear()
-        assert objective(self.GRID[-1]) == math.inf
-        assert calls == []
+        taus, times, values = _coarse_tau_grid(monkeypatch, d, NoiseModel(), "dicke", protocol)
+        valid = _guard_passes(d, times, NoiseModel())
+        assert 0 < np.sum(valid) < taus.size
+        assert np.array_equal(np.isfinite(values), valid)
+        ((coarse, *steps),) = kernels
+        assert coarse == list(taus[valid])
+        step_taus = np.array([tau for step in steps for tau in step])
+        assert step_taus.size
+        assert np.all(_guard_passes(d, _tau_times(d, step_taus), NoiseModel()))
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_dicke_trace_equals_the_objective_where_the_guard_passes(self, protocol):
         # squeezing_trace and the optimizer share the coherent kernel; only
         # the order of adding the noise variance differs
         d = _lossy(100, gamma=20.0, kappa=0.3)
-        values = optimize._xi_objective(d, NoiseModel(), "dicke", protocol)(self.GRID)
-        valid = np.isfinite(values)
-        assert 0 < np.sum(valid) < self.GRID.size
-        trace = dicke.squeezing_trace(d, self.GRID[valid], NoiseModel(), protocol=protocol)
-        np.testing.assert_allclose(trace.xi_total, values[valid], rtol=1e-12, atol=0.0)
+        result = optimize.optimal_time(d, NoiseModel(), tier="dicke", protocol=protocol)
+        assert result.flags == ()
+        trace = dicke.squeezing_trace(d, [result.t_opt], NoiseModel(), protocol=protocol)
+        np.testing.assert_allclose(trace.xi_total, [result.xi_min], rtol=1e-12, atol=0.0)
 
     def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, fig3a_derived,
                                             full_noise):
@@ -197,22 +196,16 @@ class TestArrayObjective:
         assert rest.count((1, width)) == len(points) + 1
         grid_taus = np.sort(grid_taus)
         assert np.all(np.diff(grid_taus) > 1e-9 * grid_taus[1:])
-        # optimal_time: its 240-point grid, then the scalar golden refinement
-        objectives = []
-        xi_objective = optimize._xi_objective
-
-        def recording(d, *args):
-            objective, calls = xi_objective(d, *args), []
-            objectives.append(calls)
-
-            def wrapped(t):
-                calls.append(np.shape(t))
-                return objective(t)
-            return wrapped
-
-        monkeypatch.setattr(optimize, "_xi_objective", recording)
+        # optimal_time, the same scan at one detuning: one noise call on the
+        # coarse tau grid with one Delta per tau and one coherent call on its
+        # valid taus, then scalar noise at the coarse argmin and at each of the
+        # 13 golden points, each with one coherent point; no Delta grid
+        for calls in shapes.values():
+            calls.clear()
         optimize.optimal_time(fig3a_derived, full_noise)
-        assert objectives == [[(optimize.TIME_GRID_POINTS,)] + [()] * 13]
+        (valid,), *points = shapes["xi_unitary"]
+        assert shapes["noise_budget"] == [(optimize.TIME_GRID_POINTS, 1)] + [()] * 14
+        assert 1 < valid < optimize.TIME_GRID_POINTS and points == [(1,)] * 13
 
 
 class TestDetuningBracket:
@@ -267,12 +260,16 @@ class TestDetuningLanes:
 
     # (noise, detuning bracket, t_max): without noise the default time
     # bracket reaches past the collapse of the mean spin, so the noiseless
-    # runs keep Omega t <= 0.8 on a narrower bracket
+    # runs keep Omega t <= 0.8 on a narrower bracket; the one-point bracket
+    # at the fig3a detuning is optimal_time's scan
     NOISE = [(NoiseModel(include_free_space=True, include_cavity_leak=True),
               (KAPPA, 1e4 * KAPPA), None),
-             (NoiseModel.none(), (10.0 * KAPPA, 40.0 * KAPPA), 0.8 * 10.0 * KAPPA / G ** 2)]
+             (NoiseModel.none(), (10.0 * KAPPA, 40.0 * KAPPA), 0.8 * 10.0 * KAPPA / G ** 2),
+             (NoiseModel(include_free_space=True, include_cavity_leak=True),
+              (112.0 * KAPPA, 112.0 * KAPPA), None)]
 
-    @pytest.mark.parametrize("noise, bracket, t_max", NOISE, ids=["full-noise", "noiseless"])
+    @pytest.mark.parametrize("noise, bracket, t_max", NOISE,
+                             ids=["full-noise", "noiseless", "one-detuning"])
     @pytest.mark.parametrize("tier, protocol, n_atoms", [("analytic", "oat", 10_000),
                                                          ("dicke", "oat", 50),
                                                          ("dicke", "tat", 20)])
@@ -281,7 +278,8 @@ class TestDetuningLanes:
         # the coarse tau grid reads each tau's least noise on its Delta grid
         # without refining it, so at every tau of the grid it lies at or above
         # the refinement's scalar calls, which refine the noise over Delta,
-        # and both are +inf at the same taus
+        # and both are +inf at the same taus; at one detuning nothing is
+        # refined, so the array call and the scalar calls agree
         minimize = optimize.minimize_on_log_axis
         coarse = []
 
@@ -299,6 +297,9 @@ class TestDetuningLanes:
         # a Dicke kernel's blocks of times round differently from one time
         rel = 0.0 if tier == "analytic" else 1e-12
         assert np.all(unrefined[finite] >= refined[finite] * (1.0 - rel))
+        if bracket[0] == bracket[1]:
+            assert 0 < np.sum(finite) < finite.size
+            np.testing.assert_allclose(unrefined, refined, rtol=rel, atol=0.0)
 
 
 class TestNoiselessDickeOptimum:
@@ -494,6 +495,70 @@ class TestTauScan:
         for row in scan.points:
             assert row.xi_min > row.floor == analytic.tat_xi_floor(row.n_atoms, row.eta)
         assert scan.slope < 0
+
+
+class TestOptimalTime:
+    # (tier, protocol, N, q, xi_min, t_opt) of optimal_time's own search on
+    # log t, before it became the tau scan at one detuning: full noise with
+    # detector efficiency q at the fig3a kappa, Gamma, eta and Delta
+    TIME_SEARCH = [
+        ("analytic", "oat", 1_000, 0.0, 0.3344648490142512, 2.641048243638938),
+        ("analytic", "oat", 1_000, 0.5, 0.32290390259208734, 2.731413655043718),
+        ("analytic", "oat", 10_000, 0.0, 0.12344456541174581, 0.47139080979717096),
+        ("analytic", "oat", 10_000, 0.5, 0.10240916694708928, 0.524419817012797),
+        ("analytic", "oat", 100_000, 0.0, 0.08368683279111686, 0.058628797574609835),
+        ("analytic", "oat", 100_000, 0.5, 0.056610085405622616, 0.07216420134011242),
+        ("analytic", "oat", 1_000_000, 0.0, 0.07898962289033627, 0.006061507415901837),
+        ("analytic", "oat", 1_000_000, 0.5, 0.05076246390614083, 0.007653846739486355),
+        ("dicke", "oat", 200, 0.0, 0.6152766694880012, 15.7525508952514),
+        ("dicke", "oat", 200, 0.5, 0.6017560904591697, 15.7525508952514),
+        ("dicke", "oat", 2_000, 0.0, 0.23921433567243355, 1.6132382817342634),
+        ("dicke", "oat", 2_000, 0.5, 0.22506939384160346, 1.6880752840982283),
+        ("dicke", "tat", 200, 0.0, 0.5918539275760013, 15.12090720793345),
+        ("dicke", "tat", 200, 0.5, 0.5787698816240232, 15.344428980398517),
+        ("dicke", "tat", 1_000, 0.0, 0.29346519646891933, 2.6896931171428533),
+        ("dicke", "tat", 1_000, 0.5, 0.28173944206995427, 2.759754459823964),
+        ("dicke", "tat", 4_000, 0.0, 0.13517614071433298, 0.8999049189116392),
+        ("dicke", "tat", 4_000, 0.5, 0.11946880268468835, 0.9372721552297801),
+    ]
+    # (N, xi_min, t_opt) of the same search for the noiseless rotation-assisted
+    # scaling rows at eta = 10, each an optimal_time at Delta = 100 kappa
+    SCALING_ROWS = [(40, 0.13781367357872726, 53.82033737283459),
+                    (400, 0.04687366834242312, 7.697123040956871),
+                    (4_000, 0.015182779775706876, 1.0205151161364434)]
+
+    @staticmethod
+    def fig3a(n_atoms, sign=1.0):
+        return derive_params(SystemParams.from_frequencies(
+            n_atoms, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=sign * 11.2e6, eta=10.0))
+
+    @pytest.mark.parametrize("tier, protocol, n_atoms, q, xi_min, t_opt", TIME_SEARCH)
+    def test_no_worse_than_the_time_search(self, tier, protocol, n_atoms, q, xi_min, t_opt):
+        # the refinement on log(S tau) stops at another width than the one on
+        # log t did, so the optimum moves within the flatness of the minimum
+        result = optimize.optimal_time(self.fig3a(n_atoms), NoiseModel(detector_efficiency_q=q),
+                                       tier=tier, protocol=protocol)
+        assert result.flags == () and result.delta_opt is None
+        assert xi_min * (1.0 - 1e-4) <= result.xi_min <= xi_min * (1.0 + 1e-6)
+        assert result.t_opt == pytest.approx(t_opt, rel=2e-3)
+
+    def test_noiseless_tat_scaling_rows(self):
+        scan = optimize.scaling_scan([(n, 10.0) for n, _, _ in self.SCALING_ROWS],
+                                     protocol="tat", noise=NoiseModel.none())
+        for row, (n_atoms, xi_min, t_opt) in zip(scan.points, self.SCALING_ROWS, strict=True):
+            assert row.n_atoms == n_atoms and row.delta_opt is None
+            assert xi_min * (1.0 - 1e-4) <= row.xi_min <= xi_min * (1.0 + 1e-6)
+            assert row.t_opt == pytest.approx(t_opt, rel=2e-3)
+
+    @pytest.mark.parametrize("tier, protocol, n_atoms", [("analytic", "oat", 10_000),
+                                                         ("dicke", "oat", 200),
+                                                         ("dicke", "tat", 200)])
+    def test_sign_of_the_detuning(self, full_noise, tier, protocol, n_atoms):
+        # xi is even in Delta, so -Delta runs the scan at |Delta| bit for bit:
+        # the same xi_min, t_opt, flags and bracket_t, every field compared
+        plus, minus = (optimize.optimal_time(self.fig3a(n_atoms, sign), full_noise, tier=tier,
+                                             protocol=protocol) for sign in (1.0, -1.0))
+        assert minus == plus
 
 
 class TestProperties:
