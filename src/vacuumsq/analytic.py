@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DerivedParams, PhysicsError, SqueezingTrace
+from .core import DerivedParams, NumericsError, PhysicsError, SqueezingTrace
 
 __all__ = [
     "SpinMoments", "NoiseModel", "UnitarySqueezing", "cos_pow",
@@ -49,17 +49,18 @@ class SpinMoments:
 
     A plain record: the mean spin and the transverse (z, y) second moments,
     with ``cross_zy`` the symmetrized correlator <SzSy + SySz> - 2<Sz><Sy>.
-    The minimal transverse variance and its angle are derived from it by
-    ``dicke.min_transverse_variance``.
+    The moments are floats for one state, or arrays over a time grid as the
+    Dicke kernels and the oracle return them.  The minimal transverse
+    variance and its angle are derived from it by ``dicke.min_transverse_variance``.
     """
 
     spin_S: float
-    mean_x: float
-    mean_y: float
-    mean_z: float
-    var_z: float
-    var_y: float
-    cross_zy: float
+    mean_x: float | np.ndarray
+    mean_y: float | np.ndarray
+    mean_z: float | np.ndarray
+    var_z: float | np.ndarray
+    var_y: float | np.ndarray
+    cross_zy: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -128,15 +129,17 @@ def _ab(d: DerivedParams, t):
 
 
 def _check_time(t):
-    """t as a Python float if it is a scalar, else as a float array; negative times raise."""
+    """t as a Python float if scalar, else a float array; refused like :func:`core.time_grid`."""
     if isinstance(t, float) or np.ndim(t) == 0:
         t = float(t)
-        negative = t < 0.0
+        negative, finite = t < 0.0, math.isfinite(t)
     else:
         t = np.asarray(t, dtype=float)
-        negative = np.any(t < 0.0)
+        negative, finite = np.any(t < 0.0), np.isfinite(t).all()
     if negative:
         raise PhysicsError("time must be >= 0")
+    if not finite:
+        raise NumericsError("non-finite time")
     return t
 
 

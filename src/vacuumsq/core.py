@@ -264,7 +264,3 @@ class SqueezingTrace:
     angle: np.ndarray
     model_tier: str = "analytic"
     protocol: str = "oat"
-
-    @property
-    def xi_total_db(self) -> np.ndarray:
-        return 10.0 * np.log10(self.xi_total)

@@ -34,15 +34,16 @@ those phases alone holds the edge population above the gate: K doubles
 from 303 to 4848 there.
 
 One moments kernel, :func:`amplitude_moments`, serves ladder vectors and
-the oracle's joint (m, n) amplitude arrays alike.  Its :class:`SpinMoments`
-holds moments only; each consumer reduces them once per point with
+the oracle's joint (time, m, n) amplitude arrays alike.  A
+:class:`SpinMoments` holds moments only, for one state or, as arrays, for a
+whole time grid; each consumer reduces a grid once with the vectorized
 :func:`min_transverse_variance`.  One grid kernel, :func:`coherent_moments`,
 gives the evolved coherent state's moments along a time grid for both
-protocols, to :func:`squeezing_trace` and the optimizer's Dicke objective,
-without forming the evolved state.  Rotation-assisted twisting takes them
-in the eigenbasis of the truncated block's energy window, where the spin
-operators are small real matrices formed once per solve (see
-:func:`_tat_coherent_kernel`).
+protocols, as one record, to :func:`squeezing_trace` and the optimizer's
+Dicke objective, without forming the evolved state.  Rotation-assisted
+twisting takes them in the eigenbasis of the truncated block's energy
+window, where the spin operators are small real matrices formed once per
+solve (see :func:`_tat_coherent_kernel`).
 
 Twisting over a time grid turns c_m by exp(-i Omega t m^2), so the Sz
 moments do not depend on t, and the others are sums of pair weights
@@ -61,7 +62,6 @@ N = 1e5), and a block of 64 times takes two matrix products.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -187,9 +187,10 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
 
     Formed once: the band norm n, the Sz moments, <S+S- + S-S+> =
     2<S(S+1) - Sz^2>, and the pair weights over n, w1_m = <m+1|S+|m> c*_{m+1} c_m,
-    (2m+1) w1_m and w2_m = <m+2|S+^2|m> c*_{m+2} c_m.  The kernel maps finite
-    times >= 0 to one :class:`SpinMoments` each, once n passes the drift gate
-    (1e-9).  At theta = Omega t the moments are <S+> = sum_j exp(i theta phi_j) w1_j,
+    (2m+1) w1_m and w2_m = <m+2|S+^2|m> c*_{m+2} c_m.  The kernel maps a grid of
+    finite times >= 0 to one :class:`SpinMoments` of arrays over the grid, once
+    n passes the drift gate (1e-9).  At theta = Omega t the moments are
+    <S+> = sum_j exp(i theta phi_j) w1_j,
     <{Sz, S+}> the same over (2m+1) w1 and <S+^2> = sum_j exp(i theta psi_j) w2_j,
     with the pair phases phi_j = (m+1)^2 - m^2 = phi_0 + 2j and psi_j = (m+2)^2 - m^2
     = psi_0 + 4j of the band levels m = m_0 + j.  Both are arithmetic, so with
@@ -231,20 +232,21 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
     def turns(phases, theta):
         return np.exp(1j * np.multiply.outer(phases, theta))
 
-    def moments_at(times) -> Iterator[SpinMoments]:
+    def moments_at(times) -> SpinMoments:
         times = time_grid(times)
         _drift_gated(norm)
+        sp, sz_sp, sp_sq = np.empty((3, times.size), dtype=complex)
         for lo in range(0, times.size, _GRID_BLOCK):
-            theta = omega_twist * times[lo:lo + _GRID_BLOCK]
+            cols = slice(lo, lo + _GRID_BLOCK)
+            theta = omega_twist * times[cols]
             turned = (w1_rows @ turns(phi_steps, theta)).reshape(2, rows, theta.size)
-            sp, sz_sp = np.sum(turns(phi_rows, theta) * turned, axis=1)
-            sp_sq = np.sum(turns(psi_rows, theta) * (w2_rows @ turns(psi_steps, theta)), axis=0)
-            for k in range(theta.size):
-                mean_x, mean_y = float(sp[k].real), float(sp[k].imag)
-                yield SpinMoments(spin_S=S, mean_x=mean_x, mean_y=mean_y, mean_z=mean_z,
-                                  var_z=sz_sq - mean_z * mean_z,
-                                  var_y=0.25 * (sym - 2.0 * float(sp_sq[k].real)) - mean_y * mean_y,
-                                  cross_zy=float(sz_sp[k].imag) - 2.0 * mean_z * mean_y)
+            sp[cols], sz_sp[cols] = np.sum(turns(phi_rows, theta) * turned, axis=1)
+            sp_sq[cols] = np.sum(turns(psi_rows, theta) * (w2_rows @ turns(psi_steps, theta)), 0)
+        return SpinMoments(spin_S=S, mean_x=sp.real, mean_y=sp.imag,
+                           mean_z=np.full(times.size, mean_z),
+                           var_z=np.full(times.size, sz_sq - mean_z * mean_z),
+                           var_y=0.25 * (sym - 2.0 * sp_sq.real) - sp.imag * sp.imag,
+                           cross_zy=sz_sp.imag - 2.0 * mean_z * sp.imag)
     return moments_at
 
 
@@ -404,34 +406,31 @@ class TatPropagator:
         return [_gated_state(state.spin_S, out[:, j]) for j in range(times.size)]
 
 
-def _ladder_shifts(amps: np.ndarray, spin_S: float):
-    """m, S+ c and S- c along the first (m = -S..S) axis of ``amps``; O(size) each."""
-    m = (np.arange(amps.shape[0], dtype=float) - spin_S).reshape((-1,) + (1,) * (amps.ndim - 1))
+def _ladder_applications(amps: np.ndarray, spin_S: float):
+    """Sz c, Sy c, Sx c along the ladder axis -2 (m = -S..S) of ``amps``; O(size) each."""
+    m = (np.arange(amps.shape[-2], dtype=float) - spin_S)[:, None]
     up = np.sqrt((spin_S - m[:-1]) * (spin_S + m[:-1] + 1.0))  # <m+1| S+ |m>
     sp_c = np.zeros_like(amps)
-    sp_c[1:] = up * amps[:-1]
+    sp_c[..., 1:, :] = up * amps[..., :-1, :]
     sm_c = np.zeros_like(amps)
-    sm_c[:-1] = up * amps[1:]
-    return m, sp_c, sm_c
-
-
-def _ladder_applications(amps: np.ndarray, spin_S: float):
-    """Sz c, Sy c, Sx c along the first (m = -S..S) axis of ``amps``; O(size) each."""
-    m, sp_c, sm_c = _ladder_shifts(amps, spin_S)
+    sm_c[..., :-1, :] = up * amps[..., 1:, :]
     return m * amps, (sp_c - sm_c) / 2j, (sp_c + sm_c) / 2.0
 
 
 def amplitude_moments(amps: np.ndarray, spin_S: float) -> SpinMoments:
-    """Spin moments of amplitudes shaped (dim,) or (dim, n_photon).
+    """Spin moments of amplitudes shaped (dim,) or (..., dim, n_photon).
 
-    The first axis is the ladder m = -S..S; any trailing (photon) axis is
-    traced out, because ``np.vdot`` flattens both operands.  Returns all
-    first moments and the transverse (z, y) second moments.
+    The axis of length dim is the ladder m = -S..S, and the photon axis is
+    traced out.  Leading axes are grid axes: each field is an array of their
+    shape, a scalar for one state.  Returns all first moments and the
+    transverse (z, y) second moments.
     """
+    amps = amps[:, None] if amps.ndim == 1 else amps
+    grid, size = amps.shape[:-2], amps.shape[-2] * amps.shape[-1]
     sz_c, sy_c, sx_c = _ladder_applications(amps, spin_S)
 
-    def inner(a, b):
-        return float(np.real(np.vdot(a, b)))
+    def inner(a, b):  # Re <a|b> per grid point: a row-by-column product sums as np.vdot does
+        return np.real(a.reshape(grid + (1, size)).conj() @ b.reshape(grid + (size, 1)))[..., 0, 0]
 
     mx, my, mz = inner(amps, sx_c), inner(amps, sy_c), inner(amps, sz_c)
     return SpinMoments(spin_S=spin_S, mean_x=mx, mean_y=my, mean_z=mz,
@@ -474,7 +473,8 @@ def _tat_coherent_kernel(spin_S: float, omega_twist: float):
     cross_zy = -<{Sx', Sy'}> = -Im <S'+^2>, and <Sy> = <Sz> = 0 exactly:
     Sx' and Sy' leave the block.  A block of up to 64 times takes one
     product of the stacked forms with the real and imaginary parts of u.  The
-    grid must be one-dimensional with times >= 0 (see :func:`core.time_grid`);
+    grid must be one-dimensional with times >= 0 (see :func:`core.time_grid`),
+    and an empty one takes no solve;
     :class:`NumericsError` when the window exceeds ``SPECTRAL_MAX_DIM``.
     """
     S = float(spin_S)
@@ -501,38 +501,38 @@ def _tat_coherent_kernel(spin_S: float, omega_twist: float):
         images = np.concatenate((n[:, None] * vecs, shared[:, None] * vecs, raised), axis=1)
         return size, vals, coeffs, images.T @ vecs, vecs[-2:]  # forms: n, D and (L^T S'+^2 L)^T
 
-    def turned(solve, times):  # u = c exp(-i lambda t), a block of up to 64 columns at a time
+    def turned(solve, times):  # (columns, u = c exp(-i lambda t)), up to 64 columns at a time
         _, vals, coeffs, _, _ = solve
         for lo in range(0, times.size, _GRID_BLOCK):
-            yield coeffs[:, None] * np.exp(-1j * np.outer(vals, times[lo:lo + _GRID_BLOCK]))
+            cols = slice(lo, lo + _GRID_BLOCK)
+            yield cols, coeffs[:, None] * np.exp(-1j * np.outer(vals, times[cols]))
 
     def edge_weight(solve, times):  # the largest population of the two last kept levels
         return max(float(np.max(np.abs(_real_product(solve[4], u)) ** 2))
-                   for u in turned(solve, times))
+                   for _, u in turned(solve, times))
 
-    def moments_at(times) -> Iterator[SpinMoments]:
+    def moments_at(times) -> SpinMoments:
         nonlocal solved
         times = time_grid(times)
-        if not times.size:
-            return
-        size = first_size(abs(omega_twist) * S * float(np.max(times)))
-        if solved is None or solved[0] < size:
-            solved = solve(size)
-        while solved[0] < levels and edge_weight(solved, times) > WINDOW_EDGE_WEIGHT:
-            solved = solve(min(2 * solved[0], levels))
-        _, vals, coeffs, forms, _ = solved
-        norm = _drift_gated(float(np.sum(np.abs(coeffs) ** 2)))
-        for u in turned(solved, times):  # bound now: a later call may replace the kept solve
-            a, b = u.real, u.imag
-            products = forms @ np.concatenate((a, b), axis=1)  # F a and F b of each form F
-            fa, fb = np.split(products.reshape(3, vals.size, -1), 2, axis=2)
-            quad = np.sum(a * fa + b * fb, axis=1) / norm  # <n>, <D>, Re <S'+^2>
-            im = np.sum(b * fa[2] - a * fb[2], axis=0) / norm  # Im <S'+^2>
-            for k in range(u.shape[1]):
-                shared_k, re_k = float(quad[1, k]), float(quad[2, k])
-                yield SpinMoments(spin_S=S, mean_x=S - float(quad[0, k]), mean_y=0.0, mean_z=0.0,
-                                  var_z=shared_k + 0.5 * re_k, var_y=shared_k - 0.5 * re_k,
-                                  cross_zy=-float(im[k]))
+        quad, im = np.empty((3, times.size)), np.empty(times.size)  # <n>, <D>, Re and Im <S'+^2>
+        if times.size:
+            size = first_size(abs(omega_twist) * S * float(np.max(times)))
+            if solved is None or solved[0] < size:
+                solved = solve(size)
+            while solved[0] < levels and edge_weight(solved, times) > WINDOW_EDGE_WEIGHT:
+                solved = solve(min(2 * solved[0], levels))
+            _, vals, coeffs, forms, _ = solved
+            norm = _drift_gated(float(np.sum(np.abs(coeffs) ** 2)))
+            for cols, u in turned(solved, times):
+                a, b = u.real, u.imag
+                products = forms @ np.concatenate((a, b), axis=1)  # F a and F b of each form F
+                fa, fb = np.split(products.reshape(3, vals.size, -1), 2, axis=2)
+                quad[:, cols] = np.sum(a * fa + b * fb, axis=1) / norm
+                im[cols] = np.sum(b * fa[2] - a * fb[2], axis=0) / norm
+        shared, re = quad[1], quad[2]
+        return SpinMoments(spin_S=S, mean_x=S - quad[0], mean_y=np.zeros(times.size),
+                           mean_z=np.zeros(times.size), var_z=shared + 0.5 * re,
+                           var_y=shared - 0.5 * re, cross_zy=-im)
     return moments_at
 
 
@@ -542,32 +542,40 @@ _TILT_TOL = 1e-3
 _ISOTROPY_TOL = 1e-12
 
 
-def min_transverse_variance(m: SpinMoments) -> tuple[float, float]:
-    """Smallest transverse variance and its quadrature angle.
+def min_transverse_variance(m: SpinMoments):
+    """Smallest transverse variance and its quadrature angle at each point of ``m``.
 
     Diagonalizes the 2x2 covariance of (Sz, Sy) in the plane orthogonal to
-    the mean spin.  The mean must be well defined (|<S>| > 1e-9 S) and lie
-    along +-x to within 1e-3 relative -- the only states produced here;
-    the angle convention matches ``analytic.xi_unitary`` exactly
-    (quadrature cos(phi) Sy - sin(phi) Sz, isotropic tie-break 0).
+    the mean spin: arrays for a grid record, floats for one state.  A
+    degenerate mean (|<S>| <= 1e-9 S) gives variance +inf; any other must
+    lie along +-x to within 1e-3 relative -- the only states produced here
+    -- or :class:`PhysicsError` is raised.  The angle convention matches
+    ``analytic.xi_unitary`` exactly (quadrature cos(phi) Sy - sin(phi) Sz,
+    isotropic tie-break 0).
     """
-    length = math.sqrt(m.mean_x ** 2 + m.mean_y ** 2 + m.mean_z ** 2)
-    if length <= 1e-9 * m.spin_S:
-        raise DegenerateMeanSpinError(
-            f"mean spin length {length!r} ~ 0: transverse plane undefined")
-    if math.hypot(m.mean_y, m.mean_z) > _TILT_TOL * length:
+    length = np.sqrt(np.square(m.mean_x) + np.square(m.mean_y) + np.square(m.mean_z))
+    degenerate = length <= 1e-9 * m.spin_S
+    if np.any((np.hypot(m.mean_y, m.mean_z) > _TILT_TOL * length) & ~degenerate):
         raise PhysicsError(
             "mean spin tilted away from the x axis; the stored (z, y) block "
             "does not span its transverse plane")
     half_sum = 0.5 * (m.var_z + m.var_y)
-    radius = math.hypot(0.5 * (m.var_z - m.var_y), 0.5 * m.cross_zy)
-    variance = half_sum - radius
-    if radius <= _ISOTROPY_TOL * max(1.0, half_sum):
-        return variance, 0.0  # isotropic: any angle, report 0 by tie-break
-    angle = 0.5 * (math.pi - math.atan2(m.cross_zy, m.var_y - m.var_z))
-    if angle > math.pi / 2:
-        angle -= math.pi  # fold to (-pi/2, pi/2]
-    return variance, angle
+    radius = np.hypot(0.5 * (m.var_z - m.var_y), 0.5 * m.cross_zy)
+    variance = np.where(degenerate, math.inf, half_sum - radius)
+    angle = 0.5 * (math.pi - np.arctan2(m.cross_zy, m.var_y - m.var_z))
+    angle = np.where(angle > math.pi / 2, angle - math.pi, angle)  # fold to (-pi/2, pi/2]
+    # isotropic: any angle, report 0 by tie-break
+    angle = np.where(radius <= _ISOTROPY_TOL * np.maximum(1.0, half_sum), 0.0, angle)
+    return variance[()], angle[()]  # scalars for one state
+
+
+def _require_plane(variance: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The variances along ``times``; DegenerateMeanSpinError at the first +inf."""
+    if np.any(np.isinf(variance)):
+        t = float(times[np.argmax(np.isinf(variance))])
+        raise DegenerateMeanSpinError(
+            f"mean spin length ~ 0 at t={t!r}: transverse plane undefined")
+    return variance
 
 
 def coherent_moments(d: DerivedParams, protocol: str):
@@ -575,9 +583,10 @@ def coherent_moments(d: DerivedParams, protocol: str):
 
     ``protocol`` is "oat" or "tat", as resolved by :func:`core.resolve_tier`.
     The function maps a one-dimensional grid of times >= 0 to one
-    :class:`SpinMoments` each.  Twisting turns the coherent state's pair
-    weights, formed here once (see :func:`_oat_band_kernel`).  Rotation-assisted
-    twisting starts from |m' = S> in the mean-spin basis and turns its
+    :class:`SpinMoments` of arrays over the grid.  Twisting turns the
+    coherent state's pair weights, formed here once (see
+    :func:`_oat_band_kernel`).  Rotation-assisted twisting starts from
+    |m' = S> in the mean-spin basis and turns its
     eigen-coefficients in the energy window of the top K levels of its block;
     the spin matrices are formed once per K, and K grows with the grid's last
     time and doubles while the last kept levels are populated beyond
@@ -595,10 +604,11 @@ def apply_noise(m: SpinMoments, d: DerivedParams, t, noise: NoiseModel) -> SpinM
     Both channel variances go onto var_z and var_y (cross terms
     untouched), which shifts each covariance eigenvalue by the same
     amount and therefore adds exactly [dS2_leak + dS2_decay]/(S/2) to xi.
+    ``t`` is a time for one state, or the grid of a grid record.
     :func:`squeezing_trace` adds the same variance to the minimal one
     directly.
     """
-    added = float(analytic.noise_budget(d, t, noise).added_var)
+    added = analytic.noise_budget(d, t, noise).added_var
     return replace(m, var_z=m.var_z + added, var_y=m.var_y + added)
 
 
@@ -606,23 +616,20 @@ def squeezing_trace(d: DerivedParams, times, noise: NoiseModel,
                     protocol: str = "oat") -> SqueezingTrace:
     """Numerically exact squeezing trace over a time grid (dicke tier).
 
-    The coherent moments come from :func:`coherent_moments`, one point at
-    a time, and each is reduced once by :func:`min_transverse_variance`,
-    which raises when the mean spin defines no transverse plane.  The
-    noise budget is one array call; its added variance goes onto the
-    minimal one, xi_total = (var + added)/(S/2), as in :func:`apply_noise`.
+    The coherent moments of the grid come from one :func:`coherent_moments`
+    call and are reduced once by :func:`min_transverse_variance`; a time
+    whose mean spin defines no transverse plane raises
+    :class:`DegenerateMeanSpinError`.  The noise budget is one array call;
+    its added variance goes onto the minimal one, xi_total = (var +
+    added)/(S/2), as in :func:`apply_noise`.
     """
     _, protocol = resolve_tier("dicke", protocol)
     times = np.asarray(times, dtype=float)
     added = analytic.noise_budget(d, times, noise).added_var
-    variance = np.empty_like(times)
-    mean_x = np.empty_like(times)
-    angle = np.empty_like(times)
-    for i, mom in enumerate(coherent_moments(d, protocol)(times)):
-        variance[i], angle[i] = min_transverse_variance(mom)
-        mean_x[i] = mom.mean_x
+    mom = coherent_moments(d, protocol)(times)
+    variance, angle = min_transverse_variance(mom)
     half_S = d.spin_S / 2.0
     xi_tot = (variance + added) / half_S
-    return SqueezingTrace(times=times, xi_unitary=variance / half_S, xi_total=xi_tot,
-                          mean_x=mean_x, var_min=xi_tot * half_S,
+    return SqueezingTrace(times=times, xi_unitary=_require_plane(variance, times) / half_S,
+                          xi_total=xi_tot, mean_x=mom.mean_x, var_min=xi_tot * half_S,
                           angle=angle, model_tier="dicke", protocol=protocol)

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DegenerateMeanSpinError, DerivedParams, FeasibilityParams, NumericsError,
-                   PhysicsError, SystemParams, TWO_PI, derive_params, resolve_tier)
+from .core import (DerivedParams, FeasibilityParams, NumericsError, PhysicsError, SystemParams,
+                   TWO_PI, derive_params, resolve_tier)
 from .analytic import NoiseModel
 from . import analytic, dicke
 
@@ -68,10 +68,6 @@ class OptimizationResult:
     bracket_delta: tuple[float, float] | None = None
     rel_tol: float = REL_TOL
     flags: tuple[str, ...] = ()
-
-    @property
-    def interior(self) -> bool:
-        return not self.flags
 
 
 @dataclass(frozen=True)
@@ -161,22 +157,15 @@ def _coherent_xi(d: DerivedParams, tier: str, protocol: str):
     """The coherent xi of ``d`` as a function of a one-dimensional ascending time array.
 
     The analytic tier is one ``analytic.xi_unitary`` call.  The Dicke tier
-    makes one ``dicke.coherent_moments`` kernel here and reduces each of its
-    points; a point whose mean spin is degenerate (|<S>| <= 1e-9 S, where
-    ``dicke.min_transverse_variance`` raises) is invalid (+inf): without
-    noise the time bracket can reach the collapse of the twisted mean spin.
+    makes one ``dicke.coherent_moments`` kernel here and reduces each grid it
+    returns with ``dicke.min_transverse_variance``, where a degenerate mean
+    spin (|<S>| <= 1e-9 S) is +inf, invalid and not fatal: without noise the
+    time bracket can reach the collapse of the twisted mean spin.
     """
     if tier == "analytic":
         return lambda times: analytic.xi_unitary(d, times).xi
     kernel = dicke.coherent_moments(d, protocol)
-
-    def point_xi(mom):
-        try:
-            return dicke.min_transverse_variance(mom)[0] / (mom.spin_S / 2.0)
-        except DegenerateMeanSpinError:  # no transverse plane: invalid, not fatal
-            return math.inf
-
-    return lambda times: np.array([point_xi(mom) for mom in kernel(times)])
+    return lambda times: dicke.min_transverse_variance(kernel(times))[0] / (d.spin_S / 2.0)
 
 
 def _check_floor(d: DerivedParams, xi_min: float, noise: NoiseModel, protocol: str) -> None:

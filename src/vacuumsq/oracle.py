@@ -36,7 +36,6 @@ top-Fock gate is read before any dynamics; the table is at the cutoff used.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,10 +167,11 @@ class FullEvolution:
     is the oracle problem at the photon cutoff actually used, and
     ``light_shifts`` holds the branch energies E_m for m = -S..S ascending
     (the bare energy is 0 in this frame, so each is the exact vacuum light
-    shift of |m>).  Moments are reported in the twisting frame: the
-    coherent light-shift precession exp(-i Omega t Sz) left over after
-    adiabatic elimination is removed, so they compare directly against the
-    pure twisting model.  Each branch is an eigenstate, so the photon-number
+    shift of |m>).  ``moments`` is one record over ``times``, each field an
+    array of the grid, reported in the twisting frame: the coherent
+    light-shift precession exp(-i Omega t Sz) left over after adiabatic
+    elimination is removed, so they compare directly against the pure
+    twisting model.  Each branch is an eigenstate, so the photon-number
     populations do not depend on time: ``photon_population`` is
     <c^dag c> ~= (g/Delta)^2 <S+ S-> = N(N+1)/4 (g/Delta)^2 for the CSS, and
     ``top_fock_population`` at the cutoff is the truncation diagnostic.
@@ -179,7 +179,7 @@ class FullEvolution:
 
     config: TCConfig
     times: np.ndarray
-    moments: list[SpinMoments]
+    moments: SpinMoments
     light_shifts: np.ndarray
     photon_population: float
     top_fock_population: float
@@ -217,7 +217,8 @@ def evolve_full(cfg: TCConfig, t_grid) -> FullEvolution:
     :class:`PhysicsError` once the dimension cap is reached).  Each branch
     then only picks up the phase exp(-i E_m t), so the (time, m, n)
     amplitudes of the grid are one scatter, then turned into the twisting
-    frame by exp(-i Omega t m).
+    frame by exp(-i Omega t m), and their moments one
+    ``dicke.amplitude_moments`` call.
     An unidentifiable branch raises :class:`LevelCrossingError` (CLI exit
     4), a grid that is not one-dimensional or a negative time
     :class:`PhysicsError` and a non-finite one :class:`NumericsError`
@@ -232,7 +233,7 @@ def evolve_full(cfg: TCConfig, t_grid) -> FullEvolution:
     psi *= np.exp(np.multiply.outer(-1j * omega * times, used.m_values))[:, :, None]
     n_vals = np.arange(fock_pops.size, dtype=float)
     return FullEvolution(config=used, times=times,
-                         moments=[dicke.amplitude_moments(amps, used.spin_S) for amps in psi],
+                         moments=dicke.amplitude_moments(psi, used.spin_S),
                          light_shifts=energies,
                          photon_population=float(np.dot(n_vals, fock_pops)),
                          top_fock_population=float(fock_pops[-1]))
@@ -265,10 +266,12 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
 
     The frame correction removes exp(-i Omega t Sz), but the exact mean
     precession differs from Omega by O((g sqrt(N)/Delta)^2), so the mean
-    spin tilts off the x axis as t grows.  When the tilt exceeds the 1e-3
-    that ``dicke.min_transverse_variance`` accepts -- in practice below
-    Delta/(g sqrt(N)) of about 25 -- the report raises :class:`PhysicsError`
-    naming the tilt, the time and Delta/(g sqrt(N)).
+    spin tilts off the x axis as t grows.  The grid's moments are reduced
+    once by ``dicke.min_transverse_variance``.  When a tilt exceeds the 1e-3
+    it accepts -- in practice below Delta/(g sqrt(N)) of about 25 -- the
+    report raises :class:`PhysicsError` naming the largest tilt, its time
+    and Delta/(g sqrt(N)); a degenerate mean spin raises
+    :class:`core.DegenerateMeanSpinError`.
     """
     d = cfg.derived()
     if t_grid is None:
@@ -277,21 +280,22 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
         t_grid = np.linspace(0.0, t_end, 9)[1:]
     evo = evolve_full(cfg, t_grid)
     ratio = abs(cfg.params.delta) / cfg.params.collective_coupling
-    xi_models = analytic.xi_unitary(d, evo.times).xi.tolist()
-    discrepancy = []
-    for t, mom, xi_model in zip(evo.times, evo.moments, xi_models):
-        try:
-            variance, _ = dicke.min_transverse_variance(mom)
-        except PhysicsError as exc:
-            tilt = math.atan2(math.hypot(mom.mean_y, mom.mean_z), mom.mean_x)
-            raise PhysicsError(
-                f"mean spin tilted {tilt:.3g} rad off the x axis at t={t:.6g} s with "
-                f"Delta/(g sqrt(N)) = {ratio:.3g}: the residual light-shift precession "
-                "leaves no well-defined transverse plane; increase the detuning") from exc
-        xi_full = variance / (cfg.spin_S / 2.0)
-        rel = abs(xi_full - xi_model) / max(abs(xi_model), 1e-300)
-        discrepancy.append({"t_seconds": float(t), "xi_full": float(xi_full),
-                            "xi_twisting_model": xi_model, "rel_discrepancy": rel})
+    mom = evo.moments
+    try:
+        variance, _ = dicke.min_transverse_variance(mom)
+    except PhysicsError as exc:
+        tilt = np.arctan2(np.hypot(mom.mean_y, mom.mean_z), mom.mean_x)
+        worst = int(np.argmax(tilt))
+        raise PhysicsError(
+            f"mean spin tilted {tilt[worst]:.3g} rad off the x axis at t={evo.times[worst]:.6g} s "
+            f"with Delta/(g sqrt(N)) = {ratio:.3g}: the residual light-shift precession "
+            "leaves no well-defined transverse plane; increase the detuning") from exc
+    xi_full = dicke._require_plane(variance, evo.times) / (cfg.spin_S / 2.0)
+    xi_model = analytic.xi_unitary(d, evo.times).xi
+    rel = np.abs(xi_full - xi_model) / np.maximum(np.abs(xi_model), 1e-300)
+    columns = {"t_seconds": evo.times, "xi_full": xi_full, "xi_twisting_model": xi_model,
+               "rel_discrepancy": rel}
+    discrepancy = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
     scale = (cfg.params.collective_coupling / cfg.params.delta) ** 2
     return {
         "n_atoms": cfg.n_atoms,

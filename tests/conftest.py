@@ -91,12 +91,24 @@ def xi_numeric(state):
     return variance / (state.spin_S / 2.0)
 
 
+MOMENT_FIELDS = ("mean_x", "mean_y", "mean_z", "var_z", "var_y", "cross_zy")
+
+
+def stacked(records):
+    """Per-state (or per-grid) SpinMoments joined into one grid record, in order."""
+    return analytic.SpinMoments(
+        spin_S=records[0].spin_S,
+        **{key: np.concatenate([np.atleast_1d(getattr(r, key)) for r in records])
+           for key in MOMENT_FIELDS})
+
+
 def tat_ladder_moments(state0, omega_twist):
     """Moments of state0 under rotation-assisted twisting along a time grid, the reference kernel.
 
     Each state comes from the full reflection-sector solves of
-    ``dicke.TatPropagator`` and its moments from ``dicke.moments``: no energy
-    window is involved.
+    ``dicke.TatPropagator`` and its moments from one ``dicke.moments`` call
+    per state: no energy window and no batched moments are involved.  The
+    grid's moments are returned as one record.
     """
     prop = dicke.TatPropagator(state0.spin_S, omega_twist)
-    return lambda times: [dicke.moments(st) for st in prop.evolve_grid(state0, times)]
+    return lambda times: stacked([dicke.moments(st) for st in prop.evolve_grid(state0, times)])

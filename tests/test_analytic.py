@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vacuumsq import NoiseModel, PhysicsError, SystemParams, derive_params
+from vacuumsq import NoiseModel, NumericsError, PhysicsError, SystemParams, derive_params
 from vacuumsq import analytic, dicke
 
 from conftest import oat_moments, small_params, tat_variance_bosonic, xi_approx
@@ -195,6 +195,37 @@ class TestNoiseBudgetScalars:
             analytic.noise_budget(fig3a_derived, t, NoiseModel())
 
 
+class TestNonFiniteTime:
+    """A NaN or infinite t raises NumericsError, as in core.time_grid and the Dicke tier."""
+
+    CALLS = {
+        "xi_unitary": lambda d, t: analytic.xi_unitary(d, t),
+        "xi_total": lambda d, t: analytic.xi_total(d, t, NoiseModel()),
+        "xi_total noise off": lambda d, t: analytic.xi_total(d, t, NoiseModel.none()),
+        "noise_budget": lambda d, t: analytic.noise_budget(d, t, NoiseModel()),
+        "squeezing_trace": lambda d, t: analytic.squeezing_trace(d, t, NoiseModel()),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    @pytest.mark.parametrize("t", [math.nan, math.inf, np.array(math.nan), np.float64(math.inf),
+                                   np.array([0.1, math.nan]), [0.0, math.inf]],
+                             ids=["nan", "inf", "0-d nan", "float64 inf", "array nan",
+                                  "list inf"])
+    def test_is_refused(self, fig3a_derived, call, t):
+        with pytest.raises(NumericsError, match="non-finite time"):
+            self.CALLS[call](fig3a_derived, t)
+
+    @pytest.mark.parametrize("t", [-math.inf, [0.1, -math.inf]], ids=["scalar", "array"])
+    def test_negative_infinity_is_a_negative_time(self, fig3a_derived, t):
+        with pytest.raises(PhysicsError, match="time must be >= 0"):
+            analytic.xi_unitary(fig3a_derived, t)
+
+    def test_the_dicke_tier_agrees(self, fig3a_derived):
+        for t in ([0.1, math.nan], [0.1, math.inf]):
+            with pytest.raises(NumericsError, match="non-finite time"):
+                dicke.squeezing_trace(fig3a_derived, t, NoiseModel.none())
+
+
 class TestXiTotal:
     def test_noise_off_equals_unitary(self, fig3a_derived):
         t = np.linspace(0.0, 1.0, 9)
@@ -291,7 +322,8 @@ class TestTrace:
         assert trace.xi_total == pytest.approx(
             analytic.xi_total(fig3a_derived, t, full_noise), rel=1e-15)
         assert trace.var_min == pytest.approx(trace.xi_total * 2500.0, rel=1e-15)
-        assert trace.xi_total_db == pytest.approx(10 * np.log10(trace.xi_total), rel=1e-12)
+        assert analytic.to_db(trace.xi_total) == pytest.approx(10 * np.log10(trace.xi_total),
+                                                               rel=1e-12)
 
 
 class TestNoiseModelType:

@@ -13,8 +13,8 @@ from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NormDriftError,
                       NumericsError, PhysicsError, derive_params)
 from vacuumsq import analytic, dicke
 
-from conftest import (oat_moments, small_params, tat_ladder_moments, tat_variance_bosonic,
-                      xi_numeric)
+from conftest import (MOMENT_FIELDS, oat_moments, small_params, stacked, tat_ladder_moments,
+                      tat_variance_bosonic, xi_numeric)
 
 
 def dense_operators(S):
@@ -157,15 +157,16 @@ class TestEquivalenceClosedForm:
 
 
 def assert_moments_close(got, want, tol):
-    """Every moment of ``got`` within ``tol`` (absolute) of ``want``."""
-    for key in ("mean_x", "mean_y", "mean_z", "var_z", "var_y", "cross_zy"):
+    """Every moment of ``got`` within ``tol`` (absolute) of ``want``, at every grid point."""
+    for key in MOMENT_FIELDS:
+        assert np.shape(getattr(got, key)) == np.shape(getattr(want, key)), key
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=0.0, abs=tol), key
 
 
 def full_ladder_trace(d, times):
-    """Moments of evolve_oat on the whole ladder, one state per time."""
+    """Moments of evolve_oat on the whole ladder, one state per time, as one grid record."""
     state0 = dicke.css(d.params.n_atoms)
-    return [dicke.moments(dicke.evolve_oat(state0, d.omega_twist, t)) for t in times]
+    return stacked([dicke.moments(dicke.evolve_oat(state0, d.omega_twist, t)) for t in times])
 
 
 class TestOatBand:
@@ -179,12 +180,12 @@ class TestOatBand:
         d = derive_params(small_params(n))
         times = np.geomspace(1e-2, 1.0, 5) / math.sqrt(n)
         trace = dicke.squeezing_trace(d, times, NoiseModel.none(), protocol="oat")
-        for i, full in enumerate(full_ladder_trace(d, times)):
-            var_full, angle_full = dicke.min_transverse_variance(full)
-            xi_full = var_full / (d.spin_S / 2)
-            assert trace.xi_unitary[i] == pytest.approx(xi_full, rel=1e-9, abs=0.0)
-            assert trace.mean_x[i] == pytest.approx(full.mean_x, rel=1e-12, abs=0.0)
-            assert trace.angle[i] == pytest.approx(angle_full, rel=0.0, abs=1e-12)
+        full = full_ladder_trace(d, times)
+        var_full, angle_full = dicke.min_transverse_variance(full)
+        xi_full = var_full / (d.spin_S / 2)
+        assert trace.xi_unitary == pytest.approx(xi_full, rel=1e-9, abs=0.0)
+        assert trace.mean_x == pytest.approx(full.mean_x, rel=1e-12, abs=0.0)
+        assert trace.angle == pytest.approx(angle_full, rel=0.0, abs=1e-12)
         assert np.min(trace.xi_unitary) < 0.01
 
     @pytest.mark.parametrize("n", [12, 1000, 2001])
@@ -194,14 +195,13 @@ class TestOatBand:
         assert dicke._nonzero_band(state0.amplitudes) == slice(0, n + 1)
         d = derive_params(small_params(n))
         times = [0.0, 0.3 / n, 1.0 / math.sqrt(n)]
-        band = dicke._oat_band_kernel(state0, d.omega_twist)(times)
-        scale = d.spin_S ** 2
-        for got, want in zip(band, full_ladder_trace(d, times), strict=True):
-            # same levels; pair weights instead of the twisted state
-            assert_moments_close(got, want, 1e-12 * scale)
-            xi_got = dicke.min_transverse_variance(got)[0] / (d.spin_S / 2)
-            xi_want = dicke.min_transverse_variance(want)[0] / (d.spin_S / 2)
-            assert xi_got == pytest.approx(xi_want, rel=1e-12, abs=0.0)
+        got = dicke._oat_band_kernel(state0, d.omega_twist)(times)
+        want = full_ladder_trace(d, times)
+        # same levels; pair weights instead of the twisted state
+        assert_moments_close(got, want, 1e-12 * d.spin_S ** 2)
+        xi_got = dicke.min_transverse_variance(got)[0] / (d.spin_S / 2)
+        xi_want = dicke.min_transverse_variance(want)[0] / (d.spin_S / 2)
+        assert xi_got == pytest.approx(xi_want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 301, 1000])
     def test_complex_start_matches_full_ladder(self, rng, n):
@@ -212,11 +212,10 @@ class TestOatBand:
         amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         state0 = dicke.DickeState(n / 2.0, amps / np.linalg.norm(amps))
         times = np.sort(rng.uniform(0.0, 2.0, size=12))
-        band = dicke._oat_band_kernel(state0, 1.0)(times)
-        for got, t in zip(band, times, strict=True):
-            want = dicke.moments(dicke.evolve_oat(state0, 1.0, t))
-            # the reference rounds phases Omega t m^2 of up to 2 (n/2)^2 rad
-            assert_moments_close(got, want, 1e-12 * (n / 2.0) ** 2)
+        got = dicke._oat_band_kernel(state0, 1.0)(times)
+        want = stacked([dicke.moments(dicke.evolve_oat(state0, 1.0, t)) for t in times])
+        # the reference rounds phases Omega t m^2 of up to 2 (n/2)^2 rad
+        assert_moments_close(got, want, 1e-12 * (n / 2.0) ** 2)
 
     def test_grid_across_blocks_matches_one_point_calls(self):
         # 150 times cross the 64-column blocks of the kernel twice
@@ -224,11 +223,10 @@ class TestOatBand:
         d = derive_params(small_params(n))
         times = np.linspace(0.0, 1.0 / math.sqrt(n), 150)
         kernel = dicke._oat_band_kernel(dicke.css(n), d.omega_twist)
-        grid = list(kernel(times))
-        assert len(grid) == times.size
-        for got, t, want in zip(grid, times, full_ladder_trace(d, times), strict=True):
-            assert_moments_close(got, next(kernel([t])), 1e-15 * d.spin_S ** 2)
-            assert_moments_close(got, want, 1e-12 * d.spin_S ** 2)
+        grid = kernel(times)
+        assert grid.mean_x.shape == times.shape
+        assert_moments_close(grid, stacked([kernel([t]) for t in times]), 1e-15 * d.spin_S ** 2)
+        assert_moments_close(grid, full_ladder_trace(d, times), 1e-12 * d.spin_S ** 2)
 
     def test_matches_a_40_digit_reference(self):
         # the twisted state and its moments at 40 digits, from the same start;
@@ -244,7 +242,8 @@ class TestOatBand:
             up = [mpmath.sqrt((S - m[k]) * (S + m[k] + 1)) for k in range(n)]
             c0 = [mpmath.mpc(complex(a)) for a in state0.amplitudes]
             norm = mpmath.fsum(abs(a) ** 2 for a in c0)
-            for got, t in zip(dicke._oat_band_kernel(state0, 1.0)(times), times, strict=True):
+            grid = dicke._oat_band_kernel(state0, 1.0)(times)
+            for i, t in enumerate(times):
                 c = [a * mpmath.expj(-mpmath.mpf(t) * mk ** 2) / mpmath.sqrt(norm)
                      for a, mk in zip(c0, m)]
                 sp_c = [mpmath.mpc(0)] + [up[k] * c[k] for k in range(n)]
@@ -262,7 +261,7 @@ class TestOatBand:
                         "var_y": inner(sy_c, sy_c) - my ** 2,
                         "cross_zy": 2 * inner(sz_c, sy_c) - 2 * mz * my}
                 for key, value in want.items():
-                    assert abs(getattr(got, key) - float(value)) <= 1e-14 * (n / 2.0) ** 2, key
+                    assert abs(getattr(grid, key)[i] - float(value)) <= 1e-14 * (n / 2.0) ** 2, key
 
     def test_band_is_the_nonzero_levels(self):
         # at N=1e4 the binomial tails underflow, so the band ends inside the ladder
@@ -278,12 +277,12 @@ class TestOatBand:
         state0 = dicke.css(1000)
         # bypass DickeState's own 1e-12 check to feed in a drifted norm
         object.__setattr__(state0, "amplitudes", state0.amplitudes * math.sqrt(1.0 + drift))
-        band = dicke._oat_band_kernel(state0, 1.0)([0.0, 0.01])
+        kernel = dicke._oat_band_kernel(state0, 1.0)
         if raises:
             with pytest.raises(NormDriftError):
-                next(band)
+                kernel([0.0, 0.01])
         else:
-            assert next(band).mean_x == pytest.approx(500.0, rel=1e-12)
+            assert kernel([0.0, 0.01]).mean_x[0] == pytest.approx(500.0, rel=1e-12)
 
     def test_band_is_found_once_per_kernel(self, monkeypatch):
         calls = []
@@ -297,17 +296,17 @@ class TestOatBand:
         d = derive_params(small_params(10_000))
         kernel = dicke.coherent_moments(d, "oat")
         for times in ([0.0], [1e-3, 2e-3], [5e-3]):
-            assert len(list(kernel(times))) == len(times)
+            assert kernel(times).mean_x.shape == (len(times),)
         assert calls == [10_001]
 
     def test_negative_time_is_rejected(self):
         with pytest.raises(PhysicsError):
-            next(dicke._oat_band_kernel(dicke.css(10), 1.0)([0.1, -0.1]))
+            dicke._oat_band_kernel(dicke.css(10), 1.0)([0.1, -0.1])
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_non_finite_time_is_rejected(self, t):
         with pytest.raises(NumericsError):
-            next(dicke._oat_band_kernel(dicke.css(10), 1.0)([t]))
+            dicke._oat_band_kernel(dicke.css(10), 1.0)([t])
 
 
 class TestEvolveTat:
@@ -410,12 +409,12 @@ class TestEvolveTat:
         d = derive_params(small_params(40))
         kernel = dicke.coherent_moments(d, "tat")
         grids = ([5e-3], [1e-3, 2e-3], [0.0])
-        got = [list(kernel(times)) for times in grids]
+        got = [kernel(times) for times in grids]
         assert calls == [] and len(solves) == 1
         for times, moms in zip(grids, got):  # what the propagated states give, to rounding
             fresh = dicke.TatPropagator(20.0, d.omega_twist).evolve_grid(dicke.css(40), times)
-            for mom, out in zip(moms, fresh, strict=True):
-                assert_moments_close(mom, dicke.moments(out), 1e-13 * 20.0 ** 2)
+            assert_moments_close(moms, stacked([dicke.moments(out) for out in fresh]),
+                                 1e-13 * 20.0 ** 2)
         assert calls == [41] * len(grids) and len(solves) == 1  # each propagator splits its state
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
@@ -630,7 +629,7 @@ class TestTatWindow:
             return window(diag, off, vals, z, spread)
 
         monkeypatch.setattr(dicke, "_energy_window", recorded)
-        list(dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")([0.0]))
+        dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")([0.0])
         assert spreads[0][1] == pytest.approx(sigma, rel=1e-9)
 
     def test_xi_matches_expm_multiply_above_the_old_limit(self):
@@ -641,33 +640,34 @@ class TestTatWindow:
         S = n / 2
         d = derive_params(small_params(n, omega))
         taus = np.array([2.0, 4.5])
-        moms = list(dicke.coherent_moments(d, "tat")(taus / (S * omega)))
-        assert moms[1].mean_x < 0.7 * S
+        moms = dicke.coherent_moments(d, "tat")(taus / (S * omega))
+        assert moms.mean_x[1] < 0.7 * S
+        xi = dicke.min_transverse_variance(moms)[0] / (S / 2)
         m = np.arange(n + 1) - S
         off = omega * S * 0.5 * np.sqrt((S - m[:-1]) * (S + m[:-1] + 1.0))
         h = sparse.diags([off, omega * m ** 2, off], [-1, 0, 1], format="csr")
         amps, prev = dicke.css(n).amplitudes, 0.0
-        for tau, mom in zip(taus, moms, strict=True):
+        for tau, got in zip(taus, xi, strict=True):
             amps, prev = expm_multiply(-1j * (tau - prev) / (S * omega) * h, amps), tau
             want = xi_numeric(dicke.DickeState(S, amps / np.linalg.norm(amps)))
-            assert dicke.min_transverse_variance(mom)[0] / (S / 2) == pytest.approx(want, rel=1e-9)
+            assert got == pytest.approx(want, rel=1e-9)
 
     def test_kernel_raises_when_the_windows_exceed_the_limit(self, monkeypatch):
         # Omega S t = 4.5 takes the whole 11-level block, whose window keeps more than 5
         monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", 5)
         kernel = dicke.coherent_moments(derive_params(small_params(20, 0.37)), "tat")
         with pytest.raises(NumericsError, match="more than 5 eigenvectors"):
-            next(kernel([4.5 / (10 * 0.37)]))
+            kernel([4.5 / (10 * 0.37)])
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_kernel_time_grid_gates(self, protocol):
         kernel = dicke.coherent_moments(derive_params(small_params(20)), protocol)
         with pytest.raises(PhysicsError, match="time grid must be one-dimensional"):
-            next(kernel(0.5))
+            kernel(0.5)
         with pytest.raises(PhysicsError, match="time must be >= 0"):
-            next(kernel([0.1, -0.1]))
+            kernel([0.1, -0.1])
         with pytest.raises(NumericsError, match="non-finite time"):
-            next(kernel([0.1, math.nan]))
+            kernel([0.1, math.nan])
 
 
 def recorded_solves(monkeypatch):
@@ -691,13 +691,12 @@ class TestTatBlock:
         # n = 1 is a one-level block; Omega S t runs past the squeezing optimum to 4
         S = n / 2
         times = np.concatenate(([0.0], np.linspace(0.01, 4.0, 70))) / (S * abs(omega))
-        got = list(dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")(times))
-        want = list(tat_ladder_moments(dicke.css(n), omega)(times))
-        for g, w in zip(got, want, strict=True):
-            assert_moments_close(g, w, 1e-12 * S * S)
-            (var_g, angle_g), (var_w, angle_w) = map(dicke.min_transverse_variance, (g, w))
-            assert var_g == pytest.approx(var_w, rel=1e-10)
-            assert angle_g == pytest.approx(angle_w, rel=0.0, abs=1e-10)
+        got = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")(times)
+        want = tat_ladder_moments(dicke.css(n), omega)(times)
+        assert_moments_close(got, want, 1e-12 * S * S)
+        (var_g, angle_g), (var_w, angle_w) = map(dicke.min_transverse_variance, (got, want))
+        assert var_g == pytest.approx(var_w, rel=1e-10)
+        assert angle_g == pytest.approx(angle_w, rel=0.0, abs=1e-10)
 
     def test_early_angle_matches_a_40_digit_reference(self):
         # near t = 0 the state is almost isotropic and its angle ill-conditioned;
@@ -706,7 +705,8 @@ class TestTatBlock:
         n, omega = 2000, 0.37
         d = derive_params(small_params(n, omega))
         taus = [1e-3, 5e-3, 0.05]
-        got = dicke.coherent_moments(d, "tat")(np.array(taus) / (d.spin_S * d.omega_twist))
+        got_variance, got_angle = dicke.min_transverse_variance(
+            dicke.coherent_moments(d, "tat")(np.array(taus) / (d.spin_S * d.omega_twist)))
         with mpmath.workdps(40):
             S, levels = mpmath.mpf(n) / 2, 20
             k = [2 * mpmath.mpf(j) for j in range(levels)]  # S - m'
@@ -717,7 +717,7 @@ class TestTatBlock:
             for j in range(levels - 1):
                 h[j, j + 1] = h[j + 1, j] = lift[j] / 4
             vals, vecs = mpmath.eigsy(h)
-            for tau, mom in zip(taus, got, strict=True):
+            for i, tau in enumerate(taus):
                 theta = mpmath.mpf(tau) / S  # Omega t, with Omega factored out of h
                 psi = [mpmath.fsum(vecs[i, j] * vecs[0, j] * mpmath.expj(-vals[j] * theta)
                                    for j in range(levels)) for i in range(levels)]
@@ -728,9 +728,8 @@ class TestTatBlock:
                 var_z, var_y = shared + raised.real / 2, shared - raised.real / 2
                 angle = (mpmath.pi - mpmath.atan2(-raised.imag, var_y - var_z)) / 2
                 variance = (var_z + var_y) / 2 - mpmath.hypot((var_z - var_y) / 2, raised.imag / 2)
-                got_variance, got_angle = dicke.min_transverse_variance(mom)
-                assert abs(got_angle - float(angle)) <= 1e-11
-                assert got_variance == pytest.approx(float(variance), rel=1e-13)
+                assert abs(got_angle[i] - float(angle)) <= 1e-11
+                assert got_variance[i] == pytest.approx(float(variance), rel=1e-13)
 
     def test_variance_approaches_the_bosonic_limit_as_one_over_s(self):
         # paper scale: N = 1e6 keeps about 300 of its 500 001 block levels
@@ -739,9 +738,8 @@ class TestTatBlock:
         for n in (10_000, 100_000, 1_000_000):
             d = derive_params(small_params(n, 0.37))
             times = taus / (d.spin_S * 0.37)
-            var = [dicke.min_transverse_variance(m)[0]
-                   for m in dicke.coherent_moments(d, "tat")(times)]
-            deviations.append(np.array(var) / tat_variance_bosonic(d, times) - 1.0)
+            var = dicke.min_transverse_variance(dicke.coherent_moments(d, "tat")(times))[0]
+            deviations.append(var / tat_variance_bosonic(d, times) - 1.0)
         assert np.all(deviations[-1] > 0) and np.all(deviations[-1] < 1e-5)
         for coarse, fine in zip(deviations, deviations[1:]):  # S grows tenfold
             assert coarse / fine == pytest.approx(10.0, rel=0.2)
@@ -750,7 +748,7 @@ class TestTatBlock:
         sizes = recorded_solves(monkeypatch)
         n, omega = 2000, 0.37
         kernel = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")
-        list(kernel(np.array([1.0, 4.5]) / (n / 2 * omega)))
+        kernel(np.array([1.0, 4.5]) / (n / 2 * omega))
         assert sizes == [n // 2 + 1]
 
     def test_first_block_follows_the_grid_end(self, monkeypatch):
@@ -761,7 +759,7 @@ class TestTatBlock:
         n, omega = 100_000, 0.37
         kernel = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")
         for tau in (0.25, 1.0, 1.5):
-            list(kernel(np.linspace(0.0, tau, 9) / (n / 2 * omega)))
+            kernel(np.linspace(0.0, tau, 9) / (n / 2 * omega))
         assert len(sizes) == 3 and sizes[0] < sizes[1] < sizes[2] < 400
 
     def test_a_failing_gate_doubles_the_block_up_to_the_whole(self, monkeypatch):
@@ -772,11 +770,11 @@ class TestTatBlock:
         kernel = dicke.coherent_moments(d, "tat")
         monkeypatch.setattr(dicke, "WINDOW_EDGE_WEIGHT", 0.0)
         times = np.array([0.1, 0.25]) / (n / 2 * omega)
-        got = list(kernel(times))
+        got = kernel(times)
         first = sizes[0]
         assert sizes == [first, 2 * first, 4 * first, 8 * first, n // 2 + 1]
-        for g, w in zip(got, tat_ladder_moments(dicke.css(n), omega)(times), strict=True):
-            assert_moments_close(g, w, 1e-12 * (n / 2) ** 2)
+        assert_moments_close(got, tat_ladder_moments(dicke.css(n), omega)(times),
+                             1e-12 * (n / 2) ** 2)
 
     @pytest.mark.parametrize("n", [101, 2000])
     def test_call_order_moves_results_only_within_the_gate(self, n):
@@ -786,21 +784,53 @@ class TestTatBlock:
         d = derive_params(small_params(n, omega))
         short, long = (np.linspace(0.0, tau, 11) / (n / 2 * omega) for tau in (0.5, 2.5))
         forward, backward = (dicke.coherent_moments(d, "tat") for _ in range(2))
-        short_first = [list(forward(short)), list(forward(long))]
-        long_first = [list(backward(long)), list(backward(short))]
+        short_first = [forward(short), forward(long)]
+        long_first = [backward(long), backward(short)]
         for grid, a, b in ((short, short_first[0], long_first[1]),
                            (long, short_first[1], long_first[0])):
             want = tat_ladder_moments(dicke.css(n), omega)(grid)
-            for x, y, w in zip(a, b, want, strict=True):
-                assert_moments_close(x, y, 1e-12 * (n / 2) ** 2)
-                assert_moments_close(x, w, 1e-12 * (n / 2) ** 2)
+            assert_moments_close(a, b, 1e-12 * (n / 2) ** 2)
+            assert_moments_close(a, want, 1e-12 * (n / 2) ** 2)
 
     def test_repeat_kernels_are_bitwise_identical(self):
         d = derive_params(small_params(2000, 0.37))
         times = np.geomspace(1e-4, 1.0, 100) / (1000 * 0.37)
-        first, second = (np.array([astuple(m) for m in dicke.coherent_moments(d, "tat")(times)])
+        first, second = (np.stack(astuple(dicke.coherent_moments(d, "tat")(times))[1:])
                          for _ in range(2))
         assert first.tobytes() == second.tobytes()
+
+
+def scalar_min_variance(m, i):
+    """The reduction of grid point i with math.hypot and math.atan2, the reference formula.
+
+    The smallest eigenvalue of the (z, y) covariance and its angle in the
+    cos(phi) Sy - sin(phi) Sz convention, folded to (-pi/2, pi/2], 0 where
+    the transverse noise is isotropic to 1e-12.
+    """
+    var_z, var_y, cross = (float(getattr(m, key)[i]) for key in ("var_z", "var_y", "cross_zy"))
+    half_sum = 0.5 * (var_z + var_y)
+    radius = math.hypot(0.5 * (var_z - var_y), 0.5 * cross)
+    if radius <= 1e-12 * max(1.0, half_sum):
+        return half_sum - radius, 0.0
+    angle = 0.5 * (math.pi - math.atan2(cross, var_y - var_z))
+    return half_sum - radius, angle - math.pi if angle > math.pi / 2 else angle
+
+
+class TestAmplitudeMoments:
+    def test_a_batch_is_its_slices_bitwise(self, rng):
+        # the oracle's (time, m, n) layout: one call gives each slice's moments
+        amps = rng.normal(size=(5, 13, 4)) + 1j * rng.normal(size=(5, 13, 4))
+        amps /= np.linalg.norm(amps, axis=(1, 2), keepdims=True)
+        batch = dicke.amplitude_moments(amps, 6.0)
+        want = stacked([dicke.amplitude_moments(slice_, 6.0) for slice_ in amps])
+        for key in MOMENT_FIELDS:
+            assert getattr(batch, key).tobytes() == getattr(want, key).tobytes(), key
+
+    def test_one_state_gives_floats_and_an_empty_batch_empty_arrays(self):
+        one = dicke.moments(dicke.css(4))
+        assert all(np.ndim(getattr(one, key)) == 0 for key in MOMENT_FIELDS)
+        empty = dicke.amplitude_moments(np.empty((0, 5, 3), dtype=complex), 2.0)
+        assert all(getattr(empty, key).shape == (0,) for key in MOMENT_FIELDS)
 
 
 class TestMinTransverseVariance:
@@ -818,11 +848,68 @@ class TestMinTransverseVariance:
         assert var == pytest.approx(2.5, rel=1e-12)
         assert abs(angle) == pytest.approx(math.pi / 2, rel=1e-12)
 
-    def test_degenerate_mean_raises(self):
+    def test_degenerate_mean_is_infinite(self):
+        # no transverse plane: an invalid point, not an error
         m = analytic.SpinMoments(spin_S=5.0, mean_x=0.0, mean_y=0.0, mean_z=0.0,
                                  var_z=2.5, var_y=2.5, cross_zy=0.0)
-        with pytest.raises(DegenerateMeanSpinError):
+        assert dicke.min_transverse_variance(m)[0] == math.inf
+
+    def test_degenerate_points_of_a_grid_are_infinite(self):
+        # |<S>| <= 1e-9 S at the middle two points only; a degenerate point may
+        # point anywhere, so its direction raises nothing
+        m = analytic.SpinMoments(spin_S=5.0, mean_x=np.array([5.0, 0.0, 0.0, 3.0]),
+                                 mean_y=np.array([0.0, 0.0, 4e-9, 0.0]), mean_z=np.zeros(4),
+                                 var_z=np.full(4, 2.5), var_y=np.full(4, 3.1),
+                                 cross_zy=np.zeros(4))
+        variance, angle = dicke.min_transverse_variance(m)
+        assert variance.shape == angle.shape == (4,)
+        assert list(np.isinf(variance)) == [False, True, True, False]
+        assert variance[[0, 3]] == pytest.approx([2.5, 2.5], rel=1e-12)
+
+    def test_tilt_at_any_valid_point_of_a_grid_raises(self):
+        m = analytic.SpinMoments(spin_S=5.0, mean_x=np.array([5.0, 3.0]),
+                                 mean_y=np.array([0.0, 2.0]), mean_z=np.zeros(2),
+                                 var_z=np.full(2, 2.5), var_y=np.full(2, 2.5),
+                                 cross_zy=np.zeros(2))
+        with pytest.raises(PhysicsError, match="tilted"):
             dicke.min_transverse_variance(m)
+
+    def test_matches_the_scalar_reduction_at_every_point(self):
+        # twisted and rotation-assisted grids, isotropic starts at t = 0 and
+        # synthetic points: exactly and nearly isotropic, and each sign of the
+        # cross term and of var_y - var_z
+        d = derive_params(small_params(1000, 0.37))
+        times = np.concatenate(([0.0], np.geomspace(1e-4, 2.0, 60))) / (500 * 0.37)
+        grids = [dicke.coherent_moments(d, protocol)(times) for protocol in ("oat", "tat")]
+        var_z = np.array([2.5, 2.5, 2.5 + 1e-13, 2.5, 3.1, 2.0, 2.0, 1e-3])
+        var_y = np.array([2.5, 2.5, 2.5, 3.1, 2.5, 3.0, 3.0, 4.0])
+        cross = np.array([0.0, 1e-13, 0.0, 0.0, 0.0, 1.5, -1.5, -3.9])
+        grids.append(analytic.SpinMoments(spin_S=5.0, mean_x=np.full(8, 5.0),
+                                          mean_y=np.zeros(8), mean_z=np.zeros(8),
+                                          var_z=var_z, var_y=var_y, cross_zy=cross))
+        for m in grids:
+            variance, angle = dicke.min_transverse_variance(m)
+            for i in range(variance.size):
+                want_variance, want_angle = scalar_min_variance(m, i)
+                assert variance[i] == pytest.approx(want_variance, rel=1e-15, abs=0.0)
+                assert angle[i] == pytest.approx(want_angle, rel=1e-15, abs=0.0)
+        assert list(dicke.min_transverse_variance(grids[-1])[1][:3]) == [0.0] * 3  # tie-breaks
+
+    def test_empty_grid(self):
+        empty = np.empty(0)
+        m = analytic.SpinMoments(spin_S=5.0, mean_x=empty, mean_y=empty, mean_z=empty,
+                                 var_z=empty, var_y=empty, cross_zy=empty)
+        variance, angle = dicke.min_transverse_variance(m)
+        assert variance.shape == angle.shape == (0,)
+
+    @pytest.mark.parametrize("protocol", ["oat", "tat"])
+    def test_kernels_and_trace_on_an_empty_grid(self, protocol, full_noise):
+        d = derive_params(small_params(20))
+        m = dicke.coherent_moments(d, protocol)([])
+        for key in MOMENT_FIELDS:
+            assert getattr(m, key).shape == (0,), key
+        trace = dicke.squeezing_trace(d, [], full_noise, protocol=protocol)
+        assert trace.xi_total.shape == trace.angle.shape == trace.mean_x.shape == (0,)
 
     def test_tilted_mean_raises(self):
         m = analytic.SpinMoments(spin_S=5.0, mean_x=3.0, mean_y=2.0, mean_z=0.0,
@@ -856,6 +943,16 @@ class TestXiNumeric:
 
 
 class TestApplyNoise:
+    def test_grid_record_takes_the_grid(self, fig3a_derived, full_noise):
+        d = fig3a_derived
+        times = np.array([0.0, 0.2, 0.46])
+        grid = dicke.coherent_moments(d, "oat")(times)
+        noisy = dicke.apply_noise(grid, d, times, full_noise)
+        added = analytic.noise_budget(d, times, full_noise).added_var
+        assert noisy.var_z.tobytes() == (grid.var_z + added).tobytes()
+        assert noisy.var_y.tobytes() == (grid.var_y + added).tobytes()
+        assert noisy.cross_zy is grid.cross_zy
+
     def test_channels_off_is_identity(self, fig3a_derived):
         m = dicke.moments(dicke.css(10_000))
         out = dicke.apply_noise(m, fig3a_derived, 0.46, NoiseModel.none())
@@ -912,6 +1009,12 @@ class TestTraceAndDump:
         ref = analytic.xi_total(d, times, full_noise)
         assert trace.xi_total == pytest.approx(ref, rel=1e-9)
         assert trace.model_tier == "dicke"
+
+    def test_degenerate_mean_spin_raises_naming_its_time(self):
+        # two atoms twisted: <Sx> = cos(Omega t) vanishes at Omega t = pi/2
+        d = derive_params(small_params(2))
+        with pytest.raises(DegenerateMeanSpinError, match=f"at t={math.pi / 2!r}"):
+            dicke.squeezing_trace(d, [0.1, math.pi / 2, 2.0], NoiseModel.none())
 
     def test_tat_beats_oat_at_matched_early_times(self):
         # the matched rotation accelerates squeezing: pointwise stronger

@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from vacuumsq import LevelCrossingError, NumericsError, PhysicsError, SystemParams, derive_params
+from vacuumsq import (DegenerateMeanSpinError, LevelCrossingError, NumericsError, PhysicsError,
+                      SystemParams, derive_params)
 from vacuumsq import analytic, dicke, oracle
 
 
@@ -194,9 +196,9 @@ class TestEvolveFull:
                               delta=1.0)
         cfg = oracle.TCConfig(params=params)
         evo = oracle.evolve_full(cfg, [0.0, 5.0, 50.0])
-        for mom in evo.moments:
-            assert mom.mean_x == pytest.approx(2.0, rel=1e-12)
-            assert mom.var_z == pytest.approx(1.0, rel=1e-12)
+        assert evo.moments.mean_x.shape == evo.moments.var_z.shape == (3,)
+        assert evo.moments.mean_x == pytest.approx(np.full(3, 2.0), rel=1e-12)
+        assert evo.moments.var_z == pytest.approx(np.full(3, 1.0), rel=1e-12)
 
     def test_matches_twisting_model(self):
         # xi agreement to 5 (g sqrt(N)/Delta)^2 relative at moderate phases
@@ -206,10 +208,10 @@ class TestEvolveFull:
         times = phases / abs(d.omega_twist)
         evo = oracle.evolve_full(cfg, times)
         tol = 5.0 * (cfg.params.collective_coupling / cfg.params.delta) ** 2
-        for t, mom in zip(times, evo.moments):
-            xi_full = dicke.min_transverse_variance(mom)[0] / (cfg.spin_S / 2)
-            xi_model = analytic.xi_unitary(d, t).xi
-            assert abs(xi_full - xi_model) / xi_model <= tol
+        xi_full = dicke.min_transverse_variance(evo.moments)[0] / (cfg.spin_S / 2)
+        xi_model = analytic.xi_unitary(d, times).xi
+        assert xi_full.shape == times.shape
+        assert np.all(np.abs(xi_full - xi_model) / xi_model <= tol)
 
     def test_doubling_detuning_quarters_model_discrepancy(self):
         def worst(factor):
@@ -217,12 +219,9 @@ class TestEvolveFull:
             d = cfg.derived()
             times = np.array([0.1, 0.2]) / abs(d.omega_twist)
             evo = oracle.evolve_full(cfg, times)
-            errs = []
-            for t, mom in zip(times, evo.moments):
-                xi_full = dicke.min_transverse_variance(mom)[0] / (cfg.spin_S / 2)
-                xi_model = analytic.xi_unitary(d, t).xi
-                errs.append(abs(xi_full - xi_model) / xi_model)
-            return max(errs)
+            xi_full = dicke.min_transverse_variance(evo.moments)[0] / (cfg.spin_S / 2)
+            xi_model = analytic.xi_unitary(d, times).xi
+            return float(np.max(np.abs(xi_full - xi_model) / xi_model))
 
         assert worst(400.0) / worst(200.0) == pytest.approx(0.25, rel=0.25)
 
@@ -272,6 +271,23 @@ class TestReport:
         with pytest.raises(PhysicsError, match=r"tilted .* Delta/\(g sqrt\(N\)\) = 10"):
             oracle.verification_report(tc_config(n, delta_over_gn=10.0))
 
+    def test_degenerate_mean_spin_raises(self, monkeypatch):
+        # one time of the grid with a vanishing mean spin, which the one
+        # reduction of the grid turns into +inf and the report refuses
+        evolve_full = oracle.evolve_full
+
+        def collapsed(cfg, t_grid):
+            evo = evolve_full(cfg, t_grid)
+            means = {key: getattr(evo.moments, key).copy()
+                     for key in ("mean_x", "mean_y", "mean_z")}
+            for value in means.values():
+                value[3] = 0.0
+            return replace(evo, moments=replace(evo.moments, **means))
+
+        monkeypatch.setattr(oracle, "evolve_full", collapsed)
+        with pytest.raises(DegenerateMeanSpinError, match="mean spin length ~ 0 at t="):
+            oracle.verification_report(tc_config(4))
+
     def test_cli_oracle_tilted_mean_spin_exits_physics(self, tmp_path, capsys):
         import json
         from vacuumsq import cli
@@ -295,7 +311,7 @@ class TestReport:
                                                       cutoff_used, eigh_calls):
         # N=12 has 13 blocks k = m, of sizes 1..c and c+1 at cutoff c, one
         # stacked eigh per size: escalating from cutoff 2 to 3 takes 3 + 4
-        # calls, and the moments are built once per time of the default grid
+        # calls, and the moments of the default grid's 8 times are one call
         counts = {"eigh": 0, "moments": 0}
         eigh, moments = np.linalg.eigh, dicke.amplitude_moments
 
@@ -312,4 +328,4 @@ class TestReport:
         report = oracle.verification_report(tc_config(12, delta_over_gn=ratio))
         assert report["photon_cutoff_used"] == cutoff_used
         assert len(report["dynamics"]) == 8
-        assert counts == {"eigh": eigh_calls, "moments": 8}
+        assert counts == {"eigh": eigh_calls, "moments": 1}
