@@ -16,6 +16,10 @@ Outputs are deterministic for a fixed config (full round-trip float
 precision) and written atomically (temp file + rename).  CSV tables are
 column-major: a command hands over one sequence per column, and each float
 is written as its ``repr``.
+
+``validate`` and the analytic tier (``evolve`` and ``optimize`` at tier
+analytic, ``scaling`` of twisting, ``feasibility``) run without scipy; the
+Dicke tier and the oracle load it on first use.
 """
 
 from __future__ import annotations
@@ -170,8 +174,9 @@ def _build_optimize(cfg) -> tuple[bool, float | None, tuple | None]:
     t_max = sec.get("t_max_s")
     if t_max is not None:
         _number("optimize", "t_max_s", t_max)
-        if not (math.isfinite(t_max) and t_max > 0):
-            raise ConfigError(f"optimize.t_max_s must be finite and > 0, got {t_max!r}")
+        if not optimize.valid_t_max(t_max):
+            raise ConfigError(f"optimize.t_max_s must be finite with t_max_s * "
+                              f"{optimize.T_BOTTOM!r} a normal float, got {t_max!r}")
     bracket = sec.get("delta_bracket_hz")
     if bracket is not None:
         lo, hi = _pair("optimize", "delta_bracket_hz", bracket)

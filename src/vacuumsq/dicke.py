@@ -57,6 +57,11 @@ only see the rounding of |exp(i theta)|, about 1e-16.  The phases are
 arithmetic in m, so each factors into a row phase and an in-row step: a
 time point takes about 4 sqrt(n) exponentials for n band levels (530 at
 N = 1e5), and a block of 64 times takes two matrix products.
+
+The scipy imports sit inside the functions that call them: every CLI
+command imports this module, and loading scipy's linear algebra and special
+functions would add about 0.3 s to each start of ``validate`` and the
+analytic tier, which call none of them.
 """
 
 from __future__ import annotations
@@ -65,9 +70,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstein
-from scipy.special import gammaln
 
 from .core import (DerivedParams, DegenerateMeanSpinError, NormDriftError,
                    NumericsError, PhysicsError, resolve_tier, time_grid)
@@ -152,6 +154,8 @@ def css(n_atoms: int) -> DickeState:
     Binomial weights are evaluated in log space so that N up to 1e5 is
     exact to rounding (no overflow of the raw binomials).
     """
+    from scipy.special import gammaln
+
     if n_atoms < 1 or int(n_atoms) != n_atoms:
         raise PhysicsError(f"n_atoms must be a positive integer, got {n_atoms}")
     S = n_atoms / 2.0
@@ -324,6 +328,9 @@ def _energy_window(diag: np.ndarray, off: np.ndarray, vals: np.ndarray, z: np.nd
     of T is one full ``eigh_tridiagonal``.  Raises :class:`NumericsError` once the
     window would keep more than ``SPECTRAL_MAX_DIM`` eigenvectors.
     """
+    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg.lapack import dstein
+
     e0, sigma = spread
     weight_z = float(np.vdot(z, z).real)
     lo = int(np.argmin(np.abs(vals - e0)))
@@ -387,6 +394,8 @@ class TatPropagator:
         raises :class:`PhysicsError`, a NaN or infinite time
         :class:`NumericsError`, both up front (see :func:`core.time_grid`).
         """
+        from scipy.linalg import eigh_tridiagonal
+
         times = time_grid(times)
         sectors = []
         for k, z in enumerate(_sector_split(state.amplitudes)):
@@ -487,6 +496,8 @@ def _tat_coherent_kernel(spin_S: float, omega_twist: float):
         return levels if rate * levels <= need else min(levels, max(1, math.ceil(need / rate)) + 2)
 
     def solve(size):
+        from scipy.linalg import eigh_tridiagonal
+
         n = 2.0 * np.arange(size)  # S - m' of the kept levels
         lift = np.sqrt((n[:-1] + 1.0) * (n[:-1] + 2.0) * (2 * S - n[:-1]) * (2 * S - n[:-1] - 1.0))
         diag, off = -0.5 * omega_twist * n * n, 0.25 * omega_twist * lift

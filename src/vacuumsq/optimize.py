@@ -23,6 +23,7 @@ the closed-form floor.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +49,12 @@ DETUNING_GRID_POINTS = 96   # coarse log grid of Delta at each tau of optimal_de
 # scales with |log x| and depends on the unit of x (see minimize_on_log_axis),
 # not a width relative to x.
 REL_TOL = 1e-3
+T_BOTTOM = 1e-8  # the bottom of every time bracket over its top
+
+
+def valid_t_max(t_max) -> bool:
+    """Whether ``t_max`` can top a time bracket: finite, and its bottom a normal float."""
+    return math.isfinite(t_max) and t_max * T_BOTTOM >= sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -238,7 +245,8 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     A one-point bracket, lo = hi, fixes the detuning (this is
     :func:`optimal_time`): each tau has that one Delta, with no Delta grid
     and no search over Delta, and the tau grid keeps every t inside the
-    time bracket.
+    time bracket.  A ``t_max`` that is not finite, or whose bracket bottom
+    t_max * 1e-8 is not a normal float, raises ``ValueError``.
 
     Flags: ``delta_*_edge`` when the best detuning at the optimal tau sits
     on the Delta bracket; ``time_*_edge`` when it sits on an end of the
@@ -251,17 +259,20 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         bracket = (kappa, 1e4 * kappa)
     if not (0 < bracket[0] <= bracket[1]):
         raise ValueError(f"need a detuning bracket with 0 < lo <= hi, got {bracket!r}")
+    if t_max is not None and not valid_t_max(t_max):
+        raise ValueError(f"need a finite t_max with t_max * {T_BOTTOM!r} a normal float, "
+                         f"got {t_max!r}")
     lo, hi = bracket
     d = derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g, kappa=kappa,
                                    gamma=gamma, delta=lo))
     g2, S = coupling_g ** 2, d.spin_S
     if t_max is None and gamma <= 0:  # the top pi/(2|Omega|) is tau = pi/2 at every Delta
         t_top = reach = None
-        xs = np.geomspace(S * math.pi / 2.0 * 1e-8, S * math.pi / 2.0, TIME_GRID_POINTS)
+        xs = np.geomspace(S * math.pi / 2.0 * T_BOTTOM, S * math.pi / 2.0, TIME_GRID_POINTS)
     else:
         t_top = 10.0 / gamma if t_max is None else float(t_max)
         reach = g2 * t_top  # tau Delta at the top of the time bracket
-        xs = np.geomspace(S * 1e-8 * reach / hi, S * reach / lo, TIME_GRID_POINTS)
+        xs = np.geomspace(S * T_BOTTOM * reach / hi, S * reach / lo, TIME_GRID_POINTS)
 
     def added_xi(tau, delta):  # the noise's share of xi at (tau, Delta), +inf past the guard
         omega = g2 / delta
@@ -280,7 +291,7 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         if reach is None or hi == lo:  # the tau grid keeps every t inside the time bracket
             d_lo, d_hi = np.full(tau.shape, lo), np.full(tau.shape, hi)
         else:
-            d_lo, d_hi = np.maximum(lo, 1e-8 * reach / tau), np.minimum(hi, reach / tau)
+            d_lo, d_hi = np.maximum(lo, T_BOTTOM * reach / tau), np.minimum(hi, reach / tau)
         rows = np.flatnonzero(d_lo <= d_hi)
         grid = d_lo[rows, None] if hi == lo else np.geomspace(d_lo[rows], d_hi[rows],
                                                               DETUNING_GRID_POINTS, axis=1)
@@ -333,7 +344,7 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     return OptimizationResult(t_opt=x_opt / S * delta_opt / g2, xi_min=xi_min,
                               xi_min_db=float(analytic.to_db(xi_min)), model_tier=tier,
                               protocol=protocol, delta_opt=delta_opt,
-                              bracket_t=(top * 1e-8, top), bracket_delta=bracket,
+                              bracket_t=(top * T_BOTTOM, top), bracket_delta=bracket,
                               flags=tuple(dict.fromkeys(flags)))
 
 

@@ -57,6 +57,11 @@ MALFORMED = [
     pytest.param("optimize", {"optimize": {"t_max_s": 0}}, id="optimize-t_max-zero"),
     pytest.param("optimize", {"optimize": {"t_max_s": -1}}, id="optimize-t_max-negative"),
     pytest.param("optimize", {"optimize": {"t_max_s": float("nan")}}, id="optimize-t_max-nan"),
+    pytest.param("optimize", {"optimize": {"t_max_s": float("inf")}}, id="optimize-t_max-inf"),
+    pytest.param("optimize", {"optimize": {"t_max_s": 1e-300}},
+                 id="optimize-t_max-subnormal-bottom"),
+    pytest.param("optimize", {"optimize": {"scan_detuning": True, "t_max_s": 2.2e-300}},
+                 id="optimize-t_max-bottom-below-normal"),
     pytest.param("optimize", {"optimize": {"scan_detuning": True,
                                            "delta_bracket_hz": [1e6, 1e5]}},
                  id="optimize-bracket-reversed"),
@@ -204,6 +209,17 @@ def test_noiseless_dicke_optimize_exits_0(tmp_path, changes):
                                             **changes)) == cli.EXIT_OK
     summary = json.loads((tmp_path / "out" / "optimize_summary.json").read_text())
     assert 0 < summary["result"]["xi_min"] < 1 and summary["result"]["flags"] == []
+
+
+@pytest.mark.parametrize("scan", [False, True], ids=["time", "detuning"])
+def test_t_max_just_above_the_bound_exits_0(tmp_path, scan):
+    # the least t_max_s whose bracket bottom t_max_s * 1e-8 is a normal float is about 2.23e-300
+    cfg = config("optimize", system__n_atoms=1000,
+                 optimize={"scan_detuning": scan, "t_max_s": 2.3e-300})
+    assert run(tmp_path, "optimize", cfg) == cli.EXIT_OK
+    result = json.loads((tmp_path / "out" / "optimize_summary.json").read_text())["result"]
+    assert result["bracket_t_seconds"] == [2.3e-300 * 1e-8, 2.3e-300]
+    assert result["t_opt_seconds"] == pytest.approx(2.3e-308, rel=1e-12)
 
 
 def test_numerics_error_exits_4(tmp_path, capsys):

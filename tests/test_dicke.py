@@ -4,6 +4,7 @@ from dataclasses import astuple
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 from scipy.linalg import eigh_tridiagonal, expm
 from scipy.sparse.linalg import expm_multiply
@@ -348,7 +349,8 @@ class TestEvolveTat:
             calls.append((args[0].size, kwargs.get("eigvals_only", False)))
             return eigh_tridiagonal(*args, **kwargs)
 
-        monkeypatch.setattr(dicke, "eigh_tridiagonal", counted)
+        # dicke imports eigh_tridiagonal when it calls it, so the hook is read then
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted)
         n = 20
         st = dicke.css(n)
         if start != "css":

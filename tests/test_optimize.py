@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -219,6 +220,41 @@ class TestDetuningBracket:
         with pytest.raises(ValueError):
             optimize.optimal_detuning(1e3, 1e5, 1e-2, 100, NoiseModel(), bracket=bracket)
         assert calls == []
+
+
+class TestTimeBracket:
+    # the bottom of the time bracket, t_max * 1e-8, must be a normal float:
+    # at t_max = 1e-300 it is subnormal, and t_opt fell below its own bracket
+    @staticmethod
+    def solve(scan, t_max):
+        """optimal_detuning (scan) or optimal_time at the fig3a point with N = 1000."""
+        d = derive_params(SystemParams.from_frequencies(
+            1000, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=11.2e6, eta=10.0))
+        if not scan:
+            return optimize.optimal_time(d, NoiseModel(), t_max=t_max)
+        p = d.params
+        return optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms,
+                                         NoiseModel(), t_max=t_max)
+
+    @pytest.mark.parametrize("t_max", [-1.0, 0.0, math.nan, math.inf, 1e-300, 2.2e-300],
+                             ids=["negative", "zero", "nan", "inf", "subnormal-bottom",
+                                  "bottom-below-normal"])
+    @pytest.mark.parametrize("scan", [False, True], ids=["time", "detuning"])
+    def test_bad_t_max_is_rejected_before_any_inner_solve(self, monkeypatch, t_max, scan):
+        calls = []
+        for module, name in ((analytic, "noise_budget"), (analytic, "xi_unitary"),
+                             (dicke, "coherent_moments")):
+            monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+        with pytest.raises(ValueError, match="t_max"):
+            self.solve(scan, t_max)
+        assert calls == []
+
+    @pytest.mark.parametrize("scan", [False, True], ids=["time", "detuning"])
+    def test_t_max_just_above_the_bound_is_solved(self, scan):
+        result = self.solve(scan, 2.3e-300)
+        assert result.bracket_t == (2.3e-300 * 1e-8, 2.3e-300)
+        assert result.bracket_t[0] >= sys.float_info.min
+        assert result.t_opt == pytest.approx(result.bracket_t[0], rel=1e-12)
 
 
 def _record_kernels(monkeypatch):
