@@ -62,6 +62,12 @@ class SpinMoments:
     var_y: float | np.ndarray
     cross_zy: float | np.ndarray
 
+    def point(self, i: int) -> SpinMoments:
+        """Point ``i`` of a grid record, as a record of floats."""
+        return SpinMoments(self.spin_S, float(self.mean_x[i]), float(self.mean_y[i]),
+                           float(self.mean_z[i]), float(self.var_z[i]), float(self.var_y[i]),
+                           float(self.cross_zy[i]))
+
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -100,28 +106,35 @@ def _scalar_like(value, template):
     return float(value) if np.ndim(template) == 0 else value
 
 
+def _where(cond, x, y):
+    """np.where, except that a scalar condition picks one of two scalars."""
+    return np.where(cond, x, y) if isinstance(cond, np.ndarray) else (x if cond else y)
+
+
 def cos_pow(x, p):
     """sign(cos x)^(p mod 2) * |cos x|^p, computed in log space.
 
     Direct powering underflows/overflows for p ~ 1e4 and loses the sign of
     odd powers; the exact zero of cos maps to 0.  p must be a nonnegative
-    integer (2S-2 and 2S-1 always are).
+    integer (2S-2 and 2S-1 always are).  A scalar x gives a scalar through
+    the same ufuncs, so it has the bits of the array call.
     """
     if not (p >= 0 and float(p).is_integer()):
         raise ValueError(f"exponent must be a nonnegative integer, got {p}")
     c = np.cos(np.asarray(x, dtype=float))
-    safe = np.where(c == 0.0, 1.0, np.abs(c))
-    out = np.where(c == 0.0, 0.0, np.exp(p * np.log(safe)))
+    zero = c == 0.0
+    out = _where(zero, 0.0, np.exp(p * np.log(_where(zero, 1.0, np.abs(c)))))
     return out * np.sign(c) if p % 2 == 1 else out
 
 
 def _ab(d: DerivedParams, t):
     """The A, B coefficients of the twisting covariance at phase Omega*t.
 
+    ``t`` is a time that :func:`_check_time` passed, a float or an array.
     One spin (S = 1/2) takes the exponent 0 in place of 2S-2 = -1; its
     covariance prefactor S - 1/2 vanishes, so A and B are not used.
     """
-    x = d.omega_twist * np.asarray(t, dtype=float)
+    x = d.omega_twist * t
     p = max(int(2.0 * d.spin_S) - 2, 0)
     A = 1.0 - cos_pow(2.0 * x, p)
     B = 4.0 * np.sin(x) * cos_pow(x, p)
@@ -151,16 +164,21 @@ def xi_unitary(d: DerivedParams, t) -> UnitarySqueezing:
     attains the minimal variance (0 by tie-break when the transverse noise
     is still isotropic, and for one spin).  sqrt(A^2+B^2) - A is
     evaluated as B^2/(R + A) to stay accurate when B << A.  t may be a
-    scalar or an array; one spin (S = 1/2) gives xi = 1 exactly, because
-    its prefactor S - 1/2 vanishes.
+    scalar or an array: a scalar t stays a Python float through the same
+    ufuncs, so an array call gives, element by element, the bits of the
+    scalar calls.  One spin (S = 1/2) gives xi = 1 exactly, because its
+    prefactor S - 1/2 vanishes.
     """
-    t_arr = _check_time(t)
+    t_checked = _check_time(t)
     S = d.spin_S
-    A, B = _ab(d, t_arr)
+    A, B = _ab(d, t_checked)
     R = np.hypot(A, B)
-    excess = np.divide(B * B, R + A, out=np.zeros_like(R), where=(R + A) > 0)
+    if isinstance(R, np.ndarray):
+        excess = np.divide(B * B, R + A, out=np.zeros_like(R), where=(R + A) > 0)
+    else:
+        excess = B * B / (R + A) if (R + A) > 0 else 0.0
     xi = 1.0 - 0.5 * (S - 0.5) * excess
-    angle = np.where((R == 0.0) | (S == 0.5), 0.0, 0.5 * np.arctan2(B, np.negative(A)))
+    angle = _where((R == 0.0) | (S == 0.5), 0.0, 0.5 * np.arctan2(B, np.negative(A)))
     return UnitarySqueezing(_scalar_like(xi, t), _scalar_like(angle, t))
 
 
@@ -189,25 +207,36 @@ def noise_budget(d: DerivedParams, t, noise: NoiseModel) -> NoiseBudget:
       keeping the saturated form well defined.
 
     The additive variance model is trustworthy while both exposures stay
-    <= 1/2 (monotone regime).  This is the one place that decides which
-    channels are on.
+    <= 1/2 (monotone regime).  The channels themselves are
+    :func:`_noise_channels`, the one place that decides which are on; this
+    wrapper checks t and reads S, the leak rate, kappa and Gamma off ``d``.
 
     A scalar t (a float or a 0-d array) gives Python floats, computed
     without array overhead; an array t gives arrays of its shape.  Both go
     through the same expressions, so an array call gives, element by
     element, the bits of the scalar calls.
     """
-    t = _check_time(t)
-    S, p = d.spin_S, d.params
+    p = d.params
+    return _noise_channels(d.spin_S, d.leak_rate, p.kappa, p.gamma, _check_time(t), noise)
+
+
+def _noise_channels(S, leak_rate, kappa, gamma, t, noise: NoiseModel) -> NoiseBudget:
+    """:func:`noise_budget` at spin S, leak exposure rate ``leak_rate`` (before
+    detector efficiency), cavity and free-space decay rates kappa and Gamma.
+
+    ``t`` is a Python float, or a float array of the shape of
+    ``leak_rate`` when that is an array; it is not checked, so times must
+    be finite and >= 0.
+    """
     scalar = isinstance(t, float)
     added, p_leak, p_decay = (0.0, 0.0, 0.0) if scalar else np.zeros((3, *t.shape))
-    if noise.include_cavity_leak and p.kappa > 0:
-        p_leak = np.tanh((1.0 - noise.detector_efficiency_q) * d.leak_rate * t)
+    if noise.include_cavity_leak and kappa > 0:
+        p_leak = np.tanh((1.0 - noise.detector_efficiency_q) * leak_rate * t)
         if scalar:
             p_leak = float(p_leak)
         added = added + S * p_leak * (1.0 - p_leak)
-    if noise.include_free_space and p.gamma > 0:
-        survival = np.exp(-p.gamma * t)
+    if noise.include_free_space and gamma > 0:
+        survival = np.exp(-gamma * t)
         if scalar:
             survival = float(survival)
         added = added + S * survival * (1.0 - survival)

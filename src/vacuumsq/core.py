@@ -185,9 +185,7 @@ class DerivedParams:
     kappa = S g^2 kappa/delta^2, the cavity-leak exposure rate before
     detector efficiency.  The detuning enters the physics only through
     omega_twist and leak_rate; the source params are carried along for
-    N, kappa and gamma.  The detuning optimizer evaluates the noise of a
-    whole grid of detunings as one instance whose leak_rate is an array,
-    one element per detuning, with the params of the bracket's lower end.
+    N, kappa and gamma.
     """
 
     spin_S: float

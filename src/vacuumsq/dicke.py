@@ -572,12 +572,12 @@ def min_transverse_variance(m: SpinMoments):
             "does not span its transverse plane")
     half_sum = 0.5 * (m.var_z + m.var_y)
     radius = np.hypot(0.5 * (m.var_z - m.var_y), 0.5 * m.cross_zy)
-    variance = np.where(degenerate, math.inf, half_sum - radius)
+    variance = analytic._where(degenerate, math.inf, half_sum - radius)
     angle = 0.5 * (math.pi - np.arctan2(m.cross_zy, m.var_y - m.var_z))
-    angle = np.where(angle > math.pi / 2, angle - math.pi, angle)  # fold to (-pi/2, pi/2]
+    angle = analytic._where(angle > math.pi / 2, angle - math.pi, angle)  # fold to (-pi/2, pi/2]
     # isotropic: any angle, report 0 by tie-break
-    angle = np.where(radius <= _ISOTROPY_TOL * np.maximum(1.0, half_sum), 0.0, angle)
-    return variance[()], angle[()]  # scalars for one state
+    return variance, analytic._where(radius <= _ISOTROPY_TOL * np.maximum(1.0, half_sum), 0.0,
+                                     angle)
 
 
 def _require_plane(variance: np.ndarray, times: np.ndarray) -> np.ndarray:

@@ -7,9 +7,11 @@ search, ``optimal_detuning``, over (t, Delta) through the twisting angle
 tau = Omega t, Omega = g^2/Delta: the coherent squeezing depends on N and
 tau alone, so the detuning only moves the noise.  Its coarse tau grid
 takes one coherent kernel call and one call of the noise on a Delta grid
-per tau; the refinement over tau makes scalar calls, each with a scalar
-search over Delta.  ``optimal_time`` is that search on a one-point Delta
-range, and ``scaling_scan`` runs it once per point.
+per tau; the refinement over tau runs on plain floats, each step a scalar
+search over Delta and one scalar coherent point.  Every tau whose Delta
+range is the whole bracket shares one Delta grid.  ``optimal_time`` is
+that search on a one-point Delta range, and ``scaling_scan`` runs it once
+per point.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
 faithful error measure once its exposure p passes 1/2 (the variance then
@@ -161,18 +163,26 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
 
 
 def _coherent_xi(d: DerivedParams, tier: str, protocol: str):
-    """The coherent xi of ``d`` as a function of a one-dimensional ascending time array.
+    """The coherent xi of ``d`` as a function of a float time or a one-dimensional
+    ascending time array.
 
     The analytic tier is one ``analytic.xi_unitary`` call.  The Dicke tier
     makes one ``dicke.coherent_moments`` kernel here and reduces each grid it
     returns with ``dicke.min_transverse_variance``, where a degenerate mean
     spin (|<S>| <= 1e-9 S) is +inf, invalid and not fatal: without noise the
-    time bracket can reach the collapse of the twisted mean spin.
+    time bracket can reach the collapse of the twisted mean spin.  A float
+    time is a one-point grid whose record is reduced as floats.
     """
     if tier == "analytic":
         return lambda times: analytic.xi_unitary(d, times).xi
-    kernel = dicke.coherent_moments(d, protocol)
-    return lambda times: dicke.min_transverse_variance(kernel(times))[0] / (d.spin_S / 2.0)
+    kernel, half_S = dicke.coherent_moments(d, protocol), d.spin_S / 2.0
+
+    def xi(times):
+        if isinstance(times, float):
+            return float(dicke.min_transverse_variance(kernel(np.array([times])).point(0))[0]
+                         / half_S)
+        return dicke.min_transverse_variance(kernel(times))[0] / half_S
+    return xi
 
 
 def _check_floor(d: DerivedParams, xi_min: float, noise: NoiseModel, protocol: str) -> None:
@@ -232,13 +242,17 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     * the noise at each tau is read on a log grid of the Delta where
       t = tau Delta/g^2 stays inside the time bracket, all taus in one
       call; a tau with no Delta there, or none that passes the exposure
-      guard, is invalid (+inf);
+      guard, is invalid (+inf).  Each distinct Delta range gets its grid
+      once per solve, so every tau whose range is the whole bracket shares
+      one grid;
     * the coarse tau grid takes each tau's least noise on its Delta grid
       as it stands, except at its argmin, where the noise is refined;
     * xi_coh is one ``analytic.xi_unitary`` call or one call of a single
       ``dicke.coherent_moments`` kernel, at the valid tau only;
-    * the sum is refined on log(S tau) with scalar calls, each a refined
-      noise solve over Delta and one coherent point;
+    * the sum is refined on log(S tau) with calls on Python floats, each a
+      noise call on the tau's Delta grid, a scalar golden search over
+      Delta and one scalar coherent point; the noise goes through
+      ``analytic._noise_channels`` with no ``DerivedParams`` per call;
     * each tau's Delta solve is kept, so the detuning at the optimal tau is
       the one found when the search reached that tau, not solved again.
 
@@ -250,7 +264,9 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
 
     Flags: ``delta_*_edge`` when the best detuning at the optimal tau sits
     on the Delta bracket; ``time_*_edge`` when it sits on an end of the
-    time bracket, or the optimal tau on an end of its grid.
+    time bracket, or the optimal tau on an end of its grid.  ``t_opt`` =
+    tau Delta/g^2 is clamped into ``bracket_t``, which its rounding can
+    leave by an ulp or so at an edge; an interior optimum keeps its bits.
     """
     tier, protocol = resolve_tier(tier, protocol)
     if bracket is None:
@@ -274,10 +290,12 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         reach = g2 * t_top  # tau Delta at the top of the time bracket
         xs = np.geomspace(S * T_BOTTOM * reach / hi, S * reach / lo, TIME_GRID_POINTS)
 
+    p = d.params
+
     def added_xi(tau, delta):  # the noise's share of xi at (tau, Delta), +inf past the guard
         omega = g2 / delta
-        budget = analytic.noise_budget(replace(d, leak_rate=S * (omega / delta) * kappa),
-                                       tau * delta / g2, noise)
+        budget = analytic._noise_channels(S, S * (omega / delta) * p.kappa, p.kappa, p.gamma,
+                                          tau * delta / g2, noise)
         added = budget.added_var / (S / 2.0)
         if isinstance(added, float):
             valid = budget.p_leak <= MAX_EXPOSURE and budget.p_decay <= MAX_EXPOSURE
@@ -285,36 +303,61 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         valid = (budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE)
         return np.where(valid, added, math.inf)
 
+    grids = {}  # (d_lo, d_hi) -> its Delta grid, and whether float rounding left it ascending
+
+    def detuning_grid(d_lo, d_hi):
+        if (d_lo, d_hi) not in grids:
+            grid = np.geomspace(d_lo, d_hi, DETUNING_GRID_POINTS)
+            grids[d_lo, d_hi] = grid, bool(np.all(np.diff(grid) > 0))
+        return grids[d_lo, d_hi]
+
     def detuning_grids(tau):
-        """The rows of the taus with a valid detuning, their Delta grids and added xi there,
-        and the Delta range (d_lo, d_hi) of every tau; one Delta per tau if hi == lo."""
+        """The rows of the taus with a valid detuning on an ascending Delta grid, and the
+        added xi on their grids; one Delta per tau if hi == lo.  Every row whose Delta
+        range is the whole bracket takes the bracket's one grid."""
         if reach is None or hi == lo:  # the tau grid keeps every t inside the time bracket
             d_lo, d_hi = np.full(tau.shape, lo), np.full(tau.shape, hi)
         else:
             d_lo, d_hi = np.maximum(lo, T_BOTTOM * reach / tau), np.minimum(hi, reach / tau)
         rows = np.flatnonzero(d_lo <= d_hi)
-        grid = d_lo[rows, None] if hi == lo else np.geomspace(d_lo[rows], d_hi[rows],
-                                                              DETUNING_GRID_POINTS, axis=1)
+        if hi == lo:
+            grid, ascending = d_lo[rows, None], True
+        else:
+            whole = (d_lo[rows] == lo) & (d_hi[rows] == hi)
+            grid = np.empty((rows.size, DETUNING_GRID_POINTS))
+            ascending = np.empty(rows.size, dtype=bool)
+            clipped = rows[~whole]
+            grid[~whole] = np.geomspace(d_lo[clipped], d_hi[clipped], DETUNING_GRID_POINTS,
+                                        axis=1)
+            ascending[~whole] = np.all(np.diff(grid[~whole]) > 0, axis=1)
+            if np.any(whole):
+                grid[whole], ascending[whole] = detuning_grid(lo, hi)
         values = added_xi(tau[rows, None], grid)
-        # rows with a valid Delta, on a grid that float rounding leaves ascending
-        keep = np.any(np.isfinite(values), axis=1) & np.all(np.diff(grid) > 0, axis=1)
-        return rows[keep], grid[keep], values[keep], d_lo, d_hi
+        keep = np.any(np.isfinite(values), axis=1) & ascending
+        return rows[keep], values[keep]
 
     solved = {}  # tau -> best_detuning(tau), so that no tau is solved twice
 
     def best_detuning(tau):
         """(added xi, Delta, edge, Delta range) of the refined least-noise detuning at one tau."""
         tau = float(tau)
-        if tau not in solved and hi == lo:  # one detuning: nothing to search
+        if tau in solved:
+            return solved[tau]
+        if hi == lo:  # one detuning: nothing to search
             solved[tau] = added_xi(tau, lo), lo, None, lo, hi
-        elif tau not in solved:
-            rows, grids, values, (d_lo,), (d_hi,) = detuning_grids(np.array([tau]))
-            if not rows.size:
-                solved[tau] = math.inf, math.nan, None, d_lo, d_hi
-            else:
-                delta, value, edge = minimize_on_log_axis(lambda delta: added_xi(tau, delta),
-                                                          grids[0], values[0], REL_TOL)
-                solved[tau] = value, delta, edge, d_lo, d_hi
+            return solved[tau]
+        if reach is None:
+            d_lo, d_hi = lo, hi
+        else:
+            d_lo, d_hi = max(lo, T_BOTTOM * reach / tau), min(hi, reach / tau)
+        grid, ascending = detuning_grid(d_lo, d_hi) if d_lo <= d_hi else (None, False)
+        values = added_xi(tau, grid) if ascending else None
+        if values is None or not np.any(np.isfinite(values)):
+            solved[tau] = math.inf, math.nan, None, d_lo, d_hi
+        else:
+            delta, value, edge = minimize_on_log_axis(lambda delta: added_xi(tau, delta),
+                                                      grid, values, REL_TOL)
+            solved[tau] = value, delta, edge, d_lo, d_hi
         return solved[tau]
 
     coherent = _coherent_xi(replace(d, omega_twist=1.0), tier, protocol)  # a function of tau
@@ -322,10 +365,10 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     def total(x):  # xi at tau = x/S with its refined least-noise detuning, +inf if none is valid
         tau = x / S
         noise_xi = best_detuning(tau)[0]
-        return noise_xi if noise_xi == math.inf else coherent(np.array([tau]))[0] + noise_xi
+        return noise_xi if noise_xi == math.inf else coherent(tau) + noise_xi
 
     taus = xs / S
-    rows, _, values, _, _ = detuning_grids(taus)
+    rows, values = detuning_grids(taus)
     coarse = np.full(taus.shape, math.inf)
     if rows.size:
         coherent_xi, noise_xi = coherent(taus[rows]), values.min(axis=1)
@@ -341,7 +384,9 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         flags += _edge_flags(edge, "delta" if on_bracket else "time")
     _check_floor(d, xi_min, noise, protocol)
     top = t_top if t_top is not None else math.pi / (2.0 * abs(g2 / delta_opt))
-    return OptimizationResult(t_opt=x_opt / S * delta_opt / g2, xi_min=xi_min,
+    # tau Delta/g^2 can round just past an end of the time bracket
+    t_opt = min(max(x_opt / S * delta_opt / g2, top * T_BOTTOM), top)
+    return OptimizationResult(t_opt=t_opt, xi_min=xi_min,
                               xi_min_db=float(analytic.to_db(xi_min)), model_tier=tier,
                               protocol=protocol, delta_opt=delta_opt,
                               bracket_t=(top * T_BOTTOM, top), bracket_delta=bracket,

@@ -194,6 +194,59 @@ class TestNoiseBudgetScalars:
         with pytest.raises(PhysicsError):
             analytic.noise_budget(fig3a_derived, t, NoiseModel())
 
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize("channels", list(CHANNELS))
+    def test_channel_function_equals_noise_budget_bitwise(self, fig3a_derived, channels, q):
+        # the optimizer calls the channels with its own leak rates: one per
+        # detuning of a grid, with times of the grid's shape, or one float
+        noise = replace(CHANNELS[channels], detector_efficiency_q=q)
+        d, p = fig3a_derived, fig3a_derived.params
+        rates = d.leak_rate * np.geomspace(1e-3, 1e3, self.TIMES.size)
+        cases = [(d.leak_rate, self.TIMES), (rates, self.TIMES)]
+        cases += [(d.leak_rate, t) for t in self.TIMES.tolist()]
+        cases += [(rate, t) for rate, t in zip(rates.tolist(), self.TIMES.tolist())]
+        for rate, t in cases:
+            got = analytic._noise_channels(d.spin_S, rate, p.kappa, p.gamma, t, noise)
+            if np.ndim(rate) == 0:
+                want = analytic.noise_budget(replace(d, leak_rate=rate), t, noise)
+            else:  # one instance per leak rate, each on its own time
+                want = [np.array(column) for column in zip(*(
+                    analytic.noise_budget(replace(d, leak_rate=r), u, noise)
+                    for r, u in zip(rates.tolist(), self.TIMES.tolist())))]
+            if np.ndim(t) == 0:
+                assert all(type(field) is float for field in got)
+            assert [np.asarray(f, dtype=float).tobytes() for f in got] == \
+                [np.asarray(f, dtype=float).tobytes() for f in want]
+
+
+class TestXiUnitaryScalars:
+    """A float t gives Python floats with the bits of the array calls, in xi and angle."""
+
+    # Omega t = t: zero, generic phases, and phases within a few ulps of the
+    # multiples of pi/2, where cos crosses zero or turns
+    NEAR = [np.nextafter(k * math.pi / 2, side) for k in range(1, 5) for side in (0.0, 10.0)]
+    PHASES = np.array([0.0, 1e-300, 1e-9, 1e-3, 0.1, 0.7, 1.3, 2.0, 3.0, 4.5, 6.0]
+                      + [k * math.pi / 2 for k in range(1, 5)] + NEAR)
+
+    @pytest.mark.parametrize("n_atoms", [1, 2, 3, 4, 10_000, 1_000_000],
+                             ids=["S=1/2", "S=1", "S=3/2", "S=2", "S=5000", "S=5e5"])
+    def test_scalar_calls_equal_the_array_calls_bitwise(self, n_atoms):
+        d = derive_params(small_params(n_atoms))
+        grid = analytic.xi_unitary(d, self.PHASES)
+        for i, t in enumerate(self.PHASES.tolist()):
+            got = analytic.xi_unitary(d, t)
+            one = analytic.xi_unitary(d, np.array([t]))
+            assert type(got.xi) is float and type(got.angle) is float
+            for field in ("xi", "angle"):
+                bits = np.float64(getattr(got, field)).tobytes()
+                assert bits == getattr(one, field)[0].tobytes() == getattr(grid, field)[i].tobytes()
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 9_999, 10_000])
+    def test_cos_pow_scalar_equals_the_array_call_bitwise(self, p):
+        array = analytic.cos_pow(self.PHASES, p)
+        for i, x in enumerate(self.PHASES.tolist()):
+            assert np.float64(analytic.cos_pow(x, p)).tobytes() == array[i].tobytes()
+
 
 class TestNonFiniteTime:
     """A NaN or infinite t raises NumericsError, as in core.time_grid and the Dicke tier."""

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -169,44 +170,72 @@ class TestArrayObjective:
 
     def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, fig3a_derived,
                                             full_noise):
-        shapes = {"xi_unitary": [], "noise_budget": []}  # the time shape of each call
-        grid_taus = []  # the tau of each (1, width) noise call
+        calls = []  # ("noise" | "coherent", the time shape, the median tau) of each call, in order
         g2 = fig3a_params.coupling_g ** 2
-        for name in shapes:
-            def recording(d, t, *args, fn=getattr(analytic, name), calls=shapes[name]):
-                calls.append(np.shape(t))
-                if np.shape(t) == (1, optimize.DETUNING_GRID_POINTS):
-                    # leak_rate = S g^2 kappa / Delta^2 and t = tau Delta / g^2
-                    delta = np.sqrt(d.spin_S * g2 * d.params.kappa / d.leak_rate)
-                    grid_taus.append(float(np.median(t * g2 / delta)))
-                return fn(d, t, *args)
-            monkeypatch.setattr(analytic, name, recording)
+        noise_channels, xi_unitary, geomspace = (analytic._noise_channels, analytic.xi_unitary,
+                                                 np.geomspace)
+
+        def channels(S, leak_rate, kappa, gamma, t, noise):
+            # leak_rate = S g^2 kappa / Delta^2 and t = tau Delta / g^2
+            delta = np.sqrt(S * g2 * kappa / np.asarray(leak_rate))
+            calls.append(("noise", np.shape(t), float(np.median(t * g2 / delta))))
+            return noise_channels(S, leak_rate, kappa, gamma, t, noise)
+
+        def coherent(d, t):  # the coherent xi is a function of tau: Omega = 1
+            calls.append(("coherent", np.shape(t), float(np.median(t))))
+            return xi_unitary(d, t)
+
+        grids = []  # the arguments of each np.geomspace call
+
+        def counting(*args, **kwargs):
+            grids.append(args)
+            return geomspace(*args, **kwargs)
+
+        monkeypatch.setattr(analytic, "_noise_channels", channels)
+        monkeypatch.setattr(analytic, "xi_unitary", coherent)
+        monkeypatch.setattr(np, "geomspace", counting)
         p = fig3a_params
         optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
         # the coarse tau grid: the noise of all its taus and detunings in one
         # call, unrefined, and the coherent xi of the valid taus in one call
-        (taus, width), *rest = shapes["noise_budget"]
-        assert taus > 1 and width == optimize.DETUNING_GRID_POINTS
-        (valid,), *points = shapes["xi_unitary"]
-        assert 1 < valid <= taus
-        # then scalar searches over Delta, each a (1, width) grid call and
-        # scalar golden steps: at the coarse argmin and at each step of the
-        # refinement over tau (with one coherent point); the optimum reuses
-        # the search of the tau it was found at, so no tau is solved twice
-        assert set(rest) == {(1, width), ()} and set(points) == {(1,)}
-        assert rest.count((1, width)) == len(points) + 1
-        grid_taus = np.sort(grid_taus)
+        (kind, (taus, width), _), (coarse, (valid,), _), *rest = calls
+        assert (kind, coarse) == ("noise", "coherent")
+        assert taus > 1 and width == optimize.DETUNING_GRID_POINTS and 1 < valid <= taus
+        # then one search over Delta per tau, at the coarse argmin and at each
+        # step of the refinement over tau: one noise call on the tau's Delta
+        # grid, then scalar golden steps at that tau, then (not at the coarse
+        # argmin) one scalar coherent point; the optimum reuses the search of
+        # the tau it was found at, so no tau is solved twice
+        searches = []  # [tau, scalar noise calls, coherent points] per Delta grid call
+        for kind, shape, tau in rest:
+            if kind == "noise" and shape == (width,):
+                searches.append([tau, 0, 0])
+                continue
+            assert shape == () and searches and tau == pytest.approx(searches[-1][0], rel=1e-9)
+            if kind == "noise":
+                assert searches[-1][2] == 0
+            searches[-1][1 if kind == "noise" else 2] += 1
+        assert len(searches) > 1 and all(steps > 0 for _, steps, _ in searches)
+        assert [points for *_, points in searches] == [0] + [1] * (len(searches) - 1)
+        grid_taus = np.sort([tau for tau, *_ in searches])
         assert np.all(np.diff(grid_taus) > 1e-9 * grid_taus[1:])
+        # one Delta grid per distinct range: the whole bracket's, shared by
+        # every tau whose range it is, next to the tau grid and the grids of
+        # the coarse taus whose range the time bracket clips
+        assert len(grids) <= 3
         # optimal_time, the same scan at one detuning: one noise call on the
         # coarse tau grid with one Delta per tau and one coherent call on its
         # valid taus, then scalar noise at the coarse argmin and at each of the
         # 13 golden points, each with one coherent point; no Delta grid
-        for calls in shapes.values():
-            calls.clear()
+        calls.clear()
+        grids.clear()
         optimize.optimal_time(fig3a_derived, full_noise)
-        (valid,), *points = shapes["xi_unitary"]
-        assert shapes["noise_budget"] == [(optimize.TIME_GRID_POINTS, 1)] + [()] * 14
-        assert 1 < valid < optimize.TIME_GRID_POINTS and points == [(1,)] * 13
+        shapes = {kind: [shape for k, shape, _ in calls if k == kind]
+                  for kind in ("noise", "coherent")}
+        (valid,), *points = shapes["coherent"]
+        assert shapes["noise"] == [(optimize.TIME_GRID_POINTS, 1)] + [()] * 14
+        assert 1 < valid < optimize.TIME_GRID_POINTS and points == [()] * 13
+        assert len(grids) == 1
 
 
 class TestDetuningBracket:
@@ -214,8 +243,8 @@ class TestDetuningBracket:
                              ids=["reversed", "zero", "negative"])
     def test_bad_bracket_is_rejected_before_any_inner_solve(self, monkeypatch, bracket):
         calls = []
-        for module, name in ((analytic, "noise_budget"), (analytic, "xi_unitary"),
-                             (dicke, "coherent_moments")):
+        for module, name in ((analytic, "noise_budget"), (analytic, "_noise_channels"),
+                             (analytic, "xi_unitary"), (dicke, "coherent_moments")):
             monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError):
             optimize.optimal_detuning(1e3, 1e5, 1e-2, 100, NoiseModel(), bracket=bracket)
@@ -242,8 +271,8 @@ class TestTimeBracket:
     @pytest.mark.parametrize("scan", [False, True], ids=["time", "detuning"])
     def test_bad_t_max_is_rejected_before_any_inner_solve(self, monkeypatch, t_max, scan):
         calls = []
-        for module, name in ((analytic, "noise_budget"), (analytic, "xi_unitary"),
-                             (dicke, "coherent_moments")):
+        for module, name in ((analytic, "noise_budget"), (analytic, "_noise_channels"),
+                             (analytic, "xi_unitary"), (dicke, "coherent_moments")):
             monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
         with pytest.raises(ValueError, match="t_max"):
             self.solve(scan, t_max)
@@ -251,10 +280,13 @@ class TestTimeBracket:
 
     @pytest.mark.parametrize("scan", [False, True], ids=["time", "detuning"])
     def test_t_max_just_above_the_bound_is_solved(self, scan):
-        result = self.solve(scan, 2.3e-300)
-        assert result.bracket_t == (2.3e-300 * 1e-8, 2.3e-300)
-        assert result.bracket_t[0] >= sys.float_info.min
-        assert result.t_opt == pytest.approx(result.bracket_t[0], rel=1e-12)
+        # at both, tau Delta/g^2 rounded the optimum on the bracket bottom to just below it
+        for t_max in (2.3e-300, 1e-200):
+            result = self.solve(scan, t_max)
+            assert result.bracket_t == (t_max * 1e-8, t_max)
+            assert result.bracket_t[0] >= sys.float_info.min
+            assert result.bracket_t[0] <= result.t_opt <= result.bracket_t[1]
+            assert result.t_opt == pytest.approx(result.bracket_t[0], rel=1e-12)
 
 
 def _record_kernels(monkeypatch):
@@ -287,6 +319,33 @@ class TestDetuningRefinement:
         assert result.flags == () and 1 < len(coarse) and coarse == sorted(coarse)
         assert steps and all(len(step) == 1 for step in steps)
         assert len(taus) == len(set(taus))
+
+
+    @pytest.mark.parametrize("protocol", ["oat", "tat"])
+    def test_float_tau_equals_the_one_point_grid_reduction_bitwise(self, monkeypatch, protocol):
+        # the refinement's coherent point reduces its one-point record as
+        # floats; by S tau = 150 the one-axis-twisted mean spin has collapsed (+inf)
+        records = []
+        coherent_moments = dicke.coherent_moments
+
+        def recorded(d, protocol):
+            kernel = coherent_moments(d, protocol)
+
+            def reducing(times):
+                records.append(kernel(times))
+                return records[-1]
+            return reducing
+
+        monkeypatch.setattr(dicke, "coherent_moments", recorded)
+        d = replace(_lossy(200, kappa=0.3), omega_twist=1.0)
+        xi = optimize._coherent_xi(d, "dicke", protocol)
+        taus = np.geomspace(1e-4, 1.5, 25).tolist()
+        assert (xi(np.array(taus))[-1] == math.inf) == (protocol == "oat")
+        for tau in taus:
+            got = xi(tau)
+            (variance,), _ = dicke.min_transverse_variance(records[-1])
+            assert records[-1].mean_x.shape == (1,) and type(got) is float
+            assert np.float64(got).tobytes() == (variance / (d.spin_S / 2.0)).tobytes()
 
 
 class TestDetuningLanes:
