@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DerivedParams, NumericsError, PhysicsError, SqueezingTrace
+from .core import (DegenerateMeanSpinError, DerivedParams, NumericsError, PhysicsError,
+                   SqueezingTrace)
 
 __all__ = [
     "SpinMoments", "NoiseModel", "UnitarySqueezing", "cos_pow",
@@ -295,12 +296,22 @@ def to_db(xi):
     return 10.0 * np.log10(xi)
 
 
+def _require_plane(degenerate, times) -> None:
+    """DegenerateMeanSpinError at the first of ``times`` flagged ``degenerate``."""
+    if np.any(degenerate):
+        t = float(np.ravel(times)[np.argmax(degenerate)])
+        raise DegenerateMeanSpinError(
+            f"mean spin length ~ 0 at t={t!r}: transverse plane undefined")
+
+
 def squeezing_trace(d: DerivedParams, times, noise: NoiseModel) -> SqueezingTrace:
-    """Closed-form squeezing trace over a time grid (analytic tier)."""
+    """Closed-form squeezing trace over a time grid (analytic tier); a mean spin of at
+    most 1e-9 S raises :class:`DegenerateMeanSpinError`, as on the Dicke tier."""
     t = np.asarray(times, dtype=float)
     xi_u, angle = xi_unitary(d, t)
     xi_tot = add_noise_to_xi(d, xi_u, t, noise)
     mean_x = d.spin_S * cos_pow(d.omega_twist * t, int(2 * d.spin_S - 1))
+    _require_plane(np.abs(mean_x) <= 1e-9 * d.spin_S, t)
     return SqueezingTrace(times=t, xi_unitary=np.asarray(xi_u),
                           xi_total=np.asarray(xi_tot), mean_x=np.asarray(mean_x),
                           var_min=np.asarray(xi_tot) * (d.spin_S / 2.0),

@@ -71,8 +71,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DerivedParams, DegenerateMeanSpinError, NormDriftError,
-                   NumericsError, PhysicsError, resolve_tier, time_grid)
+from .core import (DerivedParams, NormDriftError, NumericsError, PhysicsError, resolve_tier,
+                   time_grid)
 from .analytic import NoiseModel, SpinMoments, SqueezingTrace
 from . import analytic
 
@@ -565,7 +565,7 @@ def min_transverse_variance(m: SpinMoments):
     isotropic tie-break 0).
     """
     length = np.sqrt(np.square(m.mean_x) + np.square(m.mean_y) + np.square(m.mean_z))
-    degenerate = length <= 1e-9 * m.spin_S
+    degenerate = length <= 1e-9 * m.spin_S  # as analytic.squeezing_trace
     if np.any((np.hypot(m.mean_y, m.mean_z) > _TILT_TOL * length) & ~degenerate):
         raise PhysicsError(
             "mean spin tilted away from the x axis; the stored (z, y) block "
@@ -578,15 +578,6 @@ def min_transverse_variance(m: SpinMoments):
     # isotropic: any angle, report 0 by tie-break
     return variance, analytic._where(radius <= _ISOTROPY_TOL * np.maximum(1.0, half_sum), 0.0,
                                      angle)
-
-
-def _require_plane(variance: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """The variances along ``times``; DegenerateMeanSpinError at the first +inf."""
-    if np.any(np.isinf(variance)):
-        t = float(times[np.argmax(np.isinf(variance))])
-        raise DegenerateMeanSpinError(
-            f"mean spin length ~ 0 at t={t!r}: transverse plane undefined")
-    return variance
 
 
 def coherent_moments(d: DerivedParams, protocol: str):
@@ -639,8 +630,9 @@ def squeezing_trace(d: DerivedParams, times, noise: NoiseModel,
     added = analytic.noise_budget(d, times, noise).added_var
     mom = coherent_moments(d, protocol)(times)
     variance, angle = min_transverse_variance(mom)
+    analytic._require_plane(np.isinf(variance), times)
     half_S = d.spin_S / 2.0
     xi_tot = (variance + added) / half_S
-    return SqueezingTrace(times=times, xi_unitary=_require_plane(variance, times) / half_S,
+    return SqueezingTrace(times=times, xi_unitary=variance / half_S,
                           xi_total=xi_tot, mean_x=mom.mean_x, var_min=xi_tot * half_S,
                           angle=angle, model_tier="dicke", protocol=protocol)

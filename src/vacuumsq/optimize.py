@@ -1,17 +1,16 @@
 """Squeezing-time/detuning optimization, scaling scans, feasibility arithmetic.
 
-Objectives are smooth and unimodal in the regime where the additive
-decoherence model is meaningful, so minimization is a coarse logarithmic
-grid followed by golden-section refinement on the log axis.  There is one
-search, ``optimal_detuning``, over (t, Delta) through the twisting angle
-tau = Omega t, Omega = g^2/Delta: the coherent squeezing depends on N and
-tau alone, so the detuning only moves the noise.  Its coarse tau grid
-takes one coherent kernel call and one call of the noise on a Delta grid
-per tau; the refinement over tau runs on plain floats, each step a scalar
-search over Delta and one scalar coherent point.  Every tau whose Delta
-range is the whole bracket shares one Delta grid.  ``optimal_time`` is
-that search on a one-point Delta range, and ``scaling_scan`` runs it once
-per point.
+There is one search, ``optimal_detuning``, over (t, Delta) through the
+twisting angle tau = Omega t, Omega = g^2/Delta: the coherent squeezing
+depends on N and tau alone, so the detuning only moves the noise.  At each
+tau the least noise over Delta is solved exactly, by Newton steps on
+log Delta from D* = g sqrt((1-q) S kappa/Gamma) that compete with the ends
+of the valid Delta range.  Over tau the objective is smooth and unimodal in
+the regime where the additive decoherence model is meaningful, so it is
+read on a coarse logarithmic grid, in one array call of the noise solve and
+one of the coherent kernel, and refined by golden section on log(S tau),
+each step a float call of both.  ``optimal_time`` is that search on a
+one-point Delta range, and ``scaling_scan`` runs it once per point.
 
 Validity guard: each binomial noise variance S p(1-p) stops being a
 faithful error measure once its exposure p passes 1/2 (the variance then
@@ -43,13 +42,12 @@ __all__ = [
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MAX_EXPOSURE = 0.5  # binomial noise exposures beyond this are unphysical
-TIME_GRID_POINTS = 240      # coarse log grid of tau in optimal_detuning, and so in optimal_time
-DETUNING_GRID_POINTS = 96   # coarse log grid of Delta at each tau of optimal_detuning
-# golden_section's tolerance in every refinement, over tau and Delta: it
-# stops once the bracket is narrower than REL_TOL * max(|lo|, |hi|).  The
-# refinements run on log(x), so that is an absolute width in log(x) that
-# scales with |log x| and depends on the unit of x (see minimize_on_log_axis),
-# not a width relative to x.
+TIME_GRID_POINTS = 240  # coarse log grid of tau in optimal_detuning, and so in optimal_time
+# golden_section's tolerance in the refinement over tau, the one refinement:
+# it stops once the bracket is narrower than REL_TOL * max(|lo|, |hi|).  The
+# refinement runs on log(S tau), so that is an absolute width in log(S tau)
+# that scales with |log(S tau)| (see minimize_on_log_axis), not a width
+# relative to tau.
 REL_TOL = 1e-3
 T_BOTTOM = 1e-8  # the bottom of every time bracket over its top
 
@@ -64,7 +62,8 @@ class OptimizationResult:
     """Minimizer output with bracket/tolerance provenance.
 
     ``flags`` collects bracket-edge conditions ("time_lower_edge", ...);
-    an empty tuple means a clean interior optimum.
+    an empty tuple means a clean interior optimum.  ``rel_tol`` is the
+    tolerance of the refinement over tau; the detuning is solved exactly.
     """
 
     t_opt: float
@@ -140,8 +139,8 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
     The refinement stops once its bracket in log(x) is narrower than
     ``rel_tol * max(|log lo|, |log hi|)``: a width in log(x) that grows
     with |log x|, so the unit of x sets how far it refines.  At
-    ``REL_TOL`` it takes 5 golden steps around Delta = 7e7 rad/s (a final
-    width of 1.7 % in Delta), 11 around S tau = 2.3 and 13 around S tau = 1.3.
+    ``REL_TOL`` it takes 11 golden steps around S tau = 2.3 and 13 around
+    S tau = 1.3.
     """
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -204,8 +203,66 @@ def _closed_form_floor(n_atoms, eta, q, protocol: str) -> float:
     return floor(n_atoms, eta, q)
 
 
-def _edge_flags(edge, label):
-    return () if edge is None else (f"{label}_{edge}_edge",)
+class _DetuningNoise:
+    """The noise's share of xi over Delta at fixed tau = Omega t, and its least value.
+
+    It is 2[h(p_leak) + h(p_decay)], h(p) = p(1-p), with p_leak = tanh(a/Delta),
+    a = (1-q) S kappa tau, and p_decay = 1 - exp(-b Delta), b = Gamma tau/g^2;
+    ``leak`` and ``decay`` are a/tau and b/tau, 0 for a channel that is off.
+    Each method takes a float tau, or works element by element over an array.
+    """
+
+    def __init__(self, S, g2, kappa, gamma, noise: NoiseModel):
+        self.S, self.g2, self.kappa, self.gamma, self.noise = S, g2, kappa, gamma, noise
+        self.leak = ((1.0 - noise.detector_efficiency_q) * S * kappa
+                     if noise.include_cavity_leak and kappa > 0 else 0.0)
+        self.decay = gamma / g2 if noise.include_free_space and gamma > 0 else 0.0
+
+    def added_xi(self, tau, delta):
+        """The noise's share of xi at (tau, Delta), +inf past the exposure guard."""
+        S, g2, kappa = self.S, self.g2, self.kappa
+        budget = analytic._noise_channels(S, S * (g2 / delta / delta) * kappa, kappa,
+                                          self.gamma, tau * delta / g2, self.noise)
+        valid = (budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE)
+        return analytic._where(valid, budget.added_var / (S / 2.0), math.inf)
+
+    def least(self, tau, d_lo, d_hi):
+        """(added xi, Delta) of the least noise over [d_lo, d_hi] at tau, +inf where no
+        Delta passes the guard, and the ends of that valid range.  Its guard ends sit
+        1e-12 inside, so that rounding keeps them valid.  Six Newton steps on the slope
+        in u = log Delta start from log D*, D* = sqrt(a/b) the first-order minimum, and
+        the range's ends compete with the result: h'(1/2) = 0 makes a guard end a local
+        minimum.  An end of [d_lo, d_hi] keeps its bits; the lower Delta wins a tie."""
+        end_lo, end_hi = d_lo, d_hi
+        if self.leak:
+            end_lo = np.maximum(d_lo, (1.0 + 1e-12) * self.leak * tau / math.atanh(MAX_EXPOSURE))
+        if self.decay:  # the floor keeps the end finite where tau is near the float minimum
+            end_hi = np.minimum(d_hi, (1.0 - 1e-12) * -math.log1p(-MAX_EXPOSURE)
+                                / np.maximum(self.decay * tau, 1e-300))
+        best, delta = self.added_xi(tau, end_lo), end_lo
+        candidates = []
+        if self.leak and self.decay:
+            a, b = self.leak * tau, self.decay * tau
+            u_lo, u_hi = np.log(end_lo), np.log(end_hi)
+            u = np.minimum(np.maximum(0.5 * math.log(self.leak / self.decay), u_lo), u_hi)
+            for _ in range(6):
+                x = np.exp(u)
+                leak_x, decay_x = a / x, b * x
+                p_l, s = np.tanh(leak_x), np.exp(-decay_x)  # p_leak and 1 - p_decay
+                d_l, d_d = leak_x * (1.0 - p_l * p_l), decay_x * s  # -dp_leak/du, dp_decay/du
+                slope = (2.0 * s - 1.0) * d_d - (1.0 - 2.0 * p_l) * d_l
+                curve = (d_d * (2.0 * s - 1.0 - decay_x * (4.0 * s - 1.0))
+                         + d_l * (1.0 - 2.0 * p_l - 2.0 * leak_x * (1.0 + p_l - 3.0 * p_l * p_l)))
+                # where the noise is not convex the step runs to an end of the range
+                u = np.minimum(np.maximum(u - slope / np.maximum(curve, 1e-300), u_lo), u_hi)
+            x = np.exp(u)
+            candidates.append((analytic._where((u > u_lo) & (u < u_hi), self.added_xi(tau, x),
+                                               math.inf), x))
+        candidates.append((self.added_xi(tau, end_hi), end_hi))
+        for value, x in candidates:
+            take = value < best
+            best, delta = analytic._where(take, value, best), analytic._where(take, x, delta)
+        return analytic._where(end_lo < end_hi, best, math.inf), delta, end_lo, end_hi
 
 
 def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
@@ -239,34 +296,27 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     So xi(tau) = xi_coh(tau) + the least added noise over Delta, on a log
     grid of tau that spans the bracket:
 
-    * the noise at each tau is read on a log grid of the Delta where
-      t = tau Delta/g^2 stays inside the time bracket, all taus in one
-      call; a tau with no Delta there, or none that passes the exposure
-      guard, is invalid (+inf).  Each distinct Delta range gets its grid
-      once per solve, so every tau whose range is the whole bracket shares
-      one grid;
-    * the coarse tau grid takes each tau's least noise on its Delta grid
-      as it stands, except at its argmin, where the noise is refined;
+    * the least noise at each tau is :meth:`_DetuningNoise.least` on the
+      Delta where t = tau Delta/g^2 stays inside the time bracket: one
+      array call on the coarse tau grid, +inf at a tau with no valid Delta;
     * xi_coh is one ``analytic.xi_unitary`` call or one call of a single
-      ``dicke.coherent_moments`` kernel, at the valid tau only;
-    * the sum is refined on log(S tau) with calls on Python floats, each a
-      noise call on the tau's Delta grid, a scalar golden search over
-      Delta and one scalar coherent point; the noise goes through
-      ``analytic._noise_channels`` with no ``DerivedParams`` per call;
-    * each tau's Delta solve is kept, so the detuning at the optimal tau is
-      the one found when the search reached that tau, not solved again.
+      ``dicke.coherent_moments`` kernel, at the valid tau of that grid only;
+    * the sum is refined on log(S tau), each step a float call of both.
 
     A one-point bracket, lo = hi, fixes the detuning (this is
-    :func:`optimal_time`): each tau has that one Delta, with no Delta grid
-    and no search over Delta, and the tau grid keeps every t inside the
-    time bracket.  A ``t_max`` that is not finite, or whose bracket bottom
-    t_max * 1e-8 is not a normal float, raises ``ValueError``.
+    :func:`optimal_time`): each tau has that one Delta, with no search
+    over Delta, and the tau grid keeps every t inside the time bracket.
+    A ``t_max`` that is not finite, or whose bracket bottom t_max * 1e-8 is
+    not a normal float, raises ``ValueError``.
 
     Flags: ``delta_*_edge`` when the best detuning at the optimal tau sits
     on the Delta bracket; ``time_*_edge`` when it sits on an end of the
-    time bracket, or the optimal tau on an end of its grid.  ``t_opt`` =
-    tau Delta/g^2 is clamped into ``bracket_t``, which its rounding can
-    leave by an ulp or so at an edge; an interior optimum keeps its bits.
+    time bracket, or the optimal tau on an end of its grid.  A best
+    detuning on a guard end whose valid range has pinched to within the
+    tau refinement's resolution counts as the range's other end.
+    ``t_opt`` = tau Delta/g^2 is clamped into ``bracket_t``, which its
+    rounding can leave by an ulp or so at an edge; an interior optimum
+    keeps its bits.
     """
     tier, protocol = resolve_tier(tier, protocol)
     if bracket is None:
@@ -290,98 +340,42 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         reach = g2 * t_top  # tau Delta at the top of the time bracket
         xs = np.geomspace(S * T_BOTTOM * reach / hi, S * reach / lo, TIME_GRID_POINTS)
 
-    p = d.params
+    solver = _DetuningNoise(S, g2, d.params.kappa, d.params.gamma, noise)
 
-    def added_xi(tau, delta):  # the noise's share of xi at (tau, Delta), +inf past the guard
-        omega = g2 / delta
-        budget = analytic._noise_channels(S, S * (omega / delta) * p.kappa, p.kappa, p.gamma,
-                                          tau * delta / g2, noise)
-        added = budget.added_var / (S / 2.0)
-        if isinstance(added, float):
-            valid = budget.p_leak <= MAX_EXPOSURE and budget.p_decay <= MAX_EXPOSURE
-            return added if valid else math.inf
-        valid = (budget.p_leak <= MAX_EXPOSURE) & (budget.p_decay <= MAX_EXPOSURE)
-        return np.where(valid, added, math.inf)
-
-    grids = {}  # (d_lo, d_hi) -> its Delta grid, and whether float rounding left it ascending
-
-    def detuning_grid(d_lo, d_hi):
-        if (d_lo, d_hi) not in grids:
-            grid = np.geomspace(d_lo, d_hi, DETUNING_GRID_POINTS)
-            grids[d_lo, d_hi] = grid, bool(np.all(np.diff(grid) > 0))
-        return grids[d_lo, d_hi]
-
-    def detuning_grids(tau):
-        """The rows of the taus with a valid detuning on an ascending Delta grid, and the
-        added xi on their grids; one Delta per tau if hi == lo.  Every row whose Delta
-        range is the whole bracket takes the bracket's one grid."""
-        if reach is None or hi == lo:  # the tau grid keeps every t inside the time bracket
-            d_lo, d_hi = np.full(tau.shape, lo), np.full(tau.shape, hi)
-        else:
-            d_lo, d_hi = np.maximum(lo, T_BOTTOM * reach / tau), np.minimum(hi, reach / tau)
-        rows = np.flatnonzero(d_lo <= d_hi)
-        if hi == lo:
-            grid, ascending = d_lo[rows, None], True
-        else:
-            whole = (d_lo[rows] == lo) & (d_hi[rows] == hi)
-            grid = np.empty((rows.size, DETUNING_GRID_POINTS))
-            ascending = np.empty(rows.size, dtype=bool)
-            clipped = rows[~whole]
-            grid[~whole] = np.geomspace(d_lo[clipped], d_hi[clipped], DETUNING_GRID_POINTS,
-                                        axis=1)
-            ascending[~whole] = np.all(np.diff(grid[~whole]) > 0, axis=1)
-            if np.any(whole):
-                grid[whole], ascending[whole] = detuning_grid(lo, hi)
-        values = added_xi(tau[rows, None], grid)
-        keep = np.any(np.isfinite(values), axis=1) & ascending
-        return rows[keep], values[keep]
-
-    solved = {}  # tau -> best_detuning(tau), so that no tau is solved twice
-
-    def best_detuning(tau):
-        """(added xi, Delta, edge, Delta range) of the refined least-noise detuning at one tau."""
-        tau = float(tau)
-        if tau in solved:
-            return solved[tau]
-        if hi == lo:  # one detuning: nothing to search
-            solved[tau] = added_xi(tau, lo), lo, None, lo, hi
-            return solved[tau]
+    def detuning_range(tau):  # the Delta of the bracket at which t = tau Delta/g^2 is in its own
         if reach is None:
-            d_lo, d_hi = lo, hi
-        else:
-            d_lo, d_hi = max(lo, T_BOTTOM * reach / tau), min(hi, reach / tau)
-        grid, ascending = detuning_grid(d_lo, d_hi) if d_lo <= d_hi else (None, False)
-        values = added_xi(tau, grid) if ascending else None
-        if values is None or not np.any(np.isfinite(values)):
-            solved[tau] = math.inf, math.nan, None, d_lo, d_hi
-        else:
-            delta, value, edge = minimize_on_log_axis(lambda delta: added_xi(tau, delta),
-                                                      grid, values, REL_TOL)
-            solved[tau] = value, delta, edge, d_lo, d_hi
-        return solved[tau]
+            return lo, hi
+        return np.maximum(lo, T_BOTTOM * reach / tau), np.minimum(hi, reach / tau)
+
+    def least_noise(tau):  # a one-point bracket has nothing to search
+        return solver.least(tau, *detuning_range(tau))[0] if hi > lo else solver.added_xi(tau, lo)
 
     coherent = _coherent_xi(replace(d, omega_twist=1.0), tier, protocol)  # a function of tau
 
-    def total(x):  # xi at tau = x/S with its refined least-noise detuning, +inf if none is valid
+    def total(x):  # xi at tau = x/S with its least-noise detuning, +inf if none is valid
         tau = x / S
-        noise_xi = best_detuning(tau)[0]
+        noise_xi = least_noise(tau)
         return noise_xi if noise_xi == math.inf else coherent(tau) + noise_xi
 
     taus = xs / S
-    rows, values = detuning_grids(taus)
-    coarse = np.full(taus.shape, math.inf)
-    if rows.size:
-        coherent_xi, noise_xi = coherent(taus[rows]), values.min(axis=1)
-        # refine the noise at the argmin, whose xi the tau refinement's result competes with
-        k = int(np.argmin(coherent_xi + noise_xi))
-        noise_xi[k] = best_detuning(taus[rows[k]])[0]
-        coarse[rows] = coherent_xi + noise_xi
+    noise_xi = least_noise(taus)
+    coarse, valid = np.full(taus.shape, math.inf), np.isfinite(noise_xi)
+    if np.any(valid):
+        coarse[valid] = coherent(taus[valid]) + noise_xi[valid]
     x_opt, xi_min, tau_edge = minimize_on_log_axis(total, xs, coarse, REL_TOL)
-    _, delta_opt, edge, d_lo, d_hi = best_detuning(x_opt / S)
-    flags = _edge_flags(tau_edge, "time")
-    if edge is not None:
-        on_bracket = d_lo == lo if edge == "lower" else d_hi == hi
-        flags += _edge_flags(edge, "delta" if on_bracket else "time")
+    flags = () if tau_edge is None else (f"time_{tau_edge}_edge",)
+    delta_opt = lo
+    if hi > lo:
+        d_lo, d_hi = detuning_range(x_opt / S)
+        _, delta, end_lo, end_hi = solver.least(x_opt / S, d_lo, d_hi)
+        delta_opt = float(delta)
+        # a guard end within twice the refinement's final width, at most
+        # REL_TOL (|log(S tau)| + 1), of a bracket end sits at the corner they make
+        pinched = end_hi <= end_lo * math.exp(2.0 * REL_TOL * (abs(math.log(x_opt)) + 1.0))
+        if delta_opt == d_lo or pinched and delta_opt == end_hi < d_hi and end_lo == d_lo:
+            flags += ("delta_lower_edge" if d_lo == lo else "time_lower_edge",)
+        elif delta_opt == d_hi or pinched and delta_opt == end_lo > d_lo and end_hi == d_hi:
+            flags += ("delta_upper_edge" if d_hi == hi else "time_upper_edge",)
     _check_floor(d, xi_min, noise, protocol)
     top = t_top if t_top is not None else math.pi / (2.0 * abs(g2 / delta_opt))
     # tau Delta/g^2 can round just past an end of the time bracket

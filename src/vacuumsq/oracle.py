@@ -290,7 +290,8 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
             f"mean spin tilted {tilt[worst]:.3g} rad off the x axis at t={evo.times[worst]:.6g} s "
             f"with Delta/(g sqrt(N)) = {ratio:.3g}: the residual light-shift precession "
             "leaves no well-defined transverse plane; increase the detuning") from exc
-    xi_full = dicke._require_plane(variance, evo.times) / (cfg.spin_S / 2.0)
+    analytic._require_plane(np.isinf(variance), evo.times)
+    xi_full = variance / (cfg.spin_S / 2.0)
     xi_model = analytic.xi_unitary(d, evo.times).xi
     rel = np.abs(xi_full - xi_model) / np.maximum(np.abs(xi_model), 1e-300)
     columns = {"t_seconds": evo.times, "xi_full": xi_full, "xi_twisting_model": xi_model,

@@ -4,7 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vacuumsq import NoiseModel, NumericsError, PhysicsError, SystemParams, derive_params
+from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NumericsError, PhysicsError,
+                      SystemParams, derive_params)
 from vacuumsq import analytic, dicke
 
 from conftest import oat_moments, small_params, tat_variance_bosonic, xi_approx
@@ -377,6 +378,21 @@ class TestTrace:
         assert trace.var_min == pytest.approx(trace.xi_total * 2500.0, rel=1e-15)
         assert analytic.to_db(trace.xi_total) == pytest.approx(10 * np.log10(trace.xi_total),
                                                                rel=1e-12)
+
+    def test_collapsed_mean_spin_raises_as_on_the_dicke_tier(self):
+        # N = 1000, g = Delta = 1, no noise: by Omega t = 0.4 the twisted mean
+        # spin is ~1e-33 S; both tiers refuse it with one error and message
+        d = derive_params(SystemParams(n_atoms=1000, coupling_g=1.0, kappa=0.0, gamma=0.0,
+                                       delta=1.0))
+        messages = []
+        for trace in (analytic.squeezing_trace, dicke.squeezing_trace):
+            with pytest.raises(DegenerateMeanSpinError) as info:
+                trace(d, [0.1, 0.4], NoiseModel.none())
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == (
+            "mean spin length ~ 0 at t=0.4: transverse plane undefined")
+        # just before the collapse the trace is reported
+        assert analytic.squeezing_trace(d, [0.1], NoiseModel.none()).mean_x[0] > 1e-9 * 500.0
 
 
 class TestNoiseModelType:

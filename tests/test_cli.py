@@ -187,15 +187,23 @@ def test_scaling_point_without_atoms_or_positive_eta_exits_3(tmp_path, capsys, p
 NOISELESS = {"free_space": False, "cavity_leak": False}
 
 
-def test_vanishing_mean_spin_exits_3_on_evolve(tmp_path, capsys):
+def _assert_vanishing_mean_spin_exits_3(tmp_path, capsys, tier):
     # N=1000 at the fig3a point without noise: the twisted mean spin shrinks
-    # to ~1e-7 by a few hundred seconds, which a trace reports
-    cfg = config("evolve", system__n_atoms=1000, tier="dicke", noise=NOISELESS,
+    # to ~1e-7 by a few hundred seconds, which a trace of either tier reports
+    cfg = config("evolve", system__n_atoms=1000, tier=tier, noise=NOISELESS,
                  time_grid=GRID | {"stop": 400.0})
     assert run(tmp_path, "evolve", cfg) == cli.EXIT_PHYSICS == 3
     lines = error_lines(capsys)
     assert len(lines) == 1
     assert json.loads(lines[0].split(" ", 1)[1])["error"] == "DegenerateMeanSpinError"
+
+
+def test_vanishing_mean_spin_exits_3_on_evolve(tmp_path, capsys):
+    _assert_vanishing_mean_spin_exits_3(tmp_path, capsys, "dicke")
+
+
+def test_vanishing_mean_spin_exits_3_on_analytic_evolve(tmp_path, capsys):
+    _assert_vanishing_mean_spin_exits_3(tmp_path, capsys, "analytic")
 
 
 @pytest.mark.parametrize("changes", [

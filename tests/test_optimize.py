@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize_scalar
 
 from vacuumsq import NoiseModel, NumericsError, PhysicsError, SystemParams, derive_params
 from vacuumsq import analytic, cli, dicke, optimize
@@ -196,44 +197,39 @@ class TestArrayObjective:
         monkeypatch.setattr(np, "geomspace", counting)
         p = fig3a_params
         optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, full_noise)
-        # the coarse tau grid: the noise of all its taus and detunings in one
-        # call, unrefined, and the coherent xi of the valid taus in one call
-        (kind, (taus, width), _), (coarse, (valid,), _), *rest = calls
-        assert (kind, coarse) == ("noise", "coherent")
-        assert taus > 1 and width == optimize.DETUNING_GRID_POINTS and 1 < valid <= taus
-        # then one search over Delta per tau, at the coarse argmin and at each
-        # step of the refinement over tau: one noise call on the tau's Delta
-        # grid, then scalar golden steps at that tau, then (not at the coarse
-        # argmin) one scalar coherent point; the optimum reuses the search of
-        # the tau it was found at, so no tau is solved twice
-        searches = []  # [tau, scalar noise calls, coherent points] per Delta grid call
-        for kind, shape, tau in rest:
-            if kind == "noise" and shape == (width,):
-                searches.append([tau, 0, 0])
-                continue
-            assert shape == () and searches and tau == pytest.approx(searches[-1][0], rel=1e-9)
-            if kind == "noise":
-                assert searches[-1][2] == 0
-            searches[-1][1 if kind == "noise" else 2] += 1
-        assert len(searches) > 1 and all(steps > 0 for _, steps, _ in searches)
-        assert [points for *_, points in searches] == [0] + [1] * (len(searches) - 1)
-        grid_taus = np.sort([tau for tau, *_ in searches])
-        assert np.all(np.diff(grid_taus) > 1e-9 * grid_taus[1:])
-        # one Delta grid per distinct range: the whole bracket's, shared by
-        # every tau whose range it is, next to the tau grid and the grids of
-        # the coarse taus whose range the time bracket clips
-        assert len(grids) <= 3
+        # the coarse tau grid: one array solve of the least noise over Delta at all
+        # its taus, which reads the noise at the lower end, the Newton result and
+        # the upper end of each tau's valid Delta range, then the coherent xi of
+        # the valid taus in one call
+        coarse, rest = calls[:4], calls[4:]
+        assert [kind for kind, *_ in coarse] == ["noise"] * 3 + ["coherent"]
+        assert {shape for _, shape, _ in coarse[:3]} == {(optimize.TIME_GRID_POINTS,)}
+        ((valid,),) = {coarse[3][1]}
+        assert 1 < valid <= optimize.TIME_GRID_POINTS
+        # then per step of the refinement over tau one float solve, the same three
+        # scalar noise calls at that tau, and one scalar coherent point; last, the
+        # float solve at the optimal tau, for its detuning, with no coherent point
+        assert len(rest) % 4 == 3 and all(shape == () for _, shape, _ in rest)
+        steps = [rest[i:i + 4] for i in range(0, len(rest) - 3, 4)] + [rest[-3:]]
+        for step in steps:
+            assert [kind for kind, *_ in step] == ["noise"] * 3 + ["coherent"] * (len(step) - 3)
+            assert all(tau == pytest.approx(step[0][2], rel=1e-9) for *_, tau in step)
+        step_taus = np.sort([step[0][2] for step in steps[:-1]])
+        assert step_taus.size > 1 and np.all(np.diff(step_taus) > 1e-9 * step_taus[1:])
+        assert np.min(np.abs(step_taus / steps[-1][0][2] - 1.0)) < 1e-9
+        # no Delta grid: the tau grid is the one np.geomspace call
+        assert len(grids) == 1
         # optimal_time, the same scan at one detuning: one noise call on the
-        # coarse tau grid with one Delta per tau and one coherent call on its
-        # valid taus, then scalar noise at the coarse argmin and at each of the
-        # 13 golden points, each with one coherent point; no Delta grid
+        # coarse tau grid at that Delta and one coherent call on its valid
+        # taus, then scalar noise at each of the 13 golden points, each with
+        # one coherent point; no search over Delta, and none at the optimum
         calls.clear()
         grids.clear()
         optimize.optimal_time(fig3a_derived, full_noise)
         shapes = {kind: [shape for k, shape, _ in calls if k == kind]
                   for kind in ("noise", "coherent")}
         (valid,), *points = shapes["coherent"]
-        assert shapes["noise"] == [(optimize.TIME_GRID_POINTS, 1)] + [()] * 14
+        assert shapes["noise"] == [(optimize.TIME_GRID_POINTS,)] + [()] * 13
         assert 1 < valid < optimize.TIME_GRID_POINTS and points == [()] * 13
         assert len(grids) == 1
 
@@ -370,11 +366,9 @@ class TestDetuningLanes:
                                                          ("dicke", "tat", 20)])
     def test_coarse_lanes_equal_one_lane_solves(self, monkeypatch, noise, bracket, t_max,
                                                 tier, protocol, n_atoms):
-        # the coarse tau grid reads each tau's least noise on its Delta grid
-        # without refining it, so at every tau of the grid it lies at or above
-        # the refinement's scalar calls, which refine the noise over Delta,
-        # and both are +inf at the same taus; at one detuning nothing is
-        # refined, so the array call and the scalar calls agree
+        # the coarse tau grid solves each tau's least noise over Delta in one
+        # array call and the refinement in float calls of the same solve, so at
+        # every tau of the grid the two agree, +inf at the same taus
         minimize = optimize.minimize_on_log_axis
         coarse = []
 
@@ -386,15 +380,14 @@ class TestDetuningLanes:
         monkeypatch.setattr(optimize, "minimize_on_log_axis", recording)
         optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, noise, tier=tier,
                                   protocol=protocol, bracket=bracket, t_max=t_max)
-        ((unrefined, refined),) = coarse
-        finite = np.isfinite(unrefined)
-        assert np.any(finite) and np.array_equal(finite, np.isfinite(refined))
+        ((array, floats),) = coarse
+        finite = np.isfinite(array)
+        assert np.any(finite) and np.array_equal(finite, np.isfinite(floats))
         # a Dicke kernel's blocks of times round differently from one time
         rel = 0.0 if tier == "analytic" else 1e-12
-        assert np.all(unrefined[finite] >= refined[finite] * (1.0 - rel))
+        np.testing.assert_allclose(array, floats, rtol=rel, atol=0.0)
         if bracket[0] == bracket[1]:
             assert 0 < np.sum(finite) < finite.size
-            np.testing.assert_allclose(unrefined, refined, rtol=rel, atol=0.0)
 
 
 class TestNoiselessDickeOptimum:
@@ -493,13 +486,110 @@ class TestLockstepScan:
         ([(2, 5.0), (20, 10.0), (100, 20.0)], "tat")],
         ids=["fig3a", "eta-per-point", "one-atom", "tat-noisy"])
     def test_scan_equals_one_point_solves_bitwise(self, monkeypatch, points, protocol):
-        if protocol == "tat":  # coarser grids keep the Dicke solves short
-            monkeypatch.setattr(optimize, "DETUNING_GRID_POINTS", 24)
+        if protocol == "tat":  # a coarser tau grid keeps the Dicke solves short
             monkeypatch.setattr(optimize, "TIME_GRID_POINTS", 80)
         scan = optimize.scaling_scan(points, protocol=protocol)
         rows, slope, intercept = self.one_point_rows(points, protocol)
         assert scan.rows() == rows
         assert (scan.slope, scan.intercept) == (slope, intercept)
+
+
+class TestLeastNoise:
+    """The least-noise detuning against a dense reference, at fig3a kappa, Gamma
+    and eta = 10 with N = 1e4, where D* = g sqrt((1-q) S kappa/Gamma) = 7.0e7 rad/s."""
+
+    KAPPA, GAMMA, G = TestDetuningLanes.KAPPA, TestDetuningLanes.GAMMA, TestDetuningLanes.G
+    S = 5_000.0
+    LOG_TOL = 1e-6  # on log Delta
+    CHANNELS = {"both": NoiseModel(), "leak": NoiseModel(include_free_space=False),
+                "decay": NoiseModel(include_cavity_leak=False), "none": NoiseModel.none()}
+
+    def ranges(self, case, q):
+        """(taus, d_lo per tau, d_hi per tau) of a case."""
+        whole = (self.KAPPA, 1e4 * self.KAPPA)
+        if case == "interior":
+            taus, (lo, hi) = np.array([1e-6, 1e-4, 1e-3, 3e-3]), whole
+        elif case == "upper-guard":  # p_decay = 1/2 cuts the range below hi
+            taus, (lo, hi) = np.array([8e-3, 1e-2, 1.2e-2]), whole
+        elif case == "lower-guard":  # p_leak = 1/2 cuts it just below hi: a corner
+            lo, hi = self.KAPPA, 2.0 * self.KAPPA
+            corner = hi * math.atanh(0.5) / ((1.0 - q) * self.S * self.KAPPA)
+            taus = corner * np.array([0.9999, 0.99999])
+        elif case == "bracket-low":
+            taus, (lo, hi) = np.array([1e-6, 1e-4]), (self.KAPPA, 2.0 * self.KAPPA)
+        elif case == "bracket-high":
+            taus, (lo, hi) = np.array([1e-6, 1e-4]), (1e4 * self.KAPPA, 2e4 * self.KAPPA)
+        else:  # "time-clipped": t = tau Delta/g^2 <= 0.05 s cuts the range below D*;
+            # at tau = 1e-3 it ends below the guard end p_leak = 1/2, so it is empty
+            taus, (lo, hi) = np.array([1e-4, 3e-4, 5e-4, 1e-3]), whole
+            return taus, np.full(taus.shape, lo), np.minimum(hi, self.G ** 2 * 0.05 / taus)
+        return taus, np.full(taus.shape, lo), np.full(taus.shape, hi)
+
+    def reference(self, noise, tau, d_lo, d_hi):
+        """(least noise, its Delta): the argmin of a 20001-point log-Delta grid on the
+        range where both exposures stay <= 1/2, refined by bounded Brent on log Delta
+        between its neighbours; (inf, nan) where that range is empty.  p_decay is
+        1 - exp(-b Delta) through expm1, which keeps its digits at small exposure."""
+        q = noise.detector_efficiency_q
+        a = (1.0 - q) * self.S * self.KAPPA * tau if noise.include_cavity_leak else 0.0
+        b = self.GAMMA * tau / self.G ** 2 if noise.include_free_space else 0.0
+        lo = max(d_lo, a / math.atanh(0.5) * (1.0 + 1e-12)) if a else d_lo
+        hi = min(d_hi, math.log(2.0) / b * (1.0 - 1e-12)) if b else d_hi
+        if lo > hi:
+            return math.inf, math.nan
+
+        def noise_xi(u):
+            p_leak, p_decay = np.tanh(a / np.exp(u)), -np.expm1(-b * np.exp(u))
+            return 2.0 * (p_leak * (1.0 - p_leak) + p_decay * (1.0 - p_decay))
+
+        u = np.linspace(math.log(lo), math.log(hi), 20_001)
+        values = noise_xi(u)
+        i = int(np.argmin(values))
+        found = minimize_scalar(lambda x: float(noise_xi(x)), method="bounded",
+                                bounds=(u[max(i - 1, 0)], u[min(i + 1, u.size - 1)]),
+                                options={"xatol": 1e-12})
+        if found.fun < values[i]:
+            return found.fun, math.exp(found.x)
+        return values[i], math.exp(u[i])
+
+    @pytest.mark.parametrize("case", ["interior", "upper-guard", "lower-guard", "bracket-low",
+                                      "bracket-high", "time-clipped"])
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize("channels", list(CHANNELS))
+    def test_matches_a_dense_reference(self, channels, q, case):
+        noise = replace(self.CHANNELS[channels], detector_efficiency_q=q)
+        solver = optimize._DetuningNoise(self.S, self.G ** 2, self.KAPPA, self.GAMMA, noise)
+        taus, d_lo, d_hi = self.ranges(case, q)
+        values, deltas, *ends = solver.least(taus, d_lo, d_hi)
+        for k, tau in enumerate(taus.tolist()):
+            # a float tau, with a channel off too, gives the array call's element
+            value, delta, *_ = solver.least(tau, float(d_lo[k]), float(d_hi[k]))
+            assert (value, delta) == (values[k], deltas[k]) and type(value) is float
+            ref_value, ref_delta = self.reference(noise, tau, d_lo[k], d_hi[k])
+            # the 1 - exp(-Gamma t) of the noise channel costs up to ~1e-11 relative
+            assert value == pytest.approx(ref_value, rel=1e-9, abs=0.0)
+            if value == math.inf:
+                assert case == "time-clipped" and tau == 1e-3 and channels in ("both", "leak")
+            elif channels == "none":  # no noise anywhere: the lower end wins the tie
+                assert (value, delta) == (0.0, d_lo[k])
+            else:
+                assert abs(math.log(delta / ref_delta)) <= self.LOG_TOL
+        valid = np.isfinite(values)
+        if channels != "both":  # one channel: the noise is monotone in Delta
+            assert np.all((deltas == ends[1 if channels == "leak" else 0])[valid])
+        elif case == "bracket-low":
+            assert np.all(deltas == d_hi)
+        elif case == "time-clipped":
+            assert np.all((deltas == d_hi)[valid]) and np.all(d_hi < 1e4 * self.KAPPA)
+        elif case == "bracket-high":
+            assert np.all(deltas == d_lo)
+        elif case == "upper-guard":
+            assert np.all((deltas == ends[1]) & (ends[1] < d_hi))
+        elif case == "lower-guard":
+            assert np.all((deltas == ends[0]) & (ends[0] > d_lo))
+        else:
+            assert np.all((ends[0] < deltas) & (deltas < ends[1]))
+
 
 class TestTauScan:
     KAPPA, GAMMA, G = TestDetuningLanes.KAPPA, TestDetuningLanes.GAMMA, TestDetuningLanes.G
@@ -507,14 +597,16 @@ class TestTauScan:
     # (tier, protocol, N, xi_min, t_opt, Delta_opt) of the nested search over
     # (t, Delta) that the tau scan replaced: an optimal time per detuning,
     # refined over the detuning.  Full noise, fig3a kappa, Gamma and eta.
+    # At N = 1e6 the exact least-noise detuning moved t_opt by 2.4e-3 from the
+    # nested search's, so its t_opt and Delta_opt are the exact solve's.
     NESTED = [
         ("analytic", "oat", 1_000, 0.2525765075639503, 0.987586250993666, 22702548.13706912),
         ("analytic", "oat", 10_000, 0.12344174909229098, 0.47573910372070904,
          71022843.96961331),
         ("analytic", "oat", 100_000, 0.05872100161879328, 0.22448686581756885,
          223392175.8799659),
-        ("analytic", "oat", 1_000_000, 0.027571382895782284, 0.1046283423335526,
-         703544834.0341666),
+        ("analytic", "oat", 1_000_000, 0.027571382895782284, 0.1048844409574457,
+         704103776.6534747),
         ("dicke", "oat", 2_000, 0.20444463329188062, 0.7960697412899154, 32001487.8079095),
         ("dicke", "tat", 200, 0.36837216399112693, 1.6527911105885345, 10327273.706843589),
         ("dicke", "tat", 600, 0.2537627885406417, 1.1548921593158203, 17672247.225690782),
@@ -548,32 +640,46 @@ class TestTauScan:
         if t_max is not None:
             assert result.t_opt == pytest.approx(t_max, rel=1e-12)
 
-    # (tier, protocol, N, detuning bracket, t_max) and the (xi_min, t_opt,
-    # Delta_opt, flags) of the search that refined every coarse tau's noise
-    # over Delta before the coarse grid went to the refinement over tau
+    def test_a_guard_end_short_of_the_bracket_is_no_edge(self):
+        # N = 10 on [10, 40] kappa: the best detuning is the guard end
+        # p_decay = 1/2, 7 % above the bracket's bottom, so no flag is raised
+        result = optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, 10, NoiseModel(),
+                                           bracket=(10.0 * self.KAPPA, 40.0 * self.KAPPA))
+        assert result.flags == ()
+        assert 1.05 < result.delta_opt / (10.0 * self.KAPPA) < 1.1
+        assert -math.expm1(-self.GAMMA * result.t_opt) == pytest.approx(0.5, rel=1e-9)
+
+    # (tier, protocol, N, detuning bracket, t_max), the xi_min of the search
+    # that refined every coarse tau's noise over Delta on a 96-point grid
+    # before the coarse grid went to the refinement over tau, and the
+    # (xi_min, t_opt, Delta_opt, flags) of the exact least-noise solve.  At
+    # the two narrow brackets the optimum sits where the exposure guard
+    # pinches the valid Delta range against the bracket end that is flagged.
     LANE_SEARCH = [
-        (("analytic", "oat", 10_000, None, None),
-         (0.12344174839286519, 0.47578749109067137, 71022843.96961331, ())),
-        (("dicke", "tat", 1_000, None, None),
-         (0.21158924093448017, 0.9661150204699767, 22664948.232432403, ())),
-        (("auto", "oat", 10_000, (KAPPA, 2.0 * KAPPA), None),
-         (0.65011524470654, 0.003996440517717858, 1256637.0614359172, ("delta_upper_edge",))),
-        (("auto", "oat", 10_000, (1e4 * KAPPA, 2e4 * KAPPA), None),
-         (0.708774614978336, 15.759597715744862, 6283185307.179585, ("delta_lower_edge",))),
-        (("auto", "oat", 10_000, None, 0.05),
+        (("analytic", "oat", 10_000, None, None), 0.12344174839286519,
+         (0.12344173944666881, 0.4755541149588661, 70988006.91125047, ())),
+        (("dicke", "tat", 1_000, None, None), 0.21158924093448017,
+         (0.21158911408552558, 0.9676020195665511, 22695985.369890112, ())),
+        (("auto", "oat", 10_000, (KAPPA, 2.0 * KAPPA), None), 0.65011524470654,
+         (0.6501152343612236, 0.00399631929550469, 1256598.944435286, ("delta_upper_edge",))),
+        (("auto", "oat", 10_000, (1e4 * KAPPA, 2e4 * KAPPA), None), 0.708774614978336,
+         (0.7087746140182867, 15.75968572517364, 6283220395.6101265, ("delta_lower_edge",))),
+        (("auto", "oat", 10_000, None, 0.05), 0.23448740072742336,
          (0.23448740072742336, 0.05, 14030305.973709581, ("time_upper_edge",))),
     ]
 
-    @pytest.mark.parametrize("case, pinned", LANE_SEARCH,
+    @pytest.mark.parametrize("case, lane_xi_min, pinned", LANE_SEARCH,
                              ids=["analytic-1e4", "dicke-tat-1000", "delta-low", "delta-high",
                                   "t_max-short"])
-    def test_unrefined_coarse_grid_keeps_the_lane_search_optimum(self, case, pinned):
+    def test_unrefined_coarse_grid_keeps_the_lane_search_optimum(self, case, lane_xi_min,
+                                                                 pinned):
         tier, protocol, n_atoms, bracket, t_max = case
         result = optimize.optimal_detuning(self.G, self.KAPPA, self.GAMMA, n_atoms, NoiseModel(),
                                            tier=tier, protocol=protocol, bracket=bracket,
                                            t_max=t_max)
         *values, flags = pinned
         assert result.flags == flags
+        assert result.xi_min <= lane_xi_min * (1.0 + 1e-12)
         np.testing.assert_allclose([result.xi_min, result.t_opt, result.delta_opt], values,
                                    rtol=1e-12, atol=0.0)
 
