@@ -7,10 +7,9 @@ small-N Tavis-Cummings oracle validating the effective twisting model.
 """
 
 from .core import (DerivedParams, FeasibilityParams, PhysicsError, NumericsError,
-                   NormDriftError, LevelCrossingError, DegenerateMeanSpinError,
-                   SqueezingTrace, SystemParams, TWO_PI, angular_to_hz,
+                   NormDriftError, LevelCrossingError, DegenerateMeanSpinError, NoiseModel,
+                   SpinMoments, SqueezingTrace, SystemParams, TWO_PI, angular_to_hz,
                    derive_params, hz_to_angular)
-from .analytic import NoiseModel, SpinMoments
 
 __version__ = "0.1.0"
 

@@ -28,13 +28,12 @@ axis (+x) that maps the squeezed quadrature onto Sy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DegenerateMeanSpinError, DerivedParams, NumericsError, PhysicsError,
-                   SqueezingTrace)
+from .core import (DegenerateMeanSpinError, DerivedParams, NoiseModel, NumericsError,
+                   PhysicsError, SpinMoments, SqueezingTrace)
 
 __all__ = [
     "SpinMoments", "NoiseModel", "UnitarySqueezing", "cos_pow",
@@ -42,60 +41,6 @@ __all__ = [
     "NoiseBudget", "noise_budget", "add_noise_to_xi", "noise_probabilities",
     "tat_xi_floor", "to_db", "squeezing_trace",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class SpinMoments:
-    """First/second moments of the collective spin (dimensionless).
-
-    A plain record: the mean spin and the transverse (z, y) second moments,
-    with ``cross_zy`` the symmetrized correlator <SzSy + SySz> - 2<Sz><Sy>.
-    The moments are floats for one state, or arrays over a time grid as the
-    Dicke kernels and the oracle return them.  The minimal transverse
-    variance and its angle are derived from it by ``dicke.min_transverse_variance``.
-    """
-
-    spin_S: float
-    mean_x: float | np.ndarray
-    mean_y: float | np.ndarray
-    mean_z: float | np.ndarray
-    var_z: float | np.ndarray
-    var_y: float | np.ndarray
-    cross_zy: float | np.ndarray
-
-    def point(self, i: int) -> SpinMoments:
-        """Point ``i`` of a grid record, as a record of floats."""
-        return SpinMoments(self.spin_S, float(self.mean_x[i]), float(self.mean_y[i]),
-                           float(self.mean_z[i]), float(self.var_z[i]), float(self.var_y[i]),
-                           float(self.cross_zy[i]))
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Which decoherence channels are active, plus detector efficiency q.
-
-    ``detector_efficiency_q`` suppresses the cavity-leak channel: detecting
-    the escaped photons with efficiency q scales the leak exposure by
-    (1 - q).  It is only meaningful together with ``include_cavity_leak``.
-    """
-
-    include_free_space: bool = True
-    include_cavity_leak: bool = True
-    detector_efficiency_q: float = 0.0
-
-    def __post_init__(self):
-        q = float(self.detector_efficiency_q)
-        if not (0.0 <= q <= 1.0):
-            raise PhysicsError(f"detector efficiency must lie in [0, 1], got {q}")
-        object.__setattr__(self, "detector_efficiency_q", q)
-
-    @classmethod
-    def none(cls):
-        return cls(include_free_space=False, include_cavity_leak=False)
-
-    @property
-    def any_active(self) -> bool:
-        return self.include_free_space or self.include_cavity_leak
 
 
 class UnitarySqueezing(NamedTuple):
@@ -143,7 +88,7 @@ def _ab(d: DerivedParams, t):
 
 
 def _check_time(t):
-    """t as a Python float if scalar, else a float array; refused like :func:`core.time_grid`."""
+    """t as a Python float if scalar, else a float array; refused like :func:`dicke.time_grid`."""
     if isinstance(t, float) or np.ndim(t) == 0:
         t = float(t)
         negative, finite = t < 0.0, math.isfinite(t)

@@ -17,9 +17,12 @@ precision) and written atomically (temp file + rename).  CSV tables are
 column-major: a command hands over one sequence per column, and each float
 is written as its ``repr``.
 
-``validate`` and the analytic tier (``evolve`` and ``optimize`` at tier
-analytic, ``scaling`` of twisting, ``feasibility``) run without scipy; the
-Dicke tier and the oracle load it on first use.
+At module level this imports only ``core`` and the standard library, and
+each command imports the tier it runs once its config has parsed:
+``validate`` and config errors load no numpy, the analytic tier (``evolve``
+and ``optimize`` at tier analytic, ``scaling`` of twisting,
+``feasibility``) loads no scipy, and the Dicke tier and the oracle load
+scipy on first use.
 """
 
 from __future__ import annotations
@@ -28,16 +31,15 @@ import argparse
 import functools
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
 
-import numpy as np
-
-from .core import (ConfigError, FeasibilityParams, NumericsError, PhysicsError,
-                   SystemParams, TWO_PI, angular_to_hz, derive_params, resolve_tier)
-from .analytic import NoiseModel
-from . import __version__, analytic, dicke, optimize, oracle
+from .core import (ConfigError, FeasibilityParams, NoiseModel, NumericsError, PhysicsError,
+                   SystemParams, TWO_PI, T_BOTTOM, angular_to_hz, derive_params, resolve_tier,
+                   valid_t_max)
+from . import __version__
 
 SCHEMA_VERSION = 1
 OUTDIR_ENV = "VACUUMSQ_OUTDIR"
@@ -118,7 +120,7 @@ def load_config(path, command: str) -> dict:
     _require_keys(f"the {command} config", cfg,
                   {"schema_version", "command", "system", "output"} | _COMMAND_KEYS[command],
                   required=("schema_version", "system"))
-    if cfg["schema_version"] != SCHEMA_VERSION:
+    if _integer("config", "schema_version", cfg["schema_version"]) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r} "
                           f"(this build reads {SCHEMA_VERSION})")
     return cfg
@@ -146,7 +148,8 @@ def _build_noise(cfg) -> NoiseModel:
                       detector_efficiency_q=float(q))
 
 
-def _build_time_grid(cfg) -> np.ndarray:
+def _build_time_grid(cfg) -> tuple[float, float, int, str]:
+    """(start, stop, points, spacing) of the time_grid section, checked."""
     sec = cfg.get("time_grid")
     if sec is None:
         raise ConfigError("this command needs a time_grid section")
@@ -158,13 +161,11 @@ def _build_time_grid(cfg) -> np.ndarray:
         raise ConfigError("time_grid.points must be >= 2")
     if not (math.isfinite(stop) and stop > start >= 0):
         raise ConfigError("time_grid requires finite stop > start >= 0")
-    if spacing == "linear":
-        return np.linspace(start, stop, points)
-    if spacing == "log":
-        if start <= 0:
-            raise ConfigError("log spacing requires start > 0")
-        return np.geomspace(start, stop, points)
-    raise ConfigError(f"unknown time_grid.spacing {spacing!r}")
+    if spacing not in ("linear", "log"):
+        raise ConfigError(f"unknown time_grid.spacing {spacing!r}")
+    if spacing == "log" and start <= 0:
+        raise ConfigError("log spacing requires start > 0")
+    return start, stop, points, spacing
 
 
 def _build_optimize(cfg) -> tuple[bool, float | None, tuple | None]:
@@ -174,9 +175,9 @@ def _build_optimize(cfg) -> tuple[bool, float | None, tuple | None]:
     t_max = sec.get("t_max_s")
     if t_max is not None:
         _number("optimize", "t_max_s", t_max)
-        if not optimize.valid_t_max(t_max):
+        if not valid_t_max(t_max):
             raise ConfigError(f"optimize.t_max_s must be finite with t_max_s * "
-                              f"{optimize.T_BOTTOM!r} a normal float, got {t_max!r}")
+                              f"{T_BOTTOM!r} a normal float, got {t_max!r}")
     bracket = sec.get("delta_bracket_hz")
     if bracket is not None:
         lo, hi = _pair("optimize", "delta_bracket_hz", bracket)
@@ -188,6 +189,52 @@ def _build_optimize(cfg) -> tuple[bool, float | None, tuple | None]:
     if bracket is not None and not scan_detuning:
         raise ConfigError("optimize.delta_bracket_hz needs \"scan_detuning\": true")
     return scan_detuning, t_max, bracket
+
+
+def _build_scaling(cfg) -> tuple[list, str, NoiseModel]:
+    """(points, protocol, noise model) of the scaling section."""
+    sec = cfg.get("scaling")
+    if sec is None:
+        raise ConfigError("scaling command needs a scaling section")
+    _require_keys("scaling", sec, _KNOWN_SCALING, required=("points",))
+    if not isinstance(sec["points"], list):
+        raise ConfigError("scaling.points must be a list of [n_atoms, eta] pairs")
+    points = [(_integer("scaling", f"points[{i}][0]", n), eta) for i, (n, eta)
+              in enumerate(_pair("scaling", "points", point) for point in sec["points"])]
+    _, protocol = resolve_tier("auto", sec.get("protocol", "oat"))
+    q = float(_number("scaling", "q", sec.get("q", 0.0)))
+    noiseless = _flag("scaling", "noiseless", sec.get("noiseless", False))
+    if noiseless and "q" in sec:
+        raise ConfigError("scaling.q sets the cavity leak, which \"noiseless\": true turns off")
+    return points, protocol, NoiseModel.none() if noiseless else NoiseModel(detector_efficiency_q=q)
+
+
+def _build_oracle(cfg, params: SystemParams) -> tuple[SystemParams, int]:
+    """The oracle's system (its detuning set by delta_over_collective) and photon cutoff."""
+    if cfg.get("protocol", "oat") != "oat":
+        raise ConfigError(f"the oracle runs one-axis twisting only, got protocol "
+                          f"{cfg['protocol']!r}")
+    sec = cfg.get("oracle", {})
+    _require_keys("oracle", sec, _KNOWN_ORACLE)
+    cutoff = _integer("oracle", "photon_cutoff", sec.get("photon_cutoff", 2))
+    factor = sec.get("delta_over_collective")
+    if factor is not None:
+        # Convenience: place the detuning at a multiple of g*sqrt(N).
+        delta = float(_number("oracle", "delta_over_collective", factor)) \
+            * params.collective_coupling
+        params = SystemParams(n_atoms=params.n_atoms, coupling_g=params.coupling_g,
+                              kappa=params.kappa, gamma=params.gamma, delta=delta,
+                              omega0=params.omega0)
+    return params, cutoff
+
+
+def _build_feasibility(cfg) -> FeasibilityParams:
+    sec = cfg.get("feasibility")
+    if sec is None:
+        raise ConfigError("feasibility command needs a feasibility section")
+    _require_keys("feasibility", sec, _KNOWN_FEAS, required=tuple(_KNOWN_FEAS))
+    return FeasibilityParams.from_frequencies(
+        **{k: _number("feasibility", k, v) for k, v in sec.items()})
 
 
 def _build_output(cfg) -> dict:
@@ -231,7 +278,7 @@ def _derived_block(params: SystemParams) -> dict:
 def _format_cell(value):
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # np.integer included
         return str(int(value))
     return repr(float(value))
 
@@ -258,8 +305,8 @@ def write_csv(path, table):
     cell, and the rows are joined from the formatted columns.
     """
     cells = [map(repr, col.tolist())
-             if isinstance(col, np.ndarray) and col.dtype.kind == "f" else map(_format_cell, col)
-             for col in table.values()]
+             if getattr(getattr(col, "dtype", None), "kind", None) == "f"
+             else map(_format_cell, col) for col in table.values()]
     lines = [",".join(table), *map(",".join, zip(*cells, strict=True))]
     _atomic_write(path, "\n".join(lines) + "\n")
 
@@ -307,6 +354,7 @@ def _write_artifacts(cfg, command, params, outdir, body, table=None, derived=Tru
 # commands
 
 def _trace_table(trace):
+    from . import analytic
     xi_db = analytic.to_db(trace.xi_total)
     return {"t_seconds": trace.times, "xi_unitary": trace.xi_unitary,
             "xi_total": trace.xi_total, "xi_db": xi_db, "mean_x": trace.mean_x,
@@ -318,12 +366,16 @@ def _trace_table(trace):
 def cmd_evolve(cfg, outdir):
     params = _build_system(cfg)
     noise = _build_noise(cfg)
-    times = _build_time_grid(cfg)
+    start, stop, points, spacing = _build_time_grid(cfg)
     tier, protocol = resolve_tier(cfg.get("tier", "auto"), cfg.get("protocol", "oat"))
+    import numpy as np
+    from . import analytic
+    times = (np.geomspace if spacing == "log" else np.linspace)(start, stop, points)
     d = derive_params(params)
     if tier == "analytic":
         trace = analytic.squeezing_trace(d, times, noise)
     else:
+        from . import dicke
         trace = dicke.squeezing_trace(d, times, noise, protocol=protocol)
     i_min = int(np.argmin(trace.xi_total))
     return _write_artifacts(cfg, "evolve", params, outdir, {
@@ -339,6 +391,7 @@ def cmd_evolve(cfg, outdir):
 
 
 def _bounds_block(params, noise):
+    from . import analytic
     d = derive_params(params)
     if not math.isfinite(d.eta):
         return None
@@ -358,6 +411,7 @@ def cmd_optimize(cfg, outdir):
     noise = _build_noise(cfg)
     tier, protocol = resolve_tier(cfg.get("tier", "auto"), cfg.get("protocol", "oat"))
     scan_detuning, t_max, bracket = _build_optimize(cfg)
+    from . import optimize
     if scan_detuning:
         result = optimize.optimal_detuning(params.coupling_g, params.kappa, params.gamma,
                                            params.n_atoms, noise, tier=tier,
@@ -386,20 +440,9 @@ def cmd_optimize(cfg, outdir):
 
 def cmd_scaling(cfg, outdir):
     params = _build_system(cfg)  # kappa/gamma anchor the scan
-    sec = cfg.get("scaling")
-    if sec is None:
-        raise ConfigError("scaling command needs a scaling section")
-    _require_keys("scaling", sec, _KNOWN_SCALING, required=("points",))
-    if not isinstance(sec["points"], list):
-        raise ConfigError("scaling.points must be a list of [n_atoms, eta] pairs")
-    points = [(_integer("scaling", f"points[{i}][0]", n), eta) for i, (n, eta)
-              in enumerate(_pair("scaling", "points", point) for point in sec["points"])]
-    q = float(_number("scaling", "q", sec.get("q", 0.0)))
-    noiseless = _flag("scaling", "noiseless", sec.get("noiseless", False))
-    if noiseless and "q" in sec:
-        raise ConfigError("scaling.q sets the cavity leak, which \"noiseless\": true turns off")
-    noise = NoiseModel.none() if noiseless else NoiseModel(detector_efficiency_q=q)
-    scan = optimize.scaling_scan(points, protocol=sec.get("protocol", "oat"),
+    points, protocol, noise = _build_scaling(cfg)
+    from . import optimize
+    scan = optimize.scaling_scan(points, protocol=protocol,
                                  kappa=params.kappa, gamma=params.gamma, noise=noise)
     table = {c: [getattr(p, c) for p in scan.points]
              for c in ("n_atoms", "eta", "n_eta", "xi_min", "xi_min_db", "floor", "t_opt")}
@@ -413,21 +456,8 @@ def cmd_scaling(cfg, outdir):
 
 
 def cmd_oracle(cfg, outdir):
-    params = _build_system(cfg)
-    if cfg.get("protocol", "oat") != "oat":
-        raise ConfigError(f"the oracle runs one-axis twisting only, got protocol "
-                          f"{cfg['protocol']!r}")
-    sec = cfg.get("oracle", {})
-    _require_keys("oracle", sec, _KNOWN_ORACLE)
-    cutoff = _integer("oracle", "photon_cutoff", sec.get("photon_cutoff", 2))
-    factor = sec.get("delta_over_collective")
-    if factor is not None:
-        # Convenience: place the detuning at a multiple of g*sqrt(N).
-        delta = float(_number("oracle", "delta_over_collective", factor)) \
-            * params.collective_coupling
-        params = SystemParams(n_atoms=params.n_atoms, coupling_g=params.coupling_g,
-                              kappa=params.kappa, gamma=params.gamma, delta=delta,
-                              omega0=params.omega0)
+    params, cutoff = _build_oracle(cfg, _build_system(cfg))
+    from . import oracle
     report = oracle.verification_report(oracle.TCConfig(params=params, photon_cutoff=cutoff))
     shifts = report["light_shifts"]
     table = {c: [row[c] for row in shifts]
@@ -437,12 +467,8 @@ def cmd_oracle(cfg, outdir):
 
 def cmd_feasibility(cfg, outdir):
     params = _build_system(cfg)
-    sec = cfg.get("feasibility")
-    if sec is None:
-        raise ConfigError("feasibility command needs a feasibility section")
-    _require_keys("feasibility", sec, _KNOWN_FEAS, required=tuple(_KNOWN_FEAS))
-    feas = FeasibilityParams.from_frequencies(
-        **{k: _number("feasibility", k, v) for k, v in sec.items()})
+    feas = _build_feasibility(cfg)
+    from . import optimize
     report = optimize.feasibility_report(params, feas)
     return _write_artifacts(cfg, "feasibility", params, outdir, {
         "report": {
@@ -463,6 +489,12 @@ def cmd_validate(cfg, outdir):
         _build_time_grid(cfg)
     if "optimize" in cfg:
         _build_optimize(cfg)
+    if "scaling" in cfg:
+        _build_scaling(cfg)
+    if "oracle" in cfg:
+        _build_oracle(cfg, params)
+    if "feasibility" in cfg:
+        _build_feasibility(cfg)
     _build_output(cfg)
     diagnostics = {
         "schema_version": SCHEMA_VERSION,

@@ -11,26 +11,38 @@ Exactly two unit contexts exist in this package:
   ``omega_twist * t`` are phases in radians with no stray 2*pi factors.
 
 All public functions in the physics modules take rad/s.
+
+This module is pure Python: it imports no numpy, so the config layer and
+``validate`` run without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 TWO_PI = 2.0 * math.pi
+T_BOTTOM = 1e-8  # the bottom of every time bracket over its top
 
 
-def hz_to_angular(f_hz):
+def hz_to_angular(f_hz) -> float:
     """Convert a plain frequency in Hz to an angular one in rad/s."""
-    return TWO_PI * np.asarray(f_hz, dtype=float) if np.ndim(f_hz) else TWO_PI * float(f_hz)
+    return TWO_PI * float(f_hz)
 
 
-def angular_to_hz(omega):
+def angular_to_hz(omega) -> float:
     """Convert an angular frequency in rad/s to a plain one in Hz."""
-    return np.asarray(omega, dtype=float) / TWO_PI if np.ndim(omega) else float(omega) / TWO_PI
+    return float(omega) / TWO_PI
+
+
+def valid_t_max(t_max) -> bool:
+    """Whether ``t_max`` can top a time bracket: finite, and its bottom a normal float."""
+    return math.isfinite(t_max) and t_max * T_BOTTOM >= sys.float_info.min
 
 
 class PhysicsError(ValueError):
@@ -75,23 +87,6 @@ def resolve_tier(tier: str, protocol: str) -> tuple[str, str]:
     if tier == "analytic" and protocol == "tat":
         raise ConfigError("the rotation-assisted protocol needs tier=dicke")
     return tier, protocol
-
-
-def time_grid(times) -> np.ndarray:
-    """A time grid as a float array: one-dimensional, >= 0 and finite.
-
-    A grid of any other shape, a 0-d scalar included, or a negative time
-    raises :class:`PhysicsError`; a NaN or infinite time
-    :class:`NumericsError`.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise PhysicsError("time grid must be one-dimensional")
-    if np.any(times < 0):
-        raise PhysicsError("time must be >= 0")
-    if not np.all(np.isfinite(times)):
-        raise NumericsError("non-finite time")
-    return times
 
 
 @dataclass(frozen=True)
@@ -242,6 +237,60 @@ class FeasibilityParams:
         return cls(fsr=hz_to_angular(fsr_hz), fsr_jitter=hz_to_angular(fsr_jitter_hz),
                    noise_bandwidth_hz=float(noise_bandwidth_hz),
                    squeeze_time=float(squeeze_time_s))
+
+
+@dataclass(frozen=True, eq=False)
+class SpinMoments:
+    """First/second moments of the collective spin (dimensionless).
+
+    A plain record: the mean spin and the transverse (z, y) second moments,
+    with ``cross_zy`` the symmetrized correlator <SzSy + SySz> - 2<Sz><Sy>.
+    The moments are floats for one state, or arrays over a time grid as the
+    Dicke kernels and the oracle return them.  The minimal transverse
+    variance and its angle are derived from it by ``dicke.min_transverse_variance``.
+    """
+
+    spin_S: float
+    mean_x: float | np.ndarray
+    mean_y: float | np.ndarray
+    mean_z: float | np.ndarray
+    var_z: float | np.ndarray
+    var_y: float | np.ndarray
+    cross_zy: float | np.ndarray
+
+    def point(self, i: int) -> SpinMoments:
+        """Point ``i`` of a grid record, as a record of floats."""
+        return SpinMoments(self.spin_S, float(self.mean_x[i]), float(self.mean_y[i]),
+                           float(self.mean_z[i]), float(self.var_z[i]), float(self.var_y[i]),
+                           float(self.cross_zy[i]))
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Which decoherence channels are active, plus detector efficiency q.
+
+    ``detector_efficiency_q`` suppresses the cavity-leak channel: detecting
+    the escaped photons with efficiency q scales the leak exposure by
+    (1 - q).  It is only meaningful together with ``include_cavity_leak``.
+    """
+
+    include_free_space: bool = True
+    include_cavity_leak: bool = True
+    detector_efficiency_q: float = 0.0
+
+    def __post_init__(self):
+        q = float(self.detector_efficiency_q)
+        if not (0.0 <= q <= 1.0):
+            raise PhysicsError(f"detector efficiency must lie in [0, 1], got {q}")
+        object.__setattr__(self, "detector_efficiency_q", q)
+
+    @classmethod
+    def none(cls):
+        return cls(include_free_space=False, include_cavity_leak=False)
+
+    @property
+    def any_active(self) -> bool:
+        return self.include_free_space or self.include_cavity_leak
 
 
 @dataclass(frozen=True, eq=False)

@@ -58,10 +58,10 @@ arithmetic in m, so each factors into a row phase and an in-row step: a
 time point takes about 4 sqrt(n) exponentials for n band levels (530 at
 N = 1e5), and a block of 64 times takes two matrix products.
 
-The scipy imports sit inside the functions that call them: every CLI
-command imports this module, and loading scipy's linear algebra and special
-functions would add about 0.3 s to each start of ``validate`` and the
-analytic tier, which call none of them.
+The scipy imports sit inside the functions that call them: ``optimize``
+imports this module, and loading scipy's linear algebra and special
+functions would add about 0.3 s to each start of the analytic ``optimize``,
+``scaling`` and ``feasibility`` commands, which call none of them.
 """
 
 from __future__ import annotations
@@ -71,9 +71,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DerivedParams, NormDriftError, NumericsError, PhysicsError, resolve_tier,
-                   time_grid)
-from .analytic import NoiseModel, SpinMoments, SqueezingTrace
+from .core import (DerivedParams, NoiseModel, NormDriftError, NumericsError, PhysicsError,
+                   SpinMoments, SqueezingTrace, resolve_tier)
 from . import analytic
 
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
@@ -122,6 +121,23 @@ class DickeState:
     @property
     def m_values(self) -> np.ndarray:
         return np.arange(self.dim, dtype=float) - self.spin_S
+
+
+def time_grid(times) -> np.ndarray:
+    """A time grid as a float array: one-dimensional, >= 0 and finite.
+
+    A grid of any other shape, a 0-d scalar included, or a negative time
+    raises :class:`PhysicsError`; a NaN or infinite time
+    :class:`NumericsError`.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise PhysicsError("time grid must be one-dimensional")
+    if np.any(times < 0):
+        raise PhysicsError("time must be >= 0")
+    if not np.all(np.isfinite(times)):
+        raise NumericsError("non-finite time")
+    return times
 
 
 def _check_unit_norm(amps: np.ndarray) -> None:
@@ -206,7 +222,7 @@ def _oat_band_kernel(state0: DickeState, omega_twist: float):
     costs 2(A + B) exponentials, about 4 sqrt(levels), and the temporaries
     stay at about B x 64 x 16 B.  Each moment is within 1e-14 S^2 of a 40-digit
     reference (random complex start, N = 301, Omega t <= 2).  The grid must be
-    one-dimensional (see :func:`core.time_grid`).
+    one-dimensional (see :func:`time_grid`).
     """
     band = _nonzero_band(state0.amplitudes)
     S, amps, m = state0.spin_S, state0.amplitudes[band], state0.m_values[band]
@@ -392,7 +408,7 @@ class TatPropagator:
         pair into ladder columns.  Norm drift beyond 1e-9 raises, smaller
         drift is renormalized away.  A grid that is not one-dimensional
         raises :class:`PhysicsError`, a NaN or infinite time
-        :class:`NumericsError`, both up front (see :func:`core.time_grid`).
+        :class:`NumericsError`, both up front (see :func:`time_grid`).
         """
         from scipy.linalg import eigh_tridiagonal
 
@@ -482,7 +498,7 @@ def _tat_coherent_kernel(spin_S: float, omega_twist: float):
     cross_zy = -<{Sx', Sy'}> = -Im <S'+^2>, and <Sy> = <Sz> = 0 exactly:
     Sx' and Sy' leave the block.  A block of up to 64 times takes one
     product of the stacked forms with the real and imaginary parts of u.  The
-    grid must be one-dimensional with times >= 0 (see :func:`core.time_grid`),
+    grid must be one-dimensional with times >= 0 (see :func:`time_grid`),
     and an empty one takes no solve;
     :class:`NumericsError` when the window exceeds ``SPECTRAL_MAX_DIM``.
     """

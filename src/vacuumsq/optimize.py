@@ -24,14 +24,12 @@ the closed-form floor.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DerivedParams, FeasibilityParams, NumericsError, PhysicsError, SystemParams,
-                   TWO_PI, derive_params, resolve_tier)
-from .analytic import NoiseModel
+from .core import (DerivedParams, FeasibilityParams, NoiseModel, NumericsError, PhysicsError,
+                   SystemParams, TWO_PI, T_BOTTOM, derive_params, resolve_tier, valid_t_max)
 from . import analytic, dicke
 
 __all__ = [
@@ -49,12 +47,6 @@ TIME_GRID_POINTS = 240  # coarse log grid of tau in optimal_detuning, and so in 
 # that scales with |log(S tau)| (see minimize_on_log_axis), not a width
 # relative to tau.
 REL_TOL = 1e-3
-T_BOTTOM = 1e-8  # the bottom of every time bracket over its top
-
-
-def valid_t_max(t_max) -> bool:
-    """Whether ``t_max`` can top a time bracket: finite, and its bottom a normal float."""
-    return math.isfinite(t_max) and t_max * T_BOTTOM >= sys.float_info.min
 
 
 @dataclass(frozen=True)

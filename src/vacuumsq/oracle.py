@@ -40,9 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DerivedParams, LevelCrossingError, PhysicsError, SystemParams,
-                   derive_params, time_grid)
-from .analytic import SpinMoments
+from .core import (DerivedParams, LevelCrossingError, PhysicsError, SpinMoments, SystemParams,
+                   derive_params)
 from . import analytic, dicke
 
 MAX_ATOMS = 12
@@ -222,9 +221,9 @@ def evolve_full(cfg: TCConfig, t_grid) -> FullEvolution:
     An unidentifiable branch raises :class:`LevelCrossingError` (CLI exit
     4), a grid that is not one-dimensional or a negative time
     :class:`PhysicsError` and a non-finite one :class:`NumericsError`
-    (see :func:`core.time_grid`).
+    (see :func:`dicke.time_grid`).
     """
-    times = time_grid(t_grid)
+    times = dicke.time_grid(t_grid)
     used, (rows, cols, weighted, energies), fock_pops = _dressed_css(cfg)
     omega = used.derived().omega_twist
     psi = np.zeros((times.size, used.n_atoms + 1, used.photon_cutoff + 1), dtype=complex)

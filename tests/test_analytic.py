@@ -250,7 +250,7 @@ class TestXiUnitaryScalars:
 
 
 class TestNonFiniteTime:
-    """A NaN or infinite t raises NumericsError, as in core.time_grid and the Dicke tier."""
+    """A NaN or infinite t raises NumericsError, as dicke.time_grid does for the Dicke tier."""
 
     CALLS = {
         "xi_unitary": lambda d, t: analytic.xi_unitary(d, t),

@@ -107,6 +107,15 @@ MALFORMED = [
                  id="optimize-bracket-without-scan"),
     pytest.param("scaling", {"scaling__q": 0.5, "scaling__noiseless": True},
                  id="scaling-q-noiseless"),
+    pytest.param("validate", {"scaling": {"points": [[100, -1], "x"], "step": 2}},
+                 id="validate-scaling-section"),
+    pytest.param("validate", {"scaling": BASE["scaling"]["scaling"] | {"protocol": "xyz"}},
+                 id="validate-scaling-protocol"),
+    pytest.param("validate", {"protocol": "tat", "oracle": {}}, id="validate-oracle-protocol-tat"),
+    pytest.param("validate", {"feasibility": {"fsr_hz": 1e10}},
+                 id="validate-feasibility-missing-keys"),
+    pytest.param("validate", {"schema_version": True}, id="validate-schema_version-bool"),
+    pytest.param("evolve", {"schema_version": True}, id="evolve-schema_version-bool"),
 ]
 
 
@@ -128,7 +137,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, changes):
     ("oracle", {"protocol": "oat"}),
     ("feasibility", {}),
     ("validate", {"tier": "analytic", "protocol": "oat", "noise": {}, "time_grid": GRID,
-                  "optimize": {}, "scaling": {}, "oracle": {}, "feasibility": {}}),
+                  "optimize": {}, "scaling": BASE["scaling"]["scaling"], "oracle": {},
+                  "feasibility": BASE["feasibility"]["feasibility"]}),
 ])
 def test_each_command_accepts_the_keys_it_reads(tmp_path, command, changes):
     cfg = config(command, output={}, **changes) | {"command": command}

@@ -88,24 +88,36 @@ def _fresh_env():
 
 # Runs in a fresh interpreter, so that nothing is loaded before vacuumsq.cli:
 # runs each (command, config) pair of the JSON file in argv[1] with its
-# printed output dropped, and prints the exit codes and the loaded scipy modules.
+# printed output and error lines dropped, and prints the exit codes, the
+# scipy and numpy modules loaded at the end, and the vacuumsq modules loaded
+# after each run.
 _COLD_START = """
 import contextlib, io, json, sys
 from vacuumsq import cli
+
+def loaded(package):
+    return sorted(name for name in sys.modules if name.partition(".")[0] == package)
+
 with open(sys.argv[1]) as fh:
     runs = json.load(fh)
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [cli.main([command, "--config", path, "--out", sys.argv[2]]) for command, path in runs]
-print(json.dumps({"codes": codes, "scipy": sorted(
-    name for name in sys.modules if name == "scipy" or name.startswith("scipy."))}))
+codes, vacuumsq = [], []
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for command, path in runs:
+        codes.append(cli.main([command, "--config", path, "--out", sys.argv[2]]))
+        vacuumsq.append(loaded("vacuumsq"))
+print(json.dumps({"codes": codes, "scipy": loaded("scipy"), "numpy": loaded("numpy"),
+                  "vacuumsq": vacuumsq}))
 """
 
 _SYSTEM = {"n_atoms": 100, "eta": 10.0, "kappa_hz": 1e5, "gamma_hz": 7e-3, "delta_hz": 11.2e6}
 _GRID = {"start": 1e-3, "stop": 1.0, "points": 5, "spacing": "log"}
+_SCALING = {"points": [[100, 1.0], [1_000, 1.0], [10_000, 1.0]]}
+_FEASIBILITY = {"fsr_hz": 1e10, "fsr_jitter_hz": 1e3, "noise_bandwidth_hz": 1e4,
+                "squeeze_time_s": 1e-2}
 
 
 def _cold_start(tmp_path, runs):
-    """Exit codes and scipy modules of a fresh interpreter that runs (command, config) pairs."""
+    """What :data:`_COLD_START` prints for a fresh interpreter that runs (command, config) pairs."""
     pairs = []
     for i, (command, config) in enumerate(runs):
         path = tmp_path / f"{i}-{command}.json"
@@ -120,18 +132,38 @@ def _cold_start(tmp_path, runs):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def test_validate_loads_no_numpy(tmp_path):
+    # the config layer and core are pure Python, and validate checks every
+    # section of each command's config without loading a tier
+    result = _cold_start(tmp_path, [
+        ("validate", {"tier": "analytic", "noise": {}, "time_grid": _GRID}),
+        ("validate", {"protocol": "tat", "optimize": {"scan_detuning": True, "t_max_s": 10.0,
+                                                      "delta_bracket_hz": [1e6, 1e8]}}),
+        ("validate", {"scaling": _SCALING | {"protocol": "tat", "noiseless": True}}),
+        ("validate", {"system": _SYSTEM | {"n_atoms": 4},
+                      "oracle": {"photon_cutoff": 3, "delta_over_collective": 60.0}}),
+        ("validate", {"feasibility": _FEASIBILITY}),
+        ("validate", {"protocol": "tat", "oracle": {}}),
+    ])
+    assert result["codes"] == [0] * 5 + [2]
+    assert result["numpy"] == []
+    assert result["vacuumsq"][-1] == ["vacuumsq", "vacuumsq.cli", "vacuumsq.core"]
+
+
 def test_cli_and_analytic_commands_load_no_scipy(tmp_path):
     # dicke imports scipy inside the functions that call it, so validate and
-    # the closed-form tier start without it
+    # the closed-form tier start without it, and the analytic evolve loads
+    # no other tier
     result = _cold_start(tmp_path, [
         ("validate", {}),
         ("evolve", {"tier": "analytic", "time_grid": _GRID}),
         ("optimize", {"tier": "analytic", "optimize": {"scan_detuning": True}}),
-        ("scaling", {"scaling": {"points": [[100, 1.0], [1_000, 1.0], [10_000, 1.0]]}}),
-        ("feasibility", {"feasibility": {"fsr_hz": 1e10, "fsr_jitter_hz": 1e3,
-                                         "noise_bandwidth_hz": 1e4, "squeeze_time_s": 1e-2}}),
+        ("scaling", {"scaling": _SCALING}),
+        ("feasibility", {"feasibility": _FEASIBILITY}),
     ])
-    assert result == {"codes": [0] * 5, "scipy": []}
+    assert (result["codes"], result["scipy"]) == ([0] * 5, [])
+    assert {"vacuumsq.dicke", "vacuumsq.optimize", "vacuumsq.oracle"}.isdisjoint(
+        result["vacuumsq"][1])
 
 
 def test_dicke_tier_and_oracle_resolve_their_scipy_imports(tmp_path):
