@@ -32,8 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (DegenerateMeanSpinError, DerivedParams, NoiseModel, NumericsError,
-                   PhysicsError, SpinMoments, SqueezingTrace)
+from .core import (DegenerateMeanSpinError, NoiseModel, NumericsError, PhysicsError, SpinMoments,
+                   SqueezingTrace, SystemParams)
 
 __all__ = [
     "SpinMoments", "NoiseModel", "UnitarySqueezing", "cos_pow",
@@ -73,17 +73,17 @@ def cos_pow(x, p):
     return out * np.sign(c) if p % 2 == 1 else out
 
 
-def _ab(d: DerivedParams, t):
+def _ab(p: SystemParams, t):
     """The A, B coefficients of the twisting covariance at phase Omega*t.
 
     ``t`` is a time that :func:`_check_time` passed, a float or an array.
     One spin (S = 1/2) takes the exponent 0 in place of 2S-2 = -1; its
     covariance prefactor S - 1/2 vanishes, so A and B are not used.
     """
-    x = d.omega_twist * t
-    p = max(int(2.0 * d.spin_S) - 2, 0)
-    A = 1.0 - cos_pow(2.0 * x, p)
-    B = 4.0 * np.sin(x) * cos_pow(x, p)
+    x = p.omega_twist * t
+    power = max(int(2.0 * p.spin_S) - 2, 0)
+    A = 1.0 - cos_pow(2.0 * x, power)
+    B = 4.0 * np.sin(x) * cos_pow(x, power)
     return A, B
 
 
@@ -102,7 +102,7 @@ def _check_time(t):
     return t
 
 
-def xi_unitary(d: DerivedParams, t) -> UnitarySqueezing:
+def xi_unitary(p: SystemParams, t) -> UnitarySqueezing:
     """Coherent-twisting squeezing parameter and optimal quadrature angle.
 
     Returns xi = 1 - (1/2)(S-1/2)(sqrt(A^2+B^2) - A) and the angle
@@ -116,8 +116,8 @@ def xi_unitary(d: DerivedParams, t) -> UnitarySqueezing:
     prefactor S - 1/2 vanishes.
     """
     t_checked = _check_time(t)
-    S = d.spin_S
-    A, B = _ab(d, t_checked)
+    S = p.spin_S
+    A, B = _ab(p, t_checked)
     R = np.hypot(A, B)
     if isinstance(R, np.ndarray):
         excess = np.divide(B * B, R + A, out=np.zeros_like(R), where=(R + A) > 0)
@@ -136,7 +136,7 @@ class NoiseBudget(NamedTuple):
     p_decay: float | np.ndarray
 
 
-def noise_budget(d: DerivedParams, t, noise: NoiseModel) -> NoiseBudget:
+def noise_budget(p: SystemParams, t, noise: NoiseModel) -> NoiseBudget:
     """The active noise channels at time t, evaluated once.
 
     Returns the summed added variance [dS2_leak + dS2_decay] and the
@@ -155,15 +155,14 @@ def noise_budget(d: DerivedParams, t, noise: NoiseModel) -> NoiseBudget:
     The additive variance model is trustworthy while both exposures stay
     <= 1/2 (monotone regime).  The channels themselves are
     :func:`_noise_channels`, the one place that decides which are on; this
-    wrapper checks t and reads S, the leak rate, kappa and Gamma off ``d``.
+    wrapper checks t and reads S, the leak rate, kappa and Gamma off ``p``.
 
     A scalar t (a float or a 0-d array) gives Python floats, computed
     without array overhead; an array t gives arrays of its shape.  Both go
     through the same expressions, so an array call gives, element by
     element, the bits of the scalar calls.
     """
-    p = d.params
-    return _noise_channels(d.spin_S, d.leak_rate, p.kappa, p.gamma, _check_time(t), noise)
+    return _noise_channels(p.spin_S, p.leak_rate, p.kappa, p.gamma, _check_time(t), noise)
 
 
 def _noise_channels(S, leak_rate, kappa, gamma, t, noise: NoiseModel) -> NoiseBudget:
@@ -190,13 +189,13 @@ def _noise_channels(S, leak_rate, kappa, gamma, t, noise: NoiseModel) -> NoiseBu
     return NoiseBudget(added, p_leak, p_decay)
 
 
-def xi_total(d: DerivedParams, t, noise: NoiseModel):
+def xi_total(p: SystemParams, t, noise: NoiseModel):
     """Squeezing parameter including the active additive noise channels.
 
     xi_total = xi_unitary + [dS2_leak + dS2_decay] / (S/2); disabled
     channels contribute zero, so with both off this equals xi_unitary.
     """
-    return add_noise_to_xi(d, xi_unitary(d, t).xi, t, noise)
+    return add_noise_to_xi(p, xi_unitary(p, t).xi, t, noise)
 
 
 def _noise_floor(prefactor, exponent, n_atoms, eta, detector_efficiency_q) -> float:
@@ -249,28 +248,28 @@ def _require_plane(degenerate, times) -> None:
             f"mean spin length ~ 0 at t={t!r}: transverse plane undefined")
 
 
-def squeezing_trace(d: DerivedParams, times, noise: NoiseModel) -> SqueezingTrace:
+def squeezing_trace(p: SystemParams, times, noise: NoiseModel) -> SqueezingTrace:
     """Closed-form squeezing trace over a time grid (analytic tier); a mean spin of at
     most 1e-9 S raises :class:`DegenerateMeanSpinError`, as on the Dicke tier."""
     t = np.asarray(times, dtype=float)
-    xi_u, angle = xi_unitary(d, t)
-    xi_tot = add_noise_to_xi(d, xi_u, t, noise)
-    mean_x = d.spin_S * cos_pow(d.omega_twist * t, int(2 * d.spin_S - 1))
-    _require_plane(np.abs(mean_x) <= 1e-9 * d.spin_S, t)
+    xi_u, angle = xi_unitary(p, t)
+    xi_tot = add_noise_to_xi(p, xi_u, t, noise)
+    mean_x = p.spin_S * cos_pow(p.omega_twist * t, int(2 * p.spin_S - 1))
+    _require_plane(np.abs(mean_x) <= 1e-9 * p.spin_S, t)
     return SqueezingTrace(times=t, xi_unitary=np.asarray(xi_u),
                           xi_total=np.asarray(xi_tot), mean_x=np.asarray(mean_x),
-                          var_min=np.asarray(xi_tot) * (d.spin_S / 2.0),
+                          var_min=np.asarray(xi_tot) * (p.spin_S / 2.0),
                           angle=np.asarray(angle), model_tier="analytic",
                           protocol="oat")
 
 
-def add_noise_to_xi(d: DerivedParams, xi_coherent, t, noise: NoiseModel):
+def add_noise_to_xi(p: SystemParams, xi_coherent, t, noise: NoiseModel):
     """Attach the additive noise terms to an externally computed xi(t)."""
-    added = noise_budget(d, t, noise).added_var
-    return _scalar_like(np.asarray(xi_coherent, dtype=float) + added / (d.spin_S / 2.0), t)
+    added = noise_budget(p, t, noise).added_var
+    return _scalar_like(np.asarray(xi_coherent, dtype=float) + added / (p.spin_S / 2.0), t)
 
 
-def noise_probabilities(d: DerivedParams, t, noise: NoiseModel):
+def noise_probabilities(p: SystemParams, t, noise: NoiseModel):
     """The binomial exposures (p_leak, p_decay) of the active channels at t."""
-    budget = noise_budget(d, t, noise)
+    budget = noise_budget(p, t, noise)
     return budget.p_leak, budget.p_decay

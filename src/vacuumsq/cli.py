@@ -7,22 +7,23 @@ Commands (``vacuumsq <command> --config <path>``):
 * ``scaling``     optimum-vs-N*eta table -> CSV + JSON
 * ``oracle``      light-shift table and dynamics discrepancy -> CSV + JSON
 * ``feasibility`` robustness arithmetic -> JSON
-* ``validate``    parse + physics checks only, prints derived parameters
+* ``validate``    parse + physics checks only, prints derived parameters;
+  it refuses what the commands refuse before they compute
 
 Each command refuses the top-level config keys it does not read.
 Exit codes: 0 ok, 2 config error, 3 physics validation, 4 numerical gate,
 5 I/O.  Errors additionally emit one machine-readable JSON line on stderr.
 Outputs are deterministic for a fixed config (full round-trip float
-precision) and written atomically (temp file + rename).  CSV tables are
-column-major: a command hands over one sequence per column, and each float
-is written as its ``repr``.
+precision) and written atomically (temp file + rename), with mode 0o666 less
+the umask.  CSV tables are column-major: a command hands over one sequence
+per column, and each float is written as its ``repr``.
 
 At module level this imports only ``core`` and the standard library, and
 each command imports the tier it runs once its config has parsed:
-``validate`` and config errors load no numpy, the analytic tier (``evolve``
-and ``optimize`` at tier analytic, ``scaling`` of twisting,
-``feasibility``) loads no scipy, and the Dicke tier and the oracle load
-scipy on first use.
+``validate``, ``feasibility`` and config errors load no numpy, the
+analytic tier (``evolve`` and ``optimize`` at tier analytic, ``scaling`` of
+twisting) loads no scipy and no Dicke tier, and the Dicke tier and the
+oracle load scipy on first use.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ import math
 import numbers
 import os
 import sys
-import tempfile
+from dataclasses import replace
 
 from .core import (ConfigError, FeasibilityParams, NoiseModel, NumericsError, PhysicsError,
-                   SystemParams, TWO_PI, T_BOTTOM, angular_to_hz, derive_params, resolve_tier,
-                   valid_t_max)
+                   SystemParams, TWO_PI, T_BOTTOM, angular_to_hz, check_oracle_size,
+                   feasibility_report, resolve_tier, scaling_points, valid_t_max)
 from . import __version__
 
 SCHEMA_VERSION = 1
@@ -206,7 +207,8 @@ def _build_scaling(cfg) -> tuple[list, str, NoiseModel]:
     noiseless = _flag("scaling", "noiseless", sec.get("noiseless", False))
     if noiseless and "q" in sec:
         raise ConfigError("scaling.q sets the cavity leak, which \"noiseless\": true turns off")
-    return points, protocol, NoiseModel.none() if noiseless else NoiseModel(detector_efficiency_q=q)
+    noise = NoiseModel.none() if noiseless else NoiseModel(detector_efficiency_q=q)
+    return scaling_points(points), protocol, noise
 
 
 def _build_oracle(cfg, params: SystemParams) -> tuple[SystemParams, int]:
@@ -220,11 +222,9 @@ def _build_oracle(cfg, params: SystemParams) -> tuple[SystemParams, int]:
     factor = sec.get("delta_over_collective")
     if factor is not None:
         # Convenience: place the detuning at a multiple of g*sqrt(N).
-        delta = float(_number("oracle", "delta_over_collective", factor)) \
-            * params.collective_coupling
-        params = SystemParams(n_atoms=params.n_atoms, coupling_g=params.coupling_g,
-                              kappa=params.kappa, gamma=params.gamma, delta=delta,
-                              omega0=params.omega0)
+        params = replace(params, delta=float(_number("oracle", "delta_over_collective", factor))
+                         * params.collective_coupling)
+    check_oracle_size(params.n_atoms, cutoff)
     return params, cutoff
 
 
@@ -249,24 +249,22 @@ def _build_output(cfg) -> dict:
 
 def _resolved_config(cfg, command, params: SystemParams) -> dict:
     """Echo of the config with derived g/eta both filled (round-trip safe)."""
-    d = derive_params(params)
     out = json.loads(json.dumps(cfg))  # deep copy, JSON-clean
     out["schema_version"] = SCHEMA_VERSION
     out["command"] = command
     out["system"]["g_hz"] = angular_to_hz(params.coupling_g)
-    if math.isfinite(d.eta):
-        out["system"]["eta"] = d.eta
+    if math.isfinite(params.eta):
+        out["system"]["eta"] = params.eta
     return out
 
 
 def _derived_block(params: SystemParams) -> dict:
-    d = derive_params(params)
     return {
-        "spin_S": d.spin_S,
-        "eta": d.eta if math.isfinite(d.eta) else None,
+        "spin_S": params.spin_S,
+        "eta": params.eta if math.isfinite(params.eta) else None,
         "g_hz": angular_to_hz(params.coupling_g),
-        "omega_twist_rad_s": d.omega_twist,
-        "omega_twist_hz": angular_to_hz(d.omega_twist),
+        "omega_twist_rad_s": params.omega_twist,
+        "omega_twist_hz": angular_to_hz(params.omega_twist),
         "collective_coupling_hz": angular_to_hz(params.collective_coupling),
         "regime_ok": params.regime_ok,
     }
@@ -284,9 +282,12 @@ def _format_cell(value):
 
 
 def _atomic_write(path, text: str):
+    """Write ``text`` to a new file beside ``path`` with mode 0o666 less the umask, then
+    rename it onto ``path``."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".vacuumsq-")
+    tmp = os.path.join(directory, f".vacuumsq-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -371,12 +372,11 @@ def cmd_evolve(cfg, outdir):
     import numpy as np
     from . import analytic
     times = (np.geomspace if spacing == "log" else np.linspace)(start, stop, points)
-    d = derive_params(params)
     if tier == "analytic":
-        trace = analytic.squeezing_trace(d, times, noise)
+        trace = analytic.squeezing_trace(params, times, noise)
     else:
         from . import dicke
-        trace = dicke.squeezing_trace(d, times, noise, protocol=protocol)
+        trace = dicke.squeezing_trace(params, times, noise, protocol=protocol)
     i_min = int(np.argmin(trace.xi_total))
     return _write_artifacts(cfg, "evolve", params, outdir, {
         "model_tier": trace.model_tier,
@@ -392,12 +392,11 @@ def cmd_evolve(cfg, outdir):
 
 def _bounds_block(params, noise):
     from . import analytic
-    d = derive_params(params)
-    if not math.isfinite(d.eta):
+    if not math.isfinite(params.eta):
         return None
     q = noise.detector_efficiency_q
-    bound = analytic.xi_bound(params.n_atoms, d.eta, q)
-    floor = analytic.tat_xi_floor(params.n_atoms, d.eta, q)
+    bound = analytic.xi_bound(params.n_atoms, params.eta, q)
+    floor = analytic.tat_xi_floor(params.n_atoms, params.eta, q)
     return {
         "twisting_bound": bound,
         "twisting_bound_db": float(analytic.to_db(bound)) if bound > 0 else None,
@@ -417,8 +416,7 @@ def cmd_optimize(cfg, outdir):
                                            params.n_atoms, noise, tier=tier,
                                            protocol=protocol, bracket=bracket, t_max=t_max)
     else:
-        result = optimize.optimal_time(derive_params(params), noise, tier=tier,
-                                       protocol=protocol, t_max=t_max)
+        result = optimize.optimal_time(params, noise, tier=tier, protocol=protocol, t_max=t_max)
     return _write_artifacts(cfg, "optimize", params, outdir, {
         "result": {
             "t_opt_seconds": result.t_opt,
@@ -467,18 +465,8 @@ def cmd_oracle(cfg, outdir):
 
 def cmd_feasibility(cfg, outdir):
     params = _build_system(cfg)
-    feas = _build_feasibility(cfg)
-    from . import optimize
-    report = optimize.feasibility_report(params, feas)
-    return _write_artifacts(cfg, "feasibility", params, outdir, {
-        "report": {
-            "omega_twist_hz": report.omega_twist_hz,
-            "squeeze_phase_rel_error": report.squeeze_phase_rel_error,
-            "suppression_factor": report.suppression_factor,
-            "clock_shift_during_squeeze_rad_s": report.clock_shift_during_squeeze,
-            "fractional_accuracy": report.fractional_accuracy,
-        },
-    })
+    report = feasibility_report(params, _build_feasibility(cfg))
+    return _write_artifacts(cfg, "feasibility", params, outdir, {"report": vars(report)})
 
 
 def cmd_validate(cfg, outdir):

@@ -1,4 +1,6 @@
-"""Shared domain types, unit conventions, and parameter derivation.
+"""Shared domain types, unit conventions and the size rules of scans and oracle.
+
+S, eta, the twisting rate and the leak rate are :class:`SystemParams` properties.
 
 Unit convention
 ---------------
@@ -28,6 +30,8 @@ if TYPE_CHECKING:
 
 TWO_PI = 2.0 * math.pi
 T_BOTTOM = 1e-8  # the bottom of every time bracket over its top
+ORACLE_MAX_ATOMS = 12
+ORACLE_MAX_DIM = 10_000  # the oracle's largest Hilbert dimension
 
 
 def hz_to_angular(f_hz) -> float:
@@ -97,6 +101,11 @@ class SystemParams:
     the cavity-atom detuning and must be nonzero (both signs allowed).
     ``omega0`` is the atomic transition frequency, only used in
     feasibility reporting.
+
+    The derived quantities are properties: ``spin_S`` = N/2, the cooperativity
+    ``eta`` = 4 g^2/(Gamma kappa) (infinite without loss), ``omega_twist`` =
+    g^2/delta and ``leak_rate`` = S (Omega/delta) kappa, the cavity-leak
+    exposure rate before detector efficiency.
     """
 
     n_atoms: int
@@ -157,6 +166,23 @@ class SystemParams:
                    omega0=None if omega0_hz is None else hz_to_angular(omega0_hz))
 
     @property
+    def spin_S(self) -> float:
+        return self.n_atoms / 2.0
+
+    @property
+    def eta(self) -> float:
+        loss = self.gamma * self.kappa
+        return math.inf if loss == 0 else 4.0 * self.coupling_g ** 2 / loss
+
+    @property
+    def omega_twist(self) -> float:
+        return self.coupling_g ** 2 / self.delta
+
+    @property
+    def leak_rate(self) -> float:
+        return self.spin_S * (self.omega_twist / self.delta) * self.kappa
+
+    @property
     def collective_coupling(self) -> float:
         """g*sqrt(N), the relevant coupling scale of the ladder."""
         return self.coupling_g * math.sqrt(self.n_atoms)
@@ -171,44 +197,33 @@ class SystemParams:
         return abs(self.delta) >= 10.0 * max(self.collective_coupling, self.kappa)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
-    """Quantities derived from :class:`SystemParams`.
+def scaling_points(points) -> list[tuple[int, float]]:
+    """The (n_atoms, eta) pairs of a scaling scan as (int, float), checked.
 
-    spin_S = N/2 (half-integer for odd N), eta = 4 g^2/(Gamma kappa),
-    omega_twist = g^2/delta (sign follows delta), leak_rate = S (Omega/delta)
-    kappa = S g^2 kappa/delta^2, the cavity-leak exposure rate before
-    detector efficiency.  The detuning enters the physics only through
-    omega_twist and leak_rate; the source params are carried along for
-    N, kappa and gamma.
+    Each needs n_atoms >= 1 and a finite eta > 0, and the scan at least 3
+    of them spanning at least two decades of N*eta; else :class:`PhysicsError`.
     """
+    pts = [(int(n), float(eta)) for n, eta in points]
+    for n, eta in pts:
+        if n < 1 or not (math.isfinite(eta) and eta > 0):
+            raise PhysicsError(f"scan point [{n}, {eta!r}] needs n_atoms >= 1 and a finite eta > 0")
+    if len(pts) < 3:
+        raise PhysicsError("need at least 3 scan points")
+    n_etas = [n * eta for n, eta in pts]
+    if max(n_etas) / min(n_etas) < 100.0:
+        raise PhysicsError("scan points must span at least two decades of N*eta")
+    return pts
 
-    spin_S: float
-    eta: float
-    omega_twist: float
-    leak_rate: float
-    params: SystemParams
 
-
-def derive_params(p: SystemParams) -> DerivedParams:
-    """Compute S, eta and the twisting rate Omega from system parameters.
-
-    Pure function: identical inputs give bit-identical outputs.  A lossless
-    system (kappa or gamma zero) has infinite cooperativity.
-    """
-    if p.delta == 0:
-        raise PhysicsError("delta must be nonzero")
-    loss = p.gamma * p.kappa
-    eta = math.inf if loss == 0 else 4.0 * p.coupling_g ** 2 / loss
-    spin_S = p.n_atoms / 2.0
-    omega_twist = p.coupling_g ** 2 / p.delta
-    return DerivedParams(
-        spin_S=spin_S,
-        eta=eta,
-        omega_twist=omega_twist,
-        leak_rate=spin_S * (omega_twist / p.delta) * p.kappa,
-        params=p,
-    )
+def check_oracle_size(n_atoms: int, photon_cutoff: int) -> None:
+    """:class:`PhysicsError` unless the oracle takes N atoms at this photon cutoff."""
+    if n_atoms > ORACLE_MAX_ATOMS:
+        raise PhysicsError(f"oracle is limited to N <= {ORACLE_MAX_ATOMS} atoms")
+    if photon_cutoff < 1:
+        raise PhysicsError("photon_cutoff must be >= 1")
+    dim = (n_atoms + 1) * (photon_cutoff + 1)
+    if dim > ORACLE_MAX_DIM:
+        raise PhysicsError(f"Hilbert dimension {dim} exceeds the cap {ORACLE_MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -237,6 +252,39 @@ class FeasibilityParams:
         return cls(fsr=hz_to_angular(fsr_hz), fsr_jitter=hz_to_angular(fsr_jitter_hz),
                    noise_bandwidth_hz=float(noise_bandwidth_hz),
                    squeeze_time=float(squeeze_time_s))
+
+
+@dataclass(frozen=True)
+class FeasibilityReport:
+    """Robustness figures of the always-on vacuum coupling.
+
+    ``squeeze_phase_rel_error``: relative error of the accumulated
+    twisting phase from cavity frequency jitter, deltanu/(Delta
+    sqrt(f t_s)) -- jitter averages over f*t_s independent samples.
+    ``suppression_factor``: residual twisting when parked half a free
+    spectral range away, (Delta/(nu/2)) * (deltanu/(nu/2)).
+    """
+
+    omega_twist_hz: float
+    squeeze_phase_rel_error: float
+    suppression_factor: float
+    clock_shift_during_squeeze_rad_s: float
+    fractional_accuracy: float | None = None
+
+
+def feasibility_report(p: SystemParams, f: FeasibilityParams) -> FeasibilityReport:
+    """Evaluate the robustness arithmetic verbatim (pure, deterministic)."""
+    omega = abs(p.omega_twist)
+    samples = f.noise_bandwidth_hz * f.squeeze_time
+    rel_error = (f.fsr_jitter / abs(p.delta)) / math.sqrt(samples)
+    half_fsr = f.fsr / 2.0
+    suppression = (abs(p.delta) / half_fsr) * (f.fsr_jitter / half_fsr)
+    fractional = None if p.omega0 is None else omega / p.omega0
+    return FeasibilityReport(omega_twist_hz=omega / TWO_PI,
+                             squeeze_phase_rel_error=rel_error,
+                             suppression_factor=suppression,
+                             clock_shift_during_squeeze_rad_s=omega,
+                             fractional_accuracy=fractional)
 
 
 @dataclass(frozen=True, eq=False)

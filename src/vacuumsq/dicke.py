@@ -58,10 +58,10 @@ arithmetic in m, so each factors into a row phase and an in-row step: a
 time point takes about 4 sqrt(n) exponentials for n band levels (530 at
 N = 1e5), and a block of 64 times takes two matrix products.
 
-The scipy imports sit inside the functions that call them: ``optimize``
-imports this module, and loading scipy's linear algebra and special
-functions would add about 0.3 s to each start of the analytic ``optimize``,
-``scaling`` and ``feasibility`` commands, which call none of them.
+The scipy imports sit inside the functions that call them, so that
+importing this module costs no scipy: its special functions load, in about
+0.3 s, with the first coherent state, and its eigensolvers with the first
+rotation-assisted solve.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DerivedParams, NoiseModel, NormDriftError, NumericsError, PhysicsError,
-                   SpinMoments, SqueezingTrace, resolve_tier)
+from .core import (NoiseModel, NormDriftError, NumericsError, PhysicsError, SpinMoments,
+                   SqueezingTrace, SystemParams, resolve_tier)
 from . import analytic
 
 NORM_TOL = 1e-12        # invariant: sum |c_m|^2 = 1 within this, always
@@ -596,7 +596,7 @@ def min_transverse_variance(m: SpinMoments):
                                      angle)
 
 
-def coherent_moments(d: DerivedParams, protocol: str):
+def coherent_moments(p: SystemParams, protocol: str):
     """Moments of the evolved coherent spin state, as a function of a time grid.
 
     ``protocol`` is "oat" or "tat", as resolved by :func:`core.resolve_tier`.
@@ -612,11 +612,11 @@ def coherent_moments(d: DerivedParams, protocol: str):
     keeps its largest solve, so a later grid that ends sooner reuses it.
     """
     if protocol == "oat":
-        return _oat_band_kernel(css(d.params.n_atoms), d.omega_twist)
-    return _tat_coherent_kernel(d.spin_S, d.omega_twist)
+        return _oat_band_kernel(css(p.n_atoms), p.omega_twist)
+    return _tat_coherent_kernel(p.spin_S, p.omega_twist)
 
 
-def apply_noise(m: SpinMoments, d: DerivedParams, t, noise: NoiseModel) -> SpinMoments:
+def apply_noise(m: SpinMoments, p: SystemParams, t, noise: NoiseModel) -> SpinMoments:
     """Add the decoherence variances isotropically in the transverse plane.
 
     Both channel variances go onto var_z and var_y (cross terms
@@ -626,11 +626,11 @@ def apply_noise(m: SpinMoments, d: DerivedParams, t, noise: NoiseModel) -> SpinM
     :func:`squeezing_trace` adds the same variance to the minimal one
     directly.
     """
-    added = analytic.noise_budget(d, t, noise).added_var
+    added = analytic.noise_budget(p, t, noise).added_var
     return replace(m, var_z=m.var_z + added, var_y=m.var_y + added)
 
 
-def squeezing_trace(d: DerivedParams, times, noise: NoiseModel,
+def squeezing_trace(p: SystemParams, times, noise: NoiseModel,
                     protocol: str = "oat") -> SqueezingTrace:
     """Numerically exact squeezing trace over a time grid (dicke tier).
 
@@ -643,11 +643,11 @@ def squeezing_trace(d: DerivedParams, times, noise: NoiseModel,
     """
     _, protocol = resolve_tier("dicke", protocol)
     times = np.asarray(times, dtype=float)
-    added = analytic.noise_budget(d, times, noise).added_var
-    mom = coherent_moments(d, protocol)(times)
+    added = analytic.noise_budget(p, times, noise).added_var
+    mom = coherent_moments(p, protocol)(times)
     variance, angle = min_transverse_variance(mom)
     analytic._require_plane(np.isinf(variance), times)
-    half_S = d.spin_S / 2.0
+    half_S = p.spin_S / 2.0
     xi_tot = (variance + added) / half_S
     return SqueezingTrace(times=times, xi_unitary=variance / half_S,
                           xi_total=xi_tot, mean_x=mom.mean_x, var_min=xi_tot * half_S,

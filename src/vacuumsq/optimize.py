@@ -1,4 +1,4 @@
-"""Squeezing-time/detuning optimization, scaling scans, feasibility arithmetic.
+"""Squeezing-time/detuning optimization and scaling scans.
 
 There is one search, ``optimal_detuning``, over (t, Delta) through the
 twisting angle tau = Omega t, Omega = g^2/Delta: the coherent squeezing
@@ -28,13 +28,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (DerivedParams, FeasibilityParams, NoiseModel, NumericsError, PhysicsError,
-                   SystemParams, TWO_PI, T_BOTTOM, derive_params, resolve_tier, valid_t_max)
-from . import analytic, dicke
+from .core import (NoiseModel, NumericsError, PhysicsError, SystemParams, TWO_PI, T_BOTTOM,
+                   resolve_tier, scaling_points, valid_t_max)
+from . import analytic
 
 __all__ = [
-    "OptimizationResult", "FeasibilityReport", "ScalingPoint", "ScalingScan",
-    "optimal_time", "optimal_detuning", "scaling_scan", "feasibility_report",
+    "OptimizationResult", "ScalingPoint", "ScalingScan",
+    "optimal_time", "optimal_detuning", "scaling_scan",
     "golden_section", "minimize_on_log_axis",
 ]
 
@@ -68,24 +68,6 @@ class OptimizationResult:
     bracket_delta: tuple[float, float] | None = None
     rel_tol: float = REL_TOL
     flags: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Robustness figures of the always-on vacuum coupling.
-
-    ``squeeze_phase_rel_error``: relative error of the accumulated
-    twisting phase from cavity frequency jitter, deltanu/(Delta
-    sqrt(f t_s)) -- jitter averages over f*t_s independent samples.
-    ``suppression_factor``: residual twisting when parked half a free
-    spectral range away, (Delta/(nu/2)) * (deltanu/(nu/2)).
-    """
-
-    omega_twist_hz: float
-    squeeze_phase_rel_error: float
-    suppression_factor: float
-    clock_shift_during_squeeze: float
-    fractional_accuracy: float | None = None
 
 
 def golden_section(f, lo: float, hi: float, rel_tol: float = REL_TOL):
@@ -153,20 +135,22 @@ def minimize_on_log_axis(f, grid, values, rel_tol: float):
     return math.exp(log_x), log_val, None
 
 
-def _coherent_xi(d: DerivedParams, tier: str, protocol: str):
-    """The coherent xi of ``d`` as a function of a float time or a one-dimensional
+def _coherent_xi(p: SystemParams, tier: str, protocol: str):
+    """The coherent xi of ``p`` as a function of a float time or a one-dimensional
     ascending time array.
 
-    The analytic tier is one ``analytic.xi_unitary`` call.  The Dicke tier
-    makes one ``dicke.coherent_moments`` kernel here and reduces each grid it
-    returns with ``dicke.min_transverse_variance``, where a degenerate mean
-    spin (|<S>| <= 1e-9 S) is +inf, invalid and not fatal: without noise the
-    time bracket can reach the collapse of the twisted mean spin.  A float
-    time is a one-point grid whose record is reduced as floats.
+    The analytic tier is one ``analytic.xi_unitary`` call and loads no Dicke
+    tier.  The Dicke tier makes one ``dicke.coherent_moments`` kernel here
+    and reduces each grid it returns with ``dicke.min_transverse_variance``,
+    where a degenerate mean spin (|<S>| <= 1e-9 S) is +inf, invalid and not
+    fatal: without noise the time bracket can reach the collapse of the
+    twisted mean spin.  A float time is a one-point grid whose record is
+    reduced as floats.
     """
     if tier == "analytic":
-        return lambda times: analytic.xi_unitary(d, times).xi
-    kernel, half_S = dicke.coherent_moments(d, protocol), d.spin_S / 2.0
+        return lambda times: analytic.xi_unitary(p, times).xi
+    from . import dicke
+    kernel, half_S = dicke.coherent_moments(p, protocol), p.spin_S / 2.0
 
     def xi(times):
         if isinstance(times, float):
@@ -176,14 +160,14 @@ def _coherent_xi(d: DerivedParams, tier: str, protocol: str):
     return xi
 
 
-def _check_floor(d: DerivedParams, xi_min: float, noise: NoiseModel, protocol: str) -> None:
+def _check_floor(p: SystemParams, xi_min: float, noise: NoiseModel, protocol: str) -> None:
     """Raise NumericsError when xi_min is below half the closed-form floor.
 
     The floor is defined with both noise channels on and a finite eta.
     """
-    if not (noise.include_free_space and noise.include_cavity_leak and math.isfinite(d.eta)):
+    if not (noise.include_free_space and noise.include_cavity_leak and math.isfinite(p.eta)):
         return
-    floor = _closed_form_floor(d.params.n_atoms, d.eta, noise.detector_efficiency_q, protocol)
+    floor = _closed_form_floor(p.n_atoms, p.eta, noise.detector_efficiency_q, protocol)
     if xi_min < 0.5 * floor:
         raise NumericsError(
             f"xi_min={float(xi_min)!r} is below half the closed-form floor {floor!r}; "
@@ -257,9 +241,9 @@ class _DetuningNoise:
         return analytic._where(end_lo < end_hi, best, math.inf), delta, end_lo, end_hi
 
 
-def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
+def optimal_time(p: SystemParams, noise: NoiseModel, tier: str = "auto",
                  protocol: str = "oat", t_max: float | None = None) -> OptimizationResult:
-    """Minimize xi_total over t in (0, t_max] at the detuning of ``d``.
+    """Minimize xi_total over t in (0, t_max] at the detuning of ``p``.
 
     This is :func:`optimal_detuning` on the one-point detuning bracket
     (|Delta|, |Delta|), since xi is even in the sign of Delta, with the same
@@ -267,9 +251,8 @@ def optimal_time(d: DerivedParams, noise: NoiseModel, tier: str = "auto",
     twisting period when Gamma = 0), and its bottom t_max * 1e-8.  The
     result carries no detuning, so only ``time_*_edge`` flags can be set.
     """
-    p, delta = d.params, abs(d.params.delta)
     result = optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms, noise, tier, protocol,
-                              bracket=(delta, delta), t_max=t_max)
+                              bracket=(abs(p.delta),) * 2, t_max=t_max)
     return replace(result, delta_opt=None, bracket_delta=None)
 
 
@@ -321,9 +304,8 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         raise ValueError(f"need a finite t_max with t_max * {T_BOTTOM!r} a normal float, "
                          f"got {t_max!r}")
     lo, hi = bracket
-    d = derive_params(SystemParams(n_atoms=n_atoms, coupling_g=coupling_g, kappa=kappa,
-                                   gamma=gamma, delta=lo))
-    g2, S = coupling_g ** 2, d.spin_S
+    p = SystemParams(n_atoms=n_atoms, coupling_g=coupling_g, kappa=kappa, gamma=gamma, delta=lo)
+    g2, S = coupling_g ** 2, p.spin_S
     if t_max is None and gamma <= 0:  # the top pi/(2|Omega|) is tau = pi/2 at every Delta
         t_top = reach = None
         xs = np.geomspace(S * math.pi / 2.0 * T_BOTTOM, S * math.pi / 2.0, TIME_GRID_POINTS)
@@ -332,7 +314,7 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
         reach = g2 * t_top  # tau Delta at the top of the time bracket
         xs = np.geomspace(S * T_BOTTOM * reach / hi, S * reach / lo, TIME_GRID_POINTS)
 
-    solver = _DetuningNoise(S, g2, d.params.kappa, d.params.gamma, noise)
+    solver = _DetuningNoise(S, g2, p.kappa, p.gamma, noise)
 
     def detuning_range(tau):  # the Delta of the bracket at which t = tau Delta/g^2 is in its own
         if reach is None:
@@ -342,7 +324,8 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
     def least_noise(tau):  # a one-point bracket has nothing to search
         return solver.least(tau, *detuning_range(tau))[0] if hi > lo else solver.added_xi(tau, lo)
 
-    coherent = _coherent_xi(replace(d, omega_twist=1.0), tier, protocol)  # a function of tau
+    # xi_coh of tau is that of the unit-rate system, whose Omega = 1/1 is exactly 1
+    coherent = _coherent_xi(replace(p, coupling_g=1.0, delta=1.0), tier, protocol)
 
     def total(x):  # xi at tau = x/S with its least-noise detuning, +inf if none is valid
         tau = x / S
@@ -368,7 +351,7 @@ def optimal_detuning(coupling_g: float, kappa: float, gamma: float, n_atoms: int
             flags += ("delta_lower_edge" if d_lo == lo else "time_lower_edge",)
         elif delta_opt == d_hi or pinched and delta_opt == end_lo > d_lo and end_hi == d_hi:
             flags += ("delta_upper_edge" if d_hi == hi else "time_upper_edge",)
-    _check_floor(d, xi_min, noise, protocol)
+    _check_floor(p, xi_min, noise, protocol)
     top = t_top if t_top is not None else math.pi / (2.0 * abs(g2 / delta_opt))
     # tau Delta/g^2 can round just past an end of the time bracket
     t_opt = min(max(x_opt / S * delta_opt / g2, top * T_BOTTOM), top)
@@ -416,22 +399,14 @@ def scaling_scan(points, protocol: str = "oat",
     detuning, take one ``optimal_time`` each at Delta = 100 kappa.
     """
     tier, protocol = resolve_tier("auto", protocol)
-    pts = [(int(n), float(eta)) for n, eta in points]
-    for n, eta in pts:
-        if n < 1 or not (math.isfinite(eta) and eta > 0):
-            raise PhysicsError(f"scan point [{n}, {eta!r}] needs n_atoms >= 1 and a finite eta > 0")
-    if len(pts) < 3:
-        raise PhysicsError("need at least 3 scan points")
-    n_etas = [n * eta for n, eta in pts]
-    if max(n_etas) / min(n_etas) < 100.0:
-        raise PhysicsError("scan points must span at least two decades of N*eta")
+    pts = scaling_points(points)
     if noise is None:
         noise = NoiseModel()
     atoms_g = [(n, math.sqrt(eta * gamma * kappa) / 2.0) for n, eta in pts]
     if protocol == "tat" and not noise.any_active:  # xi does not depend on the detuning here
-        results = [optimal_time(derive_params(SystemParams(n_atoms=n, coupling_g=g, kappa=kappa,
-                                                           gamma=gamma, delta=100.0 * kappa)),
-                                noise, protocol="tat") for n, g in atoms_g]
+        results = [optimal_time(SystemParams(n_atoms=n, coupling_g=g, kappa=kappa, gamma=gamma,
+                                             delta=100.0 * kappa), noise, protocol="tat")
+                   for n, g in atoms_g]
     else:
         results = [optimal_detuning(g, kappa, gamma, n, noise, tier, protocol) for n, g in atoms_g]
     rows = [ScalingPoint(n_atoms=n, eta=eta, n_eta=n * eta, xi_min=result.xi_min,
@@ -443,19 +418,3 @@ def scaling_scan(points, protocol: str = "oat",
                                   np.log([r.xi_min for r in rows]), 1)
     return ScalingScan(points=tuple(rows), slope=float(slope),
                        intercept=float(intercept), protocol=protocol)
-
-
-def feasibility_report(p: SystemParams, f: FeasibilityParams) -> FeasibilityReport:
-    """Evaluate the robustness arithmetic verbatim (pure, deterministic)."""
-    d = derive_params(p)
-    omega = abs(d.omega_twist)
-    samples = f.noise_bandwidth_hz * f.squeeze_time
-    rel_error = (f.fsr_jitter / abs(p.delta)) / math.sqrt(samples)
-    half_fsr = f.fsr / 2.0
-    suppression = (abs(p.delta) / half_fsr) * (f.fsr_jitter / half_fsr)
-    fractional = None if p.omega0 is None else omega / p.omega0
-    return FeasibilityReport(omega_twist_hz=omega / TWO_PI,
-                             squeeze_phase_rel_error=rel_error,
-                             suppression_factor=suppression,
-                             clock_shift_during_squeeze=omega,
-                             fractional_accuracy=fractional)

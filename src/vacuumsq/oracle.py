@@ -26,12 +26,12 @@ photon oscillation of about 4 eps_m^2 sin^2(Delta t / 2), with
 eps_m = g sqrt((S+m)(S-m+1)) / Delta, and an O(eps^2) error in xi that
 depends on the phase Delta t.
 
-The oracle runs in one pass: per photon cutoff tried, one stacked
-eigensolve per block size diagonalizes every block k = m, and each
-adiabatic branch (maximal overlap with |m, 0>) serves the cutoff decision,
-the light-shift table and the dynamics alike.  Every branch is an
-eigenstate, so the photon-number populations do not depend on time and the
-top-Fock gate is read before any dynamics; the table is at the cutoff used.
+The oracle runs in one pass: per photon cutoff tried, one stacked eigensolve
+diagonalizes every block k = m, and each adiabatic branch (maximal overlap
+with |m, 0>) serves the cutoff decision, the light-shift table and the
+dynamics alike.  Every branch is an eigenstate, so the photon-number
+populations do not depend on time and the top-Fock gate is read before any
+dynamics; the table is at the cutoff used.
 """
 
 from __future__ import annotations
@@ -40,12 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DerivedParams, LevelCrossingError, PhysicsError, SpinMoments, SystemParams,
-                   derive_params)
+from .core import LevelCrossingError, PhysicsError, SpinMoments, SystemParams, check_oracle_size
 from . import analytic, dicke
 
-MAX_ATOMS = 12
-MAX_DIM = 10_000
 TOP_FOCK_TOL = 1e-8
 MIN_BRANCH_OVERLAP = 0.9
 
@@ -63,12 +60,7 @@ class TCConfig:
     photon_cutoff: int = 2
 
     def __post_init__(self):
-        if self.params.n_atoms > MAX_ATOMS:
-            raise PhysicsError(f"oracle is limited to N <= {MAX_ATOMS} atoms")
-        if self.photon_cutoff < 1:
-            raise PhysicsError("photon_cutoff must be >= 1")
-        if self.dim > MAX_DIM:
-            raise PhysicsError(f"Hilbert dimension {self.dim} exceeds the cap {MAX_DIM}")
+        check_oracle_size(self.params.n_atoms, self.photon_cutoff)
 
     @property
     def n_atoms(self) -> int:
@@ -76,29 +68,24 @@ class TCConfig:
 
     @property
     def spin_S(self) -> float:
-        return self.params.n_atoms / 2.0
-
-    @property
-    def dim(self) -> int:
-        return (self.params.n_atoms + 1) * (self.photon_cutoff + 1)
+        return self.params.spin_S
 
     @property
     def m_values(self) -> np.ndarray:
         """Collective ladder m = -S..S, ascending."""
         return np.arange(self.n_atoms + 1, dtype=float) - self.spin_S
 
-    def derived(self) -> DerivedParams:
-        return derive_params(self.params)
 
-
-def _stacked_blocks(cfg: TCConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The excitation sectors k = m of H at the photon cutoff c of ``cfg``, stacked by size.
+def _stacked_blocks(cfg: TCConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The excitation sectors k = m of H at the photon cutoff c of ``cfg``, as one stack.
 
     Sector m holds |m', n = m - m'> for m' >= -S ascending and n <= c; it is
     real symmetric tridiagonal: diagonal n*Delta, off-diagonal
     g sqrt(n+1) sqrt((S+m')(S-m'+1)) linking |m', n> to |m'-1, n+1>.
-    Returns one (levels, H) pair per size 1..c+1: the ladder indices of
-    each sector's m' (its m last) and the matrices, views of one array.
+    Returns the (N+1, c+1) ladder indices of each sector's m' (its m last)
+    and the (N+1, c+1, c+1) matrices.  The c lowest m have fewer than c+1
+    levels: each is padded at its start by indices below the ladder, levels
+    n*Delta with no link, which an eigensolve keeps apart.
     """
     S, g, delta, c = cfg.spin_S, cfg.params.coupling_g, cfg.params.delta, cfg.photon_cutoff
     n = np.arange(c, -1, -1)
@@ -110,23 +97,17 @@ def _stacked_blocks(cfg: TCConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     H[:, i, i] = n * delta
     H[:, i[1:], i[:-1]] = H[:, i[:-1], i[1:]] = (g * np.sqrt(n[1:] + 1.0)
                                                * np.sqrt((S + m) * (S - m + 1)))
-    groups = []
-    for size in range(1, min(c, cfg.n_atoms) + 2):
-        # the c lowest m have one sector of each size 1..c, the others size c+1
-        rows, lo = slice(size - 1, size if size <= c else None), c + 1 - size
-        groups.append((levels[rows, lo:], H[rows, lo:, lo:]))
-    return groups
+    return levels, H
 
 
 def perturbative_light_shift(cfg: TCConfig, m):
     """Second-order vacuum shift of |m> (m a scalar or an array): -Omega (S+m)(S-m+1), rad/s."""
     S = cfg.spin_S
-    omega = cfg.derived().omega_twist
-    return -omega * (S + m) * (S - m + 1)
+    return -cfg.params.omega_twist * (S + m) * (S - m + 1)
 
 
 def _branches(cfg: TCConfig, amps: np.ndarray):
-    """Adiabatic branches of the sectors k = m at the cutoff of ``cfg``, one ``eigh`` per size.
+    """Adiabatic branches of the sectors k = m at the cutoff of ``cfg``, by one stacked ``eigh``.
 
     Sector m's branch is its eigenvector of maximal overlap with |m, 0>,
     made positive there (``eigh`` fixes no sign) and weighted by the
@@ -135,12 +116,9 @@ def _branches(cfg: TCConfig, amps: np.ndarray):
     lowest such m.  Returns flat (rows, cols, weighted vector) arrays into
     the (m, n) amplitudes and the energies E_m, m = -S..S.
     """
-    c = cfg.photon_cutoff
-    vals, vecs = np.zeros((cfg.n_atoms + 1, c + 1)), np.zeros((cfg.n_atoms + 1, c + 1, c + 1))
-    for levels, H in _stacked_blocks(cfg):
-        # a smaller sector's eigenpairs fill its trailing corner; the rest stays 0
-        top, lo = levels[:, -1], c + 1 - H.shape[-1]
-        vals[top, lo:], vecs[top, lo:, lo:] = np.linalg.eigh(H)
+    levels, H = _stacked_blocks(cfg)
+    # a padding level below the ladder is an eigenvector of its own, off |m, 0>
+    vals, vecs = np.linalg.eigh(H)
     at_m = vecs[:, -1, :]  # the components on |m, 0>
     overlaps = np.abs(at_m) ** 2
     b, j = np.arange(cfg.n_atoms + 1), np.argmax(overlaps, axis=1)
@@ -151,10 +129,8 @@ def _branches(cfg: TCConfig, amps: np.ndarray):
             f"{overlaps[low[0], j[low[0]]]:.3f} < {MIN_BRANCH_OVERLAP}; "
             "detuning too small to identify the adiabatic branch")
     signed = vecs[b, :, j] * np.copysign(1.0, at_m[b, j])[:, None]
-    n = np.arange(c, -1, -1)
-    levels = b[:, None] - n
     on_ladder = levels >= 0
-    return (levels[on_ladder], np.broadcast_to(n, levels.shape)[on_ladder],
+    return (levels[on_ladder], (b[:, None] - levels)[on_ladder],
             (amps[:, None] * signed)[on_ladder], vals[b, j])
 
 
@@ -225,7 +201,7 @@ def evolve_full(cfg: TCConfig, t_grid) -> FullEvolution:
     """
     times = dicke.time_grid(t_grid)
     used, (rows, cols, weighted, energies), fock_pops = _dressed_css(cfg)
-    omega = used.derived().omega_twist
+    omega = used.params.omega_twist
     psi = np.zeros((times.size, used.n_atoms + 1, used.photon_cutoff + 1), dtype=complex)
     # a branch element |m', n> belongs to the block of m = m' + n
     psi[:, rows, cols] = np.exp(np.multiply.outer(times, -1j * energies))[:, rows + cols] * weighted
@@ -272,13 +248,13 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
     and Delta/(g sqrt(N)); a degenerate mean spin raises
     :class:`core.DegenerateMeanSpinError`.
     """
-    d = cfg.derived()
+    p = cfg.params
     if t_grid is None:
         # Cover twisting phases up to S*Omega*t = 0.2, where xi is O(1).
-        t_end = 0.2 / (cfg.spin_S * abs(d.omega_twist))
+        t_end = 0.2 / (cfg.spin_S * abs(p.omega_twist))
         t_grid = np.linspace(0.0, t_end, 9)[1:]
     evo = evolve_full(cfg, t_grid)
-    ratio = abs(cfg.params.delta) / cfg.params.collective_coupling
+    ratio = abs(p.delta) / p.collective_coupling
     mom = evo.moments
     try:
         variance, _ = dicke.min_transverse_variance(mom)
@@ -291,18 +267,18 @@ def verification_report(cfg: TCConfig, t_grid=None) -> dict:
             "leaves no well-defined transverse plane; increase the detuning") from exc
     analytic._require_plane(np.isinf(variance), evo.times)
     xi_full = variance / (cfg.spin_S / 2.0)
-    xi_model = analytic.xi_unitary(d, evo.times).xi
+    xi_model = analytic.xi_unitary(p, evo.times).xi
     rel = np.abs(xi_full - xi_model) / np.maximum(np.abs(xi_model), 1e-300)
     columns = {"t_seconds": evo.times, "xi_full": xi_full, "xi_twisting_model": xi_model,
                "rel_discrepancy": rel}
     discrepancy = [dict(zip(columns, row)) for row in zip(*(c.tolist() for c in columns.values()))]
-    scale = (cfg.params.collective_coupling / cfg.params.delta) ** 2
+    scale = (p.collective_coupling / p.delta) ** 2
     return {
         "n_atoms": cfg.n_atoms,
         "photon_cutoff_used": evo.photon_cutoff,
         "delta_over_collective_coupling": ratio,
         "expected_relative_scale": scale,
-        "regime_ok": cfg.params.regime_ok,
+        "regime_ok": p.regime_ok,
         "light_shifts": light_shift_table(evo),
         "dynamics": discrepancy,
         "max_photon_population": evo.photon_population,

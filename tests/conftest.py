@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from vacuumsq import NoiseModel, PhysicsError, SystemParams, derive_params
+from vacuumsq import NoiseModel, PhysicsError, SystemParams
 from vacuumsq import analytic, dicke
 
 
@@ -13,11 +13,6 @@ def fig3a_params():
     Delta/2pi=11.2 MHz, g fixed implicitly by the cooperativity."""
     return SystemParams.from_frequencies(
         10_000, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=11.2e6, eta=10.0)
-
-
-@pytest.fixture(scope="session")
-def fig3a_derived(fig3a_params):
-    return derive_params(fig3a_params)
 
 
 @pytest.fixture(scope="session")
@@ -37,7 +32,7 @@ def rng():
     return np.random.default_rng(20260809)
 
 
-def oat_moments(d, t):
+def oat_moments(p, t):
     """Closed-form twisting moments at a scalar time t, the reference formula.
 
     Kitagawa & Ueda, PRA 47, 5138 (1993), with A and B as in the
@@ -46,8 +41,8 @@ def oat_moments(d, t):
     """
     if t < 0:
         raise PhysicsError("time must be >= 0")
-    S = d.spin_S
-    x = d.omega_twist * t
+    S = p.spin_S
+    x = p.omega_twist * t
     mean_x = S * analytic.cos_pow(x, int(2 * S - 1))
     if S == 0.5:
         var_y, cross = S / 2.0, 0.0
@@ -60,7 +55,7 @@ def oat_moments(d, t):
                                 var_z=S / 2.0, var_y=float(var_y), cross_zy=float(cross))
 
 
-def xi_approx(d, t, detector_efficiency_q=0.0):
+def xi_approx(p, t, detector_efficiency_q=0.0):
     """Small-decoherence expansion of xi_total, the reference formula.
 
     The three-term sum 1/(2 S Omega t)^2 + 2(1-q) S g^2 kappa t / Delta^2
@@ -68,21 +63,21 @@ def xi_approx(d, t, detector_efficiency_q=0.0):
     ``analytic.xi_bound``; it diverges at t = 0.
     """
     t = np.asarray(t, dtype=float)
-    S, p = d.spin_S, d.params
+    S = p.spin_S
     with np.errstate(divide="ignore"):
-        unitary = 1.0 / (2.0 * S * d.omega_twist * t) ** 2
-    leak = 2.0 * (1.0 - detector_efficiency_q) * S * (d.omega_twist / p.delta) * p.kappa * t
+        unitary = 1.0 / (2.0 * S * p.omega_twist * t) ** 2
+    leak = 2.0 * (1.0 - detector_efficiency_q) * S * (p.omega_twist / p.delta) * p.kappa * t
     return unitary + leak + 2.0 * p.gamma * t
 
 
-def tat_variance_bosonic(d, t):
+def tat_variance_bosonic(p, t):
     """Minimal variance of rotation-assisted twisting in the bosonic limit.
 
     var = (S/2) exp(-2 S |Omega| t): the matched rotation squeezes one fixed
     quadrature exponentially at the collective rate S Omega, while the
     depletion of the mean spin is small.
     """
-    return (d.spin_S / 2.0) * np.exp(-2.0 * d.spin_S * abs(d.omega_twist) * t)
+    return (p.spin_S / 2.0) * np.exp(-2.0 * p.spin_S * abs(p.omega_twist) * t)
 
 
 def xi_numeric(state):

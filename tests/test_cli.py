@@ -1,6 +1,8 @@
 import copy
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -136,9 +138,10 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, changes):
     ("scaling", {}),
     ("oracle", {"protocol": "oat"}),
     ("feasibility", {}),
+    # the oracle section needs a system the oracle takes, at most 12 atoms
     ("validate", {"tier": "analytic", "protocol": "oat", "noise": {}, "time_grid": GRID,
                   "optimize": {}, "scaling": BASE["scaling"]["scaling"], "oracle": {},
-                  "feasibility": BASE["feasibility"]["feasibility"]}),
+                  "feasibility": BASE["feasibility"]["feasibility"], "system__n_atoms": 4}),
 ])
 def test_each_command_accepts_the_keys_it_reads(tmp_path, command, changes):
     cfg = config(command, output={}, **changes) | {"command": command}
@@ -192,6 +195,34 @@ def test_scaling_point_without_atoms_or_positive_eta_exits_3(tmp_path, capsys, p
     payload = json.loads(line.split(" ", 1)[1])
     n, eta = point
     assert payload["error"] == "PhysicsError" and f"[{n}, {float(eta)!r}]" in payload["message"]
+
+
+@pytest.mark.parametrize("command, changes", [
+    pytest.param("scaling", {"scaling__points": [[1_000, 1.0], [100_000, 1.0]]},
+                 id="scaling-two-points"),
+    pytest.param("oracle", {"system__n_atoms": 100}, id="oracle-100-atoms"),
+])
+def test_validate_refuses_what_the_command_refuses(tmp_path, capsys, command, changes):
+    # the rules of a scaling scan and of the oracle's size are checked while the
+    # config parses, so validate exits 3 with the message the command gives
+    messages = []
+    for invoked in (command, "validate"):
+        assert run(tmp_path, invoked, config(command, **changes)) == cli.EXIT_PHYSICS == 3
+        (line,) = error_lines(capsys)
+        payload = json.loads(line.split(" ", 1)[1])
+        messages.append((payload["error"], payload["message"]))
+    assert messages[0] == messages[1] and messages[0][0] == "PhysicsError"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_artifacts_honour_the_umask(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        assert run(tmp_path, "evolve", config("evolve")) == cli.EXIT_OK
+    finally:
+        os.umask(previous)
+    for name in ("evolve.csv", "evolve_summary.json"):
+        assert stat.S_IMODE(os.stat(tmp_path / "out" / name).st_mode) == 0o666 & ~umask
 
 
 NOISELESS = {"free_space": False, "cavity_leak": False}

@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from vacuumsq import (FeasibilityParams, PhysicsError, SystemParams, TWO_PI,
-                      angular_to_hz, derive_params, hz_to_angular)
+                      angular_to_hz, hz_to_angular)
 
 
 class TestSystemParams:
@@ -33,8 +34,7 @@ class TestSystemParams:
         p = SystemParams.from_frequencies(10_000, kappa_hz=1e5, gamma_hz=7e-3,
                                           delta_hz=11.2e6, eta=10.0)
         assert angular_to_hz(p.coupling_g) == pytest.approx(41.83, rel=1e-3)
-        d = derive_params(p)
-        assert d.eta == pytest.approx(10.0, rel=1e-12)
+        assert p.eta == pytest.approx(10.0, rel=1e-12)
 
     def test_g_and_eta_consistency_gate(self):
         kwargs = dict(kappa_hz=1e5, gamma_hz=7e-3, delta_hz=11.2e6)
@@ -60,33 +60,33 @@ class TestSystemParams:
 class TestDeriveParams:
     def test_spin_is_half_n(self):
         p = SystemParams(n_atoms=2, coupling_g=1.0, kappa=1.0, gamma=1.0, delta=1.0)
-        assert derive_params(p).spin_S == 1.0
+        assert p.spin_S == 1.0
         podd = SystemParams(n_atoms=7, coupling_g=1.0, kappa=1.0, gamma=1.0, delta=1.0)
-        assert derive_params(podd).spin_S == 3.5
+        assert podd.spin_S == 3.5
 
     def test_twist_rate_exact(self, fig3a_params):
-        d = derive_params(fig3a_params)
+        p = fig3a_params
         # Omega = g^2/Delta; with g from eta this is eta Gamma kappa / (4 Delta)
-        assert angular_to_hz(d.omega_twist) == pytest.approx(1.5625e-4, rel=1e-12)
+        assert angular_to_hz(p.omega_twist) == pytest.approx(1.5625e-4, rel=1e-12)
         # quoted working-point value: 0.16 mHz to two figures
-        assert round(angular_to_hz(d.omega_twist) * 1e3, 2) == 0.16
+        assert round(angular_to_hz(p.omega_twist) * 1e3, 2) == 0.16
 
     def test_deterministic(self, fig3a_params):
-        a = derive_params(fig3a_params)
-        b = derive_params(fig3a_params)
-        assert (a.spin_S, a.eta, a.omega_twist) == (b.spin_S, b.eta, b.omega_twist)
+        a, b = fig3a_params, replace(fig3a_params)  # two records of the same inputs
+        assert (a.spin_S, a.eta, a.omega_twist, a.leak_rate) == (b.spin_S, b.eta, b.omega_twist,
+                                                                 b.leak_rate)
 
     def test_omega_sign_follows_delta(self):
         base = dict(n_atoms=10, coupling_g=2.0, kappa=1.0, gamma=1.0)
-        plus = derive_params(SystemParams(delta=8.0, **base))
-        minus = derive_params(SystemParams(delta=-8.0, **base))
+        plus = SystemParams(delta=8.0, **base)
+        minus = SystemParams(delta=-8.0, **base)
         assert plus.omega_twist == 0.5
         assert minus.omega_twist == -0.5
         assert plus.eta == minus.eta
 
     def test_lossless_cooperativity_is_infinite(self):
         p = SystemParams(n_atoms=10, coupling_g=2.0, kappa=0.0, gamma=1.0, delta=8.0)
-        assert math.isinf(derive_params(p).eta)
+        assert math.isinf(p.eta)
 
 
 class TestUnits:

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import mpmath
 import numpy as np
@@ -11,7 +11,7 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from vacuumsq import (DegenerateMeanSpinError, NoiseModel, NormDriftError,
-                      NumericsError, PhysicsError, derive_params)
+                      NumericsError, PhysicsError)
 from vacuumsq import analytic, dicke
 
 from conftest import (MOMENT_FIELDS, oat_moments, small_params, stacked, tat_ladder_moments,
@@ -124,17 +124,17 @@ class TestEvolveOat:
         assert not np.allclose(revived.amplitudes, st.amplitudes, atol=1e-3)
 
     def test_moments_match_closed_form(self):
-        d = derive_params(small_params(4))
-        st = dicke.evolve_oat(dicke.css(4), d.omega_twist, 0.1)
+        p = small_params(4)
+        st = dicke.evolve_oat(dicke.css(4), p.omega_twist, 0.1)
         got = dicke.moments(st)
-        want = oat_moments(d, 0.1)
+        want = oat_moments(p, 0.1)
         assert got.mean_x == pytest.approx(want.mean_x, abs=1e-12)
         assert got.var_z == pytest.approx(want.var_z, abs=1e-12)
         assert got.var_y == pytest.approx(want.var_y, abs=1e-12)
         assert got.cross_zy == pytest.approx(want.cross_zy, abs=1e-12)
         var, angle = dicke.min_transverse_variance(got)
-        xi, want_angle = analytic.xi_unitary(d, 0.1)
-        assert var == pytest.approx((d.spin_S / 2) * xi, abs=1e-12)
+        xi, want_angle = analytic.xi_unitary(p, 0.1)
+        assert var == pytest.approx((p.spin_S / 2) * xi, abs=1e-12)
         assert angle == pytest.approx(want_angle, abs=1e-12)
 
     def test_conserves_z_moments(self):
@@ -150,10 +150,10 @@ class TestEquivalenceClosedForm:
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 50, 200])
     @pytest.mark.parametrize("phase", [0.01, 0.05, 0.1, 0.3])
     def test_xi_numeric_equals_xi_unitary(self, n, phase):
-        d = derive_params(small_params(n))
-        st = dicke.evolve_oat(dicke.css(n), d.omega_twist, phase)
+        p = small_params(n)
+        st = dicke.evolve_oat(dicke.css(n), p.omega_twist, phase)
         xi_num = xi_numeric(st)
-        xi_cf = analytic.xi_unitary(d, phase).xi
+        xi_cf = analytic.xi_unitary(p, phase).xi
         assert abs(xi_num - xi_cf) <= 1e-10 * max(1.0, xi_cf)
 
 
@@ -164,10 +164,10 @@ def assert_moments_close(got, want, tol):
         assert getattr(got, key) == pytest.approx(getattr(want, key), rel=0.0, abs=tol), key
 
 
-def full_ladder_trace(d, times):
+def full_ladder_trace(p, times):
     """Moments of evolve_oat on the whole ladder, one state per time, as one grid record."""
-    state0 = dicke.css(d.params.n_atoms)
-    return stacked([dicke.moments(dicke.evolve_oat(state0, d.omega_twist, t)) for t in times])
+    state0 = dicke.css(p.n_atoms)
+    return stacked([dicke.moments(dicke.evolve_oat(state0, p.omega_twist, t)) for t in times])
 
 
 class TestOatBand:
@@ -178,12 +178,12 @@ class TestOatBand:
     def test_trace_matches_full_ladder_across_squeezing_window(self, n):
         # twisting phases from early squeezing past the optimum ~N^(-2/3)
         # to where the mean spin has shrunk to ~exp(-1/2) of S
-        d = derive_params(small_params(n))
+        p = small_params(n)
         times = np.geomspace(1e-2, 1.0, 5) / math.sqrt(n)
-        trace = dicke.squeezing_trace(d, times, NoiseModel.none(), protocol="oat")
-        full = full_ladder_trace(d, times)
+        trace = dicke.squeezing_trace(p, times, NoiseModel.none(), protocol="oat")
+        full = full_ladder_trace(p, times)
         var_full, angle_full = dicke.min_transverse_variance(full)
-        xi_full = var_full / (d.spin_S / 2)
+        xi_full = var_full / (p.spin_S / 2)
         assert trace.xi_unitary == pytest.approx(xi_full, rel=1e-9, abs=0.0)
         assert trace.mean_x == pytest.approx(full.mean_x, rel=1e-12, abs=0.0)
         assert trace.angle == pytest.approx(angle_full, rel=0.0, abs=1e-12)
@@ -194,14 +194,14 @@ class TestOatBand:
         state0 = dicke.css(n)
         assert np.all(state0.amplitudes != 0)
         assert dicke._nonzero_band(state0.amplitudes) == slice(0, n + 1)
-        d = derive_params(small_params(n))
+        p = small_params(n)
         times = [0.0, 0.3 / n, 1.0 / math.sqrt(n)]
-        got = dicke._oat_band_kernel(state0, d.omega_twist)(times)
-        want = full_ladder_trace(d, times)
+        got = dicke._oat_band_kernel(state0, p.omega_twist)(times)
+        want = full_ladder_trace(p, times)
         # same levels; pair weights instead of the twisted state
-        assert_moments_close(got, want, 1e-12 * d.spin_S ** 2)
-        xi_got = dicke.min_transverse_variance(got)[0] / (d.spin_S / 2)
-        xi_want = dicke.min_transverse_variance(want)[0] / (d.spin_S / 2)
+        assert_moments_close(got, want, 1e-12 * p.spin_S ** 2)
+        xi_got = dicke.min_transverse_variance(got)[0] / (p.spin_S / 2)
+        xi_want = dicke.min_transverse_variance(want)[0] / (p.spin_S / 2)
         assert xi_got == pytest.approx(xi_want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 50, 301, 1000])
@@ -221,13 +221,13 @@ class TestOatBand:
     def test_grid_across_blocks_matches_one_point_calls(self):
         # 150 times cross the 64-column blocks of the kernel twice
         n = 1000
-        d = derive_params(small_params(n))
+        p = small_params(n)
         times = np.linspace(0.0, 1.0 / math.sqrt(n), 150)
-        kernel = dicke._oat_band_kernel(dicke.css(n), d.omega_twist)
+        kernel = dicke._oat_band_kernel(dicke.css(n), p.omega_twist)
         grid = kernel(times)
         assert grid.mean_x.shape == times.shape
-        assert_moments_close(grid, stacked([kernel([t]) for t in times]), 1e-15 * d.spin_S ** 2)
-        assert_moments_close(grid, full_ladder_trace(d, times), 1e-12 * d.spin_S ** 2)
+        assert_moments_close(grid, stacked([kernel([t]) for t in times]), 1e-15 * p.spin_S ** 2)
+        assert_moments_close(grid, full_ladder_trace(p, times), 1e-12 * p.spin_S ** 2)
 
     def test_matches_a_40_digit_reference(self):
         # the twisted state and its moments at 40 digits, from the same start;
@@ -294,8 +294,8 @@ class TestOatBand:
             return nonzero_band(amps)
 
         monkeypatch.setattr(dicke, "_nonzero_band", counted)
-        d = derive_params(small_params(10_000))
-        kernel = dicke.coherent_moments(d, "oat")
+        p = small_params(10_000)
+        kernel = dicke.coherent_moments(p, "oat")
         for times in ([0.0], [1e-3, 2e-3], [5e-3]):
             assert kernel(times).mean_x.shape == (len(times),)
         assert calls == [10_001]
@@ -408,13 +408,13 @@ class TestEvolveTat:
             return split(amps)
 
         monkeypatch.setattr(dicke, "_sector_split", counted)
-        d = derive_params(small_params(40))
-        kernel = dicke.coherent_moments(d, "tat")
+        p = small_params(40)
+        kernel = dicke.coherent_moments(p, "tat")
         grids = ([5e-3], [1e-3, 2e-3], [0.0])
         got = [kernel(times) for times in grids]
         assert calls == [] and len(solves) == 1
         for times, moms in zip(grids, got):  # what the propagated states give, to rounding
-            fresh = dicke.TatPropagator(20.0, d.omega_twist).evolve_grid(dicke.css(40), times)
+            fresh = dicke.TatPropagator(20.0, p.omega_twist).evolve_grid(dicke.css(40), times)
             assert_moments_close(moms, stacked([dicke.moments(out) for out in fresh]),
                                  1e-13 * 20.0 ** 2)
         assert calls == [41] * len(grids) and len(solves) == 1  # each propagator splits its state
@@ -491,13 +491,13 @@ class TestEvolveTat:
     def test_variance_tracks_bosonic_decay(self):
         # minimal variance ~ (S/2) exp(-2 S Omega t) while depletion is small
         n = 100
-        d = derive_params(small_params(n))
-        prop = dicke.TatPropagator(n / 2, d.omega_twist)
+        p = small_params(n)
+        prop = dicke.TatPropagator(n / 2, p.omega_twist)
         st = dicke.css(n)
         for phase in (0.1, 0.2, 0.3):
-            t = phase / (n / 2 * d.omega_twist)
+            t = phase / (n / 2 * p.omega_twist)
             var, _ = dicke.min_transverse_variance(dicke.moments(prop.evolve(st, t)))
-            assert var == pytest.approx(tat_variance_bosonic(d, t), rel=0.02)
+            assert var == pytest.approx(tat_variance_bosonic(p, t), rel=0.02)
 
 
 def full_sector_states(prop, state, times):
@@ -631,7 +631,7 @@ class TestTatWindow:
             return window(diag, off, vals, z, spread)
 
         monkeypatch.setattr(dicke, "_energy_window", recorded)
-        dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")([0.0])
+        dicke.coherent_moments(small_params(n, omega), "tat")([0.0])
         assert spreads[0][1] == pytest.approx(sigma, rel=1e-9)
 
     def test_xi_matches_expm_multiply_above_the_old_limit(self):
@@ -640,9 +640,9 @@ class TestTatWindow:
         # the mean spin has collapsed to 0.6 S
         n, omega = 5000, 0.37
         S = n / 2
-        d = derive_params(small_params(n, omega))
+        p = small_params(n, omega)
         taus = np.array([2.0, 4.5])
-        moms = dicke.coherent_moments(d, "tat")(taus / (S * omega))
+        moms = dicke.coherent_moments(p, "tat")(taus / (S * omega))
         assert moms.mean_x[1] < 0.7 * S
         xi = dicke.min_transverse_variance(moms)[0] / (S / 2)
         m = np.arange(n + 1) - S
@@ -657,13 +657,13 @@ class TestTatWindow:
     def test_kernel_raises_when_the_windows_exceed_the_limit(self, monkeypatch):
         # Omega S t = 4.5 takes the whole 11-level block, whose window keeps more than 5
         monkeypatch.setattr(dicke, "SPECTRAL_MAX_DIM", 5)
-        kernel = dicke.coherent_moments(derive_params(small_params(20, 0.37)), "tat")
+        kernel = dicke.coherent_moments(small_params(20, 0.37), "tat")
         with pytest.raises(NumericsError, match="more than 5 eigenvectors"):
             kernel([4.5 / (10 * 0.37)])
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_kernel_time_grid_gates(self, protocol):
-        kernel = dicke.coherent_moments(derive_params(small_params(20)), protocol)
+        kernel = dicke.coherent_moments(small_params(20), protocol)
         with pytest.raises(PhysicsError, match="time grid must be one-dimensional"):
             kernel(0.5)
         with pytest.raises(PhysicsError, match="time must be >= 0"):
@@ -693,7 +693,7 @@ class TestTatBlock:
         # n = 1 is a one-level block; Omega S t runs past the squeezing optimum to 4
         S = n / 2
         times = np.concatenate(([0.0], np.linspace(0.01, 4.0, 70))) / (S * abs(omega))
-        got = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")(times)
+        got = dicke.coherent_moments(small_params(n, omega), "tat")(times)
         want = tat_ladder_moments(dicke.css(n), omega)(times)
         assert_moments_close(got, want, 1e-12 * S * S)
         (var_g, angle_g), (var_w, angle_w) = map(dicke.min_transverse_variance, (got, want))
@@ -705,10 +705,10 @@ class TestTatBlock:
         # the reference evolves the block's top 20 levels at 40 digits, where the
         # squeezed vacuum's tail bound tanh(r)^40 is below 1e-50
         n, omega = 2000, 0.37
-        d = derive_params(small_params(n, omega))
+        p = small_params(n, omega)
         taus = [1e-3, 5e-3, 0.05]
         got_variance, got_angle = dicke.min_transverse_variance(
-            dicke.coherent_moments(d, "tat")(np.array(taus) / (d.spin_S * d.omega_twist)))
+            dicke.coherent_moments(p, "tat")(np.array(taus) / (p.spin_S * p.omega_twist)))
         with mpmath.workdps(40):
             S, levels = mpmath.mpf(n) / 2, 20
             k = [2 * mpmath.mpf(j) for j in range(levels)]  # S - m'
@@ -738,10 +738,10 @@ class TestTatBlock:
         taus = np.array([0.25, 0.5, 1.0, 1.5])
         deviations = []
         for n in (10_000, 100_000, 1_000_000):
-            d = derive_params(small_params(n, 0.37))
-            times = taus / (d.spin_S * 0.37)
-            var = dicke.min_transverse_variance(dicke.coherent_moments(d, "tat")(times))[0]
-            deviations.append(var / tat_variance_bosonic(d, times) - 1.0)
+            p = small_params(n, 0.37)
+            times = taus / (p.spin_S * 0.37)
+            var = dicke.min_transverse_variance(dicke.coherent_moments(p, "tat")(times))[0]
+            deviations.append(var / tat_variance_bosonic(p, times) - 1.0)
         assert np.all(deviations[-1] > 0) and np.all(deviations[-1] < 1e-5)
         for coarse, fine in zip(deviations, deviations[1:]):  # S grows tenfold
             assert coarse / fine == pytest.approx(10.0, rel=0.2)
@@ -749,7 +749,7 @@ class TestTatBlock:
     def test_grid_past_the_separatrix_takes_the_whole_block(self, monkeypatch):
         sizes = recorded_solves(monkeypatch)
         n, omega = 2000, 0.37
-        kernel = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")
+        kernel = dicke.coherent_moments(small_params(n, omega), "tat")
         kernel(np.array([1.0, 4.5]) / (n / 2 * omega))
         assert sizes == [n // 2 + 1]
 
@@ -759,7 +759,7 @@ class TestTatBlock:
         # phase rounding would force without the shift by the top energy
         sizes = recorded_solves(monkeypatch)
         n, omega = 100_000, 0.37
-        kernel = dicke.coherent_moments(derive_params(small_params(n, omega)), "tat")
+        kernel = dicke.coherent_moments(small_params(n, omega), "tat")
         for tau in (0.25, 1.0, 1.5):
             kernel(np.linspace(0.0, tau, 9) / (n / 2 * omega))
         assert len(sizes) == 3 and sizes[0] < sizes[1] < sizes[2] < 400
@@ -768,8 +768,8 @@ class TestTatBlock:
         # no population passes a zero gate, so the block doubles to its 201 levels
         sizes = recorded_solves(monkeypatch)
         n, omega = 400, 0.37
-        d = derive_params(small_params(n, omega))
-        kernel = dicke.coherent_moments(d, "tat")
+        p = small_params(n, omega)
+        kernel = dicke.coherent_moments(p, "tat")
         monkeypatch.setattr(dicke, "WINDOW_EDGE_WEIGHT", 0.0)
         times = np.array([0.1, 0.25]) / (n / 2 * omega)
         got = kernel(times)
@@ -783,9 +783,9 @@ class TestTatBlock:
         # short grid first solves a small block, then the long grid a larger one;
         # the long grid first solves the larger block, which the short grid reuses
         omega = 0.37
-        d = derive_params(small_params(n, omega))
+        p = small_params(n, omega)
         short, long = (np.linspace(0.0, tau, 11) / (n / 2 * omega) for tau in (0.5, 2.5))
-        forward, backward = (dicke.coherent_moments(d, "tat") for _ in range(2))
+        forward, backward = (dicke.coherent_moments(p, "tat") for _ in range(2))
         short_first = [forward(short), forward(long)]
         long_first = [backward(long), backward(short)]
         for grid, a, b in ((short, short_first[0], long_first[1]),
@@ -795,9 +795,9 @@ class TestTatBlock:
             assert_moments_close(a, want, 1e-12 * (n / 2) ** 2)
 
     def test_repeat_kernels_are_bitwise_identical(self):
-        d = derive_params(small_params(2000, 0.37))
+        p = small_params(2000, 0.37)
         times = np.geomspace(1e-4, 1.0, 100) / (1000 * 0.37)
-        first, second = (np.stack(astuple(dicke.coherent_moments(d, "tat")(times))[1:])
+        first, second = (np.stack(astuple(dicke.coherent_moments(p, "tat")(times))[1:])
                          for _ in range(2))
         assert first.tobytes() == second.tobytes()
 
@@ -880,9 +880,9 @@ class TestMinTransverseVariance:
         # twisted and rotation-assisted grids, isotropic starts at t = 0 and
         # synthetic points: exactly and nearly isotropic, and each sign of the
         # cross term and of var_y - var_z
-        d = derive_params(small_params(1000, 0.37))
+        p = small_params(1000, 0.37)
         times = np.concatenate(([0.0], np.geomspace(1e-4, 2.0, 60))) / (500 * 0.37)
-        grids = [dicke.coherent_moments(d, protocol)(times) for protocol in ("oat", "tat")]
+        grids = [dicke.coherent_moments(p, protocol)(times) for protocol in ("oat", "tat")]
         var_z = np.array([2.5, 2.5, 2.5 + 1e-13, 2.5, 3.1, 2.0, 2.0, 1e-3])
         var_y = np.array([2.5, 2.5, 2.5, 3.1, 2.5, 3.0, 3.0, 4.0])
         cross = np.array([0.0, 1e-13, 0.0, 0.0, 0.0, 1.5, -1.5, -3.9])
@@ -906,11 +906,11 @@ class TestMinTransverseVariance:
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_kernels_and_trace_on_an_empty_grid(self, protocol, full_noise):
-        d = derive_params(small_params(20))
-        m = dicke.coherent_moments(d, protocol)([])
+        p = small_params(20)
+        m = dicke.coherent_moments(p, protocol)([])
         for key in MOMENT_FIELDS:
             assert getattr(m, key).shape == (0,), key
-        trace = dicke.squeezing_trace(d, [], full_noise, protocol=protocol)
+        trace = dicke.squeezing_trace(p, [], full_noise, protocol=protocol)
         assert trace.xi_total.shape == trace.angle.shape == trace.mean_x.shape == (0,)
 
     def test_tilted_mean_raises(self):
@@ -938,51 +938,48 @@ class TestXiNumeric:
         assert xi_numeric(dicke.css(12)) == pytest.approx(1.0, rel=1e-12)
 
     def test_two_atoms_closed_form(self):
-        d = derive_params(small_params(2))
-        st = dicke.evolve_oat(dicke.css(2), d.omega_twist, 0.2)
+        p = small_params(2)
+        st = dicke.evolve_oat(dicke.css(2), p.omega_twist, 0.2)
         assert xi_numeric(st) == pytest.approx(
-            analytic.xi_unitary(d, 0.2).xi, rel=1e-12)
+            analytic.xi_unitary(p, 0.2).xi, rel=1e-12)
 
 
 class TestApplyNoise:
-    def test_grid_record_takes_the_grid(self, fig3a_derived, full_noise):
-        d = fig3a_derived
+    def test_grid_record_takes_the_grid(self, fig3a_params, full_noise):
+        p = fig3a_params
         times = np.array([0.0, 0.2, 0.46])
-        grid = dicke.coherent_moments(d, "oat")(times)
-        noisy = dicke.apply_noise(grid, d, times, full_noise)
-        added = analytic.noise_budget(d, times, full_noise).added_var
+        grid = dicke.coherent_moments(p, "oat")(times)
+        noisy = dicke.apply_noise(grid, p, times, full_noise)
+        added = analytic.noise_budget(p, times, full_noise).added_var
         assert noisy.var_z.tobytes() == (grid.var_z + added).tobytes()
         assert noisy.var_y.tobytes() == (grid.var_y + added).tobytes()
         assert noisy.cross_zy is grid.cross_zy
 
-    def test_channels_off_is_identity(self, fig3a_derived):
+    def test_channels_off_is_identity(self, fig3a_params):
         m = dicke.moments(dicke.css(10_000))
-        out = dicke.apply_noise(m, fig3a_derived, 0.46, NoiseModel.none())
+        out = dicke.apply_noise(m, fig3a_params, 0.46, NoiseModel.none())
         assert vars(out) == vars(m)
 
     def test_css_plus_decay_at_half_life(self):
         # Gamma t = ln 2 maximizes the binomial variance: S/2 + S/4 on var_z
         n = 1000
-        params = small_params(n)
-        params = type(params)(n_atoms=n, coupling_g=params.coupling_g, kappa=0.0,
-                              gamma=0.9, delta=params.delta)
-        d = derive_params(params)
+        p = replace(small_params(n), gamma=0.9)
         t = math.log(2.0) / 0.9
-        m = dicke.apply_noise(dicke.moments(dicke.css(n)), d, t,
+        m = dicke.apply_noise(dicke.moments(dicke.css(n)), p, t,
                               NoiseModel(include_cavity_leak=False))
         S = n / 2
         assert m.var_z == pytest.approx(S / 2 + S / 4, rel=1e-12)
         assert m.var_y == pytest.approx(S / 2 + S / 4, rel=1e-12)
 
-    def test_reproduces_total_xi_for_twisted_states(self, fig3a_derived, full_noise):
+    def test_reproduces_total_xi_for_twisted_states(self, fig3a_params, full_noise):
         # isotropic addition shifts the minimal eigenvalue by exactly the
         # summed variances, reproducing the noise-included closed form
-        d = fig3a_derived
+        p = fig3a_params
         t = 0.46
-        st = dicke.evolve_oat(dicke.css(10_000), d.omega_twist, t)
-        noisy = dicke.apply_noise(dicke.moments(st), d, t, full_noise)
-        xi = dicke.min_transverse_variance(noisy)[0] / (d.spin_S / 2)
-        assert xi == pytest.approx(analytic.xi_total(d, t, full_noise), rel=1e-6)
+        st = dicke.evolve_oat(dicke.css(10_000), p.omega_twist, t)
+        noisy = dicke.apply_noise(dicke.moments(st), p, t, full_noise)
+        xi = dicke.min_transverse_variance(noisy)[0] / (p.spin_S / 2)
+        assert xi == pytest.approx(analytic.xi_total(p, t, full_noise), rel=1e-6)
 
 
 class TestConservation:
@@ -1003,30 +1000,28 @@ class TestConservation:
 class TestTraceAndDump:
     def test_trace_matches_analytic_tier(self, full_noise):
         n = 200
-        d = derive_params(small_params(n, omega_twist=0.002))
-        d = derive_params(type(d.params)(n_atoms=n, coupling_g=d.params.coupling_g,
-                                         kappa=0.4, gamma=0.05, delta=d.params.delta))
+        p = replace(small_params(n, omega_twist=0.002), kappa=0.4, gamma=0.05)
         times = np.linspace(0.0, 30.0, 7)
-        trace = dicke.squeezing_trace(d, times, full_noise, protocol="oat")
-        ref = analytic.xi_total(d, times, full_noise)
+        trace = dicke.squeezing_trace(p, times, full_noise, protocol="oat")
+        ref = analytic.xi_total(p, times, full_noise)
         assert trace.xi_total == pytest.approx(ref, rel=1e-9)
         assert trace.model_tier == "dicke"
 
     def test_degenerate_mean_spin_raises_naming_its_time(self):
         # two atoms twisted: <Sx> = cos(Omega t) vanishes at Omega t = pi/2
-        d = derive_params(small_params(2))
+        p = small_params(2)
         with pytest.raises(DegenerateMeanSpinError, match=f"at t={math.pi / 2!r}"):
-            dicke.squeezing_trace(d, [0.1, math.pi / 2, 2.0], NoiseModel.none())
+            dicke.squeezing_trace(p, [0.1, math.pi / 2, 2.0], NoiseModel.none())
 
     def test_tat_beats_oat_at_matched_early_times(self):
         # the matched rotation accelerates squeezing: pointwise stronger
         # than pure twisting through the exponential window
         n = 1000
-        d = derive_params(small_params(n, omega_twist=0.001))
-        prop = dicke.TatPropagator(n / 2, d.omega_twist)
+        p = small_params(n, omega_twist=0.001)
+        prop = dicke.TatPropagator(n / 2, p.omega_twist)
         st = dicke.css(n)
         for phase in (0.1, 0.5, 1.0, 1.5):
-            t = phase / (n / 2 * d.omega_twist)
+            t = phase / (n / 2 * p.omega_twist)
             xi_tat = xi_numeric(prop.evolve(st, t))
-            xi_oat = analytic.xi_unitary(d, t).xi
+            xi_oat = analytic.xi_unitary(p, t).xi
             assert xi_tat < xi_oat

@@ -144,8 +144,11 @@ def test_validate_loads_no_numpy(tmp_path):
                       "oracle": {"photon_cutoff": 3, "delta_over_collective": 60.0}}),
         ("validate", {"feasibility": _FEASIBILITY}),
         ("validate", {"protocol": "tat", "oracle": {}}),
+        ("validate", {"scaling": {"points": _SCALING["points"][:2]}}),
+        ("validate", {"oracle": {}}),
     ])
-    assert result["codes"] == [0] * 5 + [2]
+    # the last two break the scan's and the oracle's size rules: exit 3
+    assert result["codes"] == [0] * 5 + [2, 3, 3]
     assert result["numpy"] == []
     assert result["vacuumsq"][-1] == ["vacuumsq", "vacuumsq.cli", "vacuumsq.core"]
 
@@ -164,6 +167,16 @@ def test_cli_and_analytic_commands_load_no_scipy(tmp_path):
     assert (result["codes"], result["scipy"]) == ([0] * 5, [])
     assert {"vacuumsq.dicke", "vacuumsq.optimize", "vacuumsq.oracle"}.isdisjoint(
         result["vacuumsq"][1])
+    # the optimizer imports the Dicke tier only for a Dicke search
+    assert "vacuumsq.dicke" not in result["vacuumsq"][3]
+
+
+def test_feasibility_loads_no_numpy(tmp_path):
+    # the robustness arithmetic is scalar and sits in core
+    result = _cold_start(tmp_path, [("feasibility", {"feasibility": _FEASIBILITY})])
+    assert result["codes"] == [0]
+    assert result["numpy"] == []
+    assert result["vacuumsq"][-1] == ["vacuumsq", "vacuumsq.cli", "vacuumsq.core"]
 
 
 def test_dicke_tier_and_oracle_resolve_their_scipy_imports(tmp_path):

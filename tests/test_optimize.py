@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize_scalar
 
-from vacuumsq import NoiseModel, NumericsError, PhysicsError, SystemParams, derive_params
-from vacuumsq import analytic, cli, dicke, optimize
+from vacuumsq import NoiseModel, NumericsError, PhysicsError, SystemParams
+from vacuumsq import analytic, cli, core, dicke, optimize
 from vacuumsq.core import ConfigError, FeasibilityParams
 
 from conftest import small_params, xi_numeric
@@ -88,13 +88,13 @@ class TestMinimizeOnLogAxis:
 
 def _lossy(n_atoms, gamma=0.5, kappa=0.0):
     base = small_params(n_atoms)
-    return derive_params(SystemParams(n_atoms=n_atoms, coupling_g=base.coupling_g,
-                                      kappa=kappa, gamma=gamma, delta=base.delta))
+    return SystemParams(n_atoms=n_atoms, coupling_g=base.coupling_g, kappa=kappa, gamma=gamma,
+                        delta=base.delta)
 
 
-def _coarse_tau_grid(monkeypatch, d, noise, tier, protocol="oat"):
-    """Runs optimal_time on d; returns its coarse tau grid, the times of those taus at the
-    detuning of d, and the objective's values there."""
+def _coarse_tau_grid(monkeypatch, p, noise, tier, protocol="oat"):
+    """Runs optimal_time on p; returns its coarse tau grid, the times of those taus at the
+    detuning of p, and the objective's values there."""
     minimize, coarse = optimize.minimize_on_log_axis, []
 
     def recording(f, grid, values, rel_tol):
@@ -102,39 +102,39 @@ def _coarse_tau_grid(monkeypatch, d, noise, tier, protocol="oat"):
         return minimize(f, grid, values, rel_tol)
 
     monkeypatch.setattr(optimize, "minimize_on_log_axis", recording)
-    optimize.optimal_time(d, noise, tier=tier, protocol=protocol)
+    optimize.optimal_time(p, noise, tier=tier, protocol=protocol)
     ((grid, values),) = coarse  # one detuning: no search over Delta
-    taus = grid / d.spin_S
-    return taus, _tau_times(d, taus), values
+    taus = grid / p.spin_S
+    return taus, _tau_times(p, taus), values
 
 
-def _tau_times(d, taus):
-    """t = tau Delta/g^2 at the detuning of d, as optimal_detuning forms it."""
-    return taus * abs(d.params.delta) / d.params.coupling_g ** 2
+def _tau_times(p, taus):
+    """t = tau Delta/g^2 at the detuning of p, as optimal_detuning forms it."""
+    return taus * abs(p.delta) / p.coupling_g ** 2
 
 
-def _guard_passes(d, times, noise):
-    budget = analytic.noise_budget(d, times, noise)
+def _guard_passes(p, times, noise):
+    budget = analytic.noise_budget(p, times, noise)
     return (budget.p_leak <= optimize.MAX_EXPOSURE) & (budget.p_decay <= optimize.MAX_EXPOSURE)
 
 
 class TestExposureGuard:
     def test_inf_past_half_exposure(self, monkeypatch):
         # p_decay = 1 - exp(-Gamma t) passes 1/2 at t = log(2)/Gamma
-        d = _lossy(100)
-        _, times, values = _coarse_tau_grid(monkeypatch, d, NoiseModel(), "analytic")
+        p = _lossy(100)
+        _, times, values = _coarse_tau_grid(monkeypatch, p, NoiseModel(), "analytic")
         past = times > math.log(2.0) / 0.5
         assert 0 < np.sum(past) < times.size
-        assert np.array_equal(~_guard_passes(d, times, NoiseModel()), past)
+        assert np.array_equal(~_guard_passes(p, times, NoiseModel()), past)
         assert np.array_equal(np.isinf(values), past)
-        np.testing.assert_allclose(values[~past], analytic.xi_total(d, times[~past], NoiseModel()),
+        np.testing.assert_allclose(values[~past], analytic.xi_total(p, times[~past], NoiseModel()),
                                    rtol=1e-12, atol=0.0)
 
     def test_leak_exposure_guarded_too(self, monkeypatch):
-        d = _lossy(100, gamma=0.0, kappa=0.3)
+        p = _lossy(100, gamma=0.0, kappa=0.3)
         noise = NoiseModel()
-        _, times, values = _coarse_tau_grid(monkeypatch, d, noise, "dicke")
-        p_leak, _ = analytic.noise_probabilities(d, times, noise)
+        _, times, values = _coarse_tau_grid(monkeypatch, p, noise, "dicke")
+        p_leak, _ = analytic.noise_probabilities(p, times, noise)
         assert 0 < np.sum(p_leak > 0.5) < times.size
         assert np.all(np.isinf(values[p_leak > 0.5]))
         assert np.all(np.isfinite(values[p_leak <= 0.5]))
@@ -148,29 +148,28 @@ class TestArrayObjective:
         # at one detuning the coherent kernel reduces the guard-passing taus of
         # the coarse grid, then only taus whose noise passes the guard
         kernels = _record_kernels(monkeypatch)
-        d = _lossy(100, gamma=20.0, kappa=0.3)
-        taus, times, values = _coarse_tau_grid(monkeypatch, d, NoiseModel(), "dicke", protocol)
-        valid = _guard_passes(d, times, NoiseModel())
+        p = _lossy(100, gamma=20.0, kappa=0.3)
+        taus, times, values = _coarse_tau_grid(monkeypatch, p, NoiseModel(), "dicke", protocol)
+        valid = _guard_passes(p, times, NoiseModel())
         assert 0 < np.sum(valid) < taus.size
         assert np.array_equal(np.isfinite(values), valid)
         ((coarse, *steps),) = kernels
         assert coarse == list(taus[valid])
         step_taus = np.array([tau for step in steps for tau in step])
         assert step_taus.size
-        assert np.all(_guard_passes(d, _tau_times(d, step_taus), NoiseModel()))
+        assert np.all(_guard_passes(p, _tau_times(p, step_taus), NoiseModel()))
 
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_dicke_trace_equals_the_objective_where_the_guard_passes(self, protocol):
         # squeezing_trace and the optimizer share the coherent kernel; only
         # the order of adding the noise variance differs
-        d = _lossy(100, gamma=20.0, kappa=0.3)
-        result = optimize.optimal_time(d, NoiseModel(), tier="dicke", protocol=protocol)
+        p = _lossy(100, gamma=20.0, kappa=0.3)
+        result = optimize.optimal_time(p, NoiseModel(), tier="dicke", protocol=protocol)
         assert result.flags == ()
-        trace = dicke.squeezing_trace(d, [result.t_opt], NoiseModel(), protocol=protocol)
+        trace = dicke.squeezing_trace(p, [result.t_opt], NoiseModel(), protocol=protocol)
         np.testing.assert_allclose(trace.xi_total, [result.xi_min], rtol=1e-12, atol=0.0)
 
-    def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, fig3a_derived,
-                                            full_noise):
+    def test_one_array_call_per_coarse_grid(self, monkeypatch, fig3a_params, full_noise):
         calls = []  # ("noise" | "coherent", the time shape, the median tau) of each call, in order
         g2 = fig3a_params.coupling_g ** 2
         noise_channels, xi_unitary, geomspace = (analytic._noise_channels, analytic.xi_unitary,
@@ -182,9 +181,9 @@ class TestArrayObjective:
             calls.append(("noise", np.shape(t), float(np.median(t * g2 / delta))))
             return noise_channels(S, leak_rate, kappa, gamma, t, noise)
 
-        def coherent(d, t):  # the coherent xi is a function of tau: Omega = 1
+        def coherent(system, t):  # the coherent xi is a function of tau: Omega = 1
             calls.append(("coherent", np.shape(t), float(np.median(t))))
-            return xi_unitary(d, t)
+            return xi_unitary(system, t)
 
         grids = []  # the arguments of each np.geomspace call
 
@@ -225,7 +224,7 @@ class TestArrayObjective:
         # one coherent point; no search over Delta, and none at the optimum
         calls.clear()
         grids.clear()
-        optimize.optimal_time(fig3a_derived, full_noise)
+        optimize.optimal_time(fig3a_params, full_noise)
         shapes = {kind: [shape for k, shape, _ in calls if k == kind]
                   for kind in ("noise", "coherent")}
         (valid,), *points = shapes["coherent"]
@@ -253,11 +252,10 @@ class TestTimeBracket:
     @staticmethod
     def solve(scan, t_max):
         """optimal_detuning (scan) or optimal_time at the fig3a point with N = 1000."""
-        d = derive_params(SystemParams.from_frequencies(
-            1000, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=11.2e6, eta=10.0))
+        p = SystemParams.from_frequencies(
+            1000, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=11.2e6, eta=10.0)
         if not scan:
-            return optimize.optimal_time(d, NoiseModel(), t_max=t_max)
-        p = d.params
+            return optimize.optimal_time(p, NoiseModel(), t_max=t_max)
         return optimize.optimal_detuning(p.coupling_g, p.kappa, p.gamma, p.n_atoms,
                                          NoiseModel(), t_max=t_max)
 
@@ -290,8 +288,8 @@ def _record_kernels(monkeypatch):
     kernels = []
     coherent_moments = dicke.coherent_moments
 
-    def recorded(d, protocol):
-        kernel, grids = coherent_moments(d, protocol), []
+    def recorded(p, protocol):
+        kernel, grids = coherent_moments(p, protocol), []
         kernels.append(grids)
 
         def reducing(times):
@@ -320,12 +318,13 @@ class TestDetuningRefinement:
     @pytest.mark.parametrize("protocol", ["oat", "tat"])
     def test_float_tau_equals_the_one_point_grid_reduction_bitwise(self, monkeypatch, protocol):
         # the refinement's coherent point reduces its one-point record as
-        # floats; by S tau = 150 the one-axis-twisted mean spin has collapsed (+inf)
+        # floats; by S tau = 150 the one-axis-twisted mean spin has collapsed (+inf).
+        # The unit-rate system, Omega = 1/1, twists by tau in unit time
         records = []
         coherent_moments = dicke.coherent_moments
 
-        def recorded(d, protocol):
-            kernel = coherent_moments(d, protocol)
+        def recorded(p, protocol):
+            kernel = coherent_moments(p, protocol)
 
             def reducing(times):
                 records.append(kernel(times))
@@ -333,15 +332,16 @@ class TestDetuningRefinement:
             return reducing
 
         monkeypatch.setattr(dicke, "coherent_moments", recorded)
-        d = replace(_lossy(200, kappa=0.3), omega_twist=1.0)
-        xi = optimize._coherent_xi(d, "dicke", protocol)
+        p = replace(_lossy(200, kappa=0.3), coupling_g=1.0, delta=1.0)
+        assert p.omega_twist == 1.0
+        xi = optimize._coherent_xi(p, "dicke", protocol)
         taus = np.geomspace(1e-4, 1.5, 25).tolist()
         assert (xi(np.array(taus))[-1] == math.inf) == (protocol == "oat")
         for tau in taus:
             got = xi(tau)
             (variance,), _ = dicke.min_transverse_variance(records[-1])
             assert records[-1].mean_x.shape == (1,) and type(got) is float
-            assert np.float64(got).tobytes() == (variance / (d.spin_S / 2.0)).tobytes()
+            assert np.float64(got).tobytes() == (variance / (p.spin_S / 2.0)).tobytes()
 
 
 class TestDetuningLanes:
@@ -407,9 +407,9 @@ class TestNoiselessDickeOptimum:
             delta = self.KAPPA * (1.0 if system == "delta-kappa" else 10.0)
             params = SystemParams(n_atoms=n_atoms, coupling_g=TestDetuningLanes.G,
                                   kappa=self.KAPPA, gamma=self.GAMMA, delta=delta)
-        d = derive_params(params)
-        dicke_opt = optimize.optimal_time(d, NoiseModel.none(), tier="dicke", protocol="oat")
-        analytic_opt = optimize.optimal_time(d, NoiseModel.none(), tier="analytic")
+        dicke_opt = optimize.optimal_time(params, NoiseModel.none(), tier="dicke",
+                                          protocol="oat")
+        analytic_opt = optimize.optimal_time(params, NoiseModel.none(), tier="analytic")
         assert dicke_opt.xi_min == pytest.approx(analytic_opt.xi_min, rel=1e-8, abs=1e-12)
         assert dicke_opt.t_opt == pytest.approx(analytic_opt.t_opt, rel=optimize.REL_TOL)
         assert dicke_opt.flags == analytic_opt.flags == ()
@@ -423,7 +423,7 @@ class TestHalfFloorCheck:
         params = SystemParams.from_frequencies(1, kappa_hz=1e5, gamma_hz=7e-3,
                                                delta_hz=11.2e6, eta=1.0)
         with pytest.raises(NumericsError, match="half the closed-form floor"):
-            optimize.optimal_time(derive_params(params), NoiseModel())
+            optimize.optimal_time(params, NoiseModel())
 
 
     def test_detuning_scan_checks_its_own_floor(self):
@@ -432,23 +432,22 @@ class TestHalfFloorCheck:
         kappa, gamma = TestDetuningLanes.KAPPA, TestDetuningLanes.GAMMA
         g_1000, g_1 = (math.sqrt(eta * gamma * kappa) / 2.0 for eta in (1000.0, 1.0))
         assert optimize.optimal_detuning(g_1000, kappa, gamma, 1, NoiseModel()).xi_min > 1.0
-        d = derive_params(SystemParams(n_atoms=1, coupling_g=g_1, kappa=kappa, gamma=gamma,
-                                       delta=kappa))
-        floor = analytic.xi_bound(1, d.eta)
+        p = SystemParams(n_atoms=1, coupling_g=g_1, kappa=kappa, gamma=gamma, delta=kappa)
+        floor = analytic.xi_bound(1, p.eta)
         with pytest.raises(NumericsError, match=f"half the closed-form floor {floor!r}"):
             optimize.optimal_detuning(g_1, kappa, gamma, 1, NoiseModel())
 
 
 class TestResolver:
-    def test_auto_tier(self, fig3a_derived, full_noise):
-        result = optimize.optimal_time(fig3a_derived, full_noise)
+    def test_auto_tier(self, fig3a_params, full_noise):
+        result = optimize.optimal_time(fig3a_params, full_noise)
         assert (result.model_tier, result.protocol) == ("analytic", "oat")
 
     @pytest.mark.parametrize("tier, protocol", [("analytic", "tat"), ("bogus", "oat"),
                                                 ("auto", "xyz")])
-    def test_invalid_choice_is_config_error(self, fig3a_derived, full_noise, tier, protocol):
+    def test_invalid_choice_is_config_error(self, fig3a_params, full_noise, tier, protocol):
         with pytest.raises(ConfigError):
-            optimize.optimal_time(fig3a_derived, full_noise, tier=tier, protocol=protocol)
+            optimize.optimal_time(fig3a_params, full_noise, tier=tier, protocol=protocol)
 
 
 class TestScalingScan:
@@ -730,8 +729,8 @@ class TestOptimalTime:
 
     @staticmethod
     def fig3a(n_atoms, sign=1.0):
-        return derive_params(SystemParams.from_frequencies(
-            n_atoms, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=sign * 11.2e6, eta=10.0))
+        return SystemParams.from_frequencies(
+            n_atoms, kappa_hz=1e5, gamma_hz=7e-3, delta_hz=sign * 11.2e6, eta=10.0)
 
     @pytest.mark.parametrize("tier, protocol, n_atoms, q, xi_min, t_opt", TIME_SEARCH)
     def test_no_worse_than_the_time_search(self, tier, protocol, n_atoms, q, xi_min, t_opt):
@@ -768,10 +767,10 @@ class TestProperties:
     def test_dicke_oat_matches_closed_form(self, n, u):
         # twisting phase u/sqrt(N) spans the squeezing window and the
         # over-twisted regime while the mean spin stays well defined
-        d = derive_params(small_params(n))
+        p = small_params(n)
         t = u / math.sqrt(n)
-        xi_dicke = xi_numeric(dicke.evolve_oat(dicke.css(n), d.omega_twist, t))
-        assert xi_dicke == pytest.approx(analytic.xi_unitary(d, t).xi, rel=1e-8, abs=1e-12)
+        xi_dicke = xi_numeric(dicke.evolve_oat(dicke.css(n), p.omega_twist, t))
+        assert xi_dicke == pytest.approx(analytic.xi_unitary(p, t).xi, rel=1e-8, abs=1e-12)
 
     @PROPERTY
     @given(n=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
@@ -804,14 +803,13 @@ class TestFeasibility:
 
     def test_report_matches_documented_formulas(self):
         params = SystemParams.from_frequencies(**self.SYSTEM)
-        report = optimize.feasibility_report(params,
-                                             FeasibilityParams.from_frequencies(**self.FEAS))
+        report = core.feasibility_report(params, FeasibilityParams.from_frequencies(**self.FEAS))
         omega_hz, delta_hz = 4.0, self.SYSTEM["delta_hz"]
         fsr_hz, jitter_hz = self.FEAS["fsr_hz"], self.FEAS["fsr_jitter_hz"]
         samples = self.FEAS["noise_bandwidth_hz"] * self.FEAS["squeeze_time_s"]
         assert report.omega_twist_hz == pytest.approx(omega_hz, rel=1e-12)
-        assert report.clock_shift_during_squeeze == pytest.approx(2 * math.pi * omega_hz,
-                                                                  rel=1e-12)
+        assert report.clock_shift_during_squeeze_rad_s == pytest.approx(
+            2 * math.pi * omega_hz, rel=1e-12)
         assert report.squeeze_phase_rel_error == pytest.approx(
             jitter_hz / (delta_hz * math.sqrt(samples)), rel=1e-12)
         assert report.suppression_factor == pytest.approx(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vacuumsq import (DegenerateMeanSpinError, LevelCrossingError, NumericsError, PhysicsError,
-                      SystemParams, derive_params)
+                      SystemParams)
 from vacuumsq import analytic, dicke, oracle
 
 
@@ -66,12 +66,12 @@ def reference_branch(cfg, m):
 
 
 def stacked_block(cfg, k):
-    """The sector k = m as the stacked builder makes it: its m values and its matrix."""
-    for levels, H in oracle._stacked_blocks(cfg):
-        b = np.flatnonzero(cfg.m_values[levels[:, -1]] == k)
-        if b.size:
-            return cfg.m_values[levels[b[0]]], H[b[0]]
-    raise KeyError(k)
+    """The sector k = m as the stacked builder makes it, without its padding below the
+    ladder: its m values and its matrix."""
+    levels, H = oracle._stacked_blocks(cfg)
+    b = int(np.flatnonzero(cfg.m_values == k)[0])
+    keep = levels[b] >= 0
+    return cfg.m_values[levels[b, keep]], H[b][np.ix_(keep, keep)]
 
 
 class TestHamiltonian:
@@ -104,12 +104,16 @@ class TestHamiltonian:
     def test_full_matrix_is_symmetric_and_block_diagonal(self):
         cfg = tc_config(4, cutoff=3)
         labels = []
-        for levels, stack in oracle._stacked_blocks(cfg):
-            assert np.array_equal(stack, np.swapaxes(stack, 1, 2))  # exact symmetry, no rounding
-            for ms, H in zip(cfg.m_values[levels], stack):
-                k = ms[-1]
-                assert H.tobytes() == reference_block(cfg, k)[1].tobytes()
-                labels += [(m, k - m) for m in ms]
+        levels, stack = oracle._stacked_blocks(cfg)
+        assert np.array_equal(stack, np.swapaxes(stack, 1, 2))  # exact symmetry, no rounding
+        for row, H in zip(levels, stack):
+            keep = row >= 0
+            ms = cfg.m_values[row[keep]]
+            k = ms[-1]
+            assert H[np.ix_(keep, keep)].tobytes() == reference_block(cfg, k)[1].tobytes()
+            # a padding level below the ladder links to no level
+            assert not (H - np.diag(np.diag(H)))[~keep].any()
+            labels += [(m, k - m) for m in ms]
         # the sectors k = m partition the (m, n) states with m + n <= S, the
         # ones the dressed |CSS> (x) |0> occupies: conserved excitation number
         assert sorted(labels) == [(m, n) for m in np.arange(-2.0, 3.0) for n in range(4)
@@ -125,10 +129,10 @@ class TestHamiltonian:
         assert H[i, j] == pytest.approx(math.sqrt(2.0) * math.sqrt(2.0))
 
     @pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
-    @pytest.mark.parametrize("ratio", [10.0, 60.0, 300.0])
+    @pytest.mark.parametrize("ratio", [10.0, 60.0, 300.0, -60.0])
     def test_stacked_branches_match_per_sector_reference_bitwise(self, ratio, cutoff):
-        # one eigh per stacked size runs the same LAPACK routine on each
-        # sector, so energies and weighted vectors keep the per-sector bits
+        # one eigh of the padded stack keeps each sector apart from its
+        # unlinked padding, so energies and weighted vectors keep the per-sector bits
         for n_atoms in range(1, 13):
             cfg = tc_config(n_atoms, delta_over_gn=ratio, cutoff=cutoff)
             amps = dicke.css(n_atoms).amplitudes
@@ -155,13 +159,13 @@ class TestVacuumLightShift:
 
     def test_two_atom_shifts_near_perturbative(self):
         cfg = tc_config(2)
-        d = cfg.derived()
+        p = cfg.params
         rows = {r["m"]: r["exact_shift"] for r in shift_rows(cfg)}
         for m in (0.0, 1.0):
             exact = rows[m]
-            pred = -d.omega_twist * (1 + m) * (1 - m + 1)
+            pred = -p.omega_twist * (1 + m) * (1 - m + 1)
             assert exact == pytest.approx(pred, rel=5e-5)
-            assert exact == pytest.approx(-2 * d.omega_twist, rel=1e-3)
+            assert exact == pytest.approx(-2 * p.omega_twist, rel=1e-3)
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_error_scales_as_inverse_delta_squared(self, n):
@@ -203,34 +207,34 @@ class TestEvolveFull:
     def test_matches_twisting_model(self):
         # xi agreement to 5 (g sqrt(N)/Delta)^2 relative at moderate phases
         cfg = tc_config(4, delta_over_gn=200.0)
-        d = cfg.derived()
+        p = cfg.params
         phases = np.array([0.05, 0.1, 0.2])
-        times = phases / abs(d.omega_twist)
+        times = phases / abs(p.omega_twist)
         evo = oracle.evolve_full(cfg, times)
-        tol = 5.0 * (cfg.params.collective_coupling / cfg.params.delta) ** 2
+        tol = 5.0 * (p.collective_coupling / p.delta) ** 2
         xi_full = dicke.min_transverse_variance(evo.moments)[0] / (cfg.spin_S / 2)
-        xi_model = analytic.xi_unitary(d, times).xi
+        xi_model = analytic.xi_unitary(p, times).xi
         assert xi_full.shape == times.shape
         assert np.all(np.abs(xi_full - xi_model) / xi_model <= tol)
 
     def test_doubling_detuning_quarters_model_discrepancy(self):
         def worst(factor):
             cfg = tc_config(8, delta_over_gn=factor)
-            d = cfg.derived()
-            times = np.array([0.1, 0.2]) / abs(d.omega_twist)
+            p = cfg.params
+            times = np.array([0.1, 0.2]) / abs(p.omega_twist)
             evo = oracle.evolve_full(cfg, times)
             xi_full = dicke.min_transverse_variance(evo.moments)[0] / (cfg.spin_S / 2)
-            xi_model = analytic.xi_unitary(d, times).xi
+            xi_model = analytic.xi_unitary(p, times).xi
             return float(np.max(np.abs(xi_full - xi_model) / xi_model))
 
         assert worst(400.0) / worst(200.0) == pytest.approx(0.25, rel=0.25)
 
     def test_photon_population_small_and_reported(self):
         cfg = tc_config(6, delta_over_gn=200.0)
-        d = cfg.derived()
-        times = np.array([0.05, 0.15]) / abs(d.omega_twist)
+        p = cfg.params
+        times = np.array([0.05, 0.15]) / abs(p.omega_twist)
         evo = oracle.evolve_full(cfg, times)
-        budget = cfg.n_atoms * (cfg.params.coupling_g / cfg.params.delta) ** 2
+        budget = cfg.n_atoms * (p.coupling_g / p.delta) ** 2
         assert np.all(evo.photon_population <= 2 * budget)
         assert np.all(evo.top_fock_population <= 1e-8)
 
@@ -306,12 +310,11 @@ class TestReport:
 
 
     @pytest.mark.parametrize("ratio, cutoff_used, eigh_calls",
-                             [(60.0, 3, 7), (300.0, 2, 3)])
-    def test_one_diagonalization_per_block_per_cutoff(self, monkeypatch, ratio,
-                                                      cutoff_used, eigh_calls):
-        # N=12 has 13 blocks k = m, of sizes 1..c and c+1 at cutoff c, one
-        # stacked eigh per size: escalating from cutoff 2 to 3 takes 3 + 4
-        # calls, and the moments of the default grid's 8 times are one call
+                             [(60.0, 3, 2), (300.0, 2, 1)])
+    def test_one_diagonalization_per_cutoff(self, monkeypatch, ratio, cutoff_used, eigh_calls):
+        # N=12 has 13 blocks k = m, of sizes 1..c and c+1 at cutoff c, padded
+        # to c+1 and solved by one stacked eigh: escalating from cutoff 2 to 3
+        # takes 2 calls, and the moments of the default grid's 8 times are one call
         counts = {"eigh": 0, "moments": 0}
         eigh, moments = np.linalg.eigh, dicke.amplitude_moments
 
